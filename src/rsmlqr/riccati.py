@@ -6,6 +6,12 @@ one Lyapunov solve.  The Schur step is backward stable but can leave a
 residual well above round-off on badly scaled problems; the polish brings it
 back down without changing which solution is selected.
 
+Every Lyapunov equation, whether from ``solve_lyapunov`` or from a Newton
+sweep, is solved at every order by Bartels-Stewart (real Schur form plus
+LAPACK ``trsyl``, via ``scipy.linalg.solve_continuous_lyapunov``).
+``solve_lyapunov`` then verifies the result against its relative residual
+tolerance of 1e-10.
+
 Sign conventions.  The Riccati equation solved here is
 
     0 = -P A - A^T P - Q + P B R^{-1} B^T P
@@ -47,10 +53,6 @@ from .errors import (
 )
 from .matkit import PSD_ATOL, _max_abs, definiteness, is_hurwitz, require_matrix, require_square
 
-# Beyond this order the dense Kronecker system for the Lyapunov equation
-# (n^2 unknowns) stops being the cheap option and Bartels-Stewart takes over.
-KRON_LIMIT = 60
-
 _NEWTON_SWEEPS = 5
 
 
@@ -90,25 +92,12 @@ def care_residual(a, b, q, r, p) -> tuple[np.ndarray, float]:
     return res, float(np.linalg.norm(res))
 
 
-def _lyap_kron(a_cl: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Solve A^T X + X A = -W by dense Kronecker vectorization."""
-    n = a_cl.shape[0]
-    eye = np.eye(n)
-    lhs = np.kron(eye, a_cl.T) + np.kron(a_cl.T, eye)
-    try:
-        vec = np.linalg.solve(lhs, -w.reshape(n * n, order="F"))
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(
-            f"Lyapunov operator is singular: {exc}"
-        ) from exc
-    return vec.reshape((n, n), order="F")
-
-
 def _lyap_core(a_cl: np.ndarray, w: np.ndarray) -> np.ndarray:
-    if a_cl.shape[0] <= KRON_LIMIT:
-        x = _lyap_kron(a_cl, w)
-    else:
+    """Solve A^T X + X A = -W by Bartels-Stewart; symmetric result."""
+    try:
         x = scipy.linalg.solve_continuous_lyapunov(a_cl.T, -w)
+    except (scipy.linalg.LinAlgError, ValueError) as exc:
+        raise NumericalFailureError(f"Lyapunov solve failed: {exc}") from exc
     return 0.5 * (x + x.T)
 
 

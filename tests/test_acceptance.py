@@ -6,6 +6,7 @@ prints one ``[Ann] PASS/FAIL`` line on the real stdout so the verdicts
 stay visible under pytest output capture, then asserts.
 """
 import json
+import os
 import subprocess
 import sys
 import time
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import rsmlqr
 from rsmlqr.cli import main, parse_problem, problem_document, render_json
 from rsmlqr.errors import (
     InconsistencyError,
@@ -458,6 +460,11 @@ class TestRandomizedAudits:
 class TestDeterminism:
     def test_a12_search_byte_determinism(self, announce, tmp_path):
         dirs = [tmp_path / "run_a", tmp_path / "run_b"]
+        # The subprocess runs from tmp_path, so point it at the package
+        # under test by absolute path rather than relying on an install.
+        src_dir = str(Path(rsmlqr.__file__).resolve().parent.parent)
+        paths = [src_dir, os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
         outputs = []
         for out_dir in dirs:
             proc = subprocess.run(
@@ -467,7 +474,7 @@ class TestDeterminism:
                     "--trials", str(SEARCH_TRIALS),
                     "--out", str(out_dir),
                 ],
-                capture_output=True, cwd=str(tmp_path),
+                capture_output=True, cwd=str(tmp_path), env=env,
             )
             assert proc.returncode == 0, proc.stderr.decode()
             outputs.append(proc.stdout)

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from rsmlqr import riccati
 from rsmlqr.errors import (
     NotHurwitzError,
     NotPDError,
     NotStabilizableError,
     NotSymmetricError,
+    NumericalFailureError,
+    RsmLqrError,
     ShapeError,
 )
 from rsmlqr.riccati import (
@@ -30,6 +34,28 @@ def random_hurwitz(rng, n, shift=0.5):
     a = rng.standard_normal((n, n))
     max_re = float(np.linalg.eigvals(a).real.max())
     return a - (max_re + shift) * np.eye(n)
+
+
+def random_care_problem(rng, n, m):
+    a = random_hurwitz(rng, n)
+    b = rng.standard_normal((n, m))
+    g = rng.standard_normal((n, n))
+    q = g.T @ g + 0.1 * np.eye(n)
+    return a, b, q, np.eye(m)
+
+
+@pytest.fixture
+def lyap_calls(monkeypatch):
+    """Count the Lyapunov solves made through ``riccati._lyap_core``."""
+    calls = []
+    core = riccati._lyap_core
+
+    def counting(a_cl, w):
+        calls.append(a_cl.shape[0])
+        return core(a_cl, w)
+
+    monkeypatch.setattr(riccati, "_lyap_core", counting)
+    return calls
 
 
 class TestSolveCareScalarOracles:
@@ -113,6 +139,59 @@ class TestSolveCareContracts:
         assert sol.residual_norm <= 1e-9 * scale
 
 
+class TestNewtonPolish:
+    # At tol = 1e-14 the sweep threshold 0.01 * tol * scale sits below the
+    # round-off the Schur step leaves, so the polish always runs, while the
+    # residual contract itself stays a few times above what it reaches.
+    @pytest.mark.parametrize("seed", range(6))
+    def test_tight_tol_takes_sweeps_and_certifies(self, seed, lyap_calls):
+        rng = np.random.default_rng(1300 + seed)
+        a, b, q, r = random_care_problem(rng, 5, 2)
+        tol = 1e-14
+        sol = solve_care(a, b, q, r, tol=tol)
+        assert len(lyap_calls) >= 1
+        _, res = care_residual(a, b, q, r, sol.P)
+        assert res <= tol * (1.0 + np.linalg.norm(sol.P) * np.linalg.norm(a))
+        assert res == pytest.approx(sol.residual_norm, rel=1e-6, abs=1e-14)
+        np.testing.assert_allclose(sol.P, sol.P.T, atol=1e-12)
+        assert np.linalg.eigvalsh(sol.P).min() >= -1e-9
+        f = np.linalg.solve(r, b.T @ sol.P)
+        assert np.linalg.eigvals(a - b @ f).real.max() < 0.0
+        assert sol.closed_loop_max_re < 0.0
+
+    def test_default_tol_agrees_with_polished(self):
+        rng = np.random.default_rng(1300)
+        a, b, q, r = random_care_problem(rng, 5, 2)
+        loose = solve_care(a, b, q, r).P
+        tight = solve_care(a, b, q, r, tol=1e-14).P
+        np.testing.assert_allclose(tight, loose, rtol=1e-9, atol=1e-12)
+
+
+class TestLyapunovFailuresTyped:
+    @pytest.mark.parametrize(
+        "exc", [scipy.linalg.LinAlgError("forced"), ValueError("forced")]
+    )
+    def test_solver_exception_becomes_numerical_failure(self, monkeypatch, exc):
+        def broken(a, q):
+            raise exc
+
+        monkeypatch.setattr(scipy.linalg, "solve_continuous_lyapunov", broken)
+        with pytest.raises(NumericalFailureError) as info:
+            solve_lyapunov(np.diag([-1.0, -2.0]), np.eye(2))
+        assert isinstance(info.value, RsmLqrError)
+        assert info.value.__cause__ is exc
+
+    def test_polish_failure_is_typed(self, monkeypatch):
+        def broken(a, q):
+            raise scipy.linalg.LinAlgError("forced")
+
+        rng = np.random.default_rng(1300)
+        a, b, q, r = random_care_problem(rng, 5, 2)
+        monkeypatch.setattr(scipy.linalg, "solve_continuous_lyapunov", broken)
+        with pytest.raises(NumericalFailureError):
+            solve_care(a, b, q, r, tol=1e-14)
+
+
 class TestSolveCareErrors:
     def test_r_not_pd(self):
         with pytest.raises(NotPDError):
@@ -183,7 +262,7 @@ class TestSolveLyapunov:
         with pytest.raises(NotSymmetricError):
             solve_lyapunov(np.diag([-1.0, -1.0]), [[1.0, 0.5], [0.0, 1.0]])
 
-    @pytest.mark.parametrize("n", [1, 3, 8, 25])
+    @pytest.mark.parametrize("n", [1, 3, 8, 25, 59, 60, 61, 120])
     def test_residual_random(self, n):
         rng = np.random.default_rng(600 + n)
         for _ in range(5):
@@ -204,6 +283,49 @@ class TestSolveLyapunov:
         x = solve_lyapunov(a, w)
         res = np.linalg.norm(a.T @ x + x @ a + w)
         assert res <= 1e-10 * (1.0 + np.linalg.norm(w))
+
+    @pytest.mark.parametrize(
+        "n, c, rotate", [(6, 10.0, False), (4, 5.0, True)]
+    )
+    def test_residual_non_normal(self, n, c, rotate):
+        # Jordan-like A = -I + c * superdiagonal: every eigenvalue is -1 but
+        # the solution grows like c^(2(n-1)), far beyond ||W||.  The rotated
+        # variant hides the triangular structure from the Schur step.
+        a = -np.eye(n) + c * np.diag(np.ones(n - 1), 1)
+        if rotate:
+            u, _ = np.linalg.qr(np.random.default_rng(8).standard_normal((n, n)))
+            a = u @ a @ u.T
+        w = np.eye(n)
+        x = solve_lyapunov(a, w)
+        assert np.linalg.norm(x) > 1e3 * np.linalg.norm(w)
+        res = np.linalg.norm(a.T @ x + x @ a + w)
+        assert res <= 1e-10 * (1.0 + np.linalg.norm(w))
+        np.testing.assert_allclose(x, x.T, atol=1e-12)
+
+    def test_tight_tol_refines_or_fails_typed(self, lyap_calls):
+        # At n = 20 one Bartels-Stewart solve leaves a relative residual
+        # around 1e-14, so tol = 1e-15 forces the refinement pass.
+        rng = np.random.default_rng(1400)
+        n, tol = 20, 1e-15
+        a = random_hurwitz(rng, n)
+        g = rng.standard_normal((n, n))
+        w = g.T @ g
+        try:
+            x = solve_lyapunov(a, w, tol=tol)
+        except NumericalFailureError:
+            assert len(lyap_calls) == 3
+        else:
+            res = np.linalg.norm(a.T @ x + x @ a + w)
+            assert res <= tol * (1.0 + np.linalg.norm(w))
+        assert len(lyap_calls) >= 2
+
+    def test_unreachable_tol_fails_after_refinement(self, lyap_calls):
+        rng = np.random.default_rng(1401)
+        a = random_hurwitz(rng, 8)
+        g = rng.standard_normal((8, 8))
+        with pytest.raises(NumericalFailureError, match="after refinement"):
+            solve_lyapunov(a, g.T @ g, tol=0.0)
+        assert len(lyap_calls) == 3
 
     def test_gramian_quadrature_identity(self):
         # x0' X x0 equals the integral of |e^{At} x0|_W^2, evaluated here

@@ -12,7 +12,10 @@ Problem files are JSON:
 
 where ``pairs`` identifies state ``j`` of the first subsystem with state
 ``k`` of the second (zero-based).  Validation happens before any numerics
-and reports the JSON path of the first violated constraint.
+and reports the JSON path of the first violated constraint.  The parser
+checks only the JSON shape of ``pairs``; ``CompositionPattern`` owns the
+range and uniqueness rules, and its ``PatternError`` path is reported with
+the ``$.pattern.`` prefix.
 
 All machine output is byte-deterministic for a fixed input, tolerance, and
 package version: floats are printed with 17 significant digits (enough to
@@ -38,14 +41,17 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import RsmLqrError, SchemaError
+from .errors import PatternError, RsmLqrError, SchemaError
 from .lqr import (
+    DEFAULT_TOL,
     CompositionAnalysis,
+    LQRDesign,
     SearchConfig,
     counterexample_search,
     evaluate_composition,
 )
 from .rsm import (
+    CompositeSystem,
     CompositionPattern,
     CostWeights,
     LinearSystem,
@@ -55,7 +61,6 @@ from .rsm import (
 )
 from .sim import closed_loop_cost, quadrature_cost, simulate
 
-_DEFAULT_TOL = 1e-8
 _TOL_ENV_VAR = "RSMLQR_TOL"
 
 _EXIT_OK = 0
@@ -153,9 +158,13 @@ def _as_object(node, path: str) -> dict:
 def _as_number(node, path: str) -> float:
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         _schema_fail(path, f"expected a number, got {type(node).__name__}")
-    if not math.isfinite(node):
+    try:
+        value = float(node)
+    except OverflowError:
+        _schema_fail(path, "integer is too large for a double")
+    if not math.isfinite(value):
         _schema_fail(path, "numbers must be finite")
-    return float(node)
+    return value
 
 
 def _as_matrix(node, path: str) -> np.ndarray:
@@ -216,30 +225,17 @@ def _parse_pattern(node, path: str, n1: int, n2: int) -> CompositionPattern:
     if not isinstance(raw_pairs, list):
         _schema_fail(f"{path}.pairs", "expected an array of [j, k] pairs")
     pairs = []
-    seen_first: set[int] = set()
-    seen_second: set[int] = set()
     for i, entry in enumerate(raw_pairs):
         entry_path = f"{path}.pairs[{i}]"
         if not isinstance(entry, list) or len(entry) != 2:
             _schema_fail(entry_path, "expected a pair [j, k] of two integers")
         j = _as_index(entry[0], f"{entry_path}[0]")
         k = _as_index(entry[1], f"{entry_path}[1]")
-        if not 0 <= j < n1:
-            _schema_fail(
-                f"{entry_path}[0]", f"index {j} out of range [0, {n1}) for subsystem 1"
-            )
-        if not 0 <= k < n2:
-            _schema_fail(
-                f"{entry_path}[1]", f"index {k} out of range [0, {n2}) for subsystem 2"
-            )
-        if j in seen_first:
-            _schema_fail(entry_path, f"subsystem-1 state {j} is shared more than once")
-        if k in seen_second:
-            _schema_fail(entry_path, f"subsystem-2 state {k} is shared more than once")
-        seen_first.add(j)
-        seen_second.add(k)
         pairs.append((j, k))
-    return CompositionPattern(n1, n2, tuple(pairs))
+    try:
+        return CompositionPattern(n1, n2, tuple(pairs))
+    except PatternError as exc:
+        raise SchemaError(f"{path}.{exc}") from exc
 
 
 def _reject_constant(token: str):
@@ -293,19 +289,13 @@ def problem_document(
     return {
         "subsystems": [
             {
-                "name": sys1.name,
-                "A": sys1.A,
-                "B": sys1.B,
-                "Q": weights1.Q,
-                "R": weights1.R,
-            },
-            {
-                "name": sys2.name,
-                "A": sys2.A,
-                "B": sys2.B,
-                "Q": weights2.Q,
-                "R": weights2.R,
-            },
+                "name": system.name,
+                "A": system.A,
+                "B": system.B,
+                "Q": weights.Q,
+                "R": weights.R,
+            }
+            for system, weights in ((sys1, weights1), (sys2, weights2))
         ],
         "pattern": {"pairs": [[j, k] for j, k in pattern.pairs]},
     }
@@ -328,27 +318,39 @@ def serialize_problem(problem: ProblemFile) -> str:
 # ---------------------------------------------------------------------------
 # report assembly
 
-def _dims_doc(analysis: CompositionAnalysis) -> dict:
-    dims = analysis.composite.dims
+def _composite_doc(composite: CompositeSystem, q: np.ndarray, r: np.ndarray) -> dict:
+    dims = composite.dims
     return {
-        "n1": dims.n1,
-        "n2": dims.n2,
-        "shared": dims.shared,
-        "m1": dims.m1,
-        "m2": dims.m2,
-        "n": analysis.composite.n,
-        "m": analysis.composite.m,
+        "dims": {
+            "n1": dims.n1,
+            "n2": dims.n2,
+            "shared": dims.shared,
+            "m1": dims.m1,
+            "m2": dims.m2,
+            "n": composite.n,
+            "m": composite.m,
+        },
+        "K": composite.coupling.K,
+        "A": composite.A,
+        "B": composite.B,
+        "Q": q,
+        "R": r,
+    }
+
+
+def _direct_doc(direct: LQRDesign) -> dict:
+    return {
+        "P": direct.P,
+        "F": direct.F,
+        "residual_norm": direct.solution.residual_norm,
+        "closed_loop_max_re": direct.solution.closed_loop_max_re,
     }
 
 
 def _checks_doc(analysis: CompositionAnalysis) -> dict:
     report = analysis.report
     return {
-        "exact": {
-            "deviation": report.exact.deviation,
-            "deviation_rel": report.exact.deviation_rel,
-            "equivalent": report.exact.equivalent,
-        },
+        "exact": report.exact._asdict(),
         "necessary": {
             "symmetric": report.necessary.symmetric,
             "psd": report.necessary.psd,
@@ -365,11 +367,7 @@ def _checks_doc(analysis: CompositionAnalysis) -> dict:
             "observability_margin": report.sufficient.observability.margin,
             "predicts_compositional": report.sufficient.predicts_compositional,
         },
-        "gains": {
-            "deviation": report.gains.deviation,
-            "deviation_rel": report.gains.deviation_rel,
-            "equivalent": report.gains.equivalent,
-        },
+        "gains": report.gains._asdict(),
         "rectangular_riccati_residuals": {
             "stacked_solution": report.rect_residual_stacked,
             "composite_solution": report.rect_residual_composite,
@@ -403,20 +401,8 @@ def build_report(
 ) -> dict:
     report = {
         "input_digest": problem.digest,
-        "composite": {
-            "dims": _dims_doc(analysis),
-            "K": analysis.composite.coupling.K,
-            "A": analysis.composite.A,
-            "B": analysis.composite.B,
-            "Q": analysis.Q,
-            "R": analysis.R,
-        },
-        "lqr_direct": {
-            "P": analysis.direct.P,
-            "F": analysis.direct.F,
-            "residual_norm": analysis.direct.solution.residual_norm,
-            "closed_loop_max_re": analysis.direct.solution.closed_loop_max_re,
-        },
+        "composite": _composite_doc(analysis.composite, analysis.Q, analysis.R),
+        "lqr_direct": _direct_doc(analysis.direct),
         "lqr_composed": {
             "P1": analysis.design1.P,
             "F1": analysis.design1.F,
@@ -465,7 +451,7 @@ def _resolve_tol(args) -> float:
     else:
         raw = os.environ.get(_TOL_ENV_VAR)
         if raw is None:
-            return _DEFAULT_TOL
+            return DEFAULT_TOL
         try:
             tol = float(raw)
         except ValueError:
@@ -507,23 +493,7 @@ def cmd_compose(args) -> int:
     problem = parse_problem(args.problem)
     composite = compose_open_loop(problem.system1, problem.system2, problem.pattern)
     q_c, r_c = compose_cost(problem.weights1, problem.weights2, composite.coupling)
-    doc = {
-        "input_digest": problem.digest,
-        "dims": {
-            "n1": composite.dims.n1,
-            "n2": composite.dims.n2,
-            "shared": composite.dims.shared,
-            "m1": composite.dims.m1,
-            "m2": composite.dims.m2,
-            "n": composite.n,
-            "m": composite.m,
-        },
-        "K": composite.coupling.K,
-        "A": composite.A,
-        "B": composite.B,
-        "Q": q_c,
-        "R": r_c,
-    }
+    doc = {"input_digest": problem.digest, **_composite_doc(composite, q_c, r_c)}
     _emit(render_json(doc), args.out)
     return _EXIT_OK
 
@@ -537,25 +507,18 @@ def cmd_lqr(args) -> int:
     )
     doc = {
         "input_digest": problem.digest,
-        "direct": {
-            "P": analysis.direct.P,
-            "F": analysis.direct.F,
-            "residual_norm": analysis.direct.solution.residual_norm,
-            "closed_loop_max_re": analysis.direct.solution.closed_loop_max_re,
-        },
+        "direct": _direct_doc(analysis.direct),
         "subsystems": [
             {
-                "name": problem.system1.name,
-                "P": analysis.design1.P,
-                "F": analysis.design1.F,
-                "residual_norm": analysis.design1.solution.residual_norm,
-            },
-            {
-                "name": problem.system2.name,
-                "P": analysis.design2.P,
-                "F": analysis.design2.F,
-                "residual_norm": analysis.design2.solution.residual_norm,
-            },
+                "name": system.name,
+                "P": design.P,
+                "F": design.F,
+                "residual_norm": design.solution.residual_norm,
+            }
+            for system, design in (
+                (problem.system1, analysis.design1),
+                (problem.system2, analysis.design2),
+            )
         ],
         "F_composed": analysis.F_composed,
         "notes": list(analysis.report.notes),
@@ -665,10 +628,8 @@ def cmd_simulate(args) -> int:
         )
     csv_text = "\n".join(rows) + "\n"
 
-    if args.out is None:
-        sys.stdout.write(csv_text)
-    else:
-        _write_text(args.out, csv_text)
+    _emit(csv_text, args.out)
+    if args.out is not None:
         exact = closed_loop_cost(
             composite.A, composite.B, gain, analysis.Q, analysis.R, x0
         )
@@ -699,19 +660,21 @@ def cmd_search(args) -> int:
         deviation_threshold=args.threshold,
     )
     result = counterexample_search(config, tol)
-    found_docs = []
-    for inst in result.found:
-        found_docs.append(
-            {
-                "trial": inst.trial,
-                "deviation": inst.deviation,
-                "shared": inst.pattern.k_shared,
-                "problem": problem_document(
-                    inst.system1, inst.weights1, inst.system2, inst.weights2,
-                    inst.pattern,
-                ),
-            }
+    problems = [
+        problem_document(
+            inst.system1, inst.weights1, inst.system2, inst.weights2, inst.pattern
         )
+        for inst in result.found
+    ]
+    found_docs = [
+        {
+            "trial": inst.trial,
+            "deviation": inst.deviation,
+            "shared": inst.pattern.k_shared,
+            "problem": problem,
+        }
+        for inst, problem in zip(result.found, problems)
+    ]
     doc = {
         "seed": config.seed,
         "trials": result.trials,
@@ -724,15 +687,9 @@ def cmd_search(args) -> int:
     if args.out is not None:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
-        for i, inst in enumerate(result.found):
-            text = render_json(
-                problem_document(
-                    inst.system1, inst.weights1, inst.system2, inst.weights2,
-                    inst.pattern,
-                )
-            )
+        for i, problem in enumerate(problems):
             (out_dir / f"counterexample_{i:03d}.json").write_text(
-                text, encoding="utf-8"
+                render_json(problem), encoding="utf-8"
             )
     return _EXIT_OK
 
@@ -753,7 +710,7 @@ def _add_tol(parser: argparse.ArgumentParser):
         "--tol",
         type=float,
         default=None,
-        help=f"relative tolerance for the checks (default {_DEFAULT_TOL:g}, "
+        help=f"relative tolerance for the checks (default {DEFAULT_TOL:g}, "
         f"or the {_TOL_ENV_VAR} environment variable when set)",
     )
 

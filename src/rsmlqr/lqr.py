@@ -46,6 +46,8 @@ from .errors import (
 )
 from .matkit import (
     RankTest,
+    _rank_from_svals,
+    _singular_values,
     definiteness,
     is_controllable,
     is_observable,
@@ -161,20 +163,16 @@ def _pbh_detectable(a: np.ndarray, c: np.ndarray) -> bool:
         if lam.real < 0.0:
             continue
         pencil = np.vstack([lam * eye - a, c]).astype(complex)
-        s = np.linalg.svd(pencil, compute_uv=False)
-        cut = max(pencil.shape) * float(s[0]) * np.finfo(float).eps if s.size else 0.0
-        if int(np.count_nonzero(s > cut)) < n:
+        if _rank_from_svals(_singular_values(pencil), pencil.shape, None) < n:
             return False
     return True
 
 
 def _design(a, b, q, r, label: str) -> LQRDesign:
-    a_arr = require_square(a, "A")
+    """Shared synthesis for arrays the public callers have already validated."""
     notes: tuple[str, ...] = ()
     c = psd_sqrt_factor(q)
-    if c.shape[0] == 0:
-        c = np.zeros((0, a_arr.shape[0]))
-    if not _pbh_detectable(a_arr, c):
+    if not _pbh_detectable(a, c):
         msg = (
             f"{label}: (A, sqrt(Q)) is not detectable; the stabilizing "
             "solution, if it exists, may not be the optimum"
@@ -182,9 +180,7 @@ def _design(a, b, q, r, label: str) -> LQRDesign:
         warnings.warn(msg, DetectabilityWarning, stacklevel=3)
         notes = (msg,)
     solution = solve_care(a, b, q, r)
-    r_arr = require_square(r, "R")
-    b_arr = require_matrix(b, "B")
-    f = -np.linalg.solve(0.5 * (r_arr + r_arr.T), b_arr.T @ solution.P)
+    f = -np.linalg.solve(0.5 * (r + r.T), b.T @ solution.P)
     return LQRDesign(solution=solution, F=f, notes=notes)
 
 
@@ -264,7 +260,8 @@ def check_sufficient_condition(
 ) -> SufficientCheck:
     """Success here proves the two designs coincide.
 
-    Hypotheses checked: ``P_s K K^T`` symmetric PSD, controllability of
+    Hypotheses checked: ``P_s K K^T`` symmetric PSD (the necessary
+    condition), controllability of
     ``(A_s K K^T, B_s Sigma Lambda^{-1/2})`` where ``R_s = Sigma Lambda
     Sigma^T``, and observability of ``(A_s K K^T, D)`` with
     ``D^T D = K Q_c K^T``.  Failure is recorded but proves nothing on its
@@ -286,17 +283,15 @@ def check_sufficient_condition(
             f"stacked input weight must be symmetric PD; "
             f"min eigenvalue {dr.min_eigenvalue:.6e}"
         )
-    hyp = definiteness(p_s @ kmat @ kmat.T, tol)
+    hypothesis = check_necessary_condition(p_s, kmat, tol)
     akk = a_s @ kmat @ kmat.T
     lam, sigma = sym_eig(r_s)
     b_whitened = b_s @ (sigma / np.sqrt(lam)[None, :])
     ctrb = is_controllable(akk, b_whitened)
     d_factor = psd_sqrt_factor(kmat @ q_c @ kmat.T)
-    if d_factor.shape[0] == 0:
-        d_factor = np.zeros((0, akk.shape[0]))
     obsv = is_observable(akk, d_factor)
     return SufficientCheck(
-        hypothesis_ok=bool(hyp.symmetric and hyp.psd),
+        hypothesis_ok=hypothesis.passes,
         controllability=ctrb,
         observability=obsv,
     )
@@ -337,21 +332,17 @@ def evaluate_composition(
 
     exact = check_exact_condition(p_stacked, kmat, direct.P, tol)
     necessary = check_necessary_condition(p_stacked, kmat, tol)
-    r_stacked = scipy.linalg.block_diag(weights1.R, weights2.R)
     sufficient = check_sufficient_condition(
-        composite.A_stacked, composite.B_stacked, kmat, q_c, r_stacked,
-        p_stacked, tol,
+        composite.A_stacked, composite.B_stacked, kmat, q_c, r_c, p_stacked, tol,
     )
     f_composed = compose_gains(design1.F, design2.F, composite.coupling)
     gains = compare_gains(direct.F, f_composed, tol)
 
     rect_stacked = rectangular_riccati_residual(
-        composite.A_stacked, composite.B_stacked, kmat, q_c, r_stacked,
-        p_stacked @ kmat,
+        composite.A_stacked, composite.B_stacked, kmat, q_c, r_c, p_stacked @ kmat,
     )[1]
     rect_composite = rectangular_riccati_residual(
-        composite.A_stacked, composite.B_stacked, kmat, q_c, r_stacked,
-        kmat @ direct.P,
+        composite.A_stacked, composite.B_stacked, kmat, q_c, r_c, kmat @ direct.P,
     )[1]
 
     gap = None
@@ -414,6 +405,8 @@ class SearchConfig:
             raise ValueError("dimension ranges out of bounds")
         if self.trials < 0:
             raise ValueError(f"trials must be nonnegative, got {self.trials}")
+        if math.isnan(self.deviation_threshold):
+            raise ValueError("deviation_threshold must not be NaN")
 
 
 @dataclass(frozen=True)

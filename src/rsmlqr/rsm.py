@@ -15,7 +15,8 @@ staying block diagonal, and block feedback gains push through as
 
 Composite state ordering: subsystem-1 states in their original order
 (shared states sit at their subsystem-1 position), then the non-shared
-subsystem-2 states in their original order.
+subsystem-2 states in their original order.  ``K`` is built from one
+junction array that maps each stacked state to its composite column.
 """
 
 from __future__ import annotations
@@ -91,7 +92,12 @@ class CostWeights:
 class CompositionPattern:
     """Which states are shared: ``pairs[i] = (j, k)`` identifies state ``j``
     of subsystem 1 with state ``k`` of subsystem 2.  Indices are zero-based
-    and each state may appear in at most one pair."""
+    and each state may appear in at most one pair.
+
+    This class owns the pattern rules.  Pairs are checked in order, and for
+    each pair the range of ``j``, the range of ``k``, then the uniqueness of
+    ``j`` and of ``k``; the first violation raises ``PatternError`` with a
+    message that starts with its path, such as ``pairs[0][1]: ...``."""
 
     n1: int
     n2: int
@@ -103,27 +109,33 @@ class CompositionPattern:
                 f"state dimensions must be positive, got n1={self.n1}, n2={self.n2}"
             )
         norm = []
+        seen_first: set[int] = set()
+        seen_second: set[int] = set()
         for i, pair in enumerate(self.pairs):
             if len(pair) != 2:
-                raise PatternError(f"pair {i} must have exactly two indices")
+                raise PatternError(
+                    f"pairs[{i}]: expected a pair [j, k] of two integers"
+                )
             j, k = int(pair[0]), int(pair[1])
             if not 0 <= j < self.n1:
                 raise PatternError(
-                    f"pair {i}: subsystem-1 index {j} out of range [0, {self.n1})"
+                    f"pairs[{i}][0]: index {j} out of range [0, {self.n1}) for subsystem 1"
                 )
             if not 0 <= k < self.n2:
                 raise PatternError(
-                    f"pair {i}: subsystem-2 index {k} out of range [0, {self.n2})"
+                    f"pairs[{i}][1]: index {k} out of range [0, {self.n2}) for subsystem 2"
                 )
+            if j in seen_first:
+                raise PatternError(
+                    f"pairs[{i}]: subsystem-1 state {j} is shared more than once"
+                )
+            if k in seen_second:
+                raise PatternError(
+                    f"pairs[{i}]: subsystem-2 state {k} is shared more than once"
+                )
+            seen_first.add(j)
+            seen_second.add(k)
             norm.append((j, k))
-        firsts = [j for j, _ in norm]
-        seconds = [k for _, k in norm]
-        if len(set(firsts)) != len(firsts):
-            dup = sorted(j for j in set(firsts) if firsts.count(j) > 1)[0]
-            raise PatternError(f"subsystem-1 state {dup} is shared more than once")
-        if len(set(seconds)) != len(seconds):
-            dup = sorted(k for k in set(seconds) if seconds.count(k) > 1)[0]
-            raise PatternError(f"subsystem-2 state {dup} is shared more than once")
         object.__setattr__(self, "pairs", tuple(norm))
 
     @property
@@ -133,26 +145,16 @@ class CompositionPattern:
 
 @dataclass(frozen=True)
 class CompositionMatrix:
-    """The 0/1 coupling matrix together with its composite-index bookkeeping.
+    """The 0/1 coupling matrix.
 
-    ``index_map[i] = (j, k)`` records which subsystem states composite state
-    ``i`` came from; either entry is None when that subsystem does not touch
-    the state.  Structural facts: every row of ``K`` has exactly one 1;
-    every column has one 1 (exclusive state) or two 1s split across the two
-    subsystem blocks (shared state); hence ``K^T K`` is diagonal with
-    entries in {1, 2}.
+    Row ``s`` (a stacked state) has its single 1 in the column of the
+    composite state it belongs to.  Structural facts: every row of ``K`` has
+    exactly one 1; every column has one 1 (exclusive state) or two 1s split
+    across the two subsystem blocks (shared state); hence ``K^T K`` is
+    diagonal with entries in {1, 2}.
     """
 
     K: np.ndarray
-    index_map: tuple[tuple[int | None, int | None], ...]
-
-    @property
-    def n_stacked(self) -> int:
-        return self.K.shape[0]
-
-    @property
-    def n_composite(self) -> int:
-        return self.K.shape[1]
 
 
 class CompositeDims(NamedTuple):
@@ -188,32 +190,19 @@ def build_composition_matrix(pattern: CompositionPattern) -> CompositionMatrix:
 
     Composite states are ordered subsystem-1 first, then the non-shared
     subsystem-2 states; a shared state occupies the position of its
-    subsystem-1 member.
+    subsystem-1 member.  ``K`` is built from one junction array holding the
+    composite column of each stacked state.
     """
-    shared_by_first = dict(pattern.pairs)
-    shared_by_second = {k: j for j, k in pattern.pairs}
-    index_map: list[tuple[int | None, int | None]] = []
-    col_of_first: dict[int, int] = {}
-    col_of_second: dict[int, int] = {}
-    for j in range(pattern.n1):
-        col_of_first[j] = len(index_map)
-        if j in shared_by_first:
-            k = shared_by_first[j]
-            col_of_second[k] = len(index_map)
-            index_map.append((j, k))
-        else:
-            index_map.append((j, None))
-    for k in range(pattern.n2):
-        if k in shared_by_second:
-            continue
-        col_of_second[k] = len(index_map)
-        index_map.append((None, k))
-    kmat = np.zeros((pattern.n1 + pattern.n2, len(index_map)))
-    for j, col in col_of_first.items():
-        kmat[j, col] = 1.0
-    for k, col in col_of_second.items():
-        kmat[pattern.n1 + k, col] = 1.0
-    return CompositionMatrix(kmat, tuple(index_map))
+    n1, n2 = pattern.n1, pattern.n2
+    second = np.full(n2, -1)
+    for j, k in pattern.pairs:
+        second[k] = j
+    exclusive = second < 0
+    second[exclusive] = n1 + np.arange(np.count_nonzero(exclusive))
+    junction = np.concatenate([np.arange(n1), second])
+    kmat = np.zeros((n1 + n2, n1 + n2 - pattern.k_shared))
+    kmat[np.arange(n1 + n2), junction] = 1.0
+    return CompositionMatrix(kmat)
 
 
 def _coupling_array(coupling) -> np.ndarray:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.integrate
 
-from .errors import ShapeError
-from .matkit import is_hurwitz, require_matrix, require_square
+from .errors import NotHurwitzError, ShapeError
+from .matkit import require_matrix, require_square
 from .riccati import solve_lyapunov
 from .rsm import CompositeSystem
 
@@ -115,10 +115,11 @@ def closed_loop_cost(a, b, f, q, r, x0) -> CostResult:
         )
     x = _state_vector(x0, a_arr.shape[0])
     a_cl = a_arr + b_arr @ f_arr
-    if not is_hurwitz(a_cl).hurwitz:
-        return CostResult(math.inf, None, False)
     w = q_arr + f_arr.T @ r_arr @ f_arr
-    gram = solve_lyapunov(a_cl, 0.5 * (w + w.T))
+    try:
+        gram = solve_lyapunov(a_cl, 0.5 * (w + w.T))
+    except NotHurwitzError:
+        return CostResult(math.inf, None, False)
     value = float(x @ gram @ x)
     return CostResult(max(value, 0.0), gram, True)
 

@@ -68,14 +68,6 @@ class TestParseProblem:
         with pytest.raises(SchemaError, match=r"line 1"):
             parse_problem(str(bad))
 
-    def test_duplicate_share_rejected_with_path(self, tmp_path):
-        doc = json.loads(Path(COUPLED).read_text())
-        doc["pattern"]["pairs"] = [[1, 0], [1, 1]]
-        bad = tmp_path / "dup.json"
-        bad.write_text(json.dumps(doc), encoding="utf-8")
-        with pytest.raises(SchemaError, match=r"pairs\[1\].*more than once"):
-            parse_problem(str(bad))
-
     def test_nonsquare_a_rejected_with_path(self, tmp_path):
         doc = json.loads(Path(COUPLED).read_text())
         doc["subsystems"][0]["A"] = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
@@ -92,19 +84,93 @@ class TestParseProblem:
         with pytest.raises(SchemaError, match=r"subsystems\[1\]\.B\[1\]"):
             parse_problem(str(bad))
 
-    def test_out_of_range_pair_rejected(self, tmp_path):
-        doc = json.loads(Path(COUPLED).read_text())
-        doc["pattern"]["pairs"] = [[5, 0]]
-        bad = tmp_path / "range.json"
-        bad.write_text(json.dumps(doc), encoding="utf-8")
-        with pytest.raises(SchemaError, match=r"pairs\[0\]\[0\].*out of range"):
-            parse_problem(str(bad))
-
     def test_infinity_constant_rejected(self, tmp_path):
         bad = tmp_path / "inf.json"
         bad.write_text('{"subsystems": [Infinity, 1], "pattern": {}}')
         with pytest.raises(SchemaError, match="non-finite"):
             parse_problem(str(bad))
+
+    def test_huge_integer_rejected_with_path(self, tmp_path):
+        doc = json.loads(Path(COUPLED).read_text())
+        doc["subsystems"][0]["A"][0][0] = 10**400
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(SchemaError) as info:
+            parse_problem(str(bad))
+        assert str(info.value) == (
+            "$.subsystems[0].A[0][0]: integer is too large for a double"
+        )
+
+    @pytest.mark.parametrize(
+        "pairs, message",
+        [
+            pytest.param(
+                {"0": [0, 0]},
+                "$.pattern.pairs: expected an array of [j, k] pairs",
+                id="pairs-not-list",
+            ),
+            pytest.param(
+                [[0, 0], 1],
+                "$.pattern.pairs[1]: expected a pair [j, k] of two integers",
+                id="entry-not-list",
+            ),
+            pytest.param(
+                [[0, 0, 1]],
+                "$.pattern.pairs[0]: expected a pair [j, k] of two integers",
+                id="entry-not-pair",
+            ),
+            pytest.param(
+                [[0.5, 0]],
+                "$.pattern.pairs[0][0]: expected an integer, got float",
+                id="non-integer",
+            ),
+            pytest.param(
+                [[0, True]],
+                "$.pattern.pairs[0][1]: expected an integer, got bool",
+                id="boolean",
+            ),
+            pytest.param(
+                [[-1, 0]],
+                "$.pattern.pairs[0][0]: index -1 out of range [0, 2) for subsystem 1",
+                id="negative",
+            ),
+            pytest.param(
+                [[5, 0]],
+                "$.pattern.pairs[0][0]: index 5 out of range [0, 2) for subsystem 1",
+                id="range-subsystem-1",
+            ),
+            pytest.param(
+                [[0, 2]],
+                "$.pattern.pairs[0][1]: index 2 out of range [0, 2) for subsystem 2",
+                id="range-subsystem-2",
+            ),
+            pytest.param(
+                [[1, 0], [1, 1]],
+                "$.pattern.pairs[1]: subsystem-1 state 1 is shared more than once",
+                id="duplicate-subsystem-1",
+            ),
+            pytest.param(
+                [[0, 1], [1, 1]],
+                "$.pattern.pairs[1]: subsystem-2 state 1 is shared more than once",
+                id="duplicate-subsystem-2",
+            ),
+            # every entry's JSON shape is checked before any pattern rule,
+            # so the type error in pair 1 wins over the range error in pair 0
+            pytest.param(
+                [[5, 0], [0, "x"]],
+                "$.pattern.pairs[1][1]: expected an integer, got str",
+                id="several-violations",
+            ),
+        ],
+    )
+    def test_pattern_error_message(self, tmp_path, pairs, message):
+        doc = json.loads(Path(COUPLED).read_text())
+        doc["pattern"]["pairs"] = pairs
+        bad = tmp_path / "pattern.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(SchemaError) as info:
+            parse_problem(str(bad))
+        assert str(info.value) == message
 
 
 class TestComposeCommand:

@@ -385,3 +385,5 @@ class TestCounterexampleSearch:
             SearchConfig(n_range=(3, 1))
         with pytest.raises(ValueError):
             SearchConfig(trials=-1)
+        with pytest.raises(ValueError, match="NaN"):
+            SearchConfig(deviation_threshold=math.nan)

@@ -62,7 +62,6 @@ class TestBuildCompositionMatrix:
             ]
         )
         np.testing.assert_array_equal(cm.K, expected)
-        assert cm.index_map == ((0, None), (1, 0), (None, 1))
 
     def test_no_sharing_is_identity(self):
         cm = build_composition_matrix(CompositionPattern(2, 2))
@@ -71,13 +70,13 @@ class TestBuildCompositionMatrix:
     def test_full_sharing_scalars(self):
         cm = build_composition_matrix(CompositionPattern(1, 1, ((0, 0),)))
         np.testing.assert_array_equal(cm.K, [[1.0], [1.0]])
-        assert cm.index_map == ((0, 0),)
 
     def test_composite_ordering(self):
         # subsystem-1 states keep their order; then non-shared subsystem-2
         # states in their order
         cm = build_composition_matrix(CompositionPattern(3, 3, ((0, 2), (2, 0))))
-        assert cm.index_map == ((0, 2), (1, None), (2, 0), (None, 1))
+        # row s of K is the unit vector of stacked state s's composite column
+        np.testing.assert_array_equal(cm.K, np.eye(4)[[0, 1, 2, 2, 3, 0]])
 
     def test_structural_invariants_exhaustive(self):
         for n1 in range(1, 5):
@@ -101,18 +100,22 @@ class TestBuildCompositionMatrix:
                     assert np.all(top <= 1) and np.all(bottom <= 1)
                     ktk = kmat.T @ kmat
                     np.testing.assert_array_equal(ktk, np.diag(col_counts))
-                    # index_map agrees with the matrix
-                    for col, (j, kk) in enumerate(cm.index_map):
-                        if j is not None:
-                            assert kmat[j, col] == 1.0
-                        if kk is not None:
-                            assert kmat[n1 + kk, col] == 1.0
+                    # subsystem-1 states keep their positions, a shared
+                    # subsystem-2 state joins its partner's column, and the
+                    # other subsystem-2 states follow in order
+                    cols = np.argmax(kmat, axis=1)
+                    np.testing.assert_array_equal(cols[:n1], np.arange(n1))
+                    for j, kk in pattern.pairs:
+                        assert cols[n1 + kk] == j
+                    shared2 = {kk for _, kk in pattern.pairs}
+                    rest = [cols[n1 + kk] for kk in range(n2) if kk not in shared2]
+                    assert rest == list(range(n1, n1 + n2 - k))
 
     def test_state_identification(self):
         rng = np.random.default_rng(21)
         pattern = CompositionPattern(3, 4, ((1, 3), (2, 0)))
         cm = build_composition_matrix(pattern)
-        x = rng.standard_normal(cm.n_composite)
+        x = rng.standard_normal(cm.K.shape[1])
         lifted = cm.K @ x
         for j, k in pattern.pairs:
             assert lifted[j] == lifted[3 + k]

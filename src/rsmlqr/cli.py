@@ -156,6 +156,8 @@ def _as_object(node, path: str) -> dict:
 
 
 def _as_number(node, path: str) -> float:
+    if isinstance(node, _HugeInt):
+        _schema_fail(path, "integer is too large for a double")
     if isinstance(node, bool) or not isinstance(node, (int, float)):
         _schema_fail(path, f"expected a number, got {type(node).__name__}")
     try:
@@ -187,6 +189,8 @@ def _as_matrix(node, path: str) -> np.ndarray:
 
 
 def _as_index(node, path: str) -> int:
+    if isinstance(node, _HugeInt):
+        _schema_fail(path, "integer is too large to be a state index")
     if isinstance(node, bool) or not isinstance(node, int):
         _schema_fail(path, f"expected an integer, got {type(node).__name__}")
     return int(node)
@@ -242,6 +246,21 @@ def _reject_constant(token: str):
     raise SchemaError(f"$: non-finite JSON constant {token!r} is not allowed")
 
 
+class _HugeInt:
+    """An integer literal with more digits than ``int()`` converts.
+
+    The schema checks reject it at its JSON path; the interpreter's digit
+    limit stays as it is.
+    """
+
+
+def _parse_int(token: str):
+    try:
+        return int(token)
+    except ValueError:
+        return _HugeInt()
+
+
 def parse_problem(path) -> ProblemFile:
     """Load and validate a problem file.
 
@@ -253,7 +272,9 @@ def parse_problem(path) -> ProblemFile:
     raw = Path(path).read_bytes()
     digest = hashlib.sha256(raw).hexdigest()
     try:
-        doc = json.loads(raw.decode("utf-8"), parse_constant=_reject_constant)
+        doc = json.loads(
+            raw.decode("utf-8"), parse_constant=_reject_constant, parse_int=_parse_int
+        )
     except UnicodeDecodeError as exc:
         raise SchemaError(f"$: file is not valid UTF-8: {exc}") from exc
     except json.JSONDecodeError as exc:

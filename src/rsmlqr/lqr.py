@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from . import sim
 from .errors import (
@@ -48,6 +47,7 @@ from .matkit import (
     RankTest,
     _rank_from_svals,
     _singular_values,
+    block_diag,
     definiteness,
     is_controllable,
     is_observable,
@@ -277,13 +277,27 @@ def check_sufficient_condition(
         raise ShapeError("stacked matrices must match the coupling row count")
     if q_c.shape[0] != kmat.shape[1]:
         raise ShapeError("composite weight must match the coupling column count")
+    return _sufficient_check(
+        a_s, b_s, kmat, q_c, r_s, check_necessary_condition(p_s, kmat, tol)
+    )
+
+
+def _sufficient_check(
+    a_s: np.ndarray,
+    b_s: np.ndarray,
+    kmat: np.ndarray,
+    q_c: np.ndarray,
+    r_s: np.ndarray,
+    hypothesis: NecessaryCheck,
+) -> SufficientCheck:
+    """The sufficient test on validated arrays, reusing the necessary check
+    already computed for the same ``P_s`` and ``K``."""
     dr = definiteness(r_s)
     if not (dr.symmetric and dr.pd):
         raise NotPDError(
             f"stacked input weight must be symmetric PD; "
             f"min eigenvalue {dr.min_eigenvalue:.6e}"
         )
-    hypothesis = check_necessary_condition(p_s, kmat, tol)
     akk = a_s @ kmat @ kmat.T
     lam, sigma = sym_eig(r_s)
     b_whitened = b_s @ (sigma / np.sqrt(lam)[None, :])
@@ -327,13 +341,13 @@ def evaluate_composition(
     design1 = lqr_subsystem(sys1, weights1)
     design2 = lqr_subsystem(sys2, weights2)
     direct = lqr_composite(composite, q_c, r_c)
-    p_stacked = scipy.linalg.block_diag(design1.P, design2.P)
+    p_stacked = block_diag(design1.P, design2.P)
     kmat = composite.coupling.K
 
     exact = check_exact_condition(p_stacked, kmat, direct.P, tol)
     necessary = check_necessary_condition(p_stacked, kmat, tol)
-    sufficient = check_sufficient_condition(
-        composite.A_stacked, composite.B_stacked, kmat, q_c, r_c, p_stacked, tol,
+    sufficient = _sufficient_check(
+        composite.A_stacked, composite.B_stacked, kmat, q_c, r_c, necessary
     )
     f_composed = compose_gains(design1.F, design2.F, composite.coupling)
     gains = compare_gains(direct.F, f_composed, tol)

@@ -1,9 +1,10 @@
 """Dense real-matrix utilities used throughout the package.
 
-Symmetric eigendecomposition, SVD-based numerical rank, Hurwitz and
-definiteness tests, positive-semidefinite square-root factors, and
-Kalman-style controllability/observability rank tests.  Everything works on
-plain float64 ndarrays, never mutates its inputs, and keeps no state.
+Block-diagonal stacking, symmetric eigendecomposition, SVD-based
+numerical rank, Hurwitz and definiteness tests, positive-semidefinite
+square-root factors, and Kalman-style controllability/observability rank
+tests.  Everything works on plain float64 ndarrays, never mutates its
+inputs, and keeps no state.
 
 Tolerance conventions
 ---------------------
@@ -46,6 +47,21 @@ def require_square(m, name: str = "matrix") -> np.ndarray:
     if arr.shape[0] != arr.shape[1]:
         raise ShapeError(f"{name} must be square, got shape {arr.shape}")
     return arr
+
+
+def block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``[[a, 0], [0, b]]`` for two 2-D arrays, in their promoted dtype.
+
+    Either block may have zero rows or columns; it then adds only its
+    nonzero dimension to the shape.
+    """
+    out = np.zeros(
+        (a.shape[0] + b.shape[0], a.shape[1] + b.shape[1]),
+        dtype=np.result_type(a, b),
+    )
+    out[:a.shape[0], :a.shape[1]] = a
+    out[a.shape[0]:, a.shape[1]:] = b
+    return out
 
 
 def _max_abs(arr: np.ndarray) -> float:

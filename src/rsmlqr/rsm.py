@@ -25,10 +25,9 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NotPDError, NotPSDError, PatternError, ShapeError
-from .matkit import definiteness, require_matrix, require_square
+from .matkit import block_diag, definiteness, require_matrix, require_square
 
 
 @dataclass(frozen=True)
@@ -221,8 +220,8 @@ def compose_open_loop(
             f"subsystems have ({sys1.n}, {sys2.n}) states"
         )
     coupling = build_composition_matrix(pattern)
-    a_stacked = scipy.linalg.block_diag(sys1.A, sys2.A)
-    b_stacked = scipy.linalg.block_diag(sys1.B, sys2.B)
+    a_stacked = block_diag(sys1.A, sys2.A)
+    b_stacked = block_diag(sys1.B, sys2.B)
     kmat = coupling.K
     return CompositeSystem(
         A=kmat.T @ a_stacked @ kmat,
@@ -246,8 +245,8 @@ def compose_cost(
         raise ShapeError(
             f"coupling matrix has {kmat.shape[0]} rows, expected {n1 + n2}"
         )
-    q_c = kmat.T @ scipy.linalg.block_diag(weights1.Q, weights2.Q) @ kmat
-    r_c = scipy.linalg.block_diag(weights1.R, weights2.R)
+    q_c = kmat.T @ block_diag(weights1.Q, weights2.Q) @ kmat
+    r_c = block_diag(weights1.R, weights2.R)
     d = definiteness(q_c)
     if not (d.symmetric and d.psd):
         raise NotPSDError(
@@ -262,7 +261,7 @@ def compose_gains(f1, f2, coupling) -> np.ndarray:
     f1_arr = require_matrix(f1, "F1")
     f2_arr = require_matrix(f2, "F2")
     kmat = _coupling_array(coupling)
-    stacked = scipy.linalg.block_diag(f1_arr, f2_arr)
+    stacked = block_diag(f1_arr, f2_arr)
     if kmat.shape[0] != stacked.shape[1]:
         raise ShapeError(
             f"coupling matrix has {kmat.shape[0]} rows but the stacked gain "

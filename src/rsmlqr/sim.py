@@ -4,8 +4,10 @@ Trajectories come from classical fixed-step fourth-order Runge-Kutta.  The
 infinite-horizon quadratic cost is evaluated exactly through a Lyapunov
 solve (``J = x0^T X x0`` with ``A_cl^T X + X A_cl + W = 0``); quadrature
 over a simulated trajectory exists as an independent cross-check, not as
-the primary route.  Unstable closed loops get an infinite cost sentinel
-rather than an exception, so searches can keep moving.
+the primary route.  The cross-check is the package's own composite Simpson
+rule on the sample times; an even sample count gets Cartwright's
+correction for the last interval.  Unstable closed loops get an infinite
+cost sentinel rather than an exception, so searches can keep moving.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 
 from .errors import NotHurwitzError, ShapeError
 from .matkit import require_matrix, require_square
@@ -152,6 +153,37 @@ def optimality_gap(
     )
 
 
+def _simpson(y: np.ndarray, x: np.ndarray) -> float:
+    """Composite Simpson rule for samples ``y`` at increasing times ``x``.
+
+    Panels of two intervals use the rule for unequal spacings, so the
+    rounding in ``x`` enters as it does in ``scipy.integrate.simpson``.  An
+    even sample count leaves one interval, integrated by Cartwright's
+    correction through the last three samples.  Those terms are formed on
+    1-element arrays, as scipy forms them, so the result matches scipy >=
+    1.11 bit for bit.
+    """
+    n = y.shape[0]
+    stop = n - 2 if n % 2 else n - 3
+    h = np.diff(x)
+    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
+    hsum, hprod, ratio = h0 + h1, h0 * h1, h0 / h1
+    total = np.sum(
+        hsum / 6.0 * (
+            y[0:stop:2] * (2.0 - 1.0 / ratio)
+            + y[1:stop + 1:2] * (hsum * (hsum / hprod))
+            + y[2:stop + 2:2] * (2.0 - ratio)
+        )
+    )
+    if n % 2 == 0:
+        a, b = h[-2:-1], h[-1:]
+        alpha = (2 * b**2 + 3 * a * b) / (6 * (b + a))
+        beta = (b**2 + 3.0 * a * b) / (6 * a)
+        eta = b**3 / (6 * a * (a + b))
+        total = (total + (alpha * y[-1] + beta * y[-2] - eta * y[-3]))[0]
+    return float(total)
+
+
 def quadrature_cost(trajectory: Trajectory, weight) -> float:
     """Simpson quadrature of ``x(t)^T W x(t)`` over a sampled trajectory.
 
@@ -161,6 +193,7 @@ def quadrature_cost(trajectory: Trajectory, weight) -> float:
     """
     w_arr = require_square(weight, "weight")
     states = trajectory.states
+    times = np.asarray(trajectory.times, dtype=float)
     if states.ndim != 2 or states.shape[1] != w_arr.shape[0]:
         raise ShapeError(
             f"trajectory states have shape {states.shape}, incompatible with "
@@ -168,5 +201,7 @@ def quadrature_cost(trajectory: Trajectory, weight) -> float:
         )
     if states.shape[0] < 3:
         raise ValueError("need at least three samples for Simpson quadrature")
+    if times.shape != (states.shape[0],) or not (np.diff(times) > 0.0).all():
+        raise ValueError("trajectory times must increase, one per state sample")
     integrand = np.einsum("ti,ij,tj->t", states, w_arr, states)
-    return float(scipy.integrate.simpson(integrand, x=trajectory.times))
+    return _simpson(integrand, times)

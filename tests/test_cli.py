@@ -1,10 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rsmlqr
 from rsmlqr.cli import main, parse_problem, render_json, serialize_problem
 from rsmlqr.errors import SchemaError
 
@@ -100,6 +104,39 @@ class TestParseProblem:
         assert str(info.value) == (
             "$.subsystems[0].A[0][0]: integer is too large for a double"
         )
+
+    @pytest.mark.parametrize(
+        "where, message",
+        [
+            pytest.param(
+                ("subsystems", 0, "A", 0, 0),
+                "$.subsystems[0].A[0][0]: integer is too large for a double",
+                id="matrix-entry",
+            ),
+            pytest.param(
+                ("pattern", "pairs", 0, 1),
+                "$.pattern.pairs[0][1]: integer is too large to be a state index",
+                id="pattern-index",
+            ),
+        ],
+    )
+    def test_integer_beyond_digit_limit_rejected_with_path(
+        self, tmp_path, capsys, where, message
+    ):
+        # 5000 digits exceeds the interpreter's default int-string limit,
+        # so json.loads cannot build the int itself
+        doc = json.loads(Path(COUPLED).read_text())
+        node = doc
+        for key in where[:-1]:
+            node = node[key]
+        node[where[-1]] = "HUGE"
+        bad = tmp_path / "huge.json"
+        bad.write_text(json.dumps(doc).replace('"HUGE"', "1" + "0" * 4999))
+        with pytest.raises(SchemaError) as info:
+            parse_problem(str(bad))
+        assert str(info.value) == message
+        assert main(["check", str(bad)]) == 1
+        assert capsys.readouterr().err == f"rsmlqr: error: {message}\n"
 
     @pytest.mark.parametrize(
         "pairs, message",
@@ -394,6 +431,21 @@ class TestSearchCommand:
 
 
 class TestMainEntry:
+    def test_cli_import_leaves_out_scipy_integrate_and_optimize(self):
+        src_dir = str(Path(rsmlqr.__file__).resolve().parent.parent)
+        paths = [src_dir, os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        code = (
+            "import sys, rsmlqr.cli; "
+            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') "
+            "if m in sys.modules))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
     def test_no_command_shows_help(self, capsys):
         assert main([]) == 1
         assert "usage" in capsys.readouterr().err.lower()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import rsmlqr.lqr as lqr_module
 from rsmlqr.errors import DetectabilityWarning, ShapeError
 from rsmlqr.lqr import (
     SearchConfig,
@@ -329,6 +330,29 @@ class TestEvaluateComposition:
                 weights, UNIT_WEIGHTS,
             )
         assert any("detectable" in note for note in analysis.report.notes)
+
+
+    def test_necessary_check_runs_once_and_feeds_sufficient(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return check_necessary_condition(*args, **kwargs)
+
+        monkeypatch.setattr(lqr_module, "check_necessary_condition", counted)
+        rng = np.random.default_rng(404)
+        for _ in range(20):
+            sys1, sys2, pattern, w1, w2 = sample_instance(rng, (1, 3), (1, 2), (0, 2))
+            calls.clear()
+            analysis = evaluate_composition(sys1, sys2, pattern, w1, w2)
+            assert len(calls) == 1
+            comp = analysis.composite
+            public = check_sufficient_condition(
+                comp.A_stacked, comp.B_stacked, comp.coupling.K, analysis.Q,
+                analysis.R, analysis.P_stacked,
+            )
+            assert analysis.report.sufficient == public
+            assert public.hypothesis_ok == analysis.report.necessary.passes
 
 
 class TestCounterexampleSearch:

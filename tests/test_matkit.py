@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from rsmlqr.errors import (
     InvalidMatrixError,
@@ -8,6 +9,7 @@ from rsmlqr.errors import (
     ShapeError,
 )
 from rsmlqr.matkit import (
+    block_diag,
     definiteness,
     is_controllable,
     is_hurwitz,
@@ -28,6 +30,49 @@ def pbh_controllable(a, b):
         if np.linalg.matrix_rank(pencil) < n:
             return False
     return True
+
+
+class TestBlockDiag:
+    def test_matches_scipy(self):
+        rng = np.random.default_rng(17)
+        a = rng.standard_normal((2, 3))
+        b = rng.standard_normal((3, 1))
+        out = block_diag(a, b)
+        np.testing.assert_array_equal(out, scipy.linalg.block_diag(a, b))
+        assert out.shape == (5, 4)
+
+    @pytest.mark.parametrize(
+        "shape_a, shape_b", [((2, 0), (1, 3)), ((2, 2), (3, 0)), ((0, 2), (1, 1))]
+    )
+    def test_empty_blocks_add_only_their_nonzero_dimension(self, shape_a, shape_b):
+        a = np.full(shape_a, 2.0)
+        b = np.full(shape_b, 3.0)
+        out = block_diag(a, b)
+        assert out.shape == (shape_a[0] + shape_b[0], shape_a[1] + shape_b[1])
+        np.testing.assert_array_equal(out, scipy.linalg.block_diag(a, b))
+        np.testing.assert_array_equal(out[shape_a[0]:, shape_a[1]:], b)
+        assert not out[: shape_a[0], shape_a[1]:].any()
+        assert not out[shape_a[0]:, : shape_a[1]].any()
+
+    @pytest.mark.parametrize(
+        "dtype_a, dtype_b, expected",
+        [
+            (np.int64, np.int64, np.int64),
+            (np.int64, np.float64, np.float64),
+            (np.float32, np.float32, np.float32),
+            (np.float64, np.complex128, np.complex128),
+        ],
+    )
+    def test_dtype_is_promoted(self, dtype_a, dtype_b, expected):
+        out = block_diag(np.ones((1, 1), dtype_a), np.ones((2, 2), dtype_b))
+        assert out.dtype == expected
+        np.testing.assert_array_equal(out, np.eye(3) + [[0, 0, 0], [0, 0, 1], [0, 1, 0]])
+
+    def test_inputs_not_mutated(self):
+        a = np.eye(2)
+        b = np.ones((1, 1))
+        block_diag(a, b)[0, 0] = 9.0
+        assert a[0, 0] == 1.0 and b[0, 0] == 1.0
 
 
 class TestSymEig:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy
+import scipy.integrate
 
 from rsmlqr.errors import ShapeError
 from rsmlqr.lqr import evaluate_composition, lqr_subsystem, sample_instance
@@ -22,6 +24,10 @@ from rsmlqr.sim import (
 SQRT2 = math.sqrt(2.0)
 SQRT5 = math.sqrt(5.0)
 SQRT13 = math.sqrt(13.0)
+
+# scipy 1.11 made Cartwright's last-interval correction the default for an
+# even sample count; older releases averaged two trapezoid corrections.
+SCIPY_CARTWRIGHT = tuple(int(p) for p in scipy.__version__.split(".")[:2]) >= (1, 11)
 
 
 class TestSimulate:
@@ -219,6 +225,24 @@ class TestQuadratureCost:
             w_cl = w1.Q + design.F.T @ w1.R @ design.F
             quad = quadrature_cost(traj, w_cl)
             assert quad == pytest.approx(exact.value, rel=1e-4, abs=1e-8)
+
+    @pytest.mark.parametrize("samples", [3, 4, 5, 6, 7, 910, 1001, 769, 770])
+    def test_equals_scipy_simpson_exactly(self, samples):
+        if samples % 2 == 0 and not SCIPY_CARTWRIGHT:
+            pytest.skip("scipy < 1.11 uses another even-count rule")
+        a_cl = np.array([[-1.0, 0.5], [-0.7, -2.0]])
+        w = np.array([[2.0, 0.3], [0.3, 1.0]])
+        traj = simulate(a_cl, [1.0, -0.5], horizon=10.0, step=10.0 / (samples - 1))
+        assert traj.states.shape[0] == samples
+        integrand = np.einsum("ti,ij,tj->t", traj.states, w, traj.states)
+        reference = float(scipy.integrate.simpson(integrand, x=traj.times))
+        assert quadrature_cost(traj, w) == reference
+
+    def test_times_must_match_samples_and_increase(self):
+        states = np.ones((4, 1))
+        for times in ([0.0, 1.0, 2.0], [0.0, 1.0, 1.0, 2.0], [0.0, 2.0, 1.0, 3.0]):
+            with pytest.raises(ValueError):
+                quadrature_cost(Trajectory(np.array(times), states), [[1.0]])
 
     def test_too_few_samples_rejected(self):
         traj = Trajectory(np.array([0.0, 1.0]), np.ones((2, 1)))

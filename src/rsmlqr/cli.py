@@ -48,6 +48,7 @@ from .lqr import (
     LQRDesign,
     SearchConfig,
     counterexample_search,
+    design_composition,
     evaluate_composition,
 )
 from .rsm import (
@@ -519,16 +520,22 @@ def cmd_compose(args) -> int:
     return _EXIT_OK
 
 
-def cmd_lqr(args) -> int:
+def _designs(args):
+    """The designs ``lqr`` and ``simulate`` print; no check runs, so
+    ``--tol`` is only validated."""
     problem = parse_problem(args.problem)
-    tol = _resolve_tol(args)
-    analysis = evaluate_composition(
+    _resolve_tol(args)
+    return problem, design_composition(
         problem.system1, problem.system2, problem.pattern,
-        problem.weights1, problem.weights2, tol,
+        problem.weights1, problem.weights2,
     )
+
+
+def cmd_lqr(args) -> int:
+    problem, designs = _designs(args)
     doc = {
         "input_digest": problem.digest,
-        "direct": _direct_doc(analysis.direct),
+        "direct": _direct_doc(designs.direct),
         "subsystems": [
             {
                 "name": system.name,
@@ -537,12 +544,12 @@ def cmd_lqr(args) -> int:
                 "residual_norm": design.solution.residual_norm,
             }
             for system, design in (
-                (problem.system1, analysis.design1),
-                (problem.system2, analysis.design2),
+                (problem.system1, designs.design1),
+                (problem.system2, designs.design2),
             )
         ],
-        "F_composed": analysis.F_composed,
-        "notes": list(analysis.report.notes),
+        "F_composed": designs.F_composed,
+        "notes": list(designs.notes),
     }
     _emit(render_json(doc), args.out)
     return _EXIT_OK
@@ -625,21 +632,16 @@ def cmd_check(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    problem = parse_problem(args.problem)
-    tol = _resolve_tol(args)
-    analysis = evaluate_composition(
-        problem.system1, problem.system2, problem.pattern,
-        problem.weights1, problem.weights2, tol,
-    )
-    composite = analysis.composite
+    _, designs = _designs(args)
+    composite = designs.composite
     if args.controller == "direct":
-        gain = analysis.direct.F
+        gain = designs.direct.F
     else:
-        gain = analysis.F_composed
+        gain = designs.F_composed
     x0 = _parse_x0(args.x0, composite.n)
     a_cl = closed_loop_matrix(composite, gain)
     trajectory = simulate(a_cl, x0, args.horizon, args.step)
-    w_cl = analysis.Q + gain.T @ analysis.R @ gain
+    w_cl = designs.Q + gain.T @ designs.R @ gain
 
     header = "t," + ",".join(f"x{i}" for i in range(composite.n))
     rows = [header]
@@ -652,7 +654,7 @@ def cmd_simulate(args) -> int:
     _emit(csv_text, args.out)
     if args.out is not None:
         exact = closed_loop_cost(
-            composite.A, composite.B, gain, analysis.Q, analysis.R, x0
+            composite.A, composite.B, gain, designs.Q, designs.R, x0
         )
         quad = (
             quadrature_cost(trajectory, 0.5 * (w_cl + w_cl.T))

@@ -43,8 +43,12 @@ from .errors import (
     NumericalFailureError,
     ShapeError,
 )
+# The sufficient test calls the rank kernel on its trusted arrays; the public
+# rank tests stay importable from here because perfbench's tracer wraps them
+# under these names.
 from .matkit import (
     RankTest,
+    _kalman_rank,
     _rank_from_svals,
     _singular_values,
     block_diag,
@@ -140,8 +144,8 @@ class CompositionalityReport:
 
 
 @dataclass(frozen=True)
-class CompositionAnalysis:
-    """Composite model, all three designs, and the report over them."""
+class CompositionDesign:
+    """Composite model, cost weights, all three designs and the composed gain."""
 
     composite: CompositeSystem
     Q: np.ndarray
@@ -150,6 +154,16 @@ class CompositionAnalysis:
     design2: LQRDesign
     direct: LQRDesign
     F_composed: np.ndarray
+
+    @property
+    def notes(self) -> tuple[str, ...]:
+        return self.design1.notes + self.design2.notes + self.direct.notes
+
+
+@dataclass(frozen=True)
+class CompositionAnalysis(CompositionDesign):
+    """The designs, the stacked Riccati solution, and the report over them."""
+
     P_stacked: np.ndarray
     report: CompositionalityReport
 
@@ -301,9 +315,9 @@ def _sufficient_check(
     akk = a_s @ kmat @ kmat.T
     lam, sigma = sym_eig(r_s)
     b_whitened = b_s @ (sigma / np.sqrt(lam)[None, :])
-    ctrb = is_controllable(akk, b_whitened)
+    ctrb = _kalman_rank(akk, b_whitened, None)
     d_factor = psd_sqrt_factor(kmat @ q_c @ kmat.T)
-    obsv = is_observable(akk, d_factor)
+    obsv = _kalman_rank(akk.T, d_factor.T, None)
     return SufficientCheck(
         hypothesis_ok=hypothesis.passes,
         controllability=ctrb,
@@ -320,6 +334,31 @@ def compare_gains(f_direct, f_composed, tol: float = DEFAULT_TOL) -> DeviationCh
     return _deviation(fd, fc, tol)
 
 
+def design_composition(
+    sys1: LinearSystem,
+    sys2: LinearSystem,
+    pattern: CompositionPattern,
+    weights1: CostWeights,
+    weights2: CostWeights,
+) -> CompositionDesign:
+    """Compose, then synthesize the two subsystem designs and the direct
+    one, and push the subsystem gains through the coupling; no check runs."""
+    composite = compose_open_loop(sys1, sys2, pattern)
+    q_c, r_c = compose_cost(weights1, weights2, composite.coupling)
+    design1 = lqr_subsystem(sys1, weights1)
+    design2 = lqr_subsystem(sys2, weights2)
+    direct = lqr_composite(composite, q_c, r_c)
+    return CompositionDesign(
+        composite=composite,
+        Q=q_c,
+        R=r_c,
+        design1=design1,
+        design2=design2,
+        direct=direct,
+        F_composed=compose_gains(design1.F, design2.F, composite.coupling),
+    )
+
+
 def evaluate_composition(
     sys1: LinearSystem,
     sys2: LinearSystem,
@@ -329,19 +368,17 @@ def evaluate_composition(
     tol: float = DEFAULT_TOL,
     x0=None,
 ) -> CompositionAnalysis:
-    """Run the full pipeline: compose, synthesize all three designs, check.
+    """Run the full pipeline: ``design_composition``, then every check.
 
     With ``x0`` given, the composed-vs-direct cost gap from that initial
     state is attached to the report.  Raises ``InconsistencyError`` when
     the check verdicts contradict each other, since that can only mean a
     broken invariant.
     """
-    composite = compose_open_loop(sys1, sys2, pattern)
-    q_c, r_c = compose_cost(weights1, weights2, composite.coupling)
-    design1 = lqr_subsystem(sys1, weights1)
-    design2 = lqr_subsystem(sys2, weights2)
-    direct = lqr_composite(composite, q_c, r_c)
-    p_stacked = block_diag(design1.P, design2.P)
+    design = design_composition(sys1, sys2, pattern, weights1, weights2)
+    composite, q_c, r_c = design.composite, design.Q, design.R
+    direct, f_composed = design.direct, design.F_composed
+    p_stacked = block_diag(design.design1.P, design.design2.P)
     kmat = composite.coupling.K
 
     exact = check_exact_condition(p_stacked, kmat, direct.P, tol)
@@ -349,7 +386,6 @@ def evaluate_composition(
     sufficient = _sufficient_check(
         composite.A_stacked, composite.B_stacked, kmat, q_c, r_c, necessary
     )
-    f_composed = compose_gains(design1.F, design2.F, composite.coupling)
     gains = compare_gains(direct.F, f_composed, tol)
 
     rect_stacked = rectangular_riccati_residual(
@@ -384,19 +420,9 @@ def evaluate_composition(
         rect_residual_stacked=rect_stacked,
         rect_residual_composite=rect_composite,
         gap=gap,
-        notes=design1.notes + design2.notes + direct.notes,
+        notes=design.notes,
     )
-    return CompositionAnalysis(
-        composite=composite,
-        Q=q_c,
-        R=r_c,
-        design1=design1,
-        design2=design2,
-        direct=direct,
-        F_composed=f_composed,
-        P_stacked=p_stacked,
-        report=report,
-    )
+    return CompositionAnalysis(**vars(design), P_stacked=p_stacked, report=report)
 
 
 @dataclass(frozen=True)

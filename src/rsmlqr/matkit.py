@@ -2,16 +2,19 @@
 
 Block-diagonal stacking, symmetric eigendecomposition, SVD-based
 numerical rank, Hurwitz and definiteness tests, positive-semidefinite
-square-root factors, and Kalman-style controllability/observability rank
-tests.  Everything works on plain float64 ndarrays, never mutates its
-inputs, and keeps no state.
+square-root factors, and Kalman controllability/observability rank tests.
+The Kalman tests never form the n-by-n*m Kalman matrix: its singular values
+come from an n-row factor of its Gramian, built by Smith's doubling and
+kept at most 3n columns wide by QR narrowing.  Everything works on plain
+float64 ndarrays, never mutates its inputs, and keeps no state.
 
 Tolerance conventions
 ---------------------
 Symmetry gates are relative to the largest entry of the matrix;
 definiteness gates are absolute on eigenvalues of the symmetrized matrix;
-rank decisions default to the usual ``max(shape) * sigma_max * eps`` cut.
-Every default can be overridden per call.
+rank decisions default to the usual ``max(shape) * sigma_max * eps`` cut,
+where the Kalman tests take ``shape`` to be the full Kalman shape
+``(n, n*m)``.  Every default can be overridden per call.
 """
 
 from __future__ import annotations
@@ -224,12 +227,14 @@ def psd_sqrt_factor(m, tol: float = PSD_ATOL) -> np.ndarray:
 
 
 def is_controllable(a, b, tol: float | None = None) -> RankTest:
-    """Kalman rank test on the controllability matrix ``[B, AB, ..., A^(n-1)B]``.
+    """Kalman rank test of ``(A, B)``, without forming ``[B, AB, ..., A^(n-1)B]``.
 
-    Powers are formed with ``A`` scaled by ``max(1, ||A||)`` so large-norm
-    matrices do not overflow or drown the small singular values; scaling
-    each block by a positive constant leaves its column space, and hence the
-    rank decision, unchanged.
+    The singular values of the Kalman matrix are taken from a factor ``F``
+    with ``F F^T = sum_{k<n} (sA)^k B B^T (sA)^{kT}``, built by doubling
+    (see ``_kalman_rank``); ``s = 1 / max(1, ||A||_F)`` keeps large-norm
+    matrices from overflowing or drowning the small singular values, and
+    scaling each block by a positive constant leaves the rank unchanged.
+    The default cut is taken from the full Kalman shape ``(n, n*m)``.
     """
     a_arr = require_square(a, "state matrix")
     b_arr = require_matrix(b, "input matrix")
@@ -239,17 +244,7 @@ def is_controllable(a, b, tol: float | None = None) -> RankTest:
             f"input matrix has {b_arr.shape[0]} rows, expected {n} to match "
             "the state dimension"
         )
-    scaled = a_arr / max(1.0, float(np.linalg.norm(a_arr)))
-    blocks = [b_arr]
-    for _ in range(n - 1):
-        blocks.append(scaled @ blocks[-1])
-    ctrb = np.hstack(blocks) if blocks else b_arr
-    if ctrb.size == 0:
-        return RankTest(n == 0, 0, n, 0.0)
-    s = _singular_values(ctrb)
-    rank = _rank_from_svals(s, ctrb.shape, tol)
-    margin = float(s[rank - 1]) if rank > 0 else 0.0
-    return RankTest(rank == n, rank, n, margin)
+    return _kalman_rank(a_arr, b_arr, tol)
 
 
 def is_observable(a, c, tol: float | None = None) -> RankTest:
@@ -261,4 +256,50 @@ def is_observable(a, c, tol: float | None = None) -> RankTest:
             f"output matrix has {c_arr.shape[1]} columns, expected "
             f"{a_arr.shape[0]} to match the state dimension"
         )
-    return is_controllable(a_arr.T, c_arr.T, tol)
+    return _kalman_rank(a_arr.T, c_arr.T, tol)
+
+
+def _narrow(f: np.ndarray) -> np.ndarray:
+    """A factor with the same ``F F^T`` and at most as many columns as rows:
+    the transposed triangle of a QR of ``F^T``."""
+    return np.linalg.qr(f.T, mode="r").T
+
+
+def _kalman_rank(a: np.ndarray, b: np.ndarray, tol: float | None) -> RankTest:
+    """The rank test of ``is_controllable`` on trusted arrays.
+
+    Smith's doubling in factored form: with ``F_k F_k^T`` the sum of the
+    first ``k`` Kalman terms and ``P = (sA)^k``, ``[F_k, P F_k]`` is
+    ``F_2k``, and appending ``(sA)^2k B`` to that gives ``F_2k+1``, so the
+    bits of ``n`` reach ``F_n`` in ``floor(log2 n)`` steps.  Column order
+    does not change singular values.  A ``B`` more than twice as wide as
+    it is tall is narrowed once, and the factor is narrowed only before a
+    step that would make it wider than ``3n``; the last narrowing is left
+    to the final SVD.
+    """
+    n, m = b.shape
+    if n == 0 or m == 0:
+        return RankTest(n == 0, 0, n, 0.0)
+    cap = 3 * n
+    if m > 2 * n:
+        b = _narrow(b)
+    scaled = a / max(1.0, float(np.linalg.norm(a)))
+    factor, power = b, scaled
+    bits = bin(n)[3:]
+    for i, bit in enumerate(bits):
+        if 2 * factor.shape[1] > cap:
+            factor = _narrow(factor)
+        factor = np.concatenate((factor, power @ factor), axis=1)
+        more = i < len(bits) - 1
+        if bit == "1" or more:
+            power = power @ power
+        if bit == "1":
+            if factor.shape[1] + b.shape[1] > cap:
+                factor = _narrow(factor)
+            factor = np.concatenate((factor, power @ b), axis=1)
+            if more:
+                power = scaled @ power
+    s = _singular_values(factor)
+    rank = _rank_from_svals(s, (n, n * m), tol)
+    margin = float(s[rank - 1]) if rank > 0 else 0.0
+    return RankTest(rank == n, rank, n, margin)

@@ -247,6 +247,44 @@ class TestLqrCommand:
         assert f_composed.shape == (2, 1)
 
 
+class TestDesignOnlyCommands:
+    """``lqr`` and ``simulate`` print designs only, so no check can fail them."""
+
+    @staticmethod
+    def _break_checks(monkeypatch):
+        import rsmlqr.lqr
+
+        def broken(*args, **kwargs):
+            raise AssertionError("a compositionality check ran")
+
+        for name in ("_sufficient_check", "check_exact_condition", "check_necessary_condition"):
+            monkeypatch.setattr(rsmlqr.lqr, name, broken)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lqr", COUPLED],
+            ["simulate", COUPLED, "--horizon", "1.0", "--step", "0.1"],
+            ["simulate", COUPLED, "--controller", "direct", "--horizon", "1.0", "--step", "0.1"],
+        ],
+    )
+    def test_same_bytes_without_the_checks(self, argv, capsys, monkeypatch):
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        self._break_checks(monkeypatch)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+
+    def test_simulate_summary_without_the_checks(self, tmp_path, capsys, monkeypatch):
+        argv = ["simulate", COUPLED, "--horizon", "2.0", "--step", "0.01"]
+        assert main([*argv, "--out", str(tmp_path / "a.csv")]) == 0
+        expected = capsys.readouterr().out
+        self._break_checks(monkeypatch)
+        assert main([*argv, "--out", str(tmp_path / "b.csv")]) == 0
+        assert capsys.readouterr().out == expected
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
 class TestCheckCommand:
     def test_counterexample_exits_3(self, capsys):
         code = main(["check", COUNTEREXAMPLE])

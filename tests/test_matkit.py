@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import rsmlqr.matkit
 from rsmlqr.errors import (
     InvalidMatrixError,
     NotPSDError,
@@ -9,6 +10,7 @@ from rsmlqr.errors import (
     ShapeError,
 )
 from rsmlqr.matkit import (
+    RankTest,
     block_diag,
     definiteness,
     is_controllable,
@@ -30,6 +32,24 @@ def pbh_controllable(a, b):
         if np.linalg.matrix_rank(pencil) < n:
             return False
     return True
+
+
+def kalman_oracle(a, b):
+    """Test-only reference: SVD of the explicit ``[B, sAB, ..., (sA)^(n-1)B]``,
+    with the scaling, cut and margin the rank tests promise."""
+    n = a.shape[0]
+    scaled = a / max(1.0, float(np.linalg.norm(a)))
+    blocks = [b]
+    for _ in range(n - 1):
+        blocks.append(scaled @ blocks[-1])
+    ctrb = np.hstack(blocks)
+    if ctrb.size == 0:
+        return RankTest(n == 0, 0, n, 0.0), 0.0
+    s = np.linalg.svd(ctrb, compute_uv=False)
+    cut = max(ctrb.shape) * s[0] * np.finfo(float).eps
+    rank = int(np.count_nonzero(s > cut))
+    margin = float(s[rank - 1]) if rank else 0.0
+    return RankTest(rank == n, rank, n, margin), cut
 
 
 class TestBlockDiag:
@@ -303,3 +323,65 @@ class TestObservability:
         dual = is_controllable(a.T, c.T)
         direct = is_observable(a, c)
         assert direct.ok == dual.ok and direct.rank == dual.rank
+
+
+class TestKalmanFactor:
+    """The doubled factor against the explicit Kalman matrix."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 16, 31, 40])
+    @pytest.mark.parametrize("which", ["one", "n-1", "n", "2n+1"])
+    def test_matches_explicit_kalman_matrix(self, n, which):
+        m = {"one": 1, "n-1": n - 1, "n": n, "2n+1": 2 * n + 1}[which]
+        rng = np.random.default_rng(100 * n + m)
+        for trial in range(3):
+            a = rng.standard_normal((n, n))
+            if trial == 2:
+                a *= 1e3  # exercises the norm scaling
+            b = rng.standard_normal((n, m))
+            got = is_controllable(a, b)
+            want, cut = kalman_oracle(a, b)
+            assert (got.ok, got.rank, got.required) == (want.ok, want.rank, want.required)
+            # Rounding moves singular values by a small multiple of
+            # eps * sigma_max, which is a fraction of the cut; a margin far
+            # above the cut agrees to 1e-12 relative.
+            assert abs(got.margin - want.margin) <= 1e-12 * want.margin + cut
+            dual = is_observable(a.T, b.T)
+            assert dual == got
+
+    @pytest.mark.parametrize("n", [1, 3, 8])
+    def test_empty_input_or_output(self, n):
+        a = np.random.default_rng(n).standard_normal((n, n))
+        assert is_controllable(a, np.zeros((n, 0))) == RankTest(False, 0, n, 0.0)
+        assert is_observable(a, np.zeros((0, n))) == RankTest(False, 0, n, 0.0)
+
+    def test_cut_uses_the_full_kalman_shape(self):
+        # singular values 1 and 20 eps: under the cut of the 2 x 80 Kalman
+        # matrix (80 eps), above that of any factor at most 3n = 6 wide
+        b = np.zeros((2, 40))
+        b[0, 0] = 1.0
+        b[1, 1] = 20.0 * np.finfo(float).eps
+        a = np.zeros((2, 2))
+        want, _ = kalman_oracle(a, b)
+        assert want == RankTest(False, 1, 2, 1.0)
+        assert is_controllable(a, b) == want
+        assert is_observable(a, b.T) == want
+
+    def test_factor_stays_within_three_n_columns(self, monkeypatch):
+        n, m = 200, 175
+        widths = []
+        for name in ("_narrow", "_singular_values"):
+            inner = getattr(rsmlqr.matkit, name)
+
+            def spy(f, inner=inner):
+                widths.append(f.shape[1])
+                return inner(f)
+
+            monkeypatch.setattr(rsmlqr.matkit, name, spy)
+        rng = np.random.default_rng(200)
+        a = rng.standard_normal((n, n)) / np.sqrt(n) - 2.0 * np.eye(n)
+        res = is_controllable(a, rng.standard_normal((n, m)))
+        assert res.ok and res.rank == n
+        # every factor is either narrowed or handed to the final SVD, and
+        # widths only grow in between
+        assert len(widths) > 1
+        assert max(widths) <= 3 * n

@@ -43,9 +43,9 @@ from .errors import (
     NumericalFailureError,
     ShapeError,
 )
-# The sufficient test calls the rank kernel on its trusted arrays; the public
-# rank tests stay importable from here because perfbench's tracer wraps them
-# under these names.
+# The pipeline calls private kernels on trusted arrays; solve_care,
+# rectangular_riccati_residual, is_controllable and is_observable stay
+# importable from here because perfbench's tracer wraps them under these names.
 from .matkit import (
     RankTest,
     _kalman_rank,
@@ -62,6 +62,8 @@ from .matkit import (
 )
 from .riccati import (
     RiccatiSolution,
+    _rect_residual,
+    _solve_care,
     rectangular_riccati_residual,
     solve_care,
 )
@@ -183,7 +185,7 @@ def _pbh_detectable(a: np.ndarray, c: np.ndarray) -> bool:
 
 
 def _design(a, b, q, r, label: str) -> LQRDesign:
-    """Shared synthesis for arrays the public callers have already validated."""
+    """Shared synthesis for arrays the callers have already validated."""
     notes: tuple[str, ...] = ()
     c = psd_sqrt_factor(q)
     if not _pbh_detectable(a, c):
@@ -193,7 +195,7 @@ def _design(a, b, q, r, label: str) -> LQRDesign:
         )
         warnings.warn(msg, DetectabilityWarning, stacklevel=3)
         notes = (msg,)
-    solution = solve_care(a, b, q, r)
+    solution = _solve_care(a, b, q, r)
     f = -np.linalg.solve(0.5 * (r + r.T), b.T @ solution.P)
     return LQRDesign(solution=solution, F=f, notes=notes)
 
@@ -214,20 +216,20 @@ def lqr_subsystem(system: LinearSystem, weights: CostWeights) -> LQRDesign:
 
 
 def lqr_composite(composite: CompositeSystem, q, r) -> LQRDesign:
-    """Optimal state feedback synthesized directly on the composite."""
-    q_arr = require_square(q, "composite state weight")
-    r_arr = require_square(r, "composite input weight")
-    if q_arr.shape[0] != composite.n:
+    """Optimal state feedback synthesized directly on the composite; ``q``
+    and ``r`` are checked as a ``CostWeights`` pair."""
+    weights = CostWeights(q, r)
+    if weights.Q.shape[0] != composite.n:
         raise ShapeError(
-            f"composite state weight is {q_arr.shape}, expected "
+            f"composite state weight is {weights.Q.shape}, expected "
             f"{(composite.n, composite.n)}"
         )
-    if r_arr.shape[0] != composite.m:
+    if weights.R.shape[0] != composite.m:
         raise ShapeError(
-            f"composite input weight is {r_arr.shape}, expected "
+            f"composite input weight is {weights.R.shape}, expected "
             f"{(composite.m, composite.m)}"
         )
-    return _design(composite.A, composite.B, q_arr, r_arr, "composite")
+    return _design(composite.A, composite.B, weights.Q, weights.R, "composite")
 
 
 def _deviation(lhs: np.ndarray, rhs: np.ndarray, tol: float) -> DeviationCheck:
@@ -252,6 +254,11 @@ def check_exact_condition(p_stacked, coupling, p_composite, tol: float = DEFAULT
             f"incompatible shapes: P_s {p_s.shape}, K {kmat.shape}, "
             f"P_c {p_c.shape}"
         )
+    return _exact_check(p_s, kmat, p_c, tol)
+
+
+def _exact_check(p_s, kmat, p_c, tol: float) -> DeviationCheck:
+    """The body of ``check_exact_condition`` on trusted arrays."""
     return _deviation(p_s @ kmat, kmat @ p_c, tol)
 
 
@@ -264,6 +271,11 @@ def check_necessary_condition(p_stacked, coupling, tol: float = DEFAULT_TOL) -> 
             f"stacked solution is {p_s.shape} but the coupling matrix has "
             f"{kmat.shape[0]} rows"
         )
+    return _necessary_check(p_s, kmat, tol)
+
+
+def _necessary_check(p_s, kmat, tol: float) -> NecessaryCheck:
+    """The body of ``check_necessary_condition`` on trusted arrays."""
     d = definiteness(p_s @ kmat @ kmat.T, tol)
     return NecessaryCheck(d.symmetric, d.psd, d.min_eigenvalue)
 
@@ -279,7 +291,8 @@ def check_sufficient_condition(
     ``(A_s K K^T, B_s Sigma Lambda^{-1/2})`` where ``R_s = Sigma Lambda
     Sigma^T``, and observability of ``(A_s K K^T, D)`` with
     ``D^T D = K Q_c K^T``.  Failure is recorded but proves nothing on its
-    own; the caller falls back to the exact test.
+    own; the caller falls back to the exact test.  ``R_s`` must be
+    symmetric positive definite (``NotPDError`` otherwise).
     """
     a_s = require_square(a_stacked, "stacked state matrix")
     b_s = require_matrix(b_stacked, "stacked input matrix")
@@ -287,37 +300,31 @@ def check_sufficient_condition(
     q_c = require_square(q_composite, "composite state weight")
     r_s = require_square(r_stacked, "stacked input weight")
     p_s = require_square(p_stacked, "stacked Riccati solution")
-    if a_s.shape[0] != kmat.shape[0] or p_s.shape[0] != kmat.shape[0]:
+    if any(arr.shape[0] != kmat.shape[0] for arr in (a_s, b_s, p_s)):
         raise ShapeError("stacked matrices must match the coupling row count")
     if q_c.shape[0] != kmat.shape[1]:
         raise ShapeError("composite weight must match the coupling column count")
-    return _sufficient_check(
-        a_s, b_s, kmat, q_c, r_s, check_necessary_condition(p_s, kmat, tol)
-    )
-
-
-def _sufficient_check(
-    a_s: np.ndarray,
-    b_s: np.ndarray,
-    kmat: np.ndarray,
-    q_c: np.ndarray,
-    r_s: np.ndarray,
-    hypothesis: NecessaryCheck,
-) -> SufficientCheck:
-    """The sufficient test on validated arrays, reusing the necessary check
-    already computed for the same ``P_s`` and ``K``."""
+    if r_s.shape[0] != b_s.shape[1]:
+        raise ShapeError("stacked input weight must match the input column count")
     dr = definiteness(r_s)
     if not (dr.symmetric and dr.pd):
         raise NotPDError(
             f"stacked input weight must be symmetric PD; "
             f"min eigenvalue {dr.min_eigenvalue:.6e}"
         )
+    return _sufficient_check(a_s, b_s, kmat, q_c, r_s, _necessary_check(p_s, kmat, tol))
+
+
+def _sufficient_check(a_s, b_s, kmat, q_c, r_s, hypothesis: NecessaryCheck) -> SufficientCheck:
+    """The body of ``check_sufficient_condition`` on trusted arrays, with
+    ``R_s`` symmetric PD, reusing the necessary check already computed for
+    the same ``P_s`` and ``K``."""
     akk = a_s @ kmat @ kmat.T
     lam, sigma = sym_eig(r_s)
     b_whitened = b_s @ (sigma / np.sqrt(lam)[None, :])
-    ctrb = _kalman_rank(akk, b_whitened, None)
+    ctrb = _kalman_rank(akk, b_whitened)
     d_factor = psd_sqrt_factor(kmat @ q_c @ kmat.T)
-    obsv = _kalman_rank(akk.T, d_factor.T, None)
+    obsv = _kalman_rank(akk.T, d_factor.T)
     return SufficientCheck(
         hypothesis_ok=hypothesis.passes,
         controllability=ctrb,
@@ -342,12 +349,13 @@ def design_composition(
     weights2: CostWeights,
 ) -> CompositionDesign:
     """Compose, then synthesize the two subsystem designs and the direct
-    one, and push the subsystem gains through the coupling; no check runs."""
+    one, and push the subsystem gains through the coupling; no check runs.
+    The direct design trusts the weights ``compose_cost`` returns."""
     composite = compose_open_loop(sys1, sys2, pattern)
     q_c, r_c = compose_cost(weights1, weights2, composite.coupling)
     design1 = lqr_subsystem(sys1, weights1)
     design2 = lqr_subsystem(sys2, weights2)
-    direct = lqr_composite(composite, q_c, r_c)
+    direct = _design(composite.A, composite.B, q_c, r_c, "composite")
     return CompositionDesign(
         composite=composite,
         Q=q_c,
@@ -378,22 +386,16 @@ def evaluate_composition(
     design = design_composition(sys1, sys2, pattern, weights1, weights2)
     composite, q_c, r_c = design.composite, design.Q, design.R
     direct, f_composed = design.direct, design.F_composed
+    a_s, b_s = composite.A_stacked, composite.B_stacked
     p_stacked = block_diag(design.design1.P, design.design2.P)
     kmat = composite.coupling.K
 
-    exact = check_exact_condition(p_stacked, kmat, direct.P, tol)
-    necessary = check_necessary_condition(p_stacked, kmat, tol)
-    sufficient = _sufficient_check(
-        composite.A_stacked, composite.B_stacked, kmat, q_c, r_c, necessary
-    )
-    gains = compare_gains(direct.F, f_composed, tol)
-
-    rect_stacked = rectangular_riccati_residual(
-        composite.A_stacked, composite.B_stacked, kmat, q_c, r_c, p_stacked @ kmat,
-    )[1]
-    rect_composite = rectangular_riccati_residual(
-        composite.A_stacked, composite.B_stacked, kmat, q_c, r_c, kmat @ direct.P,
-    )[1]
+    exact = _exact_check(p_stacked, kmat, direct.P, tol)
+    necessary = _necessary_check(p_stacked, kmat, tol)
+    sufficient = _sufficient_check(a_s, b_s, kmat, q_c, r_c, necessary)
+    gains = _deviation(direct.F, f_composed, tol)
+    rect_stacked = _rect_residual(a_s, b_s, kmat, q_c, r_c, p_stacked @ kmat)[1]
+    rect_composite = _rect_residual(a_s, b_s, kmat, q_c, r_c, kmat @ direct.P)[1]
 
     gap = None
     if x0 is not None:

@@ -12,9 +12,9 @@ Tolerance conventions
 ---------------------
 Symmetry gates are relative to the largest entry of the matrix;
 definiteness gates are absolute on eigenvalues of the symmetrized matrix;
-rank decisions default to the usual ``max(shape) * sigma_max * eps`` cut,
-where the Kalman tests take ``shape`` to be the full Kalman shape
-``(n, n*m)``.  Every default can be overridden per call.
+rank decisions use the usual ``max(shape) * sigma_max * eps`` cut, where
+the Kalman tests take ``shape`` to be the full Kalman shape ``(n, n*m)``.
+Only ``sym_eig``, ``rank_svd`` and ``definiteness`` take a tolerance.
 """
 
 from __future__ import annotations
@@ -158,11 +158,9 @@ def _rank_from_svals(s: np.ndarray, shape: tuple[int, int], tol: float | None) -
     return int(np.count_nonzero(s > tol))
 
 
-def is_hurwitz(m, margin: float = 0.0) -> Hurwitz:
-    """Whether every eigenvalue satisfies ``Re(lambda) < -margin``."""
+def is_hurwitz(m) -> Hurwitz:
+    """Whether every eigenvalue satisfies ``Re(lambda) < 0``."""
     arr = require_square(m, "is_hurwitz input")
-    if margin < 0.0:
-        raise ValueError(f"margin must be nonnegative, got {margin}")
     if arr.shape[0] == 0:
         return Hurwitz(True, float("-inf"))
     try:
@@ -170,7 +168,7 @@ def is_hurwitz(m, margin: float = 0.0) -> Hurwitz:
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"eigenvalue computation failed: {exc}") from exc
     max_re = float(eigs.real.max())
-    return Hurwitz(max_re < -margin, max_re)
+    return Hurwitz(max_re < 0.0, max_re)
 
 
 def definiteness(m, tol: float = PSD_ATOL) -> Definiteness:
@@ -200,22 +198,22 @@ def definiteness(m, tol: float = PSD_ATOL) -> Definiteness:
     )
 
 
-def psd_sqrt_factor(m, tol: float = PSD_ATOL) -> np.ndarray:
+def psd_sqrt_factor(m) -> np.ndarray:
     """Factor a symmetric PSD matrix as ``M = D^T D`` with ``D`` r-by-n.
 
-    Eigenvalues above ``tol`` are kept, so the row count of ``D`` equals the
-    numerical rank of ``M``; an eigenvalue below ``-tol`` raises.  The
-    factorization error ``||D^T D - M||_F`` is verified against
-    ``1e-9 * (1 + ||M||_F)``.
+    Eigenvalues above ``PSD_ATOL`` are kept, so the row count of ``D``
+    equals the numerical rank of ``M``; an eigenvalue below ``-PSD_ATOL``
+    raises.  The factorization error ``||D^T D - M||_F`` is verified
+    against ``1e-9 * (1 + ||M||_F)``.
     """
     arr = require_square(m, "psd_sqrt_factor input")
     w, v = sym_eig(arr)
-    if w.size and float(w[0]) < -tol:
+    if w.size and float(w[0]) < -PSD_ATOL:
         raise NotPSDError(
             f"matrix is not positive semidefinite: eigenvalue {w[0]:.6e} "
-            f"is below -{tol:.1e}"
+            f"is below -{PSD_ATOL:.1e}"
         )
-    keep = w > tol
+    keep = w > PSD_ATOL
     factor = np.sqrt(w[keep])[:, None] * v[:, keep].T
     sym = 0.5 * (arr + arr.T)
     err = float(np.linalg.norm(factor.T @ factor - sym))
@@ -226,7 +224,7 @@ def psd_sqrt_factor(m, tol: float = PSD_ATOL) -> np.ndarray:
     return factor
 
 
-def is_controllable(a, b, tol: float | None = None) -> RankTest:
+def is_controllable(a, b) -> RankTest:
     """Kalman rank test of ``(A, B)``, without forming ``[B, AB, ..., A^(n-1)B]``.
 
     The singular values of the Kalman matrix are taken from a factor ``F``
@@ -234,7 +232,7 @@ def is_controllable(a, b, tol: float | None = None) -> RankTest:
     (see ``_kalman_rank``); ``s = 1 / max(1, ||A||_F)`` keeps large-norm
     matrices from overflowing or drowning the small singular values, and
     scaling each block by a positive constant leaves the rank unchanged.
-    The default cut is taken from the full Kalman shape ``(n, n*m)``.
+    The cut is taken from the full Kalman shape ``(n, n*m)``.
     """
     a_arr = require_square(a, "state matrix")
     b_arr = require_matrix(b, "input matrix")
@@ -244,10 +242,10 @@ def is_controllable(a, b, tol: float | None = None) -> RankTest:
             f"input matrix has {b_arr.shape[0]} rows, expected {n} to match "
             "the state dimension"
         )
-    return _kalman_rank(a_arr, b_arr, tol)
+    return _kalman_rank(a_arr, b_arr)
 
 
-def is_observable(a, c, tol: float | None = None) -> RankTest:
+def is_observable(a, c) -> RankTest:
     """Observability rank test, evaluated through duality on (A^T, C^T)."""
     a_arr = require_square(a, "state matrix")
     c_arr = require_matrix(c, "output matrix")
@@ -256,7 +254,7 @@ def is_observable(a, c, tol: float | None = None) -> RankTest:
             f"output matrix has {c_arr.shape[1]} columns, expected "
             f"{a_arr.shape[0]} to match the state dimension"
         )
-    return _kalman_rank(a_arr.T, c_arr.T, tol)
+    return _kalman_rank(a_arr.T, c_arr.T)
 
 
 def _narrow(f: np.ndarray) -> np.ndarray:
@@ -265,7 +263,7 @@ def _narrow(f: np.ndarray) -> np.ndarray:
     return np.linalg.qr(f.T, mode="r").T
 
 
-def _kalman_rank(a: np.ndarray, b: np.ndarray, tol: float | None) -> RankTest:
+def _kalman_rank(a: np.ndarray, b: np.ndarray) -> RankTest:
     """The rank test of ``is_controllable`` on trusted arrays.
 
     Smith's doubling in factored form: with ``F_k F_k^T`` the sum of the
@@ -300,6 +298,6 @@ def _kalman_rank(a: np.ndarray, b: np.ndarray, tol: float | None) -> RankTest:
             if more:
                 power = scaled @ power
     s = _singular_values(factor)
-    rank = _rank_from_svals(s, (n, n * m), tol)
+    rank = _rank_from_svals(s, (n, n * m), None)
     margin = float(s[rank - 1]) if rank > 0 else 0.0
     return RankTest(rank == n, rank, n, margin)

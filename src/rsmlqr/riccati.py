@@ -20,18 +20,18 @@ with stabilizing solution P >= 0, and the Lyapunov equation is
 
     A_cl^T X + X A_cl + W = 0
 
-for Hurwitz ``A_cl``.  The rectangular and embedded residuals evaluate the
-corresponding expressions for composite systems built from a 0/1 coupling
-matrix K (see the rsm module):
+for Hurwitz ``A_cl``.  The rectangular residual evaluates the
+corresponding expression for composite systems built from a 0/1 coupling
+matrix K (see the rsm module), with unknown X of shape (n1+n2) x nc:
 
-    rectangular, unknown X of shape (n1+n2) x nc:
-        0 = -X^T (A_s K) - (A_s K)^T X - Q_c + X^T B_s R_s^{-1} B_s^T X
-    embedded, symmetric unknown X of shape (n1+n2) x (n1+n2):
-        0 = -X (A_s K K^T) - (A_s K K^T)^T X - K Q_c K^T
-            + X B_s R_s^{-1} B_s^T X
+    0 = -X^T (A_s K) - (A_s K)^T X - Q_c + X^T B_s R_s^{-1} B_s^T X
 
 where the ``_s`` matrices live in stacked coordinates and ``Q_c`` in
 composite coordinates.
+
+Each public function here validates its raw arrays and hands them to a
+private kernel (``_care_residual``, ``_solve_care``, ``_rect_residual``)
+that trusts them; the package's own pipeline calls the kernels directly.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from .errors import (
 from .matkit import PSD_ATOL, _max_abs, definiteness, is_hurwitz, require_matrix, require_square
 
 _NEWTON_SWEEPS = 5
+_CARE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -84,11 +85,16 @@ def care_residual(a, b, q, r, p) -> tuple[np.ndarray, float]:
             f"R is {r_arr.shape[0]}x{r_arr.shape[1]} but B has "
             f"{b_arr.shape[1]} columns"
         )
+    return _care_residual(a_arr, b_arr, q_arr, r_arr, p_arr)
+
+
+def _care_residual(a, b, q, r, p) -> tuple[np.ndarray, float]:
+    """The body of ``care_residual`` on trusted arrays."""
     try:
-        gain_term = p_arr @ b_arr @ np.linalg.solve(r_arr, b_arr.T @ p_arr)
+        gain_term = p @ b @ np.linalg.solve(r, b.T @ p)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"R is singular: {exc}") from exc
-    res = -p_arr @ a_arr - a_arr.T @ p_arr - q_arr + gain_term
+    res = -p @ a - a.T @ p - q + gain_term
     return res, float(np.linalg.norm(res))
 
 
@@ -145,7 +151,7 @@ def solve_lyapunov(a_cl, w, tol: float = 1e-10) -> np.ndarray:
     return x
 
 
-def solve_care(a, b, q, r, tol: float = 1e-9) -> RiccatiSolution:
+def solve_care(a, b, q, r, tol: float = _CARE_TOL) -> RiccatiSolution:
     """Stabilizing solution of ``0 = -P A - A^T P - Q + P B R^{-1} B^T P``.
 
     Method: real ordered Schur decomposition of the Hamiltonian
@@ -190,12 +196,19 @@ def solve_care(a, b, q, r, tol: float = 1e-9) -> RiccatiSolution:
         raise NotPDError(
             f"R must be positive definite; min eigenvalue {dr.min_eigenvalue:.6e}"
         )
-    q_sym = 0.5 * (q_arr + q_arr.T)
-    r_sym = 0.5 * (r_arr + r_arr.T)
+    return _solve_care(a_arr, b_arr, q_arr, r_arr, tol)
 
-    g = b_arr @ np.linalg.solve(r_sym, b_arr.T)
+
+def _solve_care(a, b, q, r, tol: float = _CARE_TOL) -> RiccatiSolution:
+    """The body of ``solve_care`` on trusted arrays: ``Q`` symmetric PSD,
+    ``R`` symmetric PD, shapes matching, ``B`` with at least one column."""
+    n = a.shape[0]
+    q_sym = 0.5 * (q + q.T)
+    r_sym = 0.5 * (r + r.T)
+
+    g = b @ np.linalg.solve(r_sym, b.T)
     g = 0.5 * (g + g.T)
-    ham = np.block([[a_arr, -g], [-q_sym, -a_arr.T]])
+    ham = np.block([[a, -g], [-q_sym, -a.T]])
     try:
         _, z, sdim = scipy.linalg.schur(ham, output="real", sort="lhp")
     except (scipy.linalg.LinAlgError, ValueError) as exc:
@@ -218,17 +231,17 @@ def solve_care(a, b, q, r, tol: float = 1e-9) -> RiccatiSolution:
     p = 0.5 * (p + p.T)
 
     def _res_norm(cand: np.ndarray) -> float:
-        return care_residual(a_arr, b_arr, q_sym, r_sym, cand)[1]
+        return _care_residual(a, b, q_sym, r_sym, cand)[1]
 
     res_norm = _res_norm(p)
     # Newton polish: with F = R^{-1} B^T P the next iterate solves
     # (A - B F)^T X + X (A - B F) + Q + F^T R F = 0.
     for _ in range(_NEWTON_SWEEPS):
-        scale = tol * (1.0 + float(np.linalg.norm(p)) * float(np.linalg.norm(a_arr)))
+        scale = tol * (1.0 + float(np.linalg.norm(p)) * float(np.linalg.norm(a)))
         if res_norm <= 0.01 * scale:
             break
-        f = np.linalg.solve(r_sym, b_arr.T @ p)
-        a_cl = a_arr - b_arr @ f
+        f = np.linalg.solve(r_sym, b.T @ p)
+        a_cl = a - b @ f
         if not is_hurwitz(a_cl).hurwitz:
             break
         w = q_sym + f.T @ r_sym @ f
@@ -238,7 +251,7 @@ def solve_care(a, b, q, r, tol: float = 1e-9) -> RiccatiSolution:
             break
         p, res_norm = p_next, next_norm
 
-    scale = 1.0 + float(np.linalg.norm(p)) * float(np.linalg.norm(a_arr))
+    scale = 1.0 + float(np.linalg.norm(p)) * float(np.linalg.norm(a))
     if res_norm > tol * scale:
         raise NumericalFailureError(
             f"Riccati residual {res_norm:.3e} exceeds {tol:.1e} * {scale:.3e}"
@@ -249,8 +262,8 @@ def solve_care(a, b, q, r, tol: float = 1e-9) -> RiccatiSolution:
             f"computed Riccati solution is not positive semidefinite; "
             f"min eigenvalue {d.min_eigenvalue:.6e}"
         )
-    f = np.linalg.solve(r_sym, b_arr.T @ p)
-    hur = is_hurwitz(a_arr - b_arr @ f)
+    f = np.linalg.solve(r_sym, b.T @ p)
+    hur = is_hurwitz(a - b @ f)
     if not hur.hurwitz:
         raise NumericalFailureError(
             f"computed Riccati solution is not stabilizing; closed-loop "
@@ -259,7 +272,13 @@ def solve_care(a, b, q, r, tol: float = 1e-9) -> RiccatiSolution:
     return RiccatiSolution(p, res_norm, hur.max_real_part)
 
 
-def _shared_shapes(a_s, b_s, k, q_c, r_s):
+def rectangular_riccati_residual(a_s, b_s, k, q_c, r_s, x) -> tuple[np.ndarray, float]:
+    """Residual of the rectangular composite Riccati equation.
+
+    The unknown ``X`` is (n1+n2) x nc, the residual nc x nc:
+
+        -X^T (A_s K) - (A_s K)^T X - Q_c + X^T B_s R_s^{-1} B_s^T X
+    """
     a_arr = require_square(a_s, "stacked state matrix")
     b_arr = require_matrix(b_s, "stacked input matrix")
     k_arr = require_matrix(k, "coupling matrix")
@@ -278,60 +297,21 @@ def _shared_shapes(a_s, b_s, k, q_c, r_s):
             f"input weight is {r_arr.shape} but the stacked input matrix has "
             f"{b_arr.shape[1]} columns"
         )
-    return a_arr, b_arr, k_arr, q_arr, r_arr
-
-
-def rectangular_riccati_residual(a_s, b_s, k, q_c, r_s, x) -> tuple[np.ndarray, float]:
-    """Residual of the rectangular composite Riccati equation.
-
-    The unknown ``X`` is (n1+n2) x nc, the residual nc x nc:
-
-        -X^T (A_s K) - (A_s K)^T X - Q_c + X^T B_s R_s^{-1} B_s^T X
-    """
-    a_arr, b_arr, k_arr, q_arr, r_arr = _shared_shapes(a_s, b_s, k, q_c, r_s)
     x_arr = require_matrix(x, "X")
     if x_arr.shape != k_arr.shape:
         raise ShapeError(
             f"X is {x_arr.shape}, expected {k_arr.shape} to match the "
             "coupling matrix"
         )
-    ak = a_arr @ k_arr
+    return _rect_residual(a_arr, b_arr, k_arr, q_arr, r_arr, x_arr)
+
+
+def _rect_residual(a_s, b_s, k, q_c, r_s, x) -> tuple[np.ndarray, float]:
+    """The body of ``rectangular_riccati_residual`` on trusted arrays."""
+    ak = a_s @ k
     try:
-        quad = x_arr.T @ b_arr @ np.linalg.solve(r_arr, b_arr.T @ x_arr)
+        quad = x.T @ b_s @ np.linalg.solve(r_s, b_s.T @ x)
     except np.linalg.LinAlgError as exc:
         raise SingularMatrixError(f"input weight is singular: {exc}") from exc
-    res = -x_arr.T @ ak - ak.T @ x_arr - q_arr + quad
-    return res, float(np.linalg.norm(res))
-
-
-def embedded_riccati_residual(
-    a_s, b_s, k, q_c, r_s, x, sym_tol: float = 1e-8
-) -> tuple[np.ndarray, float]:
-    """Residual of the square embedded composite Riccati equation.
-
-    The unknown ``X`` lives in stacked coordinates, (n1+n2) x (n1+n2), and
-    must be symmetric (asymmetric candidates are rejected, since for them
-    the two transpose placements of the linear term stop agreeing and the
-    equation is no longer well posed):
-
-        -X (A_s K K^T) - (A_s K K^T)^T X - K Q_c K^T + X B_s R_s^{-1} B_s^T X
-    """
-    a_arr, b_arr, k_arr, q_arr, r_arr = _shared_shapes(a_s, b_s, k, q_c, r_s)
-    x_arr = require_square(x, "X")
-    if x_arr.shape[0] != a_arr.shape[0]:
-        raise ShapeError(
-            f"X is {x_arr.shape}, expected {a_arr.shape} to match the "
-            "stacked state dimension"
-        )
-    asym = _max_abs(x_arr - x_arr.T)
-    if asym > sym_tol * (1.0 + _max_abs(x_arr)):
-        raise NotSymmetricError(
-            f"embedded residual requires symmetric X; max|X - X^T| = {asym:.3e}"
-        )
-    akk = a_arr @ k_arr @ k_arr.T
-    try:
-        quad = x_arr @ b_arr @ np.linalg.solve(r_arr, b_arr.T @ x_arr)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"input weight is singular: {exc}") from exc
-    res = -x_arr @ akk - akk.T @ x_arr - k_arr @ q_arr @ k_arr.T + quad
+    res = -x.T @ ak - ak.T @ x - q_c + quad
     return res, float(np.linalg.norm(res))

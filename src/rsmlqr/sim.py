@@ -110,11 +110,14 @@ def closed_loop_cost(a, b, f, q, r, x0) -> CostResult:
     r_arr = require_square(r, "R")
     if b_arr.shape[0] != a_arr.shape[0]:
         raise ShapeError("A and B must share their row dimension")
-    if f_arr.shape != (b_arr.shape[1], a_arr.shape[0]):
-        raise ShapeError(
-            f"F is {f_arr.shape}, expected {(b_arr.shape[1], a_arr.shape[0])}"
-        )
-    x = _state_vector(x0, a_arr.shape[0])
+    n, m = a_arr.shape[0], b_arr.shape[1]
+    if f_arr.shape != (m, n):
+        raise ShapeError(f"F is {f_arr.shape}, expected {(m, n)}")
+    if q_arr.shape[0] != n:
+        raise ShapeError(f"Q is {q_arr.shape}, expected {(n, n)}")
+    if r_arr.shape[0] != m:
+        raise ShapeError(f"R is {r_arr.shape}, expected {(m, m)}")
+    x = _state_vector(x0, n)
     a_cl = a_arr + b_arr @ f_arr
     w = q_arr + f_arr.T @ r_arr @ f_arr
     try:

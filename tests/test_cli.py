@@ -257,7 +257,7 @@ class TestDesignOnlyCommands:
         def broken(*args, **kwargs):
             raise AssertionError("a compositionality check ran")
 
-        for name in ("_sufficient_check", "check_exact_condition", "check_necessary_condition"):
+        for name in ("_exact_check", "_necessary_check", "_sufficient_check"):
             monkeypatch.setattr(rsmlqr.lqr, name, broken)
 
     @pytest.mark.parametrize(

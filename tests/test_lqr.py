@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-import rsmlqr.lqr as lqr_module
 from rsmlqr.errors import DetectabilityWarning, ShapeError
 from rsmlqr.lqr import (
     SearchConfig,
@@ -18,7 +17,7 @@ from rsmlqr.lqr import (
     lqr_subsystem,
     sample_instance,
 )
-from rsmlqr.riccati import rectangular_riccati_residual, embedded_riccati_residual
+from rsmlqr.riccati import rectangular_riccati_residual
 from rsmlqr.rsm import (
     CompositionPattern,
     CostWeights,
@@ -215,6 +214,25 @@ class TestSufficientCondition:
         # PD weights and decoupled dynamics: the hypotheses hold generically
         assert predicted == 50
 
+    @pytest.mark.parametrize(
+        "b_stacked, r_stacked",
+        [
+            (np.ones((3, 2)), np.eye(2)),  # B_s rows differ from A_s
+            (np.eye(2), np.eye(3)),  # R_s larger than B_s's columns
+            (np.eye(2), np.eye(1)),  # R_s smaller than B_s's columns
+        ],
+    )
+    def test_shape_mismatch_is_shape_error(self, b_stacked, r_stacked):
+        with pytest.raises(ShapeError):
+            check_sufficient_condition(
+                np.diag([-1.0, -2.0]),
+                b_stacked,
+                np.array([[1.0], [1.0]]),
+                [[2.0]],
+                r_stacked,
+                np.diag([0.3, 0.2]),
+            )
+
     def test_rejects_semidefinite_input_weight(self):
         from rsmlqr.errors import NotPDError
 
@@ -297,16 +315,19 @@ class TestCheckAgreement:
 
     def test_embedded_residual_for_symmetric_candidates(self):
         # K P_c K^T is symmetric; when the designs are equivalent it solves
-        # the embedded equation as well
+        # the embedded equation
+        #   -X (A_s K K^T) - (A_s K K^T)^T X - K Q_c K^T + X B_s R_s^{-1} B_s^T X = 0
         analysis = twin_analysis()
         comp = analysis.composite
         kmat = comp.coupling.K
-        candidate = kmat @ analysis.direct.P @ kmat.T
-        r_stacked = np.eye(2)
-        _, norm = embedded_riccati_residual(
-            comp.A_stacked, comp.B_stacked, kmat, analysis.Q, r_stacked, candidate
+        x = kmat @ analysis.direct.P @ kmat.T
+        akk = comp.A_stacked @ kmat @ kmat.T
+        b_s, r_s = comp.B_stacked, np.eye(2)
+        res = (
+            -x @ akk - akk.T @ x - kmat @ analysis.Q @ kmat.T
+            + x @ b_s @ np.linalg.solve(r_s, b_s.T @ x)
         )
-        assert norm <= 1e-9
+        assert np.linalg.norm(res) <= 1e-9
 
 
 class TestEvaluateComposition:
@@ -331,28 +352,37 @@ class TestEvaluateComposition:
             )
         assert any("detectable" in note for note in analysis.report.notes)
 
-
-    def test_necessary_check_runs_once_and_feeds_sufficient(self, monkeypatch):
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return check_necessary_condition(*args, **kwargs)
-
-        monkeypatch.setattr(lqr_module, "check_necessary_condition", counted)
+    @pytest.mark.parametrize(
+        "n_range, k_range",
+        [((1, 3), (0, 2)), ((1, 6), (0, 3)), ((1, 6), (0, 0))],
+        ids=["n-up-to-3", "n-up-to-6", "K-identity"],
+    )
+    def test_report_equals_public_gates(self, n_range, k_range):
+        # the pipeline runs the checks' kernels; each field must be exactly
+        # what the validating public function returns on the same arrays
         rng = np.random.default_rng(404)
+        tol = 1e-8
         for _ in range(20):
-            sys1, sys2, pattern, w1, w2 = sample_instance(rng, (1, 3), (1, 2), (0, 2))
-            calls.clear()
-            analysis = evaluate_composition(sys1, sys2, pattern, w1, w2)
-            assert len(calls) == 1
+            sys1, sys2, pattern, w1, w2 = sample_instance(rng, n_range, (1, 2), k_range)
+            analysis = evaluate_composition(sys1, sys2, pattern, w1, w2, tol)
+            report = analysis.report
             comp = analysis.composite
-            public = check_sufficient_condition(
-                comp.A_stacked, comp.B_stacked, comp.coupling.K, analysis.Q,
-                analysis.R, analysis.P_stacked,
+            a_s, b_s, kmat = comp.A_stacked, comp.B_stacked, comp.coupling.K
+            p_s, p_c = analysis.P_stacked, analysis.direct.P
+            assert report.exact == check_exact_condition(p_s, kmat, p_c, tol)
+            assert report.necessary == check_necessary_condition(p_s, kmat, tol)
+            assert report.sufficient == check_sufficient_condition(
+                a_s, b_s, kmat, analysis.Q, analysis.R, p_s, tol
             )
-            assert analysis.report.sufficient == public
-            assert public.hypothesis_ok == analysis.report.necessary.passes
+            assert report.gains == compare_gains(analysis.direct.F, analysis.F_composed, tol)
+            for x, field in (
+                (p_s @ kmat, report.rect_residual_stacked),
+                (kmat @ p_c, report.rect_residual_composite),
+            ):
+                public = rectangular_riccati_residual(
+                    a_s, b_s, kmat, analysis.Q, analysis.R, x
+                )[1]
+                assert field == public
 
 
 class TestCounterexampleSearch:

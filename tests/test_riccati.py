@@ -16,7 +16,6 @@ from rsmlqr.errors import (
 )
 from rsmlqr.riccati import (
     care_residual,
-    embedded_riccati_residual,
     rectangular_riccati_residual,
     solve_care,
     solve_lyapunov,
@@ -375,22 +374,3 @@ class TestRectangularResidual:
                 np.zeros((1, 2)),
             )
 
-
-class TestEmbeddedResidual:
-    def test_rejects_asymmetric_candidate(self):
-        k = np.array([[1.0], [1.0]])
-        with pytest.raises(NotSymmetricError):
-            embedded_riccati_residual(
-                np.diag([-1.0, -2.0]), np.eye(2), k, [[1.0]], np.eye(2),
-                [[0.0, 1.0], [0.0, 0.0]],
-            )
-
-    def test_zero_candidate(self):
-        k = np.array([[1.0], [1.0]])
-        res, norm = embedded_riccati_residual(
-            np.diag([-1.0, -2.0]), np.eye(2), k, [[2.0]], np.eye(2),
-            np.zeros((2, 2)),
-        )
-        expected = -k @ np.array([[2.0]]) @ k.T
-        np.testing.assert_allclose(res, expected)
-        assert norm == pytest.approx(4.0)

@@ -119,6 +119,21 @@ class TestClosedLoopCost:
             expected = float(x0 @ design.P @ x0)
             assert result.value == pytest.approx(expected, rel=1e-8, abs=1e-10)
 
+    @pytest.mark.parametrize(
+        "q, r",
+        [
+            (np.eye(3), np.eye(1)),  # Q larger than the state
+            (np.eye(1), np.eye(1)),  # Q smaller: would broadcast silently
+            (np.eye(2), np.eye(2)),  # R larger than the input
+        ],
+    )
+    def test_weight_shape_guard(self, q, r):
+        a = np.diag([-1.0, -2.0])
+        b = np.array([[1.0], [0.5]])
+        f = np.array([[-0.1, -0.2]])
+        with pytest.raises(ShapeError):
+            closed_loop_cost(a, b, f, q, r, [1.0, 1.0])
+
     def test_suboptimal_gain_costs_more(self):
         rng = np.random.default_rng(56)
         for _ in range(20):

@@ -521,10 +521,8 @@ def cmd_compose(args) -> int:
 
 
 def _designs(args):
-    """The designs ``lqr`` and ``simulate`` print; no check runs, so
-    ``--tol`` is only validated."""
+    """The designs ``lqr`` and ``simulate`` print; no check runs."""
     problem = parse_problem(args.problem)
-    _resolve_tol(args)
     return problem, design_composition(
         problem.system1, problem.system2, problem.pattern,
         problem.weights1, problem.weights2,
@@ -761,7 +759,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_lqr.add_argument("problem", help="problem JSON file")
     p_lqr.add_argument("--out", default=None, help="write JSON here instead of stdout")
-    _add_tol(p_lqr)
     p_lqr.set_defaults(func=cmd_lqr)
 
     p_check = sub.add_parser(
@@ -797,7 +794,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate", help="integrate a closed loop and export CSV")
     p_sim.add_argument("problem", help="problem JSON file")
-    _add_tol(p_sim)
     p_sim.add_argument(
         "--controller",
         choices=("direct", "composed"),

@@ -83,15 +83,18 @@ DEFAULT_TOL = 1e-8
 
 @dataclass(frozen=True)
 class LQRDesign:
-    """A synthesized controller: Riccati certificate, gain, diagnostics."""
+    """A synthesized controller: Riccati certificate and diagnostics."""
 
     solution: RiccatiSolution
-    F: np.ndarray
     notes: tuple[str, ...] = ()
 
     @property
     def P(self) -> np.ndarray:
         return self.solution.P
+
+    @property
+    def F(self) -> np.ndarray:
+        return self.solution.F
 
 
 class DeviationCheck(NamedTuple):
@@ -179,7 +182,7 @@ def _pbh_detectable(a: np.ndarray, c: np.ndarray) -> bool:
         if lam.real < 0.0:
             continue
         pencil = np.vstack([lam * eye - a, c]).astype(complex)
-        if _rank_from_svals(_singular_values(pencil), pencil.shape, None) < n:
+        if _rank_from_svals(_singular_values(pencil), pencil.shape) < n:
             return False
     return True
 
@@ -195,9 +198,7 @@ def _design(a, b, q, r, label: str) -> LQRDesign:
         )
         warnings.warn(msg, DetectabilityWarning, stacklevel=3)
         notes = (msg,)
-    solution = _solve_care(a, b, q, r)
-    f = -np.linalg.solve(0.5 * (r + r.T), b.T @ solution.P)
-    return LQRDesign(solution=solution, F=f, notes=notes)
+    return LQRDesign(solution=_solve_care(a, b, q, r), notes=notes)
 
 
 def lqr_subsystem(system: LinearSystem, weights: CostWeights) -> LQRDesign:

@@ -10,11 +10,12 @@ float64 ndarrays, never mutates its inputs, and keeps no state.
 
 Tolerance conventions
 ---------------------
-Symmetry gates are relative to the largest entry of the matrix;
-definiteness gates are absolute on eigenvalues of the symmetrized matrix;
-rank decisions use the usual ``max(shape) * sigma_max * eps`` cut, where
-the Kalman tests take ``shape`` to be the full Kalman shape ``(n, n*m)``.
-Only ``sym_eig``, ``rank_svd`` and ``definiteness`` take a tolerance.
+There is one symmetry rule, ``max|M - M^T| <= tol * (1 + max|M|)`` with
+``tol = PSD_ATOL`` unless a caller passes another; definiteness gates are
+absolute on eigenvalues of the symmetrized matrix; rank decisions use the
+usual ``max(shape) * sigma_max * eps`` cut, where the Kalman tests take
+``shape`` to be the full Kalman shape ``(n, n*m)``.  Only ``sym_eig`` and
+``definiteness`` take a tolerance.
 """
 
 from __future__ import annotations
@@ -31,13 +32,17 @@ from .errors import (
     ShapeError,
 )
 
-SYMMETRY_RTOL = 1e-10
 PSD_ATOL = 1e-9
 
 
 def require_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Coerce ``m`` to a 2-D float64 array with finite entries."""
-    arr = np.asarray(m, dtype=float)
+    """Coerce ``m`` to a 2-D float64 array of finite real numbers; anything
+    else, such as strings, complex numbers or ragged rows, raises
+    ``InvalidMatrixError``."""
+    try:
+        arr = np.asarray(m).astype(float, casting="same_kind", copy=False)
+    except (TypeError, ValueError) as exc:
+        raise InvalidMatrixError(f"{name} must hold real numbers: {exc}") from None
     if arr.ndim != 2:
         raise InvalidMatrixError(f"{name} must be 2-D, got ndim={arr.ndim}")
     if arr.size and not np.isfinite(arr).all():
@@ -69,6 +74,13 @@ def block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _max_abs(arr: np.ndarray) -> float:
     return float(np.abs(arr).max()) if arr.size else 0.0
+
+
+def _is_symmetric(arr: np.ndarray, tol: float) -> tuple[bool, float]:
+    """The symmetry rule ``max|M - M^T| <= tol * (1 + max|M|)``, and the
+    asymmetry ``max|M - M^T|``."""
+    asym = _max_abs(arr - arr.T)
+    return asym <= tol * (1.0 + _max_abs(arr)), asym
 
 
 class SymEig(NamedTuple):
@@ -103,20 +115,20 @@ class RankTest(NamedTuple):
     margin: float
 
 
-def sym_eig(m, tol: float = SYMMETRY_RTOL) -> SymEig:
+def sym_eig(m, tol: float = PSD_ATOL) -> SymEig:
     """Eigendecomposition of a symmetric matrix via the self-adjoint path.
 
-    Rejects input whose asymmetry ``max|M - M^T|`` exceeds ``tol * max|M|``,
-    then decomposes the symmetrized matrix.  The reconstruction
+    Rejects input that breaks the symmetry rule ``max|M - M^T| <= tol *
+    (1 + max|M|)``, then decomposes the symmetrized matrix.  The reconstruction
     ``V diag(w) V^T`` is verified against the symmetrized input to
     ``1e-10 * (1 + ||M||_F)`` before returning.
     """
     arr = require_square(m, "sym_eig input")
-    asym = _max_abs(arr - arr.T)
-    if asym > tol * _max_abs(arr):
+    symmetric, asym = _is_symmetric(arr, tol)
+    if not symmetric:
         raise NotSymmetricError(
             f"matrix is not symmetric: max|M - M^T| = {asym:.3e} "
-            f"exceeds {tol:.1e} * max|M|"
+            f"exceeds {tol:.1e} * (1 + max|M|)"
         )
     sym = 0.5 * (arr + arr.T)
     try:
@@ -131,20 +143,6 @@ def sym_eig(m, tol: float = SYMMETRY_RTOL) -> SymEig:
     return SymEig(w, v)
 
 
-def rank_svd(m, tol: float | None = None) -> int:
-    """Numerical rank from singular values.
-
-    Default cut is ``max(shape) * sigma_max * eps``, matching the common
-    LAPACK-style convention, so the result is invariant under row/column
-    permutations and well behaved under orthogonal transforms.
-    """
-    arr = require_matrix(m, "rank_svd input")
-    if arr.size == 0:
-        return 0
-    s = _singular_values(arr)
-    return _rank_from_svals(s, arr.shape, tol)
-
-
 def _singular_values(arr: np.ndarray) -> np.ndarray:
     try:
         return np.linalg.svd(arr, compute_uv=False)
@@ -152,9 +150,9 @@ def _singular_values(arr: np.ndarray) -> np.ndarray:
         raise NumericalFailureError(f"SVD failed to converge: {exc}") from exc
 
 
-def _rank_from_svals(s: np.ndarray, shape: tuple[int, int], tol: float | None) -> int:
-    if tol is None:
-        tol = max(shape) * float(s[0]) * np.finfo(float).eps if s.size else 0.0
+def _rank_from_svals(s: np.ndarray, shape: tuple[int, int]) -> int:
+    """Rank from singular values, cut at ``max(shape) * sigma_max * eps``."""
+    tol = max(shape) * float(s[0]) * np.finfo(float).eps if s.size else 0.0
     return int(np.count_nonzero(s > tol))
 
 
@@ -181,8 +179,7 @@ def definiteness(m, tol: float = PSD_ATOL) -> Definiteness:
     spectrum.
     """
     arr = require_square(m, "definiteness input")
-    asym = _max_abs(arr - arr.T)
-    symmetric = asym <= tol * (1.0 + _max_abs(arr))
+    symmetric, _ = _is_symmetric(arr, tol)
     if arr.shape[0] == 0:
         return Definiteness(symmetric, symmetric, symmetric, 0.0)
     try:
@@ -298,6 +295,6 @@ def _kalman_rank(a: np.ndarray, b: np.ndarray) -> RankTest:
             if more:
                 power = scaled @ power
     s = _singular_values(factor)
-    rank = _rank_from_svals(s, (n, n * m), None)
+    rank = _rank_from_svals(s, (n, n * m))
     margin = float(s[rank - 1]) if rank > 0 else 0.0
     return RankTest(rank == n, rank, n, margin)

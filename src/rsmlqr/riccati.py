@@ -51,7 +51,15 @@ from .errors import (
     ShapeError,
     SingularMatrixError,
 )
-from .matkit import PSD_ATOL, _max_abs, definiteness, is_hurwitz, require_matrix, require_square
+from .matkit import (
+    PSD_ATOL,
+    _is_symmetric,
+    _max_abs,
+    definiteness,
+    is_hurwitz,
+    require_matrix,
+    require_square,
+)
 
 _NEWTON_SWEEPS = 5
 _CARE_TOL = 1e-9
@@ -59,9 +67,12 @@ _CARE_TOL = 1e-9
 
 @dataclass(frozen=True)
 class RiccatiSolution:
-    """Stabilizing Riccati solution with its accuracy certificate."""
+    """Stabilizing Riccati solution with its accuracy certificate and the
+    certified gain ``F = -R^{-1} B^T P``, whose closed loop ``A + B F`` has
+    largest eigenvalue real part ``closed_loop_max_re < 0``."""
 
     P: np.ndarray
+    F: np.ndarray
     residual_norm: float
     closed_loop_max_re: float
 
@@ -113,7 +124,7 @@ def solve_lyapunov(a_cl, w, tol: float = 1e-10) -> np.ndarray:
     ``A_cl`` must be Hurwitz (checked, since otherwise the solution need not
     exist or be unique) and ``W`` symmetric.  The relative residual
     ``||A_cl^T X + X A_cl + W||_F / (1 + ||W||_F)`` is verified against
-    ``tol``, with one refinement pass before giving up.
+    ``tol``, with two refinement passes (three solves) before giving up.
     """
     a_arr = require_square(a_cl, "closed-loop matrix")
     w_arr = require_square(w, "W")
@@ -121,8 +132,8 @@ def solve_lyapunov(a_cl, w, tol: float = 1e-10) -> np.ndarray:
         raise ShapeError(
             f"closed-loop matrix is {a_arr.shape} but W is {w_arr.shape}"
         )
-    asym = _max_abs(w_arr - w_arr.T)
-    if asym > PSD_ATOL * (1.0 + _max_abs(w_arr)):
+    symmetric, asym = _is_symmetric(w_arr, PSD_ATOL)
+    if not symmetric:
         raise NotSymmetricError(
             f"W must be symmetric: max|W - W^T| = {asym:.3e}"
         )
@@ -135,20 +146,17 @@ def solve_lyapunov(a_cl, w, tol: float = 1e-10) -> np.ndarray:
     w_sym = 0.5 * (w_arr + w_arr.T)
     x = _lyap_core(a_arr, w_sym)
     scale = 1.0 + float(np.linalg.norm(w_sym))
-    for _ in range(2):
+    for passes in range(3):
         res = a_arr.T @ x + x @ a_arr + w_sym
         rel = float(np.linalg.norm(res)) / scale
         if rel <= tol:
             return x
-        x = x + _lyap_core(a_arr, res)
-    res = a_arr.T @ x + x @ a_arr + w_sym
-    rel = float(np.linalg.norm(res)) / scale
-    if rel > tol:
-        raise NumericalFailureError(
-            f"Lyapunov residual {rel:.3e} exceeds tolerance {tol:.1e} "
-            "after refinement"
-        )
-    return x
+        if passes < 2:
+            x = x + _lyap_core(a_arr, res)
+    raise NumericalFailureError(
+        f"Lyapunov residual {rel:.3e} exceeds tolerance {tol:.1e} "
+        "after refinement"
+    )
 
 
 def solve_care(a, b, q, r, tol: float = _CARE_TOL) -> RiccatiSolution:
@@ -196,19 +204,16 @@ def solve_care(a, b, q, r, tol: float = _CARE_TOL) -> RiccatiSolution:
         raise NotPDError(
             f"R must be positive definite; min eigenvalue {dr.min_eigenvalue:.6e}"
         )
-    return _solve_care(a_arr, b_arr, q_arr, r_arr, tol)
+    return _solve_care(a_arr, b_arr, 0.5 * (q_arr + q_arr.T), 0.5 * (r_arr + r_arr.T), tol)
 
 
 def _solve_care(a, b, q, r, tol: float = _CARE_TOL) -> RiccatiSolution:
-    """The body of ``solve_care`` on trusted arrays: ``Q`` symmetric PSD,
-    ``R`` symmetric PD, shapes matching, ``B`` with at least one column."""
+    """The body of ``solve_care`` on trusted arrays: ``Q`` exactly symmetric
+    PSD, ``R`` exactly symmetric PD, shapes matching, ``B`` not empty."""
     n = a.shape[0]
-    q_sym = 0.5 * (q + q.T)
-    r_sym = 0.5 * (r + r.T)
-
-    g = b @ np.linalg.solve(r_sym, b.T)
+    g = b @ np.linalg.solve(r, b.T)
     g = 0.5 * (g + g.T)
-    ham = np.block([[a, -g], [-q_sym, -a.T]])
+    ham = np.block([[a, -g], [-q, -a.T]])
     try:
         _, z, sdim = scipy.linalg.schur(ham, output="real", sort="lhp")
     except (scipy.linalg.LinAlgError, ValueError) as exc:
@@ -230,23 +235,20 @@ def _solve_care(a, b, q, r, tol: float = _CARE_TOL) -> RiccatiSolution:
         ) from exc
     p = 0.5 * (p + p.T)
 
-    def _res_norm(cand: np.ndarray) -> float:
-        return _care_residual(a, b, q_sym, r_sym, cand)[1]
-
-    res_norm = _res_norm(p)
+    res_norm = _care_residual(a, b, q, r, p)[1]
     # Newton polish: with F = R^{-1} B^T P the next iterate solves
     # (A - B F)^T X + X (A - B F) + Q + F^T R F = 0.
     for _ in range(_NEWTON_SWEEPS):
         scale = tol * (1.0 + float(np.linalg.norm(p)) * float(np.linalg.norm(a)))
         if res_norm <= 0.01 * scale:
             break
-        f = np.linalg.solve(r_sym, b.T @ p)
+        f = np.linalg.solve(r, b.T @ p)
         a_cl = a - b @ f
         if not is_hurwitz(a_cl).hurwitz:
             break
-        w = q_sym + f.T @ r_sym @ f
+        w = q + f.T @ r @ f
         p_next = _lyap_core(a_cl, 0.5 * (w + w.T))
-        next_norm = _res_norm(p_next)
+        next_norm = _care_residual(a, b, q, r, p_next)[1]
         if next_norm >= res_norm:
             break
         p, res_norm = p_next, next_norm
@@ -262,14 +264,14 @@ def _solve_care(a, b, q, r, tol: float = _CARE_TOL) -> RiccatiSolution:
             f"computed Riccati solution is not positive semidefinite; "
             f"min eigenvalue {d.min_eigenvalue:.6e}"
         )
-    f = np.linalg.solve(r_sym, b.T @ p)
-    hur = is_hurwitz(a - b @ f)
+    f = -np.linalg.solve(r, b.T @ p)
+    hur = is_hurwitz(a + b @ f)
     if not hur.hurwitz:
         raise NumericalFailureError(
             f"computed Riccati solution is not stabilizing; closed-loop "
             f"max real part {hur.max_real_part:.6e}"
         )
-    return RiccatiSolution(p, res_norm, hur.max_real_part)
+    return RiccatiSolution(p, f, res_norm, hur.max_real_part)
 
 
 def rectangular_riccati_residual(a_s, b_s, k, q_c, r_s, x) -> tuple[np.ndarray, float]:

@@ -63,7 +63,8 @@ class LinearSystem:
 
 @dataclass(frozen=True)
 class CostWeights:
-    """Quadratic cost pair: ``Q`` symmetric PSD, ``R`` symmetric PD."""
+    """Quadratic cost pair: ``Q`` symmetric PSD, ``R`` symmetric PD, each
+    stored as ``0.5 (M + M^T)`` once its gate passes, so exactly symmetric."""
 
     Q: np.ndarray
     R: np.ndarray
@@ -83,8 +84,8 @@ class CostWeights:
                 f"input weight must be symmetric PD; symmetric={dr.symmetric}, "
                 f"min eigenvalue {dr.min_eigenvalue:.6e}"
             )
-        object.__setattr__(self, "Q", q)
-        object.__setattr__(self, "R", r)
+        object.__setattr__(self, "Q", 0.5 * (q + q.T))
+        object.__setattr__(self, "R", 0.5 * (r + r.T))
 
 
 @dataclass(frozen=True)

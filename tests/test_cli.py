@@ -247,6 +247,13 @@ class TestLqrCommand:
         assert f_composed.shape == (2, 1)
 
 
+DESIGN_ONLY_ARGV = [
+    ["lqr", COUPLED],
+    ["simulate", COUPLED, "--horizon", "1.0", "--step", "0.1"],
+    ["simulate", COUPLED, "--controller", "direct", "--horizon", "1.0", "--step", "0.1"],
+]
+
+
 class TestDesignOnlyCommands:
     """``lqr`` and ``simulate`` print designs only, so no check can fail them."""
 
@@ -260,18 +267,19 @@ class TestDesignOnlyCommands:
         for name in ("_exact_check", "_necessary_check", "_sufficient_check"):
             monkeypatch.setattr(rsmlqr.lqr, name, broken)
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["lqr", COUPLED],
-            ["simulate", COUPLED, "--horizon", "1.0", "--step", "0.1"],
-            ["simulate", COUPLED, "--controller", "direct", "--horizon", "1.0", "--step", "0.1"],
-        ],
-    )
+    @pytest.mark.parametrize("argv", DESIGN_ONLY_ARGV)
     def test_same_bytes_without_the_checks(self, argv, capsys, monkeypatch):
         assert main(argv) == 0
         expected = capsys.readouterr().out
         self._break_checks(monkeypatch)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
+
+    @pytest.mark.parametrize("argv", DESIGN_ONLY_ARGV)
+    def test_tolerance_is_not_read(self, argv, capsys, monkeypatch):
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        monkeypatch.setenv("RSMLQR_TOL", "not-a-number")
         assert main(argv) == 0
         assert capsys.readouterr().out == expected
 
@@ -283,6 +291,22 @@ class TestDesignOnlyCommands:
         assert main([*argv, "--out", str(tmp_path / "b.csv")]) == 0
         assert capsys.readouterr().out == expected
         assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
+
+
+class TestNearlySymmetricWeights:
+    """A weight within the package's one symmetry rule is accepted by every
+    command, not only by the ones whose kernels skip the eigendecomposition."""
+
+    @pytest.mark.parametrize("weight", ["Q", "R"])
+    def test_every_command_accepts(self, weight, tmp_path, capsys):
+        doc = json.loads(Path(COUPLED).read_text(encoding="utf-8"))
+        doc["subsystems"][0][weight] = [[1.0, 0.5], [0.5 + 5e-10, 1.0]]
+        path = tmp_path / "nearly_symmetric.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["compose", str(path)]) == 0
+        assert main(["lqr", str(path)]) == 0
+        assert main(["check", str(path)]) == 3
+        assert capsys.readouterr().err == ""
 
 
 class TestCheckCommand:

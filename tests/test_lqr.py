@@ -87,7 +87,8 @@ class TestLqrSubsystem:
             assert np.abs(design.F - expected).max() <= 1e-12 * (
                 1.0 + np.abs(expected).max()
             )
-            # and the loop it closes is stable
+            # it is the certified gain, and the loop it closes is stable
+            assert design.F is design.solution.F
             assert design.solution.closed_loop_max_re < 0.0
 
     def test_undetectable_weight_warns(self):

@@ -11,15 +11,18 @@ from rsmlqr.errors import (
 )
 from rsmlqr.matkit import (
     RankTest,
+    _rank_from_svals,
+    _singular_values,
     block_diag,
     definiteness,
     is_controllable,
     is_hurwitz,
     is_observable,
     psd_sqrt_factor,
-    rank_svd,
+    require_matrix,
     sym_eig,
 )
+from rsmlqr.riccati import solve_care
 
 
 def pbh_controllable(a, b):
@@ -95,6 +98,27 @@ class TestBlockDiag:
         assert a[0, 0] == 1.0 and b[0, 0] == 1.0
 
 
+NON_NUMERIC = {
+    "string": [["1.0", "x"]],
+    "ragged-rows": [[1.0, 2.0], [3.0]],
+    "dict": {"a": 1.0},
+    "python-complex": 1j,
+    "complex-ndarray": np.array([[1.0 + 2.0j]]),
+}
+
+
+class TestRequireMatrix:
+    @pytest.mark.parametrize("bad", NON_NUMERIC.values(), ids=NON_NUMERIC.keys())
+    def test_non_numeric_names_the_argument(self, bad):
+        with pytest.raises(InvalidMatrixError, match="weight W must hold real numbers"):
+            require_matrix(bad, "weight W")
+
+    @pytest.mark.parametrize("bad", NON_NUMERIC.values(), ids=NON_NUMERIC.keys())
+    def test_public_gate_raises_typed(self, bad):
+        with pytest.raises(InvalidMatrixError, match="Q must hold real numbers"):
+            solve_care([[-1.0]], [[1.0]], bad, [[1.0]])
+
+
 class TestSymEig:
     def test_identity(self):
         w, v = sym_eig(np.eye(3))
@@ -133,6 +157,16 @@ class TestSymEig:
             assert err <= 1e-10 * (1.0 + np.linalg.norm(m))
             assert np.all(np.diff(w) >= 0)
 
+    @pytest.mark.parametrize("asym, symmetric", [(5e-10, True), (5e-9, False)])
+    def test_same_symmetry_rule_as_definiteness(self, asym, symmetric):
+        m = np.array([[1.0, 0.5], [0.5 + asym, 1.0]])
+        assert definiteness(m).symmetric is symmetric
+        if symmetric:
+            sym_eig(m)
+        else:
+            with pytest.raises(NotSymmetricError, match=r"\(1 \+ max\|M\|\)"):
+                sym_eig(m)
+
     def test_tolerance_override(self):
         m = [[1.0, 1.0 + 1e-7], [1.0, 1.0]]
         with pytest.raises(NotSymmetricError):
@@ -141,7 +175,13 @@ class TestSymEig:
         assert w.shape == (2,)
 
 
+def rank_svd(m):
+    return _rank_from_svals(_singular_values(m), m.shape)
+
+
 class TestRankSvd:
+    """The rank cut ``max(shape) * sigma_max * eps`` every rank test uses."""
+
     def test_zero_matrix(self):
         assert rank_svd(np.zeros((3, 3))) == 0
 
@@ -158,7 +198,6 @@ class TestRankSvd:
     def test_custom_tolerance(self):
         m = np.diag([1.0, 1e-6])
         assert rank_svd(m) == 2
-        assert rank_svd(m, tol=1e-3) == 1
 
     @pytest.mark.parametrize("seed", range(5))
     def test_invariance_under_permutation_and_rotation(self, seed):

@@ -180,6 +180,13 @@ class TestCostWeights:
         w = CostWeights(np.zeros((2, 2)), np.eye(2))
         assert w.Q.shape == (2, 2)
 
+    def test_accepted_weights_are_stored_exactly_symmetric(self):
+        nearly = np.array([[1.0, 0.5], [0.5 + 5e-10, 1.0]])
+        w = CostWeights(nearly, nearly)
+        for stored in (w.Q, w.R):
+            np.testing.assert_array_equal(stored, stored.T)
+            np.testing.assert_allclose(stored, nearly, rtol=0.0, atol=5e-10)
+
 
 class TestComposeCost:
     def test_scalar_full_share(self):

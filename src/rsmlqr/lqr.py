@@ -39,7 +39,9 @@ from .errors import (
     InconsistencyError,
     NotHurwitzError,
     NotPDError,
+    NotPSDError,
     NotStabilizableError,
+    NotSymmetricError,
     NumericalFailureError,
     ShapeError,
 )
@@ -173,14 +175,16 @@ class CompositionAnalysis(CompositionDesign):
     report: CompositionalityReport
 
 
-def _pbh_detectable(a: np.ndarray, c: np.ndarray) -> bool:
-    """Every eigenvalue with nonnegative real part must be observable."""
+def _pbh_detectable(a: np.ndarray, q: np.ndarray) -> bool:
+    """Every eigenvalue with nonnegative real part must be observable
+    through ``sqrt(Q)``; ``Q`` is factored only when there is one."""
     n = a.shape[0]
-    eigs = np.linalg.eigvals(a)
+    eigs = [lam for lam in np.linalg.eigvals(a) if lam.real >= 0.0]
+    if not eigs:
+        return True
+    c = psd_sqrt_factor(q)
     eye = np.eye(n)
     for lam in eigs:
-        if lam.real < 0.0:
-            continue
         pencil = np.vstack([lam * eye - a, c]).astype(complex)
         if _rank_from_svals(_singular_values(pencil), pencil.shape) < n:
             return False
@@ -190,8 +194,7 @@ def _pbh_detectable(a: np.ndarray, c: np.ndarray) -> bool:
 def _design(a, b, q, r, label: str) -> LQRDesign:
     """Shared synthesis for arrays the callers have already validated."""
     notes: tuple[str, ...] = ()
-    c = psd_sqrt_factor(q)
-    if not _pbh_detectable(a, c):
+    if not _pbh_detectable(a, q):
         msg = (
             f"{label}: (A, sqrt(Q)) is not detectable; the stabilizing "
             "solution, if it exists, may not be the optimum"
@@ -292,8 +295,10 @@ def check_sufficient_condition(
     ``(A_s K K^T, B_s Sigma Lambda^{-1/2})`` where ``R_s = Sigma Lambda
     Sigma^T``, and observability of ``(A_s K K^T, D)`` with
     ``D^T D = K Q_c K^T``.  Failure is recorded but proves nothing on its
-    own; the caller falls back to the exact test.  ``R_s`` must be
-    symmetric positive definite (``NotPDError`` otherwise).
+    own; the caller falls back to the exact test.  ``Q_c`` must be
+    symmetric positive semidefinite (``NotSymmetricError`` or
+    ``NotPSDError`` otherwise) and ``R_s`` symmetric positive definite
+    (``NotPDError`` otherwise).
     """
     a_s = require_square(a_stacked, "stacked state matrix")
     b_s = require_matrix(b_stacked, "stacked input matrix")
@@ -307,6 +312,14 @@ def check_sufficient_condition(
         raise ShapeError("composite weight must match the coupling column count")
     if r_s.shape[0] != b_s.shape[1]:
         raise ShapeError("stacked input weight must match the input column count")
+    dq = definiteness(q_c)
+    if not dq.symmetric:
+        raise NotSymmetricError("composite state weight must be symmetric")
+    if not dq.psd:
+        raise NotPSDError(
+            f"composite state weight must be positive semidefinite; "
+            f"min eigenvalue {dq.min_eigenvalue:.6e}"
+        )
     dr = definiteness(r_s)
     if not (dr.symmetric and dr.pd):
         raise NotPDError(

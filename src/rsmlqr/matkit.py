@@ -203,8 +203,8 @@ def psd_sqrt_factor(m) -> np.ndarray:
     raises.  The factorization error ``||D^T D - M||_F`` is verified
     against ``1e-9 * (1 + ||M||_F)``.
     """
-    arr = require_square(m, "psd_sqrt_factor input")
-    w, v = sym_eig(arr)
+    w, v = sym_eig(m)
+    arr = np.asarray(m, dtype=float)
     if w.size and float(w[0]) < -PSD_ATOL:
         raise NotPSDError(
             f"matrix is not positive semidefinite: eigenvalue {w[0]:.6e} "

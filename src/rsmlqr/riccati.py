@@ -1,14 +1,26 @@
 """Continuous-time algebraic Riccati and Lyapunov solvers plus residuals.
 
-The Riccati solver takes the ordered-Schur route on the Hamiltonian matrix
-and then polishes the candidate with a few Newton sweeps, each of which is
-one Lyapunov solve.  The Schur step is backward stable but can leave a
-residual well above round-off on badly scaled problems; the polish brings it
-back down without changing which solution is selected.
+Both solvers rest on one numpy kernel, ``_sign_newton``: the matrix sign
+function by the scaled Newton iteration ``Z <- (Z/c + c Z^{-1})/2``
+(Roberts, Int. J. Control 32, 1980; Byers, Linear Algebra Appl. 85, 1987).
+The scale is ``c = |det Z|^{1/n}`` until the relative step falls to 1e-2,
+and 1 after that.  The iteration has converged once
+``||dZ||_F <= 1e-13 ||Z||_F``, or once a step below 1e-6 relative is no
+longer half the one before it, which is the round-off floor of an
+ill-conditioned sign.  A singular iterate, or no convergence within
+``_SIGN_MAX_ITER = 100`` steps, stops it with ``np.linalg.LinAlgError``.
+
+The Riccati solver takes the sign ``S`` of the Hamiltonian matrix and reads
+``P`` off its stable invariant subspace, the null space of ``S + I``, by
+least squares.  It then polishes the candidate with a few Newton sweeps in
+correction form, each of which is one Lyapunov solve for the step.  The
+sign step can leave a residual well above round-off on badly scaled
+problems; the polish brings it back down without changing which solution
+is selected.
 
 Every Lyapunov equation, whether from ``solve_lyapunov`` or from a Newton
-sweep, is solved at every order by Bartels-Stewart (real Schur form plus
-LAPACK ``trsyl``, via ``scipy.linalg.solve_continuous_lyapunov``).
+sweep, is solved by the same iteration on ``A_cl`` carrying ``W`` along
+(``W <- (W/c + c Z^{-T} W Z^{-1})/2``, whose limit is ``2 X``).
 ``solve_lyapunov`` then verifies the result against its relative residual
 tolerance of 1e-10.
 
@@ -39,7 +51,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     NotHurwitzError,
@@ -48,6 +59,7 @@ from .errors import (
     NotStabilizableError,
     NotSymmetricError,
     NumericalFailureError,
+    RsmLqrError,
     ShapeError,
     SingularMatrixError,
 )
@@ -55,6 +67,8 @@ from .matkit import (
     PSD_ATOL,
     _is_symmetric,
     _max_abs,
+    _rank_from_svals,
+    _singular_values,
     definiteness,
     is_hurwitz,
     require_matrix,
@@ -63,6 +77,10 @@ from .matkit import (
 
 _NEWTON_SWEEPS = 5
 _CARE_TOL = 1e-9
+_SIGN_MAX_ITER = 100
+_SIGN_TOL = 1e-13
+_SIGN_SCALE_TOL = 1e-2
+_SIGN_FLOOR_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -109,11 +127,56 @@ def _care_residual(a, b, q, r, p) -> tuple[np.ndarray, float]:
     return res, float(np.linalg.norm(res))
 
 
+def _sign_newton(z: np.ndarray, w: np.ndarray | None = None):
+    """``(sign(Z), W_inf)`` by the scaled Newton iteration.
+
+    Each step is ``Z <- (Z/c + c Z^{-1})/2`` and, when ``w`` is given,
+    ``W <- (W/c + c Z^{-T} W Z^{-1})/2`` with the same ``Z`` and ``c``
+    (``W_inf`` is ``None`` otherwise).  ``c = |det Z|^{1/n}`` until the
+    relative step falls to ``_SIGN_SCALE_TOL``, so ``slogdet`` runs only in
+    the first steps.  Converged when ``||dZ||_F <= _SIGN_TOL ||Z||_F``, or
+    when a step below ``_SIGN_FLOOR_TOL ||Z||_F`` is not half the one
+    before it.  Raises ``np.linalg.LinAlgError`` for a singular iterate or
+    no convergence within ``_SIGN_MAX_ITER`` steps.
+    """
+    n = z.shape[0]
+    if n == 0:
+        return z, w
+    c = 1.0
+    scaling = True
+    last2 = float("inf")
+    for _ in range(_SIGN_MAX_ITER):
+        if scaling:
+            sign, logdet = np.linalg.slogdet(z)
+            if sign == 0.0:
+                raise np.linalg.LinAlgError("singular iterate")
+            c = float(np.exp(logdet / n))
+        z_inv = np.linalg.inv(z)
+        z_next = 0.5 * (z / c + c * z_inv)
+        if w is not None:
+            w = 0.5 * (w / c + c * (z_inv.T @ w @ z_inv))
+        step = z_next - z
+        step2 = float(np.vdot(step, step))
+        size2 = float(np.vdot(z_next, z_next))
+        z = z_next
+        if step2 <= _SIGN_TOL**2 * size2 or (
+            step2 <= _SIGN_FLOOR_TOL**2 * size2 and 4.0 * step2 > last2
+        ):
+            return z, w
+        if step2 <= _SIGN_SCALE_TOL**2 * size2:
+            scaling, c = False, 1.0
+        last2 = step2
+    raise np.linalg.LinAlgError(
+        f"sign iteration did not converge in {_SIGN_MAX_ITER} steps"
+    )
+
+
 def _lyap_core(a_cl: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Solve A^T X + X A = -W by Bartels-Stewart; symmetric result."""
+    """Solve A^T X + X A = -W for Hurwitz A as half the ``W`` that the sign
+    iteration on A carries; symmetric result."""
     try:
-        x = scipy.linalg.solve_continuous_lyapunov(a_cl.T, -w)
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
+        x = 0.5 * _sign_newton(a_cl, w)[1]
+    except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"Lyapunov solve failed: {exc}") from exc
     return 0.5 * (x + x.T)
 
@@ -159,22 +222,51 @@ def solve_lyapunov(a_cl, w, tol: float = 1e-10) -> np.ndarray:
     )
 
 
+def _certificate_failure(a, b, msg: str) -> RsmLqrError:
+    """The error for a Riccati candidate that failed a certificate:
+    ``NotStabilizableError`` when the PBH test finds an eigenvalue of ``A``
+    with ``Re >= -PSD_ATOL (1 + max|A|)`` that ``B`` cannot reach, such as
+    an uncontrollable mode on the imaginary axis, which the sign iteration
+    can split off the axis by round-off; ``NumericalFailureError(msg)``
+    otherwise."""
+    n = a.shape[0]
+    eye = np.eye(n)
+    edge = -PSD_ATOL * (1.0 + _max_abs(a))
+    for lam in np.linalg.eigvals(a):
+        if lam.real < edge:
+            continue
+        pencil = np.hstack([lam * eye - a, b]).astype(complex)
+        if _rank_from_svals(_singular_values(pencil), pencil.shape) < n:
+            return NotStabilizableError(
+                f"(A, B) is not stabilizable: the mode at {lam:.6g} is "
+                f"unreachable ({msg})"
+            )
+    return NumericalFailureError(msg)
+
+
 def solve_care(a, b, q, r, tol: float = _CARE_TOL) -> RiccatiSolution:
     """Stabilizing solution of ``0 = -P A - A^T P - Q + P B R^{-1} B^T P``.
 
-    Method: real ordered Schur decomposition of the Hamiltonian
+    Method: the matrix sign ``S`` of the Hamiltonian
 
         H = [[ A, -B R^{-1} B^T ],
              [-Q,          -A^T ]]
 
-    with the left-half-plane spectrum sorted first; the stable invariant
-    subspace basis ``[U1; U2]`` gives ``P = U2 U1^{-1}``.  Up to five
-    Newton sweeps (one Lyapunov solve each) then reduce the residual.  The
-    final residual must satisfy ``||res||_F <= tol * (1 + ||P||_F ||A||_F)``.
+    by the scaled Newton iteration (at most ``_SIGN_MAX_ITER = 100``
+    steps); the stable invariant subspace ``[I; P]`` is the null space of
+    ``S + I``, so ``P`` is the least-squares solution of
+    ``[S12; S22 + I] P = -[S11 + I; S21]``.  Up to five Newton sweeps (one
+    Lyapunov solve each) then reduce the residual.  The final residual must
+    satisfy ``||res||_F <= tol * (1 + ||P||_F ||A||_F)``, ``P`` must be PSD
+    and ``A - B R^{-1} B^T P`` Hurwitz.
 
-    Raises ``NotPSDError``/``NotPDError`` for bad weights,
-    ``NotStabilizableError`` when the stable subspace is degenerate, and
-    ``NumericalFailureError`` when the residual contract cannot be met.
+    Raises ``NotPSDError``/``NotPDError`` for bad weights and
+    ``NotStabilizableError`` when a singular iterate or no convergence
+    stops the sign iteration, when the stable dimension
+    ``(2n - trace S)/2`` is not ``n``, when the least-squares system has
+    rank below ``n``, or when a candidate fails a certificate and the PBH
+    test finds an unreachable eigenvalue of ``A`` with ``Re >= 0``.  Any
+    other certificate failure raises ``NumericalFailureError``.
     """
     a_arr = require_square(a, "A")
     b_arr = require_matrix(b, "B")
@@ -213,63 +305,76 @@ def _solve_care(a, b, q, r, tol: float = _CARE_TOL) -> RiccatiSolution:
     n = a.shape[0]
     g = b @ np.linalg.solve(r, b.T)
     g = 0.5 * (g + g.T)
-    ham = np.block([[a, -g], [-q, -a.T]])
+    ham = np.empty((2 * n, 2 * n))
+    ham[:n, :n] = a
+    ham[:n, n:] = -g
+    ham[n:, :n] = -q
+    ham[n:, n:] = -a.T
     try:
-        _, z, sdim = scipy.linalg.schur(ham, output="real", sort="lhp")
-    except (scipy.linalg.LinAlgError, ValueError) as exc:
-        raise NumericalFailureError(f"Schur decomposition failed: {exc}") from exc
-    if sdim != n:
+        s = _sign_newton(ham)[0]
+    except np.linalg.LinAlgError as exc:
         raise NotStabilizableError(
-            f"stable invariant subspace has dimension {sdim}, expected {n}; "
+            f"Hamiltonian sign iteration failed ({exc}); (A, B) is likely not "
+            "stabilizable or the Hamiltonian spectrum touches the imaginary axis"
+        ) from exc
+    stable = round(n - 0.5 * float(np.trace(s)))
+    if stable != n:
+        raise NotStabilizableError(
+            f"stable invariant subspace has dimension {stable}, expected {n}; "
             "(A, B) is likely not stabilizable or the Hamiltonian spectrum "
             "touches the imaginary axis"
         )
-    u1 = z[:n, :n]
-    u2 = z[n:, :n]
-    try:
-        p = np.linalg.solve(u1.T, u2.T).T
-    except np.linalg.LinAlgError as exc:
+    # The stable subspace [I; P] is the null space of S + I.
+    eye = np.eye(n)
+    lhs = s[:, n:].copy()
+    lhs[n:] += eye
+    rhs = -s[:, :n]
+    rhs[:n] -= eye
+    p, _, rank, _ = np.linalg.lstsq(lhs, rhs, rcond=None)
+    if rank < n:
         raise NotStabilizableError(
             "stable subspace basis is singular in the state coordinates; "
             "no stabilizing solution exists"
-        ) from exc
+        )
     p = 0.5 * (p + p.T)
 
-    res_norm = _care_residual(a, b, q, r, p)[1]
-    # Newton polish: with F = R^{-1} B^T P the next iterate solves
-    # (A - B F)^T X + X (A - B F) + Q + F^T R F = 0.
+    res, res_norm = _care_residual(a, b, q, r, p)
+    # Newton polish in correction form: with Res(P) the residual above and
+    # A_cl = A - G P, the step D solves A_cl^T D + D A_cl = Res(P), so the
+    # Lyapunov solve's relative error scales the residual, not P.
     for _ in range(_NEWTON_SWEEPS):
         scale = tol * (1.0 + float(np.linalg.norm(p)) * float(np.linalg.norm(a)))
         if res_norm <= 0.01 * scale:
             break
-        f = np.linalg.solve(r, b.T @ p)
-        a_cl = a - b @ f
+        a_cl = a - g @ p
         if not is_hurwitz(a_cl).hurwitz:
             break
-        w = q + f.T @ r @ f
-        p_next = _lyap_core(a_cl, 0.5 * (w + w.T))
-        next_norm = _care_residual(a, b, q, r, p_next)[1]
+        p_next = p + _lyap_core(a_cl, -0.5 * (res + res.T))
+        res_next, next_norm = _care_residual(a, b, q, r, p_next)
         if next_norm >= res_norm:
             break
-        p, res_norm = p_next, next_norm
+        p, res, res_norm = p_next, res_next, next_norm
 
     scale = 1.0 + float(np.linalg.norm(p)) * float(np.linalg.norm(a))
     if res_norm > tol * scale:
-        raise NumericalFailureError(
-            f"Riccati residual {res_norm:.3e} exceeds {tol:.1e} * {scale:.3e}"
+        raise _certificate_failure(
+            a, b,
+            f"Riccati residual {res_norm:.3e} exceeds {tol:.1e} * {scale:.3e}",
         )
     d = definiteness(p, max(PSD_ATOL, PSD_ATOL * _max_abs(p)))
     if not d.psd:
-        raise NumericalFailureError(
+        raise _certificate_failure(
+            a, b,
             f"computed Riccati solution is not positive semidefinite; "
-            f"min eigenvalue {d.min_eigenvalue:.6e}"
+            f"min eigenvalue {d.min_eigenvalue:.6e}",
         )
     f = -np.linalg.solve(r, b.T @ p)
     hur = is_hurwitz(a + b @ f)
     if not hur.hurwitz:
-        raise NumericalFailureError(
+        raise _certificate_failure(
+            a, b,
             f"computed Riccati solution is not stabilizing; closed-loop "
-            f"max real part {hur.max_real_part:.6e}"
+            f"max real part {hur.max_real_part:.6e}",
         )
     return RiccatiSolution(p, f, res_norm, hur.max_real_part)
 

@@ -493,20 +493,34 @@ class TestSearchCommand:
 
 
 class TestMainEntry:
-    def test_cli_import_leaves_out_scipy_integrate_and_optimize(self):
+    @staticmethod
+    def _run_python(code):
         src_dir = str(Path(rsmlqr.__file__).resolve().parent.parent)
         paths = [src_dir, os.environ.get("PYTHONPATH")]
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-        code = (
-            "import sys, rsmlqr.cli; "
-            "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') "
-            "if m in sys.modules))"
-        )
-        proc = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+
+    def test_cli_import_loads_no_scipy(self):
+        proc = self._run_python(
+            "import sys, rsmlqr.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_check_runs_without_scipy(self, tmp_path):
+        # a None entry in sys.modules makes every scipy import fail
+        report = tmp_path / "report.json"
+        problem = Path(__file__).resolve().parent.parent / "problems" / "counterexample.json"
+        argv = ["check", str(problem), "--gap", "--report", str(report)]
+        proc = self._run_python(
+            "import sys; sys.modules['scipy'] = None; "
+            f"from rsmlqr.cli import main; sys.exit(main({argv!r}))"
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert json.loads(report.read_text())["meta"]["exit_code"] == 3
 
     def test_no_command_shows_help(self, capsys):
         assert main([]) == 1

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from rsmlqr.errors import DetectabilityWarning, ShapeError
+from rsmlqr import lqr
+from rsmlqr.errors import (
+    DetectabilityWarning,
+    NotPSDError,
+    NotSymmetricError,
+    ShapeError,
+)
 from rsmlqr.lqr import (
     SearchConfig,
     check_exact_condition,
@@ -106,6 +112,25 @@ class TestLqrSubsystem:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DetectabilityWarning)
             lqr_subsystem(scalar_system("one", -1.0), UNIT_WEIGHTS)
+
+    @pytest.mark.parametrize(
+        "a, factors",
+        [
+            (np.diag([-1.0, -2.0]), 0),  # stable: no eigenvalue to test
+            (np.diag([1.0, -2.0]), 1),  # one unstable eigenvalue
+        ],
+    )
+    def test_state_weight_factored_only_for_unstable_modes(self, monkeypatch, a, factors):
+        calls = []
+        factor = lqr.psd_sqrt_factor
+
+        def counting(m):
+            calls.append(m)
+            return factor(m)
+
+        monkeypatch.setattr(lqr, "psd_sqrt_factor", counting)
+        lqr_subsystem(LinearSystem("s", a, np.eye(2)), CostWeights(np.eye(2), np.eye(2)))
+        assert len(calls) == factors
 
 
 class TestLqrComposite:
@@ -231,6 +256,24 @@ class TestSufficientCondition:
                 np.array([[1.0], [1.0]]),
                 [[2.0]],
                 r_stacked,
+                np.diag([0.3, 0.2]),
+            )
+
+    @pytest.mark.parametrize(
+        "q_composite, error",
+        [
+            ([[1.0, 2.0], [0.0, 1.0]], NotSymmetricError),
+            (np.diag([-1.0, 1.0]), NotPSDError),
+        ],
+    )
+    def test_rejects_bad_composite_state_weight(self, q_composite, error):
+        with pytest.raises(error, match="composite state weight"):
+            check_sufficient_condition(
+                np.diag([-1.0, -2.0]),
+                np.eye(2),
+                np.eye(2),
+                q_composite,
+                np.eye(2),
                 np.diag([0.3, 0.2]),
             )
 

@@ -4,6 +4,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+try:
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+except ImportError:  # the oracle tests fall back to a seeded sample
+    st = None
+
 from rsmlqr import riccati
 from rsmlqr.errors import (
     NotHurwitzError,
@@ -167,28 +173,73 @@ class TestNewtonPolish:
 
 
 class TestLyapunovFailuresTyped:
+    # The two ways the sign kernel stops: a singular iterate and no
+    # convergence within its step cap.
     @pytest.mark.parametrize(
-        "exc", [scipy.linalg.LinAlgError("forced"), ValueError("forced")]
+        "exc",
+        [
+            np.linalg.LinAlgError("singular iterate"),
+            np.linalg.LinAlgError("sign iteration did not converge"),
+        ],
     )
     def test_solver_exception_becomes_numerical_failure(self, monkeypatch, exc):
-        def broken(a, q):
+        def broken(z, w=None):
             raise exc
 
-        monkeypatch.setattr(scipy.linalg, "solve_continuous_lyapunov", broken)
+        monkeypatch.setattr(riccati, "_sign_newton", broken)
         with pytest.raises(NumericalFailureError) as info:
             solve_lyapunov(np.diag([-1.0, -2.0]), np.eye(2))
         assert isinstance(info.value, RsmLqrError)
         assert info.value.__cause__ is exc
 
     def test_polish_failure_is_typed(self, monkeypatch):
-        def broken(a, q):
-            raise scipy.linalg.LinAlgError("forced")
+        sign = riccati._sign_newton
+
+        def broken(z, w=None):
+            # the Hamiltonian sign step runs; only the Lyapunov solves break
+            if w is not None:
+                raise np.linalg.LinAlgError("forced")
+            return sign(z)
 
         rng = np.random.default_rng(1300)
         a, b, q, r = random_care_problem(rng, 5, 2)
-        monkeypatch.setattr(scipy.linalg, "solve_continuous_lyapunov", broken)
+        monkeypatch.setattr(riccati, "_sign_newton", broken)
         with pytest.raises(NumericalFailureError):
             solve_care(a, b, q, r, tol=1e-14)
+
+
+class TestSignNewton:
+    def test_diagonal(self):
+        s, w = riccati._sign_newton(np.diag([-2.0, 0.5, 30.0]))
+        np.testing.assert_allclose(s, np.diag([-1.0, 1.0, 1.0]), atol=1e-15)
+        assert w is None
+
+    def test_singular_iterate(self):
+        # eigenvalues +-i: the scaled first step lands on the zero matrix
+        with pytest.raises(np.linalg.LinAlgError, match="singular iterate"):
+            riccati._sign_newton(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+
+    def test_no_convergence_within_cap(self):
+        z = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            riccati._sign_newton(z)
+
+    def test_round_off_floor_stops(self):
+        # eigenvectors with condition 1e4: the steps stall near 1e-11,
+        # above the 1e-13 test, and the floor rule accepts that iterate
+        rng = np.random.default_rng(0)
+        q1, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+        q2, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+        v = q1 @ np.diag(np.logspace(0, -4, 8)) @ q2
+        d = np.array([-1.0, -1.5, -2.0, -3.0, 1.0, 1.5, 2.0, 3.0])
+        s, _ = riccati._sign_newton(v @ np.diag(d) @ np.linalg.inv(v))
+        exact = v @ np.diag(np.sign(d)) @ np.linalg.inv(v)
+        assert np.linalg.norm(s - exact) <= 1e-8 * np.linalg.norm(exact)
+
+    def test_empty_system(self):
+        assert solve_lyapunov(np.zeros((0, 0)), np.zeros((0, 0))).shape == (0, 0)
+        sol = solve_care(np.zeros((0, 0)), np.zeros((0, 1)), np.zeros((0, 0)), [[1.0]])
+        assert sol.P.shape == (0, 0) and sol.F.shape == (1, 0)
 
 
 class TestSolveCareErrors:
@@ -208,6 +259,20 @@ class TestSolveCareErrors:
         # second state is unstable and unreachable
         with pytest.raises(NotStabilizableError):
             solve_care(np.eye(2), [[1.0], [0.0]], np.eye(2), [[1.0]])
+
+    def test_uncontrollable_imaginary_axis_mode(self):
+        # the rotation block is out of B's reach; its Hamiltonian eigenvalues
+        # +-i are defective, so round-off splits them off the axis and the
+        # sign iteration converges to a candidate that fails its residual
+        a = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+        with pytest.raises(NotStabilizableError, match="0\\+1j is unreachable"):
+            solve_care(a, [[0.0], [0.0], [1.0]], np.eye(3), [[1.0]])
+
+    def test_singular_hamiltonian(self):
+        # the first state is a zero eigenvalue that B cannot reach and Q
+        # cannot see, so the Hamiltonian itself is singular
+        with pytest.raises(NotStabilizableError, match="singular iterate"):
+            solve_care(np.diag([0.0, -1.0]), [[0.0], [1.0]], np.diag([0.0, 1.0]), [[1.0]])
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
@@ -374,3 +439,64 @@ class TestRectangularResidual:
                 np.zeros((1, 2)),
             )
 
+
+def oracle_cases(**ranges):
+    """Draw the keyword arguments of an oracle test from ``ranges``
+    (``name=(lo, hi)``; integer bounds draw integers, float bounds floats,
+    ``None`` a boolean): by hypothesis when it is installed, otherwise from
+    a seeded sample of the same size."""
+    count = 25
+    if st is not None:
+        strategies = {
+            name: st.booleans() if bounds is None
+            else st.integers(*bounds) if isinstance(bounds[0], int)
+            else st.floats(*bounds)
+            for name, bounds in ranges.items()
+        }
+        return lambda test: settings(
+            max_examples=count, deadline=None, derandomize=True
+        )(given(**strategies)(test))
+    rng = np.random.default_rng(2024)
+    draws = [
+        tuple(
+            bool(rng.integers(2)) if bounds is None
+            else int(rng.integers(bounds[0], bounds[1] + 1)) if isinstance(bounds[0], int)
+            else float(rng.uniform(*bounds))
+            for bounds in ranges.values()
+        )
+        for _ in range(count)
+    ]
+    return pytest.mark.parametrize(", ".join(ranges), draws)
+
+
+@oracle_cases(
+    seed=(0, 2**32 - 1), n=(1, 120), m=(1, 4),
+    q_exp=(-4.0, 4.0), r_exp=(-4.0, 4.0), unstable=None,
+)
+def test_care_matches_scipy(seed, n, m, q_exp, r_exp, unstable):
+    # Weights scaled by up to 1e4 either way, open loops with their
+    # rightmost eigenvalue at -0.5 or +0.5.
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    a -= (np.linalg.eigvals(a).real.max() + (-0.5 if unstable else 0.5)) * np.eye(n)
+    b = rng.standard_normal((n, m))
+    g = rng.standard_normal((n, n))
+    q = (g.T @ g + 0.1 * np.eye(n)) * 10.0**q_exp
+    h = rng.standard_normal((m, m))
+    r = (h.T @ h + 0.1 * np.eye(m)) * 10.0**r_exp
+    sol = solve_care(a, b, q, r)
+    ref = scipy.linalg.solve_continuous_are(a, b, q, r)
+    assert np.linalg.norm(sol.P - ref) <= 1e-7 * np.linalg.norm(ref)
+    _, res = care_residual(a, b, q, r, sol.P)
+    assert res <= 1e-9 * (1.0 + np.linalg.norm(sol.P) * np.linalg.norm(a))
+
+
+@oracle_cases(seed=(0, 2**32 - 1), n=(1, 120), w_exp=(-6.0, 6.0))
+def test_lyapunov_matches_scipy(seed, n, w_exp):
+    rng = np.random.default_rng(seed)
+    a = random_hurwitz(rng, n)
+    g = rng.standard_normal((n, n))
+    w = g.T @ g * 10.0**w_exp
+    x = solve_lyapunov(a, w)
+    ref = scipy.linalg.solve_continuous_lyapunov(a.T, -w)
+    assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(ref)

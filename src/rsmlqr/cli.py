@@ -15,7 +15,8 @@ where ``pairs`` identifies state ``j`` of the first subsystem with state
 and reports the JSON path of the first violated constraint.  The parser
 checks only the JSON shape of ``pairs``; ``CompositionPattern`` owns the
 range and uniqueness rules, and its ``PatternError`` path is reported with
-the ``$.pattern.`` prefix.
+the ``$.pattern.`` prefix.  ``CostWeights`` owns the weight rules, and its
+errors are reported with the subsystem's path, such as ``$.subsystems[1]:``.
 
 All machine output is byte-deterministic for a fixed input, tolerance, and
 package version: floats are printed with 17 significant digits (enough to
@@ -243,6 +244,13 @@ def _parse_pattern(node, path: str, n1: int, n2: int) -> CompositionPattern:
         raise SchemaError(f"{path}.{exc}") from exc
 
 
+def _parse_weights(q: np.ndarray, r: np.ndarray, path: str) -> CostWeights:
+    try:
+        return CostWeights(q, r)
+    except RsmLqrError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+
+
 def _reject_constant(token: str):
     raise SchemaError(f"$: non-finite JSON constant {token!r} is not allowed")
 
@@ -293,9 +301,9 @@ def parse_problem(path) -> ProblemFile:
     )
     return ProblemFile(
         system1=LinearSystem(name1, a1, b1),
-        weights1=CostWeights(q1, r1),
+        weights1=_parse_weights(q1, r1, "$.subsystems[0]"),
         system2=LinearSystem(name2, a2, b2),
-        weights2=CostWeights(q2, r2),
+        weights2=_parse_weights(q2, r2, "$.subsystems[1]"),
         pattern=pattern,
         digest=digest,
     )

@@ -38,10 +38,7 @@ from .errors import (
     DetectabilityWarning,
     InconsistencyError,
     NotHurwitzError,
-    NotPDError,
-    NotPSDError,
     NotStabilizableError,
-    NotSymmetricError,
     NumericalFailureError,
     ShapeError,
 )
@@ -51,13 +48,13 @@ from .errors import (
 from .matkit import (
     RankTest,
     _kalman_rank,
-    _rank_from_svals,
-    _singular_values,
+    _pbh_unreachable,
     block_diag,
     definiteness,
     is_controllable,
     is_observable,
     psd_sqrt_factor,
+    require_definite,
     require_matrix,
     require_square,
     sym_eig,
@@ -176,19 +173,10 @@ class CompositionAnalysis(CompositionDesign):
 
 
 def _pbh_detectable(a: np.ndarray, q: np.ndarray) -> bool:
-    """Every eigenvalue with nonnegative real part must be observable
-    through ``sqrt(Q)``; ``Q`` is factored only when there is one."""
-    n = a.shape[0]
-    eigs = [lam for lam in np.linalg.eigvals(a) if lam.real >= 0.0]
-    if not eigs:
-        return True
-    c = psd_sqrt_factor(q)
-    eye = np.eye(n)
-    for lam in eigs:
-        pencil = np.vstack([lam * eye - a, c]).astype(complex)
-        if _rank_from_svals(_singular_values(pencil), pencil.shape) < n:
-            return False
-    return True
+    """Every eigenvalue with ``Re >= -RTOL (1 + max|A|)`` must be observable
+    through ``sqrt(Q)``: the PBH test of the dual pair ``(A^T, sqrt(Q)^T)``.
+    ``Q`` is factored only when there is such an eigenvalue."""
+    return _pbh_unreachable(a.T, lambda: psd_sqrt_factor(q).T) is None
 
 
 def _design(a, b, q, r, label: str) -> LQRDesign:
@@ -296,9 +284,9 @@ def check_sufficient_condition(
     Sigma^T``, and observability of ``(A_s K K^T, D)`` with
     ``D^T D = K Q_c K^T``.  Failure is recorded but proves nothing on its
     own; the caller falls back to the exact test.  ``Q_c`` must be
-    symmetric positive semidefinite (``NotSymmetricError`` or
-    ``NotPSDError`` otherwise) and ``R_s`` symmetric positive definite
-    (``NotPDError`` otherwise).
+    symmetric positive semidefinite and ``R_s`` symmetric positive definite
+    by the weight gate ``require_definite`` (``NotSymmetricError``,
+    ``NotPSDError`` or ``NotPDError`` otherwise).
     """
     a_s = require_square(a_stacked, "stacked state matrix")
     b_s = require_matrix(b_stacked, "stacked input matrix")
@@ -312,20 +300,8 @@ def check_sufficient_condition(
         raise ShapeError("composite weight must match the coupling column count")
     if r_s.shape[0] != b_s.shape[1]:
         raise ShapeError("stacked input weight must match the input column count")
-    dq = definiteness(q_c)
-    if not dq.symmetric:
-        raise NotSymmetricError("composite state weight must be symmetric")
-    if not dq.psd:
-        raise NotPSDError(
-            f"composite state weight must be positive semidefinite; "
-            f"min eigenvalue {dq.min_eigenvalue:.6e}"
-        )
-    dr = definiteness(r_s)
-    if not (dr.symmetric and dr.pd):
-        raise NotPDError(
-            f"stacked input weight must be symmetric PD; "
-            f"min eigenvalue {dr.min_eigenvalue:.6e}"
-        )
+    q_c = require_definite(q_c, "composite state weight")
+    r_s = require_definite(r_s, "stacked input weight", pd=True)
     return _sufficient_check(a_s, b_s, kmat, q_c, r_s, _necessary_check(p_s, kmat, tol))
 
 

@@ -1,8 +1,9 @@
 """Dense real-matrix utilities used throughout the package.
 
 Block-diagonal stacking, symmetric eigendecomposition, SVD-based
-numerical rank, Hurwitz and definiteness tests, positive-semidefinite
-square-root factors, and Kalman controllability/observability rank tests.
+numerical rank, Hurwitz and definiteness tests, the weight gate
+(``require_definite``), positive-semidefinite square-root factors, the PBH
+test, and Kalman controllability/observability rank tests.
 The Kalman tests never form the n-by-n*m Kalman matrix: its singular values
 come from an n-row factor of its Gramian, built by Smith's doubling and
 kept at most 3n columns wide by QR narrowing.  Everything works on plain
@@ -10,12 +11,14 @@ float64 ndarrays, never mutates its inputs, and keeps no state.
 
 Tolerance conventions
 ---------------------
-There is one symmetry rule, ``max|M - M^T| <= tol * (1 + max|M|)`` with
-``tol = PSD_ATOL`` unless a caller passes another; definiteness gates are
-absolute on eigenvalues of the symmetrized matrix; rank decisions use the
-usual ``max(shape) * sigma_max * eps`` cut, where the Kalman tests take
-``shape`` to be the full Kalman shape ``(n, n*m)``.  Only ``sym_eig`` and
-``definiteness`` take a tolerance.
+Every definiteness decision cuts at ``tol * (1 + max|M|)`` (``_cut``), with
+``tol = RTOL`` unless a caller passes another: symmetric is ``max|M - M^T|
+<= cut``, PSD is ``lambda_min >= -cut``, PD is ``lambda_min > cut``, a
+square-root factor keeps the eigenvalues above the cut, and the PBH test
+looks at ``Re(lambda) >= -cut(A)``.  Eigenvalues are computed to about
+``eps * ||M||``, so scaling a matrix leaves its verdicts unchanged.  Rank
+decisions use the usual ``max(shape) * sigma_max * eps`` cut, where the
+Kalman tests take ``shape`` to be the full Kalman shape ``(n, n*m)``.
 """
 
 from __future__ import annotations
@@ -26,13 +29,14 @@ import numpy as np
 
 from .errors import (
     InvalidMatrixError,
+    NotPDError,
     NotPSDError,
     NotSymmetricError,
     NumericalFailureError,
     ShapeError,
 )
 
-PSD_ATOL = 1e-9
+RTOL = 1e-9
 
 
 def require_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -76,11 +80,15 @@ def _max_abs(arr: np.ndarray) -> float:
     return float(np.abs(arr).max()) if arr.size else 0.0
 
 
-def _is_symmetric(arr: np.ndarray, tol: float) -> tuple[bool, float]:
-    """The symmetry rule ``max|M - M^T| <= tol * (1 + max|M|)``, and the
-    asymmetry ``max|M - M^T|``."""
+def _cut(arr: np.ndarray, tol: float = RTOL) -> float:
+    """The one cut of every definiteness decision, ``tol * (1 + max|M|)``."""
+    return tol * (1.0 + _max_abs(arr))
+
+
+def _is_symmetric(arr: np.ndarray, cut: float) -> tuple[bool, float]:
+    """Whether ``max|M - M^T| <= cut``, and the asymmetry ``max|M - M^T|``."""
     asym = _max_abs(arr - arr.T)
-    return asym <= tol * (1.0 + _max_abs(arr)), asym
+    return asym <= cut, asym
 
 
 class SymEig(NamedTuple):
@@ -115,20 +123,20 @@ class RankTest(NamedTuple):
     margin: float
 
 
-def sym_eig(m, tol: float = PSD_ATOL) -> SymEig:
+def sym_eig(m) -> SymEig:
     """Eigendecomposition of a symmetric matrix via the self-adjoint path.
 
-    Rejects input that breaks the symmetry rule ``max|M - M^T| <= tol *
+    Rejects input that breaks the symmetry rule ``max|M - M^T| <= RTOL *
     (1 + max|M|)``, then decomposes the symmetrized matrix.  The reconstruction
     ``V diag(w) V^T`` is verified against the symmetrized input to
     ``1e-10 * (1 + ||M||_F)`` before returning.
     """
     arr = require_square(m, "sym_eig input")
-    symmetric, asym = _is_symmetric(arr, tol)
+    symmetric, asym = _is_symmetric(arr, _cut(arr))
     if not symmetric:
         raise NotSymmetricError(
             f"matrix is not symmetric: max|M - M^T| = {asym:.3e} "
-            f"exceeds {tol:.1e} * (1 + max|M|)"
+            f"exceeds {RTOL:.1e} * (1 + max|M|)"
         )
     sym = 0.5 * (arr + arr.T)
     try:
@@ -169,17 +177,18 @@ def is_hurwitz(m) -> Hurwitz:
     return Hurwitz(max_re < 0.0, max_re)
 
 
-def definiteness(m, tol: float = PSD_ATOL) -> Definiteness:
+def definiteness(m, tol: float = RTOL) -> Definiteness:
     """Symmetry and definiteness classification of a square matrix.
 
-    Symmetric means ``max|M - M^T| <= tol * (1 + max|M|)``.  The eigenvalue
-    verdicts apply to the symmetrized matrix: psd requires the minimum
-    eigenvalue to be at least ``-tol``, pd requires it to exceed ``+tol``.
-    An asymmetric matrix is reported as neither psd nor pd, whatever its
-    spectrum.
+    With ``cut = tol * (1 + max|M|)``: symmetric means ``max|M - M^T| <=
+    cut``, and the eigenvalue verdicts apply to the symmetrized matrix,
+    psd requiring the minimum eigenvalue to be at least ``-cut`` and pd
+    requiring it to exceed ``+cut``.  An asymmetric matrix is reported as
+    neither psd nor pd, whatever its spectrum.
     """
     arr = require_square(m, "definiteness input")
-    symmetric, _ = _is_symmetric(arr, tol)
+    cut = _cut(arr, tol)
+    symmetric, _ = _is_symmetric(arr, cut)
     if arr.shape[0] == 0:
         return Definiteness(symmetric, symmetric, symmetric, 0.0)
     try:
@@ -189,36 +198,73 @@ def definiteness(m, tol: float = PSD_ATOL) -> Definiteness:
     min_eig = float(w[0])
     return Definiteness(
         symmetric,
-        symmetric and min_eig >= -tol,
-        symmetric and min_eig > tol,
+        symmetric and min_eig >= -cut,
+        symmetric and min_eig > cut,
         min_eig,
     )
+
+
+def require_definite(m, name: str, pd: bool = False) -> np.ndarray:
+    """The weight gate: ``0.5 (M + M^T)`` once ``definiteness`` finds ``m``
+    symmetric and PSD (PD with ``pd``); otherwise ``NotSymmetricError``,
+    ``NotPSDError`` or ``NotPDError`` naming ``name``."""
+    arr = require_square(m, name)
+    d = definiteness(arr)
+    if not d.symmetric:
+        raise NotSymmetricError(
+            f"{name} must be symmetric; max|M - M^T| exceeds {RTOL:.1e} * (1 + max|M|)"
+        )
+    if not (d.pd if pd else d.psd):
+        error, kind = (NotPDError, "definite") if pd else (NotPSDError, "semidefinite")
+        raise error(
+            f"{name} must be positive {kind}; min eigenvalue "
+            f"{d.min_eigenvalue:.6e}, cut {RTOL:.1e} * (1 + max|M|)"
+        )
+    return 0.5 * (arr + arr.T)
 
 
 def psd_sqrt_factor(m) -> np.ndarray:
     """Factor a symmetric PSD matrix as ``M = D^T D`` with ``D`` r-by-n.
 
-    Eigenvalues above ``PSD_ATOL`` are kept, so the row count of ``D``
-    equals the numerical rank of ``M``; an eigenvalue below ``-PSD_ATOL``
-    raises.  The factorization error ``||D^T D - M||_F`` is verified
-    against ``1e-9 * (1 + ||M||_F)``.
+    Eigenvalues above the cut ``RTOL * (1 + max|M|)`` are kept, so the row
+    count of ``D`` equals the numerical rank of ``M``; an eigenvalue below
+    ``-cut`` raises.  The factorization error ``||D^T D - M||_F`` is
+    verified against ``sqrt(n) * cut``, the most that the dropped
+    eigenvalues, each within the cut, can add up to.
     """
     w, v = sym_eig(m)
     arr = np.asarray(m, dtype=float)
-    if w.size and float(w[0]) < -PSD_ATOL:
+    cut = _cut(arr)
+    if w.size and float(w[0]) < -cut:
         raise NotPSDError(
             f"matrix is not positive semidefinite: eigenvalue {w[0]:.6e} "
-            f"is below -{PSD_ATOL:.1e}"
+            f"is below -{RTOL:.1e} * (1 + max|M|)"
         )
-    keep = w > PSD_ATOL
+    keep = w > cut
     factor = np.sqrt(w[keep])[:, None] * v[:, keep].T
     sym = 0.5 * (arr + arr.T)
     err = float(np.linalg.norm(factor.T @ factor - sym))
-    if err > 1e-9 * (1.0 + float(np.linalg.norm(sym))):
+    if err > np.sqrt(arr.shape[0]) * cut:
         raise NumericalFailureError(
             f"square-root factor error {err:.3e} out of tolerance"
         )
     return factor
+
+
+def _pbh_unreachable(a: np.ndarray, make_b) -> complex | None:
+    """The first eigenvalue ``lambda`` of ``A`` with ``Re >= -cut(A)`` at
+    which ``[lambda I - A, B]`` has rank below ``n``, or ``None``.
+    ``make_b()`` returns ``B``; it is called only if such an eigenvalue
+    exists."""
+    edge = -_cut(a)
+    modes = [lam for lam in np.linalg.eigvals(a) if lam.real >= edge]
+    b = make_b() if modes else None
+    n = a.shape[0]
+    for lam in modes:
+        pencil = np.hstack([lam * np.eye(n) - a, b]).astype(complex)
+        if _rank_from_svals(_singular_values(pencil), pencil.shape) < n:
+            return lam
+    return None
 
 
 def is_controllable(a, b) -> RankTest:

@@ -54,8 +54,6 @@ import numpy as np
 
 from .errors import (
     NotHurwitzError,
-    NotPDError,
-    NotPSDError,
     NotStabilizableError,
     NotSymmetricError,
     NumericalFailureError,
@@ -64,19 +62,18 @@ from .errors import (
     SingularMatrixError,
 )
 from .matkit import (
-    PSD_ATOL,
+    RTOL,
+    _cut,
     _is_symmetric,
-    _max_abs,
-    _rank_from_svals,
-    _singular_values,
+    _pbh_unreachable,
     definiteness,
     is_hurwitz,
+    require_definite,
     require_matrix,
     require_square,
 )
 
 _NEWTON_SWEEPS = 5
-_CARE_TOL = 1e-9
 _SIGN_MAX_ITER = 100
 _SIGN_TOL = 1e-13
 _SIGN_SCALE_TOL = 1e-2
@@ -195,7 +192,7 @@ def solve_lyapunov(a_cl, w, tol: float = 1e-10) -> np.ndarray:
         raise ShapeError(
             f"closed-loop matrix is {a_arr.shape} but W is {w_arr.shape}"
         )
-    symmetric, asym = _is_symmetric(w_arr, PSD_ATOL)
+    symmetric, asym = _is_symmetric(w_arr, _cut(w_arr))
     if not symmetric:
         raise NotSymmetricError(
             f"W must be symmetric: max|W - W^T| = {asym:.3e}"
@@ -225,26 +222,20 @@ def solve_lyapunov(a_cl, w, tol: float = 1e-10) -> np.ndarray:
 def _certificate_failure(a, b, msg: str) -> RsmLqrError:
     """The error for a Riccati candidate that failed a certificate:
     ``NotStabilizableError`` when the PBH test finds an eigenvalue of ``A``
-    with ``Re >= -PSD_ATOL (1 + max|A|)`` that ``B`` cannot reach, such as
-    an uncontrollable mode on the imaginary axis, which the sign iteration
-    can split off the axis by round-off; ``NumericalFailureError(msg)``
+    with ``Re >= -RTOL (1 + max|A|)`` that ``B`` cannot reach, such as an
+    uncontrollable mode on the imaginary axis, which the sign iteration can
+    split off the axis by round-off; ``NumericalFailureError(msg)``
     otherwise."""
-    n = a.shape[0]
-    eye = np.eye(n)
-    edge = -PSD_ATOL * (1.0 + _max_abs(a))
-    for lam in np.linalg.eigvals(a):
-        if lam.real < edge:
-            continue
-        pencil = np.hstack([lam * eye - a, b]).astype(complex)
-        if _rank_from_svals(_singular_values(pencil), pencil.shape) < n:
-            return NotStabilizableError(
-                f"(A, B) is not stabilizable: the mode at {lam:.6g} is "
-                f"unreachable ({msg})"
-            )
-    return NumericalFailureError(msg)
+    lam = _pbh_unreachable(a, lambda: b)
+    if lam is None:
+        return NumericalFailureError(msg)
+    return NotStabilizableError(
+        f"(A, B) is not stabilizable: the mode at {lam:.6g} is "
+        f"unreachable ({msg})"
+    )
 
 
-def solve_care(a, b, q, r, tol: float = _CARE_TOL) -> RiccatiSolution:
+def solve_care(a, b, q, r, tol: float = RTOL) -> RiccatiSolution:
     """Stabilizing solution of ``0 = -P A - A^T P - Q + P B R^{-1} B^T P``.
 
     Method: the matrix sign ``S`` of the Hamiltonian
@@ -260,13 +251,15 @@ def solve_care(a, b, q, r, tol: float = _CARE_TOL) -> RiccatiSolution:
     satisfy ``||res||_F <= tol * (1 + ||P||_F ||A||_F)``, ``P`` must be PSD
     and ``A - B R^{-1} B^T P`` Hurwitz.
 
-    Raises ``NotPSDError``/``NotPDError`` for bad weights and
+    ``Q`` and ``R`` pass the weight gate ``require_definite``, which raises
+    ``NotSymmetricError``, ``NotPSDError`` or ``NotPDError``.  Raises
     ``NotStabilizableError`` when a singular iterate or no convergence
     stops the sign iteration, when the stable dimension
     ``(2n - trace S)/2`` is not ``n``, when the least-squares system has
     rank below ``n``, or when a candidate fails a certificate and the PBH
-    test finds an unreachable eigenvalue of ``A`` with ``Re >= 0``.  Any
-    other certificate failure raises ``NumericalFailureError``.
+    test finds an unreachable eigenvalue of ``A`` with
+    ``Re >= -RTOL (1 + max|A|)``.  Any other certificate failure raises
+    ``NumericalFailureError``.
     """
     a_arr = require_square(a, "A")
     b_arr = require_matrix(b, "B")
@@ -282,24 +275,13 @@ def solve_care(a, b, q, r, tol: float = _CARE_TOL) -> RiccatiSolution:
         raise ShapeError(f"R is {r_arr.shape}, expected {(m, m)}")
     if m < 1:
         raise ShapeError("B must have at least one column")
-    dq = definiteness(q_arr)
-    if not dq.symmetric:
-        raise NotSymmetricError("Q must be symmetric")
-    if not dq.psd:
-        raise NotPSDError(
-            f"Q must be positive semidefinite; min eigenvalue {dq.min_eigenvalue:.6e}"
-        )
-    dr = definiteness(r_arr)
-    if not dr.symmetric:
-        raise NotSymmetricError("R must be symmetric")
-    if not dr.pd:
-        raise NotPDError(
-            f"R must be positive definite; min eigenvalue {dr.min_eigenvalue:.6e}"
-        )
-    return _solve_care(a_arr, b_arr, 0.5 * (q_arr + q_arr.T), 0.5 * (r_arr + r_arr.T), tol)
+    return _solve_care(
+        a_arr, b_arr, require_definite(q_arr, "Q"),
+        require_definite(r_arr, "R", pd=True), tol,
+    )
 
 
-def _solve_care(a, b, q, r, tol: float = _CARE_TOL) -> RiccatiSolution:
+def _solve_care(a, b, q, r, tol: float = RTOL) -> RiccatiSolution:
     """The body of ``solve_care`` on trusted arrays: ``Q`` exactly symmetric
     PSD, ``R`` exactly symmetric PD, shapes matching, ``B`` not empty."""
     n = a.shape[0]
@@ -361,7 +343,7 @@ def _solve_care(a, b, q, r, tol: float = _CARE_TOL) -> RiccatiSolution:
             a, b,
             f"Riccati residual {res_norm:.3e} exceeds {tol:.1e} * {scale:.3e}",
         )
-    d = definiteness(p, max(PSD_ATOL, PSD_ATOL * _max_abs(p)))
+    d = definiteness(p)
     if not d.psd:
         raise _certificate_failure(
             a, b,

@@ -26,8 +26,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NotPDError, NotPSDError, PatternError, ShapeError
-from .matkit import block_diag, definiteness, require_matrix, require_square
+from .errors import PatternError, ShapeError
+# definiteness stays importable from here for perfbench's tracer.
+from .matkit import block_diag, definiteness, require_definite, require_matrix, require_square
 
 
 @dataclass(frozen=True)
@@ -64,28 +65,17 @@ class LinearSystem:
 @dataclass(frozen=True)
 class CostWeights:
     """Quadratic cost pair: ``Q`` symmetric PSD, ``R`` symmetric PD, each
-    stored as ``0.5 (M + M^T)`` once its gate passes, so exactly symmetric."""
+    stored as ``0.5 (M + M^T)`` by the weight gate ``require_definite``, so
+    exactly symmetric."""
 
     Q: np.ndarray
     R: np.ndarray
 
     def __post_init__(self):
-        q = require_square(self.Q, "state weight Q")
-        r = require_square(self.R, "input weight R")
-        dq = definiteness(q)
-        if not (dq.symmetric and dq.psd):
-            raise NotPSDError(
-                f"state weight must be symmetric PSD; symmetric={dq.symmetric}, "
-                f"min eigenvalue {dq.min_eigenvalue:.6e}"
-            )
-        dr = definiteness(r)
-        if not (dr.symmetric and dr.pd):
-            raise NotPDError(
-                f"input weight must be symmetric PD; symmetric={dr.symmetric}, "
-                f"min eigenvalue {dr.min_eigenvalue:.6e}"
-            )
-        object.__setattr__(self, "Q", 0.5 * (q + q.T))
-        object.__setattr__(self, "R", 0.5 * (r + r.T))
+        object.__setattr__(self, "Q", require_definite(self.Q, "state weight Q"))
+        object.__setattr__(
+            self, "R", require_definite(self.R, "input weight R", pd=True)
+        )
 
 
 @dataclass(frozen=True)
@@ -247,14 +237,7 @@ def compose_cost(
             f"coupling matrix has {kmat.shape[0]} rows, expected {n1 + n2}"
         )
     q_c = kmat.T @ block_diag(weights1.Q, weights2.Q) @ kmat
-    r_c = block_diag(weights1.R, weights2.R)
-    d = definiteness(q_c)
-    if not (d.symmetric and d.psd):
-        raise NotPSDError(
-            "composite state weight lost positive semidefiniteness; "
-            f"min eigenvalue {d.min_eigenvalue:.6e}"
-        )
-    return q_c, r_c
+    return require_definite(q_c, "composite state weight"), block_diag(weights1.R, weights2.R)
 
 
 def compose_gains(f1, f2, coupling) -> np.ndarray:

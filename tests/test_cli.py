@@ -17,6 +17,9 @@ COUNTEREXAMPLE = str(PROBLEMS / "counterexample.json")
 SYMMETRIC = str(PROBLEMS / "symmetric_pair.json")
 COUPLED = str(PROBLEMS / "coupled_2x2.json")
 INDEPENDENT = str(PROBLEMS / "independent_pair.json")
+# two identical 2-state subsystems sharing every state, with weights of
+# order 1e6
+SCALED_TWINS = str(Path(__file__).resolve().parent / "data" / "scaled_twins.json")
 
 
 class TestRenderJson:
@@ -210,6 +213,30 @@ class TestParseProblem:
         assert str(info.value) == message
 
 
+    @pytest.mark.parametrize(
+        "index, key, value, message",
+        [
+            pytest.param(
+                1, "Q", [[1.0, 0.0], [0.0, -1.0]],
+                r"\$\.subsystems\[1\]: state weight Q must be positive semidefinite",
+                id="indefinite-Q",
+            ),
+            pytest.param(
+                0, "R", [[1.0, 0.5], [0.0, 1.0]],
+                r"\$\.subsystems\[0\]: input weight R must be symmetric",
+                id="asymmetric-R",
+            ),
+        ],
+    )
+    def test_weight_error_names_subsystem_path(self, tmp_path, index, key, value, message):
+        doc = json.loads(Path(COUPLED).read_text())
+        doc["subsystems"][index][key] = value
+        bad = tmp_path / "weights.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(SchemaError, match=message):
+            parse_problem(str(bad))
+
+
 class TestComposeCommand:
     def test_emits_coupling_and_composite(self, capsys):
         assert main(["compose", COUPLED]) == 0
@@ -320,6 +347,14 @@ class TestCheckCommand:
     def test_symmetric_exits_0(self, capsys):
         assert main(["check", SYMMETRIC]) == 0
         assert "verdict: compositional" in capsys.readouterr().out
+
+    def test_scaled_twins_exit_0(self, capsys):
+        # the same file with the weights divided by 1e6 is compositional; a
+        # change of cost units must not turn that into an error
+        assert main(["check", SCALED_TWINS, "--gap"]) == 0
+        captured = capsys.readouterr()
+        assert "verdict: compositional" in captured.out
+        assert captured.err == ""
 
     def test_one_sided_checks_only(self, capsys):
         # necessary fails on the counterexample: decisive even alone

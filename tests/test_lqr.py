@@ -106,6 +106,14 @@ class TestLqrSubsystem:
         assert design.notes
         assert design.solution.closed_loop_max_re < 0.0
 
+    def test_unweighted_mode_just_left_of_axis_warns(self):
+        # Re = -1e-12 lies within the PBH edge -1e-9 * (1 + max|A|), so the
+        # unweighted first mode counts as on the axis
+        system = LinearSystem("slow", np.diag([-1e-12, -1.0]), np.eye(2))
+        weights = CostWeights(np.diag([0.0, 1.0]), np.eye(2))
+        with pytest.warns(DetectabilityWarning):
+            lqr_subsystem(system, weights)
+
     def test_detectable_weight_does_not_warn(self):
         import warnings
 

@@ -5,6 +5,7 @@ import scipy.linalg
 import rsmlqr.matkit
 from rsmlqr.errors import (
     InvalidMatrixError,
+    NotPDError,
     NotPSDError,
     NotSymmetricError,
     ShapeError,
@@ -19,6 +20,7 @@ from rsmlqr.matkit import (
     is_hurwitz,
     is_observable,
     psd_sqrt_factor,
+    require_definite,
     require_matrix,
     sym_eig,
 )
@@ -171,8 +173,6 @@ class TestSymEig:
         m = [[1.0, 1.0 + 1e-7], [1.0, 1.0]]
         with pytest.raises(NotSymmetricError):
             sym_eig(m)
-        w, _ = sym_eig(m, tol=1e-6)
-        assert w.shape == (2,)
 
 
 def rank_svd(m):
@@ -292,6 +292,49 @@ class TestPsdSqrtFactor:
             d = psd_sqrt_factor(m)
             assert np.linalg.norm(d.T @ d - m) <= 1e-9 * (1.0 + np.linalg.norm(m))
             assert d.shape[0] == min(rows, cols) == np.linalg.matrix_rank(m)
+
+
+class TestScaledDefiniteness:
+    """Definiteness decisions cut at ``1e-9 * (1 + max|M|)``, so scaling a
+    matrix by a constant, a change of units, leaves every verdict as it is."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_rank_deficient_gram(self, seed):
+        v = np.random.default_rng(seed).standard_normal((5, 2))
+        for c in (1e-3, 1.0, 1e3, 1e6, 1e8):
+            m = c * (v @ v.T)
+            assert definiteness(m).psd, c
+            assert psd_sqrt_factor(m).shape == (2, 5), c
+
+    def test_eigenvalues_just_inside_the_cut_are_dropped(self):
+        # nine eigenvalues just below the cut 2e-9: dropping them moves the
+        # factor by 3 * 1.9e-9, within the sqrt(n) * cut it may move
+        m = np.diag([1.0] + [1.9e-9] * 9)
+        assert psd_sqrt_factor(m).shape == (1, 10)
+
+    def test_pd_is_relative(self):
+        assert definiteness(np.diag([1.0, 1e-6])).pd
+        assert not definiteness(np.diag([1e6, 1e-6])).pd
+
+
+class TestRequireDefinite:
+    def test_returns_symmetrized(self):
+        m = np.array([[2.0, 1.0], [1.0 + 1e-10, 2.0]])
+        out = require_definite(m, "W", pd=True)
+        np.testing.assert_array_equal(out, out.T)
+        np.testing.assert_allclose(out, m, atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "m, pd, error, message",
+        [
+            ([[1.0, 1.0], [0.0, 1.0]], False, NotSymmetricError, "W must be symmetric"),
+            ([[1.0, 0.0], [0.0, -1.0]], False, NotPSDError, "W must be positive semidefinite"),
+            ([[1.0, 0.0], [0.0, 0.0]], True, NotPDError, "W must be positive definite"),
+        ],
+    )
+    def test_raises_with_name(self, m, pd, error, message):
+        with pytest.raises(error, match=message):
+            require_definite(m, "W", pd=pd)
 
 
 class TestControllability:

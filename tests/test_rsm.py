@@ -4,7 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from rsmlqr.errors import NotPDError, NotPSDError, PatternError, ShapeError
+from rsmlqr.errors import (
+    NotPDError,
+    NotPSDError,
+    NotSymmetricError,
+    PatternError,
+    ShapeError,
+)
 from rsmlqr.matkit import is_hurwitz
 from rsmlqr.rsm import (
     CompositionPattern,
@@ -173,7 +179,7 @@ class TestCostWeights:
             CostWeights([[1.0]], [[0.0]])
 
     def test_rejects_asymmetric(self):
-        with pytest.raises(NotPSDError):
+        with pytest.raises(NotSymmetricError):
             CostWeights([[1.0, 1.0], [0.0, 1.0]], np.eye(2))
 
     def test_psd_state_weight_allowed(self):

@@ -175,7 +175,11 @@ class CompositionAnalysis(CompositionDesign):
 def _pbh_detectable(a: np.ndarray, q: np.ndarray) -> bool:
     """Every eigenvalue with ``Re >= -RTOL (1 + max|A|)`` must be observable
     through ``sqrt(Q)``: the PBH test of the dual pair ``(A^T, sqrt(Q)^T)``.
-    ``Q`` is factored only when there is such an eigenvalue."""
+    A ``Q`` that ``definiteness`` finds PD makes every mode observable, so
+    the PBH eigenvalues are computed only for a singular ``Q``, and ``Q``
+    is factored only when there is such an eigenvalue."""
+    if definiteness(q).pd:
+        return True
     return _pbh_unreachable(a.T, lambda: psd_sqrt_factor(q).T) is None
 
 
@@ -389,7 +393,9 @@ def evaluate_composition(
 
     gap = None
     if x0 is not None:
-        gap = sim.optimality_gap(composite, q_c, r_c, f_composed, direct.F, x0)
+        gap = sim.optimality_gap(
+            composite, q_c, r_c, f_composed, direct.solution, x0
+        )
 
     if sufficient.predicts_compositional and not exact.equivalent:
         raise InconsistencyError(

@@ -3,16 +3,23 @@
 Both solvers rest on one numpy kernel, ``_sign_newton``: the matrix sign
 function by the scaled Newton iteration ``Z <- (Z/c + c Z^{-1})/2``
 (Roberts, Int. J. Control 32, 1980; Byers, Linear Algebra Appl. 85, 1987).
-The scale is ``c = |det Z|^{1/n}`` until the relative step falls to 1e-2,
-and 1 after that.  The iteration has converged once
-``||dZ||_F <= 1e-13 ||Z||_F``, or once a step below 1e-6 relative is no
-longer half the one before it, which is the round-off floor of an
-ill-conditioned sign.  A singular iterate, or no convergence within
+The scale is read off the inverse the step forms anyway, so each step is
+one LU: the norm scaling ``c = sqrt(||Z||_F / ||Z^{-1}||_F)`` (Kenney &
+Laub, SIAM J. Matrix Anal. Appl. 13, 1992) for the Hamiltonian, and
+``c = sqrt(tr Z / tr Z^{-1})`` for the Hurwitz matrix of a Lyapunov solve,
+where both traces are negative and the scale depends on the eigenvalues
+alone.  Scaling stops once the relative step falls to 1e-2.  The iteration
+has converged once ``||dZ||_F <= 1e-13 ||Z||_F``, or once a step below 1e-6
+relative is no longer half the one before it, which is the round-off floor
+of an ill-conditioned sign.  A singular iterate, or no convergence within
 ``_SIGN_MAX_ITER = 100`` steps, stops it with ``np.linalg.LinAlgError``.
 
 The Riccati solver takes the sign ``S`` of the Hamiltonian matrix and reads
 ``P`` off its stable invariant subspace, the null space of ``S + I``, by
-least squares.  It then polishes the candidate with a few Newton sweeps in
+least squares.  It first balances the Hamiltonian's off-diagonal blocks
+``G`` and ``Q`` by a power of two (an exact similarity), since the norm
+scaling reads ``||H||``, which unbalanced blocks inflate past the
+spectrum.  It then polishes the candidate with a few Newton sweeps in
 correction form, each of which is one Lyapunov solve for the step.  The
 sign step can leave a residual well above round-off on badly scaled
 problems; the polish brings it back down without changing which solution
@@ -20,7 +27,11 @@ is selected.
 
 Every Lyapunov equation, whether from ``solve_lyapunov`` or from a Newton
 sweep, is solved by the same iteration on ``A_cl`` carrying ``W`` along
-(``W <- (W/c + c Z^{-T} W Z^{-1})/2``, whose limit is ``2 X``).
+(``W <- (W/c + c Z^{-T} W Z^{-1})/2``, whose limit is ``2 X``).  Its
+Hurwitz gate is read off the sign it computes, by the rule the Riccati
+solver applies to the Hamiltonian: the stable count ``(n - trace S)/2``
+must be ``n``.  The eigenvalues of ``A_cl`` are computed only when that
+gate or the iteration fails, to name the largest real part in the error.
 ``solve_lyapunov`` then verifies the result against its relative residual
 tolerance of 1e-10.
 
@@ -129,12 +140,24 @@ def _sign_newton(z: np.ndarray, w: np.ndarray | None = None):
 
     Each step is ``Z <- (Z/c + c Z^{-1})/2`` and, when ``w`` is given,
     ``W <- (W/c + c Z^{-T} W Z^{-1})/2`` with the same ``Z`` and ``c``
-    (``W_inf`` is ``None`` otherwise).  ``c = |det Z|^{1/n}`` until the
-    relative step falls to ``_SIGN_SCALE_TOL``, so ``slogdet`` runs only in
-    the first steps.  Converged when ``||dZ||_F <= _SIGN_TOL ||Z||_F``, or
-    when a step below ``_SIGN_FLOOR_TOL ||Z||_F`` is not half the one
-    before it.  Raises ``np.linalg.LinAlgError`` for a singular iterate or
-    no convergence within ``_SIGN_MAX_ITER`` steps.
+    (``W_inf`` is ``None`` otherwise).  The scale is read off the inverse
+    the step forms, so each step is one LU, until the relative step falls
+    to ``_SIGN_SCALE_TOL``, and is 1 after that:
+
+    - the norm scaling ``c = sqrt(||Z||_F / ||Z^{-1}||_F)``, in general;
+    - ``c = sqrt(tr Z / tr Z^{-1})`` when ``w`` is given and the ratio is
+      positive, as it is for a Hurwitz ``Z``.  Both traces are sums of
+      negative real parts, and ``c^2`` is a weighted mean of the
+      ``|lambda|^2`` with weights ``-Re lambda / |lambda|^2``.  Like
+      determinantal scaling, it reads the eigenvalues only, where the norm
+      scaling of a strongly non-normal ``Z`` also reads its departure from
+      normality.
+
+    Converged when ``||dZ||_F <= _SIGN_TOL ||Z||_F``, or when a step below
+    ``_SIGN_FLOOR_TOL ||Z||_F`` is not half the one before it.  Raises
+    ``np.linalg.LinAlgError`` for a singular iterate (an LU that breaks
+    down or an inverse that is not finite) or no convergence within
+    ``_SIGN_MAX_ITER`` steps.
     """
     n = z.shape[0]
     if n == 0:
@@ -143,12 +166,20 @@ def _sign_newton(z: np.ndarray, w: np.ndarray | None = None):
     scaling = True
     last2 = float("inf")
     for _ in range(_SIGN_MAX_ITER):
+        try:
+            z_inv = np.linalg.inv(z)
+        except np.linalg.LinAlgError as exc:
+            raise np.linalg.LinAlgError("singular iterate") from exc
+        inv2 = float(np.vdot(z_inv, z_inv))
+        if not np.isfinite(inv2):
+            raise np.linalg.LinAlgError("singular iterate")
         if scaling:
-            sign, logdet = np.linalg.slogdet(z)
-            if sign == 0.0:
-                raise np.linalg.LinAlgError("singular iterate")
-            c = float(np.exp(logdet / n))
-        z_inv = np.linalg.inv(z)
+            tr_inv = float(np.trace(z_inv)) if w is not None else 0.0
+            ratio = float(np.trace(z)) / tr_inv if tr_inv < 0.0 else 0.0
+            if ratio > 0.0:
+                c = ratio**0.5
+            else:
+                c = (float(np.vdot(z, z)) / inv2) ** 0.25
         z_next = 0.5 * (z / c + c * z_inv)
         if w is not None:
             w = 0.5 * (w / c + c * (z_inv.T @ w @ z_inv))
@@ -168,23 +199,52 @@ def _sign_newton(z: np.ndarray, w: np.ndarray | None = None):
     )
 
 
+def _not_hurwitz(a_cl: np.ndarray, unstable: int | None = None) -> RsmLqrError:
+    """The error for a Lyapunov solve whose Hurwitz gate failed: the sign
+    counted ``unstable`` eigenvalues with ``Re >= 0`` (``None`` when the
+    iteration itself stopped).  ``NotHurwitzError`` naming the largest real
+    part when ``A_cl`` is not Hurwitz or the sign says so;
+    ``NumericalFailureError`` for a stopped iteration on a Hurwitz
+    matrix."""
+    hur = is_hurwitz(a_cl)
+    if hur.hurwitz and unstable is None:
+        return NumericalFailureError(
+            "Lyapunov solve failed: the sign iteration stopped on a Hurwitz "
+            f"matrix (max real part {hur.max_real_part:.6e})"
+        )
+    count = "an eigenvalue" if unstable is None else f"{unstable} eigenvalue(s)"
+    return NotHurwitzError(
+        f"closed-loop matrix has {count} with real part >= 0 "
+        f"(max real part {hur.max_real_part:.6e})"
+    )
+
+
 def _lyap_core(a_cl: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Solve A^T X + X A = -W for Hurwitz A as half the ``W`` that the sign
-    iteration on A carries; symmetric result."""
+    """Solve A^T X + X A = -W as half the ``W`` that the sign iteration on
+    A carries; symmetric result.  The Hurwitz gate is the stable count
+    ``(n - trace S)/2 = n``: ``NotHurwitzError`` when the sign counts an
+    unstable eigenvalue, or when the iteration stops on a matrix that is
+    not Hurwitz; ``NumericalFailureError`` when it stops on one that is."""
     try:
-        x = 0.5 * _sign_newton(a_cl, w)[1]
+        s, w_inf = _sign_newton(a_cl, w)
     except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"Lyapunov solve failed: {exc}") from exc
+        raise _not_hurwitz(a_cl) from exc
+    unstable = round(0.5 * (a_cl.shape[0] + float(np.trace(s))))
+    if unstable:
+        raise _not_hurwitz(a_cl, unstable)
+    x = 0.5 * w_inf
     return 0.5 * (x + x.T)
 
 
 def solve_lyapunov(a_cl, w, tol: float = 1e-10) -> np.ndarray:
     """Solve ``A_cl^T X + X A_cl + W = 0`` for symmetric ``X``.
 
-    ``A_cl`` must be Hurwitz (checked, since otherwise the solution need not
-    exist or be unique) and ``W`` symmetric.  The relative residual
-    ``||A_cl^T X + X A_cl + W||_F / (1 + ||W||_F)`` is verified against
-    ``tol``, with two refinement passes (three solves) before giving up.
+    ``A_cl`` must be Hurwitz, since otherwise the solution need not exist
+    or be unique: the solve reads that off the sign of ``A_cl`` it computes
+    and raises ``NotHurwitzError`` otherwise.  ``W`` must be symmetric.
+    The relative residual ``||A_cl^T X + X A_cl + W||_F / (1 + ||W||_F)``
+    is verified against ``tol``, with two refinement passes (three solves)
+    before giving up.
     """
     a_arr = require_square(a_cl, "closed-loop matrix")
     w_arr = require_square(w, "W")
@@ -196,12 +256,6 @@ def solve_lyapunov(a_cl, w, tol: float = 1e-10) -> np.ndarray:
     if not symmetric:
         raise NotSymmetricError(
             f"W must be symmetric: max|W - W^T| = {asym:.3e}"
-        )
-    hur = is_hurwitz(a_arr)
-    if not hur.hurwitz:
-        raise NotHurwitzError(
-            f"closed-loop matrix has an eigenvalue with real part "
-            f"{hur.max_real_part:.6e} >= 0"
         )
     w_sym = 0.5 * (w_arr + w_arr.T)
     x = _lyap_core(a_arr, w_sym)
@@ -219,16 +273,19 @@ def solve_lyapunov(a_cl, w, tol: float = 1e-10) -> np.ndarray:
     )
 
 
-def _certificate_failure(a, b, msg: str) -> RsmLqrError:
-    """The error for a Riccati candidate that failed a certificate:
-    ``NotStabilizableError`` when the PBH test finds an eigenvalue of ``A``
-    with ``Re >= -RTOL (1 + max|A|)`` that ``B`` cannot reach, such as an
+def _certificate_failure(
+    a, b, msg: str, otherwise: type[RsmLqrError] = NumericalFailureError
+) -> RsmLqrError:
+    """The error for a Riccati candidate that failed a certificate, or for
+    a Hamiltonian sign iteration that stopped: ``NotStabilizableError``
+    when the PBH test finds an eigenvalue of ``A`` with
+    ``Re >= -RTOL (1 + max|A|)`` that ``B`` cannot reach, such as an
     uncontrollable mode on the imaginary axis, which the sign iteration can
-    split off the axis by round-off; ``NumericalFailureError(msg)``
-    otherwise."""
+    split off the axis by round-off; ``otherwise(msg)`` if it finds
+    none."""
     lam = _pbh_unreachable(a, lambda: b)
     if lam is None:
-        return NumericalFailureError(msg)
+        return otherwise(msg)
     return NotStabilizableError(
         f"(A, B) is not stabilizable: the mode at {lam:.6g} is "
         f"unreachable ({msg})"
@@ -243,22 +300,26 @@ def solve_care(a, b, q, r, tol: float = RTOL) -> RiccatiSolution:
         H = [[ A, -B R^{-1} B^T ],
              [-Q,          -A^T ]]
 
-    by the scaled Newton iteration (at most ``_SIGN_MAX_ITER = 100``
-    steps); the stable invariant subspace ``[I; P]`` is the null space of
-    ``S + I``, so ``P`` is the least-squares solution of
-    ``[S12; S22 + I] P = -[S11 + I; S21]``.  Up to five Newton sweeps (one
-    Lyapunov solve each) then reduce the residual.  The final residual must
+    by the norm-scaled Newton iteration (at most ``_SIGN_MAX_ITER = 100``
+    steps), taken after the exact balancing ``G -> sigma G``,
+    ``Q -> Q / sigma`` with ``sigma`` the power of two nearest
+    ``sqrt(||Q||_F / ||G||_F)``; the stable invariant subspace
+    ``[I; P / sigma]`` is the null space of ``S + I``, so ``P / sigma`` is
+    the least-squares solution of ``[S12; S22 + I] X = -[S11 + I; S21]``.
+    Up to five Newton sweeps (one Lyapunov solve each) then reduce the
+    residual.  The final residual must
     satisfy ``||res||_F <= tol * (1 + ||P||_F ||A||_F)``, ``P`` must be PSD
     and ``A - B R^{-1} B^T P`` Hurwitz.
 
     ``Q`` and ``R`` pass the weight gate ``require_definite``, which raises
     ``NotSymmetricError``, ``NotPSDError`` or ``NotPDError``.  Raises
     ``NotStabilizableError`` when a singular iterate or no convergence
-    stops the sign iteration, when the stable dimension
-    ``(2n - trace S)/2`` is not ``n``, when the least-squares system has
-    rank below ``n``, or when a candidate fails a certificate and the PBH
-    test finds an unreachable eigenvalue of ``A`` with
-    ``Re >= -RTOL (1 + max|A|)``.  Any other certificate failure raises
+    stops the sign iteration, when the stable dimension ``(2n - trace S)/2``
+    is not ``n``, when the least-squares system has rank below ``n``, or
+    when a candidate fails a certificate and the PBH test finds an
+    unreachable eigenvalue of ``A`` with ``Re >= -RTOL (1 + max|A|)``.  A
+    stopped sign iteration runs the same PBH test, so its error names the
+    unreachable mode when there is one.  Any other certificate failure raises
     ``NumericalFailureError``.
     """
     a_arr = require_square(a, "A")
@@ -287,17 +348,27 @@ def _solve_care(a, b, q, r, tol: float = RTOL) -> RiccatiSolution:
     n = a.shape[0]
     g = b @ np.linalg.solve(r, b.T)
     g = 0.5 * (g + g.T)
+    # The norm scaling reads ||H||, which an unbalanced pair of off-diagonal
+    # blocks inflates far past the spectrum.  With P = sigma P_hat, P_hat
+    # solves the CARE of (A, sigma G, Q / sigma); sigma is the power of two
+    # nearest sqrt(||Q||_F / ||G||_F), so the balancing is exact.
+    q_norm, g_norm = float(np.linalg.norm(q)), float(np.linalg.norm(g))
+    sigma = 1.0
+    if q_norm > 0.0 and g_norm > 0.0:
+        sigma = 2.0 ** round(0.5 * (np.log2(q_norm) - np.log2(g_norm)))
     ham = np.empty((2 * n, 2 * n))
     ham[:n, :n] = a
-    ham[:n, n:] = -g
-    ham[n:, :n] = -q
+    ham[:n, n:] = -sigma * g
+    ham[n:, :n] = -q / sigma
     ham[n:, n:] = -a.T
     try:
         s = _sign_newton(ham)[0]
     except np.linalg.LinAlgError as exc:
-        raise NotStabilizableError(
+        raise _certificate_failure(
+            a, b,
             f"Hamiltonian sign iteration failed ({exc}); (A, B) is likely not "
-            "stabilizable or the Hamiltonian spectrum touches the imaginary axis"
+            "stabilizable or the Hamiltonian spectrum touches the imaginary axis",
+            NotStabilizableError,
         ) from exc
     stable = round(n - 0.5 * float(np.trace(s)))
     if stable != n:
@@ -318,7 +389,7 @@ def _solve_care(a, b, q, r, tol: float = RTOL) -> RiccatiSolution:
             "stable subspace basis is singular in the state coordinates; "
             "no stabilizing solution exists"
         )
-    p = 0.5 * (p + p.T)
+    p = sigma * (0.5 * (p + p.T))
 
     res, res_norm = _care_residual(a, b, q, r, p)
     # Newton polish in correction form: with Res(P) the residual above and
@@ -328,10 +399,10 @@ def _solve_care(a, b, q, r, tol: float = RTOL) -> RiccatiSolution:
         scale = tol * (1.0 + float(np.linalg.norm(p)) * float(np.linalg.norm(a)))
         if res_norm <= 0.01 * scale:
             break
-        a_cl = a - g @ p
-        if not is_hurwitz(a_cl).hurwitz:
+        try:
+            p_next = p + _lyap_core(a - g @ p, -0.5 * (res + res.T))
+        except NotHurwitzError:
             break
-        p_next = p + _lyap_core(a_cl, -0.5 * (res + res.T))
         res_next, next_norm = _care_residual(a, b, q, r, p_next)
         if next_norm >= res_norm:
             break

@@ -2,12 +2,15 @@
 
 Trajectories come from classical fixed-step fourth-order Runge-Kutta.  The
 infinite-horizon quadratic cost is evaluated exactly through a Lyapunov
-solve (``J = x0^T X x0`` with ``A_cl^T X + X A_cl + W = 0``); quadrature
-over a simulated trajectory exists as an independent cross-check, not as
-the primary route.  The cross-check is the package's own composite Simpson
-rule on the sample times; an even sample count gets Cartwright's
-correction for the last interval.  Unstable closed loops get an infinite
-cost sentinel rather than an exception, so searches can keep moving.
+solve (``J = x0^T X x0`` with ``A_cl^T X + X A_cl + W = 0``), whose Hurwitz
+gate is read off the matrix sign the solve computes.  The direct design's
+cost needs no solve: its certified Riccati solution is its cost matrix.
+Quadrature over a simulated trajectory exists as an independent
+cross-check, not as the primary route.  The cross-check is the package's
+own composite Simpson rule on the sample times; an even sample count gets
+Cartwright's correction for the last interval.  Unstable closed loops get
+an infinite cost sentinel rather than an exception, so searches can keep
+moving.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from .errors import NotHurwitzError, ShapeError
 from .matkit import require_matrix, require_square
-from .riccati import solve_lyapunov
+from .riccati import RiccatiSolution, solve_lyapunov
 from .rsm import CompositeSystem
 
 # A state beyond this magnitude means the loop is blowing up; integrating
@@ -129,30 +132,45 @@ def closed_loop_cost(a, b, f, q, r, x0) -> CostResult:
 
 
 def optimality_gap(
-    composite: CompositeSystem, q, r, f_composed, f_direct, x0
+    composite: CompositeSystem, q, r, f_composed, direct: RiccatiSolution, x0
 ) -> GapResult:
     """Cost of the composed block design minus the cost of the direct
     composite design, from the same initial state.
 
+    ``direct`` is the certified Riccati solution of the composite under the
+    weights ``q`` and ``r``.  Its ``P_c`` is the direct loop's cost matrix:
+    with ``A_cl = A + B F`` and ``F = -R^{-1} B^T P_c``, the Riccati
+    identity gives ``A_cl^T P_c + P_c A_cl + Q + F^T R F = -Res(P_c)``, so
+    ``J_direct = x0^T P_c x0`` is exact up to the certified residual, and
+    the direct loop is stable by ``direct.closed_loop_max_re < 0``.  Only
+    the composed loop takes a Lyapunov solve (``closed_loop_cost``).
+
     When exactly one loop is stable the gap is ``+/-inf`` (composed
     unstable gives ``+inf``); when neither is, it is NaN.
     """
+    if direct.P.shape != (composite.n, composite.n):
+        raise ShapeError(
+            f"direct Riccati solution is {direct.P.shape}, expected "
+            f"{(composite.n, composite.n)}"
+        )
     composed = closed_loop_cost(composite.A, composite.B, f_composed, q, r, x0)
-    direct = closed_loop_cost(composite.A, composite.B, f_direct, q, r, x0)
-    if composed.stable and direct.stable:
-        gap = composed.value - direct.value
+    x = _state_vector(x0, composite.n)
+    stable_direct = direct.closed_loop_max_re < 0.0
+    j_direct = max(float(x @ direct.P @ x), 0.0) if stable_direct else math.inf
+    if composed.stable and stable_direct:
+        gap = composed.value - j_direct
     elif composed.stable:
         gap = -math.inf
-    elif direct.stable:
+    elif stable_direct:
         gap = math.inf
     else:
         gap = math.nan
     return GapResult(
         J_composed=composed.value,
-        J_direct=direct.value,
+        J_direct=j_direct,
         gap=gap,
         stable_composed=composed.stable,
-        stable_direct=direct.stable,
+        stable_direct=stable_direct,
     )
 
 

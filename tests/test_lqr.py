@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from rsmlqr import lqr
+from rsmlqr import lqr, sim
 from rsmlqr.errors import (
     DetectabilityWarning,
     NotPSDError,
@@ -122,13 +122,17 @@ class TestLqrSubsystem:
             lqr_subsystem(scalar_system("one", -1.0), UNIT_WEIGHTS)
 
     @pytest.mark.parametrize(
-        "a, factors",
+        "a, q, factors",
         [
-            (np.diag([-1.0, -2.0]), 0),  # stable: no eigenvalue to test
-            (np.diag([1.0, -2.0]), 1),  # one unstable eigenvalue
+            # a PD Q makes every mode observable: never factored
+            pytest.param(np.diag([-1.0, -2.0]), np.eye(2), 0, id="stable-pd_q"),
+            pytest.param(np.diag([1.0, -2.0]), np.eye(2), 0, id="unstable-pd_q"),
+            # a singular Q is factored only when A has an eigenvalue to test
+            pytest.param(np.diag([-1.0, -2.0]), np.diag([1.0, 0.0]), 0, id="stable-singular_q"),
+            pytest.param(np.diag([1.0, -2.0]), np.diag([1.0, 0.0]), 1, id="unstable-singular_q"),
         ],
     )
-    def test_state_weight_factored_only_for_unstable_modes(self, monkeypatch, a, factors):
+    def test_state_weight_factored_only_for_unstable_modes(self, monkeypatch, a, q, factors):
         calls = []
         factor = lqr.psd_sqrt_factor
 
@@ -137,7 +141,7 @@ class TestLqrSubsystem:
             return factor(m)
 
         monkeypatch.setattr(lqr, "psd_sqrt_factor", counting)
-        lqr_subsystem(LinearSystem("s", a, np.eye(2)), CostWeights(np.eye(2), np.eye(2)))
+        lqr_subsystem(LinearSystem("s", a, np.eye(2)), CostWeights(q, np.eye(2)))
         assert len(calls) == factors
 
 
@@ -435,6 +439,37 @@ class TestEvaluateComposition:
                     a_s, b_s, kmat, analysis.Q, analysis.R, x
                 )[1]
                 assert field == public
+
+    def test_gap_work_counts(self, monkeypatch):
+        # Composite order 42 with PD weights: the designs compute no
+        # determinant, the PBH eigenvalues are skipped for the PD Q, the
+        # direct cost is x0' P_c x0, and the Lyapunov solves read their
+        # Hurwitz gate off the sign.  What is left of the nonsymmetric
+        # eigenvalue calls is one closed-loop certificate per design.
+        rng = np.random.default_rng(42)
+        sys1, sys2, pattern, w1, w2 = sample_instance(rng, (24, 24), (2, 2), (6, 6))
+        counts = {"slogdet": 0, "eigvals": 0, "solve_lyapunov": 0}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(np.linalg, "slogdet")
+        counting(np.linalg, "eigvals")
+        counting(sim, "solve_lyapunov")
+        analysis = evaluate_composition(
+            sys1, sys2, pattern, w1, w2, x0=np.ones(42)
+        )
+        assert analysis.composite.n == 42
+        assert analysis.report.gap.stable_composed
+        assert counts["slogdet"] == 0
+        assert counts["solve_lyapunov"] == 1
+        assert counts["eigvals"] <= 3
 
 
 class TestCounterexampleSearch:

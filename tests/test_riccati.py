@@ -1,8 +1,8 @@
 import math
+import re
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 try:
     from hypothesis import given, settings
@@ -219,6 +219,32 @@ class TestSignNewton:
         with pytest.raises(np.linalg.LinAlgError, match="singular iterate"):
             riccati._sign_newton(np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
+    def test_singular_input_is_a_singular_iterate(self):
+        # the LU breaks down on the first step; its error becomes the
+        # kernel's own
+        with pytest.raises(np.linalg.LinAlgError, match="singular iterate"):
+            riccati._sign_newton(np.diag([0.0, 1.0]))
+
+    def test_norm_scaling_one_lu_per_step(self, monkeypatch):
+        # eigenvalues 1e-3 .. 1e3 either side of the axis: the scaled
+        # iteration reaches the sign in a handful of steps, one inverse each
+        calls = []
+        inv = np.linalg.inv
+
+        def counting(m):
+            calls.append(m.shape[0])
+            return inv(m)
+
+        rng = np.random.default_rng(21)
+        v = rng.standard_normal((6, 6))
+        d = np.array([-1e3, -1.0, -1e-3, 1e-3, 1.0, 1e3])
+        monkeypatch.setattr(np.linalg, "inv", counting)
+        monkeypatch.setattr(np.linalg, "slogdet", None)
+        s, _ = riccati._sign_newton(v @ np.diag(d) @ inv(v))
+        exact = v @ np.diag(np.sign(d)) @ inv(v)
+        assert np.linalg.norm(s - exact) <= 1e-9 * np.linalg.norm(exact)
+        assert 1 <= len(calls) <= 10
+
     def test_no_convergence_within_cap(self):
         z = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
         with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
@@ -267,6 +293,14 @@ class TestSolveCareErrors:
         a = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
         with pytest.raises(NotStabilizableError, match="0\\+1j is unreachable"):
             solve_care(a, [[0.0], [0.0], [1.0]], np.eye(3), [[1.0]])
+
+    def test_sign_failure_with_every_mode_reachable(self):
+        # (A, B) is controllable, but Q = 0 leaves A's modes at +-i
+        # unobserved, so the Hamiltonian has eigenvalues on the axis: the
+        # PBH test finds no unreachable mode and the failure stays typed
+        a = np.array([[0.0, 1.0], [-1.0, 0.0]])
+        with pytest.raises(NotStabilizableError, match="sign iteration failed"):
+            solve_care(a, np.eye(2), np.zeros((2, 2)), np.eye(2))
 
     def test_singular_hamiltonian(self):
         # the first state is a zero eigenvalue that B cannot reach and Q
@@ -322,6 +356,22 @@ class TestSolveLyapunov:
         with pytest.raises(NotHurwitzError):
             solve_lyapunov([[0.0, 1.0], [-1.0, 0.0]], np.eye(2))
 
+    @pytest.mark.parametrize(
+        "a, max_re",
+        [
+            # the sign counts one unstable eigenvalue
+            (np.diag([-1.0, 0.5, -2.0]), "5.000000e-01"),
+            # +-2i stay on the axis under every Newton step, so the
+            # iteration stops and the eigenvalues name the failure
+            (np.array([[0.0, 2.0, 0.0], [-2.0, 0.0, 0.0], [0.0, 0.0, -3.0]]), "0.000000e+00"),
+        ],
+        ids=["unstable", "imaginary_axis"],
+    )
+    def test_hurwitz_gate_names_max_real_part(self, a, max_re, lyap_calls):
+        with pytest.raises(NotHurwitzError, match=re.escape(f"max real part {max_re}")):
+            solve_lyapunov(a, np.eye(3))
+        assert len(lyap_calls) == 1
+
     def test_asymmetric_w_rejected(self):
         with pytest.raises(NotSymmetricError):
             solve_lyapunov(np.diag([-1.0, -1.0]), [[1.0, 0.5], [0.0, 1.0]])
@@ -353,8 +403,11 @@ class TestSolveLyapunov:
     )
     def test_residual_non_normal(self, n, c, rotate):
         # Jordan-like A = -I + c * superdiagonal: every eigenvalue is -1 but
-        # the solution grows like c^(2(n-1)), far beyond ||W||.  The rotated
-        # variant hides the triangular structure from the Schur step.
+        # the solution grows like c^(2(n-1)), far beyond ||W||.  Unrotated,
+        # A is triangular with dyadic entries and its Lyapunov scale is 1
+        # (both traces are -n), so the sign iteration stays exact; a 1-ulp
+        # error in that X would leave a residual near 1e-7.  The rotated
+        # variant hides the structure.
         a = -np.eye(n) + c * np.diag(np.ones(n - 1), 1)
         if rotate:
             u, _ = np.linalg.qr(np.random.default_rng(8).standard_normal((n, n)))
@@ -367,13 +420,14 @@ class TestSolveLyapunov:
         np.testing.assert_allclose(x, x.T, atol=1e-12)
 
     def test_tight_tol_refines_or_fails_typed(self, lyap_calls):
-        # At n = 20 one Bartels-Stewart solve leaves a relative residual
-        # around 1e-14, so tol = 1e-15 forces the refinement pass.
-        rng = np.random.default_rng(1400)
-        n, tol = 20, 1e-15
-        a = random_hurwitz(rng, n)
-        g = rng.standard_normal((n, n))
-        w = g.T @ g
+        # The rotated Jordan-like A of test_residual_non_normal: every
+        # eigenvalue is -1 but ||X|| is about 2.7e3, and one solve leaves a
+        # relative residual near 5e-11, so tol = 1e-12 forces the
+        # refinement pass.
+        n, c, tol = 4, 5.0, 1e-12
+        u, _ = np.linalg.qr(np.random.default_rng(8).standard_normal((n, n)))
+        a = u @ (-np.eye(n) + c * np.diag(np.ones(n - 1), 1)) @ u.T
+        w = np.eye(n)
         try:
             x = solve_lyapunov(a, w, tol=tol)
         except NumericalFailureError:
@@ -403,8 +457,7 @@ class TestSolveLyapunov:
         ts = np.linspace(0.0, 40.0, 40001)
         states = (np.exp(np.outer(ts, evals)) * coef) @ vecs.T
         vals = np.einsum("ti,ij,tj->t", states.real, w, states.real)
-        from scipy.integrate import simpson
-
+        simpson = pytest.importorskip("scipy.integrate").simpson
         quad = simpson(vals, x=ts)
         assert quad == pytest.approx(float(x0 @ x @ x0), rel=1e-6)
 
@@ -484,8 +537,9 @@ def test_care_matches_scipy(seed, n, m, q_exp, r_exp, unstable):
     q = (g.T @ g + 0.1 * np.eye(n)) * 10.0**q_exp
     h = rng.standard_normal((m, m))
     r = (h.T @ h + 0.1 * np.eye(m)) * 10.0**r_exp
+    linalg = pytest.importorskip("scipy.linalg")
     sol = solve_care(a, b, q, r)
-    ref = scipy.linalg.solve_continuous_are(a, b, q, r)
+    ref = linalg.solve_continuous_are(a, b, q, r)
     assert np.linalg.norm(sol.P - ref) <= 1e-7 * np.linalg.norm(ref)
     _, res = care_residual(a, b, q, r, sol.P)
     assert res <= 1e-9 * (1.0 + np.linalg.norm(sol.P) * np.linalg.norm(a))
@@ -497,6 +551,7 @@ def test_lyapunov_matches_scipy(seed, n, w_exp):
     a = random_hurwitz(rng, n)
     g = rng.standard_normal((n, n))
     w = g.T @ g * 10.0**w_exp
+    linalg = pytest.importorskip("scipy.linalg")
     x = solve_lyapunov(a, w)
-    ref = scipy.linalg.solve_continuous_lyapunov(a.T, -w)
+    ref = linalg.solve_continuous_lyapunov(a.T, -w)
     assert np.linalg.norm(x - ref) <= 1e-9 * np.linalg.norm(ref)

@@ -2,11 +2,10 @@ import math
 
 import numpy as np
 import pytest
-import scipy
-import scipy.integrate
 
 from rsmlqr.errors import ShapeError
 from rsmlqr.lqr import evaluate_composition, lqr_subsystem, sample_instance
+from rsmlqr.riccati import RiccatiSolution
 from rsmlqr.rsm import (
     CompositionPattern,
     CostWeights,
@@ -24,10 +23,6 @@ from rsmlqr.sim import (
 SQRT2 = math.sqrt(2.0)
 SQRT5 = math.sqrt(5.0)
 SQRT13 = math.sqrt(13.0)
-
-# scipy 1.11 made Cartwright's last-interval correction the default for an
-# even sample count; older releases averaged two trapezoid corrections.
-SCIPY_CARTWRIGHT = tuple(int(p) for p in scipy.__version__.split(".")[:2]) >= (1, 11)
 
 
 class TestSimulate:
@@ -159,7 +154,7 @@ class TestOptimalityGap:
         comp = analysis.composite
         result = optimality_gap(
             comp, analysis.Q, analysis.R, analysis.F_composed,
-            analysis.direct.F, [1.0],
+            analysis.direct.solution, [1.0],
         )
         p1, p2 = SQRT2 - 1.0, SQRT5 - 2.0
         j_direct = (SQRT13 - 3.0) / 2.0
@@ -177,7 +172,7 @@ class TestOptimalityGap:
         analysis = evaluate_composition(s1, s2, pattern, w, w)
         result = optimality_gap(
             analysis.composite, analysis.Q, analysis.R,
-            analysis.F_composed, analysis.direct.F, [1.0],
+            analysis.F_composed, analysis.direct.solution, [1.0],
         )
         assert abs(result.gap) <= 1e-9
 
@@ -185,7 +180,7 @@ class TestOptimalityGap:
         analysis = self._counterexample()
         result = optimality_gap(
             analysis.composite, analysis.Q, analysis.R,
-            analysis.F_composed, analysis.direct.F, [0.0],
+            analysis.F_composed, analysis.direct.solution, [0.0],
         )
         assert result.gap == 0.0
 
@@ -200,10 +195,37 @@ class TestOptimalityGap:
                 x0 = rng.standard_normal(analysis.composite.n)
                 result = optimality_gap(
                     analysis.composite, analysis.Q, analysis.R,
-                    analysis.F_composed, analysis.direct.F, x0,
+                    analysis.F_composed, analysis.direct.solution, x0,
                 )
                 if result.stable_composed and result.stable_direct:
                     assert result.gap >= -1e-8 * (1.0 + abs(result.J_direct))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_direct_cost_matches_scipy_lyapunov(self, seed):
+        # J_direct = x0' P_c x0 is the direct loop's Lyapunov cost
+        linalg = pytest.importorskip("scipy.linalg")
+        rng = np.random.default_rng(70 + seed)
+        sys1, sys2, pattern, w1, w2 = sample_instance(rng, (2, 12), (1, 3), (0, 3))
+        analysis = evaluate_composition(sys1, sys2, pattern, w1, w2)
+        comp, f = analysis.composite, analysis.direct.F
+        x0 = rng.standard_normal(comp.n)
+        result = optimality_gap(
+            comp, analysis.Q, analysis.R, analysis.F_composed,
+            analysis.direct.solution, x0,
+        )
+        w = analysis.Q + f.T @ analysis.R @ f
+        gram = linalg.solve_continuous_lyapunov((comp.A + comp.B @ f).T, -w)
+        assert result.stable_direct
+        assert result.J_direct == pytest.approx(float(x0 @ gram @ x0), rel=1e-9)
+
+    def test_direct_solution_shape_guard(self):
+        analysis = self._counterexample()
+        wrong = RiccatiSolution(np.eye(2), np.zeros((2, 2)), 0.0, -1.0)
+        with pytest.raises(ShapeError):
+            optimality_gap(
+                analysis.composite, analysis.Q, analysis.R,
+                analysis.F_composed, wrong, [1.0],
+            )
 
     def test_unstable_composed_loop_infinite_gap(self):
         # force a composed gain that destabilizes: positive feedback
@@ -211,7 +233,7 @@ class TestOptimalityGap:
         bad = np.array([[10.0], [10.0]])
         result = optimality_gap(
             analysis.composite, analysis.Q, analysis.R, bad,
-            analysis.direct.F, [1.0],
+            analysis.direct.solution, [1.0],
         )
         assert not result.stable_composed and result.stable_direct
         assert result.gap == math.inf
@@ -243,7 +265,14 @@ class TestQuadratureCost:
 
     @pytest.mark.parametrize("samples", [3, 4, 5, 6, 7, 910, 1001, 769, 770])
     def test_equals_scipy_simpson_exactly(self, samples):
-        if samples % 2 == 0 and not SCIPY_CARTWRIGHT:
+        scipy = pytest.importorskip("scipy")
+        import scipy.integrate
+
+        # scipy 1.11 made Cartwright's last-interval correction the default
+        # for an even sample count; older releases averaged two trapezoid
+        # corrections.
+        cartwright = tuple(int(p) for p in scipy.__version__.split(".")[:2]) >= (1, 11)
+        if samples % 2 == 0 and not cartwright:
             pytest.skip("scipy < 1.11 uses another even-count rule")
         a_cl = np.array([[-1.0, 0.5], [-0.7, -2.0]])
         w = np.array([[2.0, 0.3], [0.3, 1.0]])

@@ -43,8 +43,9 @@ from .errors import (
     ShapeError,
 )
 # The pipeline calls private kernels on trusted arrays; solve_care,
-# rectangular_riccati_residual, is_controllable and is_observable stay
-# importable from here because perfbench's tracer wraps them under these names.
+# rectangular_riccati_residual, is_controllable, is_observable and
+# compose_cost stay importable from here because perfbench's tracer wraps
+# them under these names.
 from .matkit import (
     RankTest,
     _kalman_rank,
@@ -71,6 +72,7 @@ from .rsm import (
     CompositionPattern,
     CostWeights,
     LinearSystem,
+    _compose_cost,
     _coupling_array,
     compose_cost,
     compose_gains,
@@ -172,21 +174,17 @@ class CompositionAnalysis(CompositionDesign):
     report: CompositionalityReport
 
 
-def _pbh_detectable(a: np.ndarray, q: np.ndarray) -> bool:
-    """Every eigenvalue with ``Re >= -RTOL (1 + max|A|)`` must be observable
-    through ``sqrt(Q)``: the PBH test of the dual pair ``(A^T, sqrt(Q)^T)``.
-    A ``Q`` that ``definiteness`` finds PD makes every mode observable, so
-    the PBH eigenvalues are computed only for a singular ``Q``, and ``Q``
-    is factored only when there is such an eigenvalue."""
-    if definiteness(q).pd:
-        return True
-    return _pbh_unreachable(a.T, lambda: psd_sqrt_factor(q).T) is None
+def _design(a, b, q, r, label: str, q_pd: bool) -> LQRDesign:
+    """Shared synthesis for arrays the callers have already validated;
+    ``q_pd`` is the weight gate's verdict that ``Q`` is PD.
 
-
-def _design(a, b, q, r, label: str) -> LQRDesign:
-    """Shared synthesis for arrays the callers have already validated."""
+    Detectability: every eigenvalue with ``Re >= -RTOL (1 + max|A|)`` must
+    be observable through ``sqrt(Q)``, the PBH test of the dual pair
+    ``(A^T, sqrt(Q)^T)``.  A PD ``Q`` makes every mode observable, so the
+    PBH eigenvalues are computed only for a singular ``Q``, and ``Q`` is
+    factored only when there is such an eigenvalue."""
     notes: tuple[str, ...] = ()
-    if not _pbh_detectable(a, q):
+    if not q_pd and _pbh_unreachable(a.T, lambda: psd_sqrt_factor(q).T) is not None:
         msg = (
             f"{label}: (A, sqrt(Q)) is not detectable; the stabilizing "
             "solution, if it exists, may not be the optimum"
@@ -208,7 +206,9 @@ def lqr_subsystem(system: LinearSystem, weights: CostWeights) -> LQRDesign:
             f"{system.name}: input weight is {weights.R.shape}, expected "
             f"{(system.m, system.m)}"
         )
-    return _design(system.A, system.B, weights.Q, weights.R, system.name)
+    return _design(
+        system.A, system.B, weights.Q, weights.R, system.name, weights.q_pd
+    )
 
 
 def lqr_composite(composite: CompositeSystem, q, r) -> LQRDesign:
@@ -225,7 +225,9 @@ def lqr_composite(composite: CompositeSystem, q, r) -> LQRDesign:
             f"composite input weight is {weights.R.shape}, expected "
             f"{(composite.m, composite.m)}"
         )
-    return _design(composite.A, composite.B, weights.Q, weights.R, "composite")
+    return _design(
+        composite.A, composite.B, weights.Q, weights.R, "composite", weights.q_pd
+    )
 
 
 def _deviation(lhs: np.ndarray, rhs: np.ndarray, tol: float) -> DeviationCheck:
@@ -344,12 +346,13 @@ def design_composition(
 ) -> CompositionDesign:
     """Compose, then synthesize the two subsystem designs and the direct
     one, and push the subsystem gains through the coupling; no check runs.
-    The direct design trusts the weights ``compose_cost`` returns."""
+    The direct design trusts the composite weights and their gate's PD
+    verdict."""
     composite = compose_open_loop(sys1, sys2, pattern)
-    q_c, r_c = compose_cost(weights1, weights2, composite.coupling)
+    q_c, r_c, q_pd = _compose_cost(weights1, weights2, composite.coupling.K)
     design1 = lqr_subsystem(sys1, weights1)
     design2 = lqr_subsystem(sys2, weights2)
-    direct = _design(composite.A, composite.B, q_c, r_c, "composite")
+    direct = _design(composite.A, composite.B, q_c, r_c, "composite", q_pd)
     return CompositionDesign(
         composite=composite,
         Q=q_c,

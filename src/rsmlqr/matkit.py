@@ -208,6 +208,11 @@ def require_definite(m, name: str, pd: bool = False) -> np.ndarray:
     """The weight gate: ``0.5 (M + M^T)`` once ``definiteness`` finds ``m``
     symmetric and PSD (PD with ``pd``); otherwise ``NotSymmetricError``,
     ``NotPSDError`` or ``NotPDError`` naming ``name``."""
+    return _require_definite(m, name, pd)[0]
+
+
+def _require_definite(m, name: str, pd: bool = False) -> tuple[np.ndarray, Definiteness]:
+    """``require_definite`` that also returns the verdict it decided on."""
     arr = require_square(m, name)
     d = definiteness(arr)
     if not d.symmetric:
@@ -220,7 +225,7 @@ def require_definite(m, name: str, pd: bool = False) -> np.ndarray:
             f"{name} must be positive {kind}; min eigenvalue "
             f"{d.min_eigenvalue:.6e}, cut {RTOL:.1e} * (1 + max|M|)"
         )
-    return 0.5 * (arr + arr.T)
+    return 0.5 * (arr + arr.T), d
 
 
 def psd_sqrt_factor(m) -> np.ndarray:

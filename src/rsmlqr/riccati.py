@@ -1,6 +1,6 @@
 """Continuous-time algebraic Riccati and Lyapunov solvers plus residuals.
 
-Both solvers rest on one numpy kernel, ``_sign_newton``: the matrix sign
+Two numpy kernels do the work.  ``_sign_newton`` computes the matrix sign
 function by the scaled Newton iteration ``Z <- (Z/c + c Z^{-1})/2``
 (Roberts, Int. J. Control 32, 1980; Byers, Linear Algebra Appl. 85, 1987).
 The scale is read off the inverse the step forms anyway, so each step is
@@ -13,17 +13,41 @@ has converged once ``||dZ||_F <= 1e-13 ||Z||_F``, or once a step below 1e-6
 relative is no longer half the one before it, which is the round-off floor
 of an ill-conditioned sign.  A singular iterate, or no convergence within
 ``_SIGN_MAX_ITER = 100`` steps, stops it with ``np.linalg.LinAlgError``.
+It serves every Lyapunov solve, and the CARE below ``_SDA_MIN_ORDER``.
 
-The Riccati solver takes the sign ``S`` of the Hamiltonian matrix and reads
-``P`` off its stable invariant subspace, the null space of ``S + I``, by
-least squares.  It first balances the Hamiltonian's off-diagonal blocks
-``G`` and ``Q`` by a power of two (an exact similarity), since the norm
-scaling reads ``||H||``, which unbalanced blocks inflate past the
-spectrum.  It then polishes the candidate with a few Newton sweeps in
-correction form, each of which is one Lyapunov solve for the step.  The
-sign step can leave a residual well above round-off on badly scaled
-problems; the polish brings it back down without changing which solution
-is selected.
+``_sda`` is the structure-preserving doubling algorithm (Chu, Fan & Lin,
+Linear Algebra Appl. 396, 2005).  After a Cayley transform with shift
+``gamma > 0`` it iterates on n x n blocks ``E, G, H``, and ``H`` converges
+quadratically to ``P``.  Each step is one n x n LU and a few n x n
+products, where a sign step inverts the 2n x 2n Hamiltonian, and no
+least-squares read-out follows.  It stops by the sign iteration's rule,
+read on the increment of ``H``.
+
+The Riccati solver first balances the Hamiltonian's off-diagonal blocks
+``G`` and ``Q`` by a power of two ``sigma`` (an exact similarity), since
+both kernels read a scale off ``||H||``, which unbalanced blocks inflate
+past the spectrum.  At orders ``n >= _SDA_MIN_ORDER = 16`` it takes its
+candidate from ``_sda``, with ``gamma`` the power of two nearest the RMS
+singular value ``||H_bal||_F / sqrt(2n)`` of the balanced Hamiltonian.
+Below that order the doubling takes more steps than the scaled sign
+iteration, each with more numpy calls, so it would be the slower of the
+two.  When the doubling breaks down, or its candidate fails a certificate,
+the solver falls back to the sign candidate, and only that one can raise,
+so every error type and message is the sign path's.  The fallback is
+there for two reasons:
+
+- the doubling converges to the minimal PSD solution, which is not the
+  stabilizing one when ``(A, sqrt(Q))`` is not detectable;
+- a power-of-two ``gamma`` can be an eigenvalue of ``A``, and then the
+  Cayley transform does not exist.
+
+The sign candidate is read off the stable invariant subspace of the
+Hamiltonian, the null space of ``S + I``, by least squares.  Either
+candidate is then polished with a few Newton sweeps in correction form,
+each of which is one Lyapunov solve for the step, and certified by its
+residual, its definiteness and a Hurwitz closed loop.  The polish brings
+a residual well above round-off back down without changing which
+solution is selected.
 
 Every Lyapunov equation, whether from ``solve_lyapunov`` or from a Newton
 sweep, is solved by the same iteration on ``A_cl`` carrying ``W`` along
@@ -59,6 +83,7 @@ that trusts them; the package's own pipeline calls the kernels directly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,18 +114,26 @@ _SIGN_MAX_ITER = 100
 _SIGN_TOL = 1e-13
 _SIGN_SCALE_TOL = 1e-2
 _SIGN_FLOOR_TOL = 1e-6
+_SDA_MIN_ORDER = 16
+# The doubling error falls like rho^(2^k) for the Cayley-transformed
+# spectral radius rho < 1, so 60 steps resolve any rho with 1 - rho above
+# the unit round-off; more cannot converge.
+_SDA_MAX_ITER = 60
 
 
 @dataclass(frozen=True)
 class RiccatiSolution:
     """Stabilizing Riccati solution with its accuracy certificate and the
     certified gain ``F = -R^{-1} B^T P``, whose closed loop ``A + B F`` has
-    largest eigenvalue real part ``closed_loop_max_re < 0``."""
+    largest eigenvalue real part ``closed_loop_max_re < 0``.  ``method``
+    names the kernel whose candidate was certified: ``"doubling"`` or
+    ``"sign"``."""
 
     P: np.ndarray
     F: np.ndarray
     residual_norm: float
     closed_loop_max_re: float
+    method: str = "sign"
 
 
 def care_residual(a, b, q, r, p) -> tuple[np.ndarray, float]:
@@ -295,19 +328,25 @@ def _certificate_failure(
 def solve_care(a, b, q, r, tol: float = RTOL) -> RiccatiSolution:
     """Stabilizing solution of ``0 = -P A - A^T P - Q + P B R^{-1} B^T P``.
 
-    Method: the matrix sign ``S`` of the Hamiltonian
+    Method: with ``G = B R^{-1} B^T``, the Hamiltonian
 
-        H = [[ A, -B R^{-1} B^T ],
-             [-Q,          -A^T ]]
+        H = [[ A, -G  ],
+             [-Q, -A^T]]
 
-    by the norm-scaled Newton iteration (at most ``_SIGN_MAX_ITER = 100``
-    steps), taken after the exact balancing ``G -> sigma G``,
-    ``Q -> Q / sigma`` with ``sigma`` the power of two nearest
-    ``sqrt(||Q||_F / ||G||_F)``; the stable invariant subspace
+    is first balanced exactly, ``G -> sigma G`` and ``Q -> Q / sigma`` with
+    ``sigma`` the power of two nearest ``sqrt(||Q||_F / ||G||_F)``, and the
+    balanced solution is ``P / sigma``.  At orders ``n >= 16`` the candidate
+    comes from the structure-preserving doubling algorithm (``_sda``), with
+    shift ``gamma`` the power of two nearest ``||H_bal||_F / sqrt(2n)``.
+    Below that order, or when the doubling breaks down or its candidate
+    fails a certificate, the candidate is read off the matrix sign ``S`` of
+    the balanced Hamiltonian by the norm-scaled Newton iteration (at most
+    ``_SIGN_MAX_ITER = 100`` steps): the stable invariant subspace
     ``[I; P / sigma]`` is the null space of ``S + I``, so ``P / sigma`` is
     the least-squares solution of ``[S12; S22 + I] X = -[S11 + I; S21]``.
-    Up to five Newton sweeps (one Lyapunov solve each) then reduce the
-    residual.  The final residual must
+    ``method`` on the result names the candidate, ``"doubling"`` or
+    ``"sign"``.  Up to five Newton sweeps (one Lyapunov solve each) then
+    reduce the residual.  The final residual must
     satisfy ``||res||_F <= tol * (1 + ||P||_F ||A||_F)``, ``P`` must be PSD
     and ``A - B R^{-1} B^T P`` Hurwitz.
 
@@ -320,7 +359,8 @@ def solve_care(a, b, q, r, tol: float = RTOL) -> RiccatiSolution:
     unreachable eigenvalue of ``A`` with ``Re >= -RTOL (1 + max|A|)``.  A
     stopped sign iteration runs the same PBH test, so its error names the
     unreachable mode when there is one.  Any other certificate failure raises
-    ``NumericalFailureError``.
+    ``NumericalFailureError``.  A failed doubling attempt raises nothing of
+    its own: every error is the sign path's.
     """
     a_arr = require_square(a, "A")
     b_arr = require_matrix(b, "B")
@@ -348,18 +388,124 @@ def _solve_care(a, b, q, r, tol: float = RTOL) -> RiccatiSolution:
     n = a.shape[0]
     g = b @ np.linalg.solve(r, b.T)
     g = 0.5 * (g + g.T)
-    # The norm scaling reads ||H||, which an unbalanced pair of off-diagonal
-    # blocks inflates far past the spectrum.  With P = sigma P_hat, P_hat
-    # solves the CARE of (A, sigma G, Q / sigma); sigma is the power of two
-    # nearest sqrt(||Q||_F / ||G||_F), so the balancing is exact.
+    # Both kernels read a scale off ||H||, which an unbalanced pair of
+    # off-diagonal blocks inflates far past the spectrum.  With
+    # P = sigma P_hat, P_hat solves the CARE of (A, sigma G, Q / sigma);
+    # sigma is the power of two nearest sqrt(||Q||_F / ||G||_F), so the
+    # balancing is exact.
     q_norm, g_norm = float(np.linalg.norm(q)), float(np.linalg.norm(g))
     sigma = 1.0
     if q_norm > 0.0 and g_norm > 0.0:
         sigma = 2.0 ** round(0.5 * (np.log2(q_norm) - np.log2(g_norm)))
+    if n >= _SDA_MIN_ORDER:
+        # gamma: the power of two nearest the RMS singular value
+        # ||H_bal||_F / sqrt(2n) of the balanced Hamiltonian
+        h2 = (
+            2.0 * float(np.vdot(a, a))
+            + (sigma * g_norm) ** 2
+            + (q_norm / sigma) ** 2
+        )
+        gamma = 2.0 ** round(0.5 * math.log2(h2 / (2 * n))) if h2 > 0.0 else 1.0
+        # a breakdown, a stopped polish or a failed certificate falls back
+        # to the sign candidate, whose errors are the public ones
+        try:
+            p = _sda(a, sigma * g, q / sigma, gamma)
+            sol = _certified(a, b, q, r, g, sigma * p, tol, "doubling")
+        except (np.linalg.LinAlgError, NumericalFailureError):
+            sol = None
+        if isinstance(sol, RiccatiSolution):
+            return sol
+    p = _sign_candidate(a, b, sigma * g, q / sigma)
+    sol = _certified(a, b, q, r, g, sigma * p, tol, "sign")
+    if isinstance(sol, str):
+        raise _certificate_failure(a, b, sol)
+    return sol
+
+
+def _sda(a, g, q, gamma: float) -> np.ndarray:
+    """A solution of ``0 = -P A - A^T P - Q + P G P``, for symmetric ``G``
+    and ``Q``, by the structure-preserving doubling algorithm (Chu, Fan &
+    Lin, Linear Algebra Appl. 396, 2005).
+
+    With ``A_g = A - gamma I`` and ``W = A_g^T + Q A_g^{-1} G``, the Cayley
+    transform ``E = I + 2 gamma W^{-T}``, ``G = 2 gamma W^{-T} G A_g^{-T}``,
+    ``H = 2 gamma W^{-1} Q A_g^{-1}`` starts the doubling steps
+
+        E <- E (I + G H)^{-1} E
+        G <- G + E (I + G H)^{-1} G E^T
+        H <- H + E^T H (I + G H)^{-1} E
+
+    one n x n solve each.  ``H`` converges quadratically when the
+    Hamiltonian has no eigenvalue on the imaginary axis; the stopping rule
+    is ``_sign_newton``'s, read on the increment of ``H``.  The limit is
+    the minimal PSD solution, which is the stabilizing one only when
+    ``(A, sqrt(Q))`` is detectable: the caller certifies it.
+
+    ``gamma`` must be positive (``ValueError`` otherwise): with
+    ``gamma < 0`` the steps converge, silently, to a solution that is not
+    stabilizing.  Raises ``np.linalg.LinAlgError`` when ``A_g``, ``W`` or
+    ``I + G H`` is singular, an iterate is not finite, or there is no
+    convergence within ``_SDA_MAX_ITER`` steps.
+    """
+    if not gamma > 0.0:
+        raise ValueError(f"doubling needs a shift gamma > 0, got {gamma!r}")
+    n = a.shape[0]
+    if n == 0:
+        return np.zeros((0, 0))
+    eye = np.eye(n)
+    a_g = a - gamma * eye
+    try:
+        a_inv = np.linalg.inv(a_g)
+        w_inv = np.linalg.inv(a_g.T + q @ (a_inv @ g))
+    except np.linalg.LinAlgError as exc:
+        raise np.linalg.LinAlgError("singular Cayley transform") from exc
+    e = eye + 2.0 * gamma * w_inv.T
+    g_k = (2.0 * gamma) * (w_inv.T @ (a_inv @ g).T)
+    h_k = (2.0 * gamma) * (w_inv @ (q @ a_inv))
+    g_k = 0.5 * (g_k + g_k.T)
+    h_k = 0.5 * (h_k + h_k.T)
+    last2 = float("inf")
+    # iterates that overflow are a breakdown, caught by the finiteness test
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_SDA_MAX_ITER):
+            try:
+                t = np.linalg.solve(eye + g_k @ h_k, np.concatenate((e, g_k), axis=1))
+            except np.linalg.LinAlgError as exc:
+                raise np.linalg.LinAlgError("doubling breakdown") from exc
+            t_e = t[:, :n]
+            step = e.T @ h_k @ t_e
+            step = 0.5 * (step + step.T)
+            g_k = g_k + e @ t[:, n:] @ e.T
+            g_k = 0.5 * (g_k + g_k.T)
+            e = e @ t_e
+            h_k = h_k + step
+            step2 = float(np.vdot(step, step))
+            size2 = float(np.vdot(h_k, h_k))
+            if not math.isfinite(step2 + size2):
+                raise np.linalg.LinAlgError("doubling breakdown")
+            if step2 <= _SIGN_TOL**2 * size2 or (
+                step2 <= _SIGN_FLOOR_TOL**2 * size2 and 4.0 * step2 > last2
+            ):
+                return h_k
+            last2 = step2
+    raise np.linalg.LinAlgError(
+        f"doubling did not converge in {_SDA_MAX_ITER} steps"
+    )
+
+
+def _sign_candidate(a, b, g, q) -> np.ndarray:
+    """The stabilizing solution of ``0 = -P A - A^T P - Q + P G P``, read
+    off the sign ``S`` of ``H = [[A, -G], [-Q, -A^T]]``: the stable
+    invariant subspace ``[I; P]`` is the null space of ``S + I``, so ``P``
+    is the least-squares solution of ``[S12; S22 + I] X = -[S11 + I; S21]``.
+    Raises the public errors of ``solve_care`` for a stopped iteration, a
+    stable dimension ``(2n - trace S)/2`` other than ``n``, or a basis of
+    rank below ``n``; ``B`` only names an unreachable mode."""
+    n = a.shape[0]
     ham = np.empty((2 * n, 2 * n))
     ham[:n, :n] = a
-    ham[:n, n:] = -sigma * g
-    ham[n:, :n] = -q / sigma
+    ham[:n, n:] = -g
+    ham[n:, :n] = -q
     ham[n:, n:] = -a.T
     try:
         s = _sign_newton(ham)[0]
@@ -377,7 +523,6 @@ def _solve_care(a, b, q, r, tol: float = RTOL) -> RiccatiSolution:
             "(A, B) is likely not stabilizable or the Hamiltonian spectrum "
             "touches the imaginary axis"
         )
-    # The stable subspace [I; P] is the null space of S + I.
     eye = np.eye(n)
     lhs = s[:, n:].copy()
     lhs[n:] += eye
@@ -389,8 +534,13 @@ def _solve_care(a, b, q, r, tol: float = RTOL) -> RiccatiSolution:
             "stable subspace basis is singular in the state coordinates; "
             "no stabilizing solution exists"
         )
-    p = sigma * (0.5 * (p + p.T))
+    return 0.5 * (p + p.T)
 
+
+def _certified(a, b, q, r, g, p, tol: float, method: str) -> RiccatiSolution | str:
+    """Polish the candidate ``p`` and certify it: the ``RiccatiSolution``
+    when the residual, PSD and Hurwitz certificates pass, else the message
+    of the first that failed.  ``g`` is ``B R^{-1} B^T``."""
     res, res_norm = _care_residual(a, b, q, r, p)
     # Newton polish in correction form: with Res(P) the residual above and
     # A_cl = A - G P, the step D solves A_cl^T D + D A_cl = Res(P), so the
@@ -410,26 +560,21 @@ def _solve_care(a, b, q, r, tol: float = RTOL) -> RiccatiSolution:
 
     scale = 1.0 + float(np.linalg.norm(p)) * float(np.linalg.norm(a))
     if res_norm > tol * scale:
-        raise _certificate_failure(
-            a, b,
-            f"Riccati residual {res_norm:.3e} exceeds {tol:.1e} * {scale:.3e}",
-        )
+        return f"Riccati residual {res_norm:.3e} exceeds {tol:.1e} * {scale:.3e}"
     d = definiteness(p)
     if not d.psd:
-        raise _certificate_failure(
-            a, b,
-            f"computed Riccati solution is not positive semidefinite; "
-            f"min eigenvalue {d.min_eigenvalue:.6e}",
+        return (
+            "computed Riccati solution is not positive semidefinite; "
+            f"min eigenvalue {d.min_eigenvalue:.6e}"
         )
     f = -np.linalg.solve(r, b.T @ p)
     hur = is_hurwitz(a + b @ f)
     if not hur.hurwitz:
-        raise _certificate_failure(
-            a, b,
-            f"computed Riccati solution is not stabilizing; closed-loop "
-            f"max real part {hur.max_real_part:.6e}",
+        return (
+            "computed Riccati solution is not stabilizing; closed-loop "
+            f"max real part {hur.max_real_part:.6e}"
         )
-    return RiccatiSolution(p, f, res_norm, hur.max_real_part)
+    return RiccatiSolution(p, f, res_norm, hur.max_real_part, method)
 
 
 def rectangular_riccati_residual(a_s, b_s, k, q_c, r_s, x) -> tuple[np.ndarray, float]:

@@ -28,7 +28,14 @@ import numpy as np
 
 from .errors import PatternError, ShapeError
 # definiteness stays importable from here for perfbench's tracer.
-from .matkit import block_diag, definiteness, require_definite, require_matrix, require_square
+from .matkit import (
+    _require_definite,
+    block_diag,
+    definiteness,
+    require_definite,
+    require_matrix,
+    require_square,
+)
 
 
 @dataclass(frozen=True)
@@ -66,13 +73,17 @@ class LinearSystem:
 class CostWeights:
     """Quadratic cost pair: ``Q`` symmetric PSD, ``R`` symmetric PD, each
     stored as ``0.5 (M + M^T)`` by the weight gate ``require_definite``, so
-    exactly symmetric."""
+    exactly symmetric.  ``q_pd`` keeps the gate's verdict that ``Q`` is
+    also PD."""
 
     Q: np.ndarray
     R: np.ndarray
+    q_pd: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "Q", require_definite(self.Q, "state weight Q"))
+        q, d = _require_definite(self.Q, "state weight Q")
+        object.__setattr__(self, "Q", q)
+        object.__setattr__(self, "q_pd", d.pd)
         object.__setattr__(
             self, "R", require_definite(self.R, "input weight R", pd=True)
         )
@@ -236,8 +247,18 @@ def compose_cost(
         raise ShapeError(
             f"coupling matrix has {kmat.shape[0]} rows, expected {n1 + n2}"
         )
-    q_c = kmat.T @ block_diag(weights1.Q, weights2.Q) @ kmat
-    return require_definite(q_c, "composite state weight"), block_diag(weights1.R, weights2.R)
+    return _compose_cost(weights1, weights2, kmat)[:2]
+
+
+def _compose_cost(
+    weights1: CostWeights, weights2: CostWeights, kmat: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, bool]:
+    """The body of ``compose_cost`` on a coupling matrix of matching rows,
+    with the weight gate's verdict that the composite ``Q`` is PD."""
+    q_c, d = _require_definite(
+        kmat.T @ block_diag(weights1.Q, weights2.Q) @ kmat, "composite state weight"
+    )
+    return q_c, block_diag(weights1.R, weights2.R), d.pd
 
 
 def compose_gains(f1, f2, coupling) -> np.ndarray:

@@ -20,6 +20,9 @@ INDEPENDENT = str(PROBLEMS / "independent_pair.json")
 # two identical 2-state subsystems sharing every state, with weights of
 # order 1e6
 SCALED_TWINS = str(Path(__file__).resolve().parent / "data" / "scaled_twins.json")
+# two 20-state chains glued along three states: composite order 37, above
+# the order where the Riccati solver switches to doubling
+CHAINS_20 = str(Path(__file__).resolve().parent / "data" / "chains_20.json")
 
 
 class TestRenderJson:
@@ -354,6 +357,15 @@ class TestCheckCommand:
         assert main(["check", SCALED_TWINS, "--gap"]) == 0
         captured = capsys.readouterr()
         assert "verdict: compositional" in captured.out
+        assert captured.err == ""
+
+    def test_chains_20_exit_3(self, capsys):
+        # the three shared states are driven by both chains, so the designs
+        # differ; the necessary condition already decides it
+        assert main(["check", CHAINS_20, "--gap"]) == 3
+        captured = capsys.readouterr()
+        assert "necessary: FAIL" in captured.out
+        assert "verdict: not-compositional" in captured.out
         assert captured.err == ""
 
     def test_one_sided_checks_only(self, capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 try:
-    from hypothesis import given, settings
+    from hypothesis import example, given, settings
     from hypothesis import strategies as st
 except ImportError:  # the oracle tests fall back to a seeded sample
     st = None
@@ -268,6 +268,90 @@ class TestSignNewton:
         assert sol.P.shape == (0, 0) and sol.F.shape == (1, 0)
 
 
+class TestDoubling:
+    # Orders from riccati._SDA_MIN_ORDER up take their candidate from the
+    # structure-preserving doubling; the sign step is the fallback.
+    @pytest.mark.parametrize("n", [16, 20, 45])
+    def test_pd_weight_takes_doubling_without_a_2n_inverse(self, n, monkeypatch):
+        shapes = []
+        inv = np.linalg.inv
+
+        def recording(m):
+            shapes.append(m.shape[0])
+            return inv(m)
+
+        rng = np.random.default_rng(1600 + n)
+        a, b, q, r = random_care_problem(rng, n, 2)
+        monkeypatch.setattr(np.linalg, "inv", recording)
+        sol = solve_care(a, b, q, r)
+        assert sol.method == "doubling"
+        assert shapes and 2 * n not in shapes
+        _, res = care_residual(a, b, q, r, sol.P)
+        assert res <= 1e-9 * (1.0 + np.linalg.norm(sol.P) * np.linalg.norm(a))
+        assert sol.closed_loop_max_re < 0.0
+
+    def test_small_order_takes_sign(self):
+        rng = np.random.default_rng(1615)
+        assert solve_care(*random_care_problem(rng, 15, 2)).method == "sign"
+
+    def test_undetectable_weight_falls_back_to_sign(self):
+        # the unstable mode at 1.3 is invisible to Q: doubling converges to
+        # the minimal PSD solution P11 = 0, which is not stabilizing, and
+        # the sign step finds the stabilizing P11 = 2 * 1.3
+        n = 20
+        a = np.diag([1.3] + [-1.1] * (n - 1))
+        q = np.diag([0.0] + [1.0] * (n - 1))
+        assert riccati._sda(a, np.eye(n), q, 1.0)[0, 0] == 0.0
+        sol = solve_care(a, np.eye(n), q, np.eye(n))
+        assert sol.method == "sign"
+        assert sol.P[0, 0] == pytest.approx(2.6, abs=1e-12)
+        assert sol.closed_loop_max_re < 0.0
+
+    def test_shift_on_an_eigenvalue_falls_back_to_sign(self):
+        # gamma = 1, the power of two nearest the RMS singular value
+        # sqrt(65 / 40) of the Hamiltonian, is an eigenvalue of A, so the
+        # Cayley transform does not exist
+        n = 20
+        a = np.diag([1.0] + [-1.0] * (n - 1))
+        q = 0.5 * np.eye(n)
+        with pytest.raises(np.linalg.LinAlgError, match="singular Cayley"):
+            riccati._sda(a, np.eye(n), q, 1.0)
+        sol = solve_care(a, np.eye(n), q, np.eye(n))
+        assert sol.method == "sign"
+        np.testing.assert_allclose(
+            np.diag(sol.P), [1.0 + math.sqrt(1.5)] + [math.sqrt(1.5) - 1.0] * (n - 1),
+            rtol=1e-12,
+        )
+
+    @pytest.mark.parametrize("gamma", [0.0, -1.0, float("nan")])
+    def test_rejects_nonpositive_shift(self, gamma):
+        with pytest.raises(ValueError, match="gamma > 0"):
+            riccati._sda(-np.eye(2), np.eye(2), np.eye(2), gamma)
+
+    def test_empty(self):
+        empty = np.zeros((0, 0))
+        assert riccati._sda(empty, empty, empty, 1.0).shape == (0, 0)
+
+    def test_imaginary_axis_stops_at_the_cap(self):
+        # eigenvalues +-i: the Cayley transform has |rho| = 1, H doubles
+        # each step, and the kernel gives up after _SDA_MAX_ITER steps
+        with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+            riccati._sda(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.zeros((2, 2)), np.eye(2), 1.0)
+
+    def test_uncontrollable_imaginary_axis_mode(self):
+        # the rotation block of test_uncontrollable_imaginary_axis_mode
+        # inside 20 states: the error is the sign path's, naming the mode
+        n = 20
+        rng = np.random.default_rng(20)
+        a = np.zeros((n, n))
+        a[0, 1], a[1, 0] = 1.0, -1.0
+        a[2:, 2:] = random_hurwitz(rng, n - 2)
+        b = np.zeros((n, 2))
+        b[2:] = rng.standard_normal((n - 2, 2))
+        with pytest.raises(NotStabilizableError, match="0\\+1j is unreachable"):
+            solve_care(a, b, np.eye(n), np.eye(2))
+
+
 class TestSolveCareErrors:
     def test_r_not_pd(self):
         with pytest.raises(NotPDError):
@@ -493,11 +577,12 @@ class TestRectangularResidual:
             )
 
 
-def oracle_cases(**ranges):
+def oracle_cases(examples=(), **ranges):
     """Draw the keyword arguments of an oracle test from ``ranges``
     (``name=(lo, hi)``; integer bounds draw integers, float bounds floats,
     ``None`` a boolean): by hypothesis when it is installed, otherwise from
-    a seeded sample of the same size."""
+    a seeded sample of the same size.  Each dict in ``examples`` is one
+    more case, run either way."""
     count = 25
     if st is not None:
         strategies = {
@@ -506,9 +591,14 @@ def oracle_cases(**ranges):
             else st.floats(*bounds)
             for name, bounds in ranges.items()
         }
-        return lambda test: settings(
-            max_examples=count, deadline=None, derandomize=True
-        )(given(**strategies)(test))
+
+        def decorate(test):
+            test = given(**strategies)(test)
+            for case in examples:
+                test = example(**case)(test)
+            return settings(max_examples=count, deadline=None, derandomize=True)(test)
+
+        return decorate
     rng = np.random.default_rng(2024)
     draws = [
         tuple(
@@ -519,12 +609,17 @@ def oracle_cases(**ranges):
         )
         for _ in range(count)
     ]
+    draws += [tuple(case[name] for name in ranges) for case in examples]
     return pytest.mark.parametrize(", ".join(ranges), draws)
 
 
 @oracle_cases(
     seed=(0, 2**32 - 1), n=(1, 120), m=(1, 4),
     q_exp=(-4.0, 4.0), r_exp=(-4.0, 4.0), unstable=None,
+    examples=[
+        dict(seed=150, n=150, m=3, q_exp=2.5, r_exp=-1.5, unstable=True),
+        dict(seed=200, n=200, m=2, q_exp=-3.0, r_exp=3.0, unstable=False),
+    ],
 )
 def test_care_matches_scipy(seed, n, m, q_exp, r_exp, unstable):
     # Weights scaled by up to 1e4 either way, open loops with their

@@ -18,6 +18,15 @@ ways:
               (A_s K K^T, D) with D^T D = K Q_c K^T.  Success proves the
               designs coincide; failure alone proves nothing.
 
+Both rank tests run Paige's orthogonal controllability staircase
+(``matkit.is_controllable``; observability through the dual pair), which
+keeps full rank at the composite orders where the columns of the Kalman
+matrix lose it, from about 40 on.  It scales ``A`` and the input matrix
+each to unit Frobenius norm and cuts at ``max(n, m) * eps * ||[A, B]||_F``
+of the scaled pair, so the verdicts do not depend on the units of ``Q``
+and ``R``; each ``RankTest.margin`` is the smallest singular value the
+staircase kept, at most 1.
+
 The three verdicts must be mutually consistent (sufficient-pass implies
 exact, exact implies necessary-pass); a violation raises
 ``InconsistencyError`` rather than producing a quietly contradictory
@@ -42,14 +51,14 @@ from .errors import (
     NumericalFailureError,
     ShapeError,
 )
-# The pipeline calls private kernels on trusted arrays; solve_care,
-# rectangular_riccati_residual, is_controllable, is_observable and
-# compose_cost stay importable from here because perfbench's tracer wraps
-# them under these names.
+# The pipeline calls private kernels on trusted arrays (the rank tests go
+# straight to _staircase); solve_care, rectangular_riccati_residual,
+# is_controllable, is_observable and compose_cost stay importable from here
+# only because perfbench's tracer wraps them under these names.
 from .matkit import (
     RankTest,
-    _kalman_rank,
     _pbh_unreachable,
+    _staircase,
     block_diag,
     definiteness,
     is_controllable,
@@ -318,9 +327,9 @@ def _sufficient_check(a_s, b_s, kmat, q_c, r_s, hypothesis: NecessaryCheck) -> S
     akk = a_s @ kmat @ kmat.T
     lam, sigma = sym_eig(r_s)
     b_whitened = b_s @ (sigma / np.sqrt(lam)[None, :])
-    ctrb = _kalman_rank(akk, b_whitened)
+    ctrb = _staircase(akk, b_whitened)
     d_factor = psd_sqrt_factor(kmat @ q_c @ kmat.T)
-    obsv = _kalman_rank(akk.T, d_factor.T)
+    obsv = _staircase(akk.T, d_factor.T)
     return SufficientCheck(
         hypothesis_ok=hypothesis.passes,
         controllability=ctrb,

@@ -3,11 +3,12 @@
 Block-diagonal stacking, symmetric eigendecomposition, SVD-based
 numerical rank, Hurwitz and definiteness tests, the weight gate
 (``require_definite``), positive-semidefinite square-root factors, the PBH
-test, and Kalman controllability/observability rank tests.
-The Kalman tests never form the n-by-n*m Kalman matrix: its singular values
-come from an n-row factor of its Gramian, built by Smith's doubling and
-kept at most 3n columns wide by QR narrowing.  Everything works on plain
-float64 ndarrays, never mutates its inputs, and keeps no state.
+test, and controllability/observability rank tests.  The rank tests never
+form the n-by-n*m Kalman matrix, whose columns lose rank in floating point
+from order 40 or so on: they build an orthonormal basis of the reachable
+subspace block by block, Paige's orthogonal staircase, in O(n^3).
+Everything works on plain float64 ndarrays, never mutates its inputs, and
+keeps no state.
 
 Tolerance conventions
 ---------------------
@@ -17,12 +18,15 @@ Every definiteness decision cuts at ``tol * (1 + max|M|)`` (``_cut``), with
 square-root factor keeps the eigenvalues above the cut, and the PBH test
 looks at ``Re(lambda) >= -cut(A)``.  Eigenvalues are computed to about
 ``eps * ||M||``, so scaling a matrix leaves its verdicts unchanged.  Rank
-decisions use the usual ``max(shape) * sigma_max * eps`` cut, where the
-Kalman tests take ``shape`` to be the full Kalman shape ``(n, n*m)``.
+decisions use the usual ``max(shape) * sigma_max * eps`` cut, except in
+the staircase: it scales ``A`` and ``B`` each to unit Frobenius norm and
+cuts every step at ``max(n, m) * eps * ||[A, B]||_F`` of the scaled pair,
+so its verdicts do not depend on the units of either.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -37,6 +41,7 @@ from .errors import (
 )
 
 RTOL = 1e-9
+_EPS = float(np.finfo(float).eps)
 
 
 def require_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -113,8 +118,9 @@ class Hurwitz(NamedTuple):
 class RankTest(NamedTuple):
     """Outcome of a controllability/observability rank test.
 
-    ``margin`` is the smallest singular value counted into the rank; it is
-    0.0 when the rank is zero.
+    ``margin`` is the smallest singular value counted into the rank over
+    all steps of the staircase, on the unit-scaled pair, so at most 1; it
+    is 0.0 when the rank is zero.
     """
 
     ok: bool
@@ -160,7 +166,7 @@ def _singular_values(arr: np.ndarray) -> np.ndarray:
 
 def _rank_from_svals(s: np.ndarray, shape: tuple[int, int]) -> int:
     """Rank from singular values, cut at ``max(shape) * sigma_max * eps``."""
-    tol = max(shape) * float(s[0]) * np.finfo(float).eps if s.size else 0.0
+    tol = max(shape) * float(s[0]) * _EPS if s.size else 0.0
     return int(np.count_nonzero(s > tol))
 
 
@@ -273,14 +279,17 @@ def _pbh_unreachable(a: np.ndarray, make_b) -> complex | None:
 
 
 def is_controllable(a, b) -> RankTest:
-    """Kalman rank test of ``(A, B)``, without forming ``[B, AB, ..., A^(n-1)B]``.
+    """Rank test of ``(A, B)`` by the orthogonal controllability staircase.
 
-    The singular values of the Kalman matrix are taken from a factor ``F``
-    with ``F F^T = sum_{k<n} (sA)^k B B^T (sA)^{kT}``, built by doubling
-    (see ``_kalman_rank``); ``s = 1 / max(1, ||A||_F)`` keeps large-norm
-    matrices from overflowing or drowning the small singular values, and
-    scaling each block by a positive constant leaves the rank unchanged.
-    The cut is taken from the full Kalman shape ``(n, n*m)``.
+    Paige's staircase (IEEE TAC 26, 1981) finds an orthonormal basis of the
+    reachable subspace block by block, never forming ``[B, AB, ...,
+    A^(n-1)B]``; see ``_staircase``.  ``A`` and ``B`` are each scaled to
+    unit Frobenius norm first, which leaves the rank unchanged, so a
+    singular value counts when it exceeds ``max(n, m) * eps * ||[A, B]||_F``
+    of the scaled pair, whatever the units of either.  ``margin`` is the
+    smallest singular value kept over all steps, at most 1 on the scaled
+    pair: the nearer it is to the cut, the nearer the weakest reached
+    direction came to being dropped.
     """
     a_arr = require_square(a, "state matrix")
     b_arr = require_matrix(b, "input matrix")
@@ -290,11 +299,12 @@ def is_controllable(a, b) -> RankTest:
             f"input matrix has {b_arr.shape[0]} rows, expected {n} to match "
             "the state dimension"
         )
-    return _kalman_rank(a_arr, b_arr)
+    return _staircase(a_arr, b_arr)
 
 
 def is_observable(a, c) -> RankTest:
-    """Observability rank test, evaluated through duality on (A^T, C^T)."""
+    """Observability rank test: the controllability staircase of the dual
+    pair ``(A^T, C^T)``, with its scale-free cut and margin."""
     a_arr = require_square(a, "state matrix")
     c_arr = require_matrix(c, "output matrix")
     if c_arr.shape[1] != a_arr.shape[0]:
@@ -302,50 +312,87 @@ def is_observable(a, c) -> RankTest:
             f"output matrix has {c_arr.shape[1]} columns, expected "
             f"{a_arr.shape[0]} to match the state dimension"
         )
-    return _kalman_rank(a_arr.T, c_arr.T)
+    return _staircase(a_arr.T, c_arr.T)
 
 
-def _narrow(f: np.ndarray) -> np.ndarray:
-    """A factor with the same ``F F^T`` and at most as many columns as rows:
-    the transposed triangle of a QR of ``F^T``."""
-    return np.linalg.qr(f.T, mode="r").T
+def _unit_frobenius(x: np.ndarray) -> tuple[np.ndarray, float]:
+    """``x`` scaled to unit Frobenius norm, with its new norm 1.0, or a zero
+    ``x`` as it is, with 0.0.  Dividing by ``max|x|`` first keeps the
+    norm's squares from overflowing or underflowing."""
+    peak = _max_abs(x)
+    if peak == 0.0:
+        return x, 0.0
+    x = x / peak
+    return x / np.linalg.norm(x), 1.0
 
 
-def _kalman_rank(a: np.ndarray, b: np.ndarray) -> RankTest:
+def _staircase(a: np.ndarray, b: np.ndarray) -> RankTest:
     """The rank test of ``is_controllable`` on trusted arrays.
 
-    Smith's doubling in factored form: with ``F_k F_k^T`` the sum of the
-    first ``k`` Kalman terms and ``P = (sA)^k``, ``[F_k, P F_k]`` is
-    ``F_2k``, and appending ``(sA)^2k B`` to that gives ``F_2k+1``, so the
-    bits of ``n`` reach ``F_n`` in ``floor(log2 n)`` steps.  Column order
-    does not change singular values.  A ``B`` more than twice as wide as
-    it is tall is narrowed once, and the factor is narrowed only before a
-    step that would make it wider than ``3n``; the last narrowing is left
-    to the final SVD.
+    Each step splits off the numerical range of the current block by an
+    SVD (a norm for a single column) and appends it to the basis ``V``; the
+    next block is ``A`` times the new columns, orthogonalised against ``V``
+    by two passes of classical Gram-Schmidt.  Once fewer dimensions remain
+    than the block is wide, the test moves to the orthogonal complement
+    ``W`` of ``V`` as Paige's recursion does: the next block is
+    ``W^T A V_new`` and the state matrix ``W^T A W``.  The work is O(n^3)
+    in all.  The test stops when a block has no singular value above the
+    cut or the basis spans the state space.
     """
     n, m = b.shape
     if n == 0 or m == 0:
         return RankTest(n == 0, 0, n, 0.0)
-    cap = 3 * n
-    if m > 2 * n:
-        b = _narrow(b)
-    scaled = a / max(1.0, float(np.linalg.norm(a)))
-    factor, power = b, scaled
-    bits = bin(n)[3:]
-    for i, bit in enumerate(bits):
-        if 2 * factor.shape[1] > cap:
-            factor = _narrow(factor)
-        factor = np.concatenate((factor, power @ factor), axis=1)
-        more = i < len(bits) - 1
-        if bit == "1" or more:
-            power = power @ power
-        if bit == "1":
-            if factor.shape[1] + b.shape[1] > cap:
-                factor = _narrow(factor)
-            factor = np.concatenate((factor, power @ b), axis=1)
-            if more:
-                power = scaled @ power
-    s = _singular_values(factor)
-    rank = _rank_from_svals(s, (n, n * m))
-    margin = float(s[rank - 1]) if rank > 0 else 0.0
-    return RankTest(rank == n, rank, n, margin)
+    a, norm_a = _unit_frobenius(a)
+    block, norm_b = _unit_frobenius(b)
+    if norm_b == 0.0:
+        return RankTest(False, 0, n, 0.0)
+    # ||[A, B]||_F of the scaled pair: sqrt(2), or 1 for a zero A
+    cut = max(n, m) * _EPS * math.hypot(norm_a, norm_b)
+    basis = np.empty((n, n))
+    width = rank = 0
+    margin = np.inf
+    while True:
+        complement = None
+        rows, cols = block.shape
+        if cols == 1:
+            smallest = float(np.linalg.norm(block))
+            kept = int(smallest > cut)
+            new = block / smallest if kept else block
+        elif width == 0 and cols >= rows and (s := _singular_values(block))[-1] > cut:
+            # the block fills the space left: its values settle the test
+            kept, smallest, new = rows, float(s[-1]), None
+        else:
+            # A block at least half as wide as it is tall usually fills its
+            # space; its full SVD then also gives the complement to move to.
+            full = width == 0 and 2 * cols >= rows
+            try:
+                u, s, _ = np.linalg.svd(block, full_matrices=full)
+            except np.linalg.LinAlgError as exc:
+                raise NumericalFailureError(f"SVD failed to converge: {exc}") from exc
+            kept = int(np.count_nonzero(s > cut))
+            smallest = float(s[kept - 1]) if kept else 0.0
+            new = u[:, :kept]
+            if full:
+                complement = u[:, kept:]
+        if kept == 0:
+            break
+        margin = min(margin, smallest)
+        rank += kept
+        if rank == n:
+            break
+        basis[:, width:width + kept] = new
+        width += kept
+        left = a.shape[0] - width
+        if left < kept:
+            if complement is None:
+                complement = np.linalg.qr(basis[:, :width], mode="complete")[0][:, width:]
+            block = complement.T @ (a @ new)
+            a = complement.T @ a @ complement
+            basis = np.empty((left, left))
+            width = 0
+        else:
+            block = a @ new
+            v = basis[:, :width]
+            block -= v @ (v.T @ block)
+            block -= v @ (v.T @ block)
+    return RankTest(rank == n, rank, n, margin if rank else 0.0)

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from rsmlqr import lqr, sim
 from rsmlqr.errors import (
@@ -303,6 +302,60 @@ class TestSufficientCondition:
             )
 
 
+def drawn_subsystem(rng, n, inputs=2):
+    """A stable n-state subsystem with PD weights, drawn the way the
+    scale-gap benchmark draws one: Gaussian ``A / sqrt(n)`` shifted left of
+    ``Re = -0.5``, uniform ``B``, and Gram weights plus ``0.1 I``."""
+    a = rng.standard_normal((n, n)) / math.sqrt(n)
+    a -= (np.linalg.eigvals(a).real.max() + 0.5) * np.eye(n)
+    b = rng.uniform(-1.0, 1.0, (n, inputs))
+    g = rng.standard_normal((n, n))
+    h = rng.standard_normal((inputs, inputs))
+    weights = CostWeights(g.T @ g / n + 0.1 * np.eye(n), h.T @ h / inputs + 0.1 * np.eye(inputs))
+    return LinearSystem("drawn", a, b), weights
+
+
+class TestSufficientAtScale:
+    """The rank tests keep the sufficient condition's power as the order
+    grows, and it never contradicts the exact test."""
+
+    @pytest.mark.parametrize("order", [20, 40, 60, 80, 100, 160])
+    def test_unshared_pairs_are_predicted(self, order):
+        # K = I: decoupled dynamics and PD weights make every hypothesis
+        # hold, so the prediction must come out at every order
+        n = order // 2
+        rng = np.random.default_rng(order)
+        (sys1, w1), (sys2, w2) = drawn_subsystem(rng, n), drawn_subsystem(rng, n)
+        report = evaluate_composition(sys1, sys2, CompositionPattern(n, n, ()), w1, w2).report
+        suff = report.sufficient
+        assert report.exact.equivalent
+        assert suff.controllability == (True, order, order, suff.controllability.margin)
+        assert suff.observability.ok
+        assert suff.predicts_compositional
+
+    def test_sweep_raises_no_inconsistency(self):
+        # composite orders 4-60: no sharing, a quarter shared, and twins
+        # sharing every state; evaluate_composition raises
+        # InconsistencyError if a prediction contradicts the exact test
+        rng = np.random.default_rng(460)
+        predicted = 0
+        for n in range(2, 31, 2):
+            (sys1, w1), (sys2, w2) = drawn_subsystem(rng, n), drawn_subsystem(rng, n)
+            shared = tuple(
+                zip(rng.choice(n, n // 4, replace=False).tolist(),
+                    rng.choice(n, n // 4, replace=False).tolist())
+            )
+            twins = tuple((i, i) for i in range(n))
+            for other, ww, pairs in ((sys2, w2, ()), (sys2, w2, shared), (sys1, w1, twins)):
+                report = evaluate_composition(
+                    sys1, other, CompositionPattern(n, n, pairs), w1, ww
+                ).report
+                if report.sufficient.predicts_compositional:
+                    predicted += 1
+                    assert report.exact.equivalent
+        assert predicted >= 15  # at least every unshared pair
+
+
 class TestCompareGains:
     def test_counterexample_gains_differ(self):
         analysis = counterexample_analysis()
@@ -352,12 +405,13 @@ class TestCheckAgreement:
     def test_rectangular_residual_on_both_solutions(self):
         # both the stacked block solution and the lifted composite solution
         # satisfy the rectangular composite equation
+        linalg = pytest.importorskip("scipy.linalg")
         rng = np.random.default_rng(71)
         for _ in range(100):
             sys1, sys2, pattern, w1, w2 = sample_instance(rng, (1, 4), (1, 2), (0, 2))
             analysis = evaluate_composition(sys1, sys2, pattern, w1, w2)
             comp = analysis.composite
-            r_stacked = scipy.linalg.block_diag(w1.R, w2.R)
+            r_stacked = linalg.block_diag(w1.R, w2.R)
             for x in (
                 analysis.P_stacked @ comp.coupling.K,
                 comp.coupling.K @ analysis.direct.P,

@@ -1,8 +1,6 @@
 import numpy as np
 import pytest
-import scipy.linalg
 
-import rsmlqr.matkit
 from rsmlqr.errors import (
     InvalidMatrixError,
     NotPDError,
@@ -27,54 +25,94 @@ from rsmlqr.matkit import (
 from rsmlqr.riccati import solve_care
 
 
-def pbh_controllable(a, b):
-    """Independent oracle: rank [lambda I - A, B] == n for every eigenvalue."""
-    a = np.asarray(a, float)
-    b = np.asarray(b, float)
-    n = a.shape[0]
-    for lam in np.linalg.eigvals(a):
-        pencil = np.hstack([lam * np.eye(n) - a, b.astype(complex)])
-        if np.linalg.matrix_rank(pencil) < n:
-            return False
-    return True
+EPS = np.finfo(float).eps
+
+
+def unit_scaled(a, b):
+    """``A`` and ``B`` each scaled to unit Frobenius norm (a zero ``A`` kept)."""
+    norm_a = np.linalg.norm(a)
+    return (a / norm_a if norm_a else a), b / np.linalg.norm(b)
+
+
+def staircase_cut(a, b):
+    """The rank tests' cut, ``max(n, m) * eps * ||[A, B]||_F`` of the
+    unit-scaled pair."""
+    return max(b.shape) * EPS * (np.sqrt(2.0) if np.linalg.norm(a) else 1.0)
 
 
 def kalman_oracle(a, b):
-    """Test-only reference: SVD of the explicit ``[B, sAB, ..., (sA)^(n-1)B]``,
-    with the scaling, cut and margin the rank tests promise."""
-    n = a.shape[0]
-    scaled = a / max(1.0, float(np.linalg.norm(a)))
+    """Test-only rank reference: the SVD of the explicit Kalman matrix of
+    the unit-scaled pair, cut at ``max(shape) * sigma_max * eps``.  Its
+    columns lose rank in floating point as ``n`` grows, so it is used only
+    up to ``n = 20``."""
+    n, m = b.shape
+    if n * m == 0 or not np.linalg.norm(b):
+        return 0
+    a, b = unit_scaled(a, b)
     blocks = [b]
     for _ in range(n - 1):
-        blocks.append(scaled @ blocks[-1])
+        blocks.append(a @ blocks[-1])
     ctrb = np.hstack(blocks)
-    if ctrb.size == 0:
-        return RankTest(n == 0, 0, n, 0.0), 0.0
     s = np.linalg.svd(ctrb, compute_uv=False)
-    cut = max(ctrb.shape) * s[0] * np.finfo(float).eps
-    rank = int(np.count_nonzero(s > cut))
-    margin = float(s[rank - 1]) if rank else 0.0
-    return RankTest(rank == n, rank, n, margin), cut
+    return int(np.count_nonzero(s > max(ctrb.shape) * s[0] * EPS))
+
+
+def pbh_margin(a, b):
+    """Test-only oracle: the smallest ``sigma_n([lambda I - A, B])`` over
+    the eigenvalues ``lambda`` of ``A``, for the unit-scaled pair.  It is 0
+    up to round-off exactly when the pair is uncontrollable."""
+    n = a.shape[0]
+    a, b = unit_scaled(a, b)
+    eigs = np.linalg.eigvals(a)
+    # a conjugate eigenvalue gives the conjugate pencil, with the same
+    # singular values
+    return min(
+        np.linalg.svd(np.hstack([lam * np.eye(n) - a, b]), compute_uv=False)[n - 1]
+        for lam in eigs[eigs.imag >= 0.0]
+    )
+
+
+def pbh_oracle(a, b):
+    """Whether the pair is controllable by ``pbh_margin``, asserting first
+    that the margin is decisive: above 1e-8 or below 1e-12."""
+    margin = pbh_margin(a, b)
+    assert not 1e-12 <= margin <= 1e-8, f"PBH margin {margin:.3e} is not decisive"
+    return margin > 1e-8
+
+
+def unreachable_pair(rng, n, m, k):
+    """A pair whose reachable subspace is ``k`` of the ``n`` states: ``A``
+    block upper triangular with an exactly zero ``(n-k) x k`` block and
+    ``B`` zero below row ``k``, both under one random permutation of the
+    states, which floating point carries out exactly."""
+    a = rng.standard_normal((n, n)) / np.sqrt(n)
+    a[k:, :k] = 0.0
+    b = rng.standard_normal((n, m))
+    b[k:] = 0.0
+    perm = rng.permutation(n)
+    return a[np.ix_(perm, perm)], b[perm]
 
 
 class TestBlockDiag:
     def test_matches_scipy(self):
+        linalg = pytest.importorskip("scipy.linalg")
         rng = np.random.default_rng(17)
         a = rng.standard_normal((2, 3))
         b = rng.standard_normal((3, 1))
         out = block_diag(a, b)
-        np.testing.assert_array_equal(out, scipy.linalg.block_diag(a, b))
+        np.testing.assert_array_equal(out, linalg.block_diag(a, b))
         assert out.shape == (5, 4)
 
     @pytest.mark.parametrize(
         "shape_a, shape_b", [((2, 0), (1, 3)), ((2, 2), (3, 0)), ((0, 2), (1, 1))]
     )
     def test_empty_blocks_add_only_their_nonzero_dimension(self, shape_a, shape_b):
+        linalg = pytest.importorskip("scipy.linalg")
         a = np.full(shape_a, 2.0)
         b = np.full(shape_b, 3.0)
         out = block_diag(a, b)
         assert out.shape == (shape_a[0] + shape_b[0], shape_a[1] + shape_b[1])
-        np.testing.assert_array_equal(out, scipy.linalg.block_diag(a, b))
+        np.testing.assert_array_equal(out, linalg.block_diag(a, b))
         np.testing.assert_array_equal(out[shape_a[0]:, shape_a[1]:], b)
         assert not out[: shape_a[0], shape_a[1]:].any()
         assert not out[shape_a[0]:, : shape_a[1]].any()
@@ -361,7 +399,7 @@ class TestControllability:
         a = 1e8 * rng.standard_normal((8, 8))
         b = rng.standard_normal((8, 2))
         res = is_controllable(a, b)
-        assert res.ok == pbh_controllable(a, b)
+        assert res.ok == pbh_oracle(a, b)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_matches_pbh_oracle(self, seed):
@@ -377,7 +415,7 @@ class TestControllability:
             b = np.vstack([rng.standard_normal((n, m)), np.zeros((1, m))])
         else:
             b = rng.standard_normal((n, m))
-        assert is_controllable(a, b).ok == pbh_controllable(a, b)
+        assert is_controllable(a, b).ok == pbh_oracle(a, b)
 
 
 class TestObservability:
@@ -403,27 +441,38 @@ class TestObservability:
 
 
 class TestKalmanFactor:
-    """The doubled factor against the explicit Kalman matrix."""
+    """The staircase against the explicit Kalman matrix where that oracle is
+    sound (n <= 20); above that the explicit matrix loses rank in floating
+    point, and the PBH oracle takes its place."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 13, 16, 31, 40])
     @pytest.mark.parametrize("which", ["one", "n-1", "n", "2n+1"])
     def test_matches_explicit_kalman_matrix(self, n, which):
         m = {"one": 1, "n-1": n - 1, "n": n, "2n+1": 2 * n + 1}[which]
         rng = np.random.default_rng(100 * n + m)
-        for trial in range(3):
-            a = rng.standard_normal((n, n))
-            if trial == 2:
-                a *= 1e3  # exercises the norm scaling
-            b = rng.standard_normal((n, m))
+        # a random pair, then one that reaches only half of its states
+        for k in (n, n // 2):
+            if k == n:
+                a, b = rng.standard_normal((n, n)), rng.standard_normal((n, m))
+            else:
+                a, b = unreachable_pair(rng, n, m, k)
             got = is_controllable(a, b)
-            want, cut = kalman_oracle(a, b)
-            assert (got.ok, got.rank, got.required) == (want.ok, want.rank, want.required)
-            # Rounding moves singular values by a small multiple of
-            # eps * sigma_max, which is a fraction of the cut; a margin far
-            # above the cut agrees to 1e-12 relative.
-            assert abs(got.margin - want.margin) <= 1e-12 * want.margin + cut
-            dual = is_observable(a.T, b.T)
-            assert dual == got
+            if m == 0 or k == 0:
+                assert got == RankTest(False, 0, n, 0.0)
+                continue
+            if n <= 20:
+                assert got.rank == kalman_oracle(a, b) == k
+            else:
+                assert got.rank == k and pbh_oracle(a, b) == (k == n)
+            assert got.ok == (k == n) and got.required == n
+            # every kept singular value clears the cut and is one of a
+            # projected block of the unit-scaled pair
+            assert staircase_cut(a, b) < got.margin <= 1.0 + 1e-12
+            # rank and margin do not depend on the units of A or B
+            scaled = is_controllable(1e3 * a, 1e-5 * b)
+            assert scaled[:3] == got[:3]
+            assert scaled.margin == pytest.approx(got.margin, rel=1e-9)
+            assert is_observable(a.T, b.T) == got
 
     @pytest.mark.parametrize("n", [1, 3, 8])
     def test_empty_input_or_output(self, n):
@@ -431,34 +480,116 @@ class TestKalmanFactor:
         assert is_controllable(a, np.zeros((n, 0))) == RankTest(False, 0, n, 0.0)
         assert is_observable(a, np.zeros((0, n))) == RankTest(False, 0, n, 0.0)
 
-    def test_cut_uses_the_full_kalman_shape(self):
-        # singular values 1 and 20 eps: under the cut of the 2 x 80 Kalman
-        # matrix (80 eps), above that of any factor at most 3n = 6 wide
-        b = np.zeros((2, 40))
+
+class TestStaircase:
+    """The scale-free cut, the PBH oracle at orders 30-200, and the work."""
+
+    @pytest.mark.parametrize("rows, cols", [(2, 40), (3, 2)], ids=["wide-B", "narrow-B"])
+    @pytest.mark.parametrize("a_is_zero", [True, False], ids=["zero-A", "identity-A"])
+    @pytest.mark.parametrize("side", [0.9, 1.1], ids=["under", "over"])
+    def test_each_side_of_the_cut(self, rows, cols, a_is_zero, side):
+        # B's singular values are 1 and side * cut, with cut = max(n, m) eps
+        # (times sqrt(2) when A is nonzero, for ||[A, B]||_F of the scaled
+        # pair); A adds no direction, so the rank is 2 exactly when side > 1
+        a = np.zeros((rows, rows)) if a_is_zero else np.eye(rows)
+        b = np.zeros((rows, cols))
         b[0, 0] = 1.0
-        b[1, 1] = 20.0 * np.finfo(float).eps
-        a = np.zeros((2, 2))
-        want, _ = kalman_oracle(a, b)
-        assert want == RankTest(False, 1, 2, 1.0)
-        assert is_controllable(a, b) == want
-        assert is_observable(a, b.T) == want
+        b[1, 1] = side * staircase_cut(a, b)
+        rank = 2 if side > 1.0 else 1
+        for scale in (1e-200, 1e-6, 1.0, 1e6, 1e200):
+            got = is_controllable(scale * a, b / scale)
+            assert got[:3] == (rank == rows, rank, rows)
+            assert got.margin == pytest.approx(min(1.0, b[1, 1]) if rank == 2 else 1.0, rel=1e-12)
+            assert is_observable(scale * a.T, b.T / scale) == got
 
-    def test_factor_stays_within_three_n_columns(self, monkeypatch):
-        n, m = 200, 175
-        widths = []
-        for name in ("_narrow", "_singular_values"):
-            inner = getattr(rsmlqr.matkit, name)
+    def test_zero_input(self):
+        assert is_controllable(np.eye(3), np.zeros((3, 2))) == RankTest(False, 0, 3, 0.0)
 
-            def spy(f, inner=inner):
-                widths.append(f.shape[1])
-                return inner(f)
+    @pytest.mark.parametrize("side", [0.9, 1.1], ids=["under", "over"])
+    def test_each_side_of_the_cut_for_a_single_column(self, side):
+        # B = e1 and A = e1 e1^T + t e2 e1^T with ||A||_F = 1 in floating
+        # point: the second step's column is t e2, kept exactly when t is
+        # above the cut 2 sqrt(2) eps
+        a = np.diag([1.0, 0.0])
+        b = np.array([[1.0], [0.0]])
+        a[1, 0] = side * staircase_cut(a, b)
+        got = is_controllable(a, b)
+        if side > 1.0:
+            assert got[:3] == (True, 2, 2)
+            assert got.margin == pytest.approx(a[1, 0], rel=1e-12)
+        else:
+            assert got == RankTest(False, 1, 2, 1.0)
 
-            monkeypatch.setattr(rsmlqr.matkit, name, spy)
-        rng = np.random.default_rng(200)
+    def test_margin_is_the_smallest_over_all_steps(self):
+        # B's directions e1 and e2 come in with singular values 1 and t
+        # (over sqrt(1 + t^2)); A sends e1 to e3 at the second step with 1
+        t = 0.01
+        a = np.zeros((3, 3))
+        a[2, 0] = 1.0
+        b = np.array([[1.0, 0.0], [0.0, t], [0.0, 0.0]])
+        got = is_controllable(a, b)
+        assert got[:3] == (True, 3, 3)
+        assert got.margin == pytest.approx(t / np.sqrt(1.0 + t * t), rel=1e-12)
+
+    @pytest.mark.parametrize("delta", [1e-6, 1e-9])
+    def test_weak_chain_keeps_the_basis_orthonormal(self, delta):
+        # A chain I + delta * subdiagonal, rotated, reaches its 6 states
+        # through blocks that cancel all of A v but delta of it; one pass of
+        # Gram-Schmidt then leaves components along the basis far above the
+        # cut, and counts them as new directions.  The other 6 states are
+        # unreachable: A's lower-left block and B's lower rows are zero.
+        n, k = 12, 6
+        rng = np.random.default_rng(6)
+        q = np.linalg.qr(rng.standard_normal((k, k)))[0]
+        a = rng.standard_normal((n, n))
+        a[:k, :k] = q @ (np.eye(k) + delta * np.eye(k, k=-1)) @ q.T
+        a[k:, :k] = 0.0
+        b = np.zeros((n, 1))
+        b[:k, 0] = q[:, 0]
+        got = is_controllable(a, b)
+        assert got[:3] == (False, k, n)
+        # each step adds delta / ||A||_F of a new direction
+        assert staircase_cut(a, b) < got.margin < delta
+
+    @pytest.mark.parametrize(
+        "n, m, k",
+        [
+            (30, 1, 30), (30, 2, 11), (60, 4, 60), (60, 1, 45),
+            (100, 3, 100), (100, 30, 70), (100, 90, 100),
+            (200, 4, 200), (200, 60, 190),
+        ],
+    )
+    def test_matches_pbh_oracle(self, n, m, k):
+        rng = np.random.default_rng(10 * n + m)
+        if k == n:
+            a = rng.standard_normal((n, n)) / np.sqrt(n)
+            b = rng.standard_normal((n, m))
+        else:
+            a, b = unreachable_pair(rng, n, m, k)
+        got = is_controllable(a, b)
+        assert got.rank == k
+        assert got.ok == (k == n) == pbh_oracle(a, b)
+        assert is_observable(a.T, b.T) == got
+
+    @pytest.mark.parametrize("m", [4, 60])
+    def test_work_at_order_200(self, m, monkeypatch):
+        # one SVD per block, blocks at most m wide, and QR (for the
+        # complement) at most n columns wide: no Kalman-width factor
+        n = 200
+        svd_shapes, qr_shapes = [], []
+        for name, shapes in (("svd", svd_shapes), ("qr", qr_shapes)):
+            inner = getattr(np.linalg, name)
+
+            def spy(x, *args, inner=inner, shapes=shapes, **kwargs):
+                shapes.append(x.shape)
+                return inner(x, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+        rng = np.random.default_rng(200 + m)
         a = rng.standard_normal((n, n)) / np.sqrt(n) - 2.0 * np.eye(n)
-        res = is_controllable(a, rng.standard_normal((n, m)))
-        assert res.ok and res.rank == n
-        # every factor is either narrowed or handed to the final SVD, and
-        # widths only grow in between
-        assert len(widths) > 1
-        assert max(widths) <= 3 * n
+        got = is_controllable(a, rng.standard_normal((n, m)))
+        monkeypatch.undo()
+        assert got.ok and got.rank == n
+        assert len(svd_shapes) <= -(-n // m) + 1
+        assert all(cols <= m for _, cols in svd_shapes)
+        assert all(cols <= n for _, cols in qr_shapes)

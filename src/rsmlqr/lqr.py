@@ -49,24 +49,24 @@ from .errors import (
     NotHurwitzError,
     NotStabilizableError,
     NumericalFailureError,
-    ShapeError,
 )
 # The pipeline calls private kernels on trusted arrays (the rank tests go
 # straight to _staircase); solve_care, rectangular_riccati_residual,
-# is_controllable, is_observable and compose_cost stay importable from here
-# only because perfbench's tracer wraps them under these names.
+# is_controllable, is_observable, compose_cost and require_matrix stay
+# importable from here only because perfbench's tracer wraps them under
+# these names.
 from .matkit import (
     RankTest,
     _pbh_unreachable,
     _staircase,
     block_diag,
+    conform,
     definiteness,
     is_controllable,
     is_observable,
     psd_sqrt_factor,
     require_definite,
     require_matrix,
-    require_square,
     sym_eig,
 )
 from .riccati import (
@@ -82,7 +82,7 @@ from .rsm import (
     CostWeights,
     LinearSystem,
     _compose_cost,
-    _coupling_array,
+    _coupling,
     compose_cost,
     compose_gains,
     compose_open_loop,
@@ -205,16 +205,10 @@ def _design(a, b, q, r, label: str, q_pd: bool) -> LQRDesign:
 
 def lqr_subsystem(system: LinearSystem, weights: CostWeights) -> LQRDesign:
     """Optimal state feedback for one subsystem."""
-    if weights.Q.shape[0] != system.n:
-        raise ShapeError(
-            f"{system.name}: state weight is {weights.Q.shape}, expected "
-            f"{(system.n, system.n)}"
-        )
-    if weights.R.shape[0] != system.m:
-        raise ShapeError(
-            f"{system.name}: input weight is {weights.R.shape}, expected "
-            f"{(system.m, system.m)}"
-        )
+    conform(
+        (weights.Q, f"{system.name}: state weight Q", system.n, system.n),
+        (weights.R, f"{system.name}: input weight R", system.m, system.m),
+    )
     return _design(
         system.A, system.B, weights.Q, weights.R, system.name, weights.q_pd
     )
@@ -223,17 +217,10 @@ def lqr_subsystem(system: LinearSystem, weights: CostWeights) -> LQRDesign:
 def lqr_composite(composite: CompositeSystem, q, r) -> LQRDesign:
     """Optimal state feedback synthesized directly on the composite; ``q``
     and ``r`` are checked as a ``CostWeights`` pair."""
-    weights = CostWeights(q, r)
-    if weights.Q.shape[0] != composite.n:
-        raise ShapeError(
-            f"composite state weight is {weights.Q.shape}, expected "
-            f"{(composite.n, composite.n)}"
-        )
-    if weights.R.shape[0] != composite.m:
-        raise ShapeError(
-            f"composite input weight is {weights.R.shape}, expected "
-            f"{(composite.m, composite.m)}"
-        )
+    weights = CostWeights(*conform(
+        (q, "composite state weight", composite.n, composite.n),
+        (r, "composite input weight", composite.m, composite.m),
+    ))
     return _design(
         composite.A, composite.B, weights.Q, weights.R, "composite", weights.q_pd
     )
@@ -253,14 +240,11 @@ def check_exact_condition(p_stacked, coupling, p_composite, tol: float = DEFAULT
     The deviation is the max-abs entry of ``P_s K - K P_c``; equivalence
     means it stays within ``tol * (1 + max entry magnitude)``.
     """
-    p_s = require_square(p_stacked, "stacked Riccati solution")
-    kmat = _coupling_array(coupling)
-    p_c = require_square(p_composite, "composite Riccati solution")
-    if p_s.shape[0] != kmat.shape[0] or p_c.shape[0] != kmat.shape[1]:
-        raise ShapeError(
-            f"incompatible shapes: P_s {p_s.shape}, K {kmat.shape}, "
-            f"P_c {p_c.shape}"
-        )
+    p_s, kmat, p_c = conform(
+        (p_stacked, "stacked Riccati solution", "s", "s"),
+        (_coupling(coupling), "coupling matrix", "s", "c"),
+        (p_composite, "composite Riccati solution", "c", "c"),
+    )
     return _exact_check(p_s, kmat, p_c, tol)
 
 
@@ -271,13 +255,10 @@ def _exact_check(p_s, kmat, p_c, tol: float) -> DeviationCheck:
 
 def check_necessary_condition(p_stacked, coupling, tol: float = DEFAULT_TOL) -> NecessaryCheck:
     """Failure of ``P_s K K^T`` to be symmetric PSD rules equivalence out."""
-    p_s = require_square(p_stacked, "stacked Riccati solution")
-    kmat = _coupling_array(coupling)
-    if p_s.shape[0] != kmat.shape[0]:
-        raise ShapeError(
-            f"stacked solution is {p_s.shape} but the coupling matrix has "
-            f"{kmat.shape[0]} rows"
-        )
+    p_s, kmat = conform(
+        (p_stacked, "stacked Riccati solution", "s", "s"),
+        (_coupling(coupling), "coupling matrix", "s", "c"),
+    )
     return _necessary_check(p_s, kmat, tol)
 
 
@@ -303,18 +284,14 @@ def check_sufficient_condition(
     by the weight gate ``require_definite`` (``NotSymmetricError``,
     ``NotPSDError`` or ``NotPDError`` otherwise).
     """
-    a_s = require_square(a_stacked, "stacked state matrix")
-    b_s = require_matrix(b_stacked, "stacked input matrix")
-    kmat = _coupling_array(coupling)
-    q_c = require_square(q_composite, "composite state weight")
-    r_s = require_square(r_stacked, "stacked input weight")
-    p_s = require_square(p_stacked, "stacked Riccati solution")
-    if any(arr.shape[0] != kmat.shape[0] for arr in (a_s, b_s, p_s)):
-        raise ShapeError("stacked matrices must match the coupling row count")
-    if q_c.shape[0] != kmat.shape[1]:
-        raise ShapeError("composite weight must match the coupling column count")
-    if r_s.shape[0] != b_s.shape[1]:
-        raise ShapeError("stacked input weight must match the input column count")
+    a_s, b_s, kmat, q_c, r_s, p_s = conform(
+        (a_stacked, "stacked state matrix", "s", "s"),
+        (b_stacked, "stacked input matrix", "s", "m"),
+        (_coupling(coupling), "coupling matrix", "s", "c"),
+        (q_composite, "composite state weight", "c", "c"),
+        (r_stacked, "stacked input weight", "m", "m"),
+        (p_stacked, "stacked Riccati solution", "s", "s"),
+    )
     q_c = require_definite(q_c, "composite state weight")
     r_s = require_definite(r_s, "stacked input weight", pd=True)
     return _sufficient_check(a_s, b_s, kmat, q_c, r_s, _necessary_check(p_s, kmat, tol))
@@ -339,10 +316,9 @@ def _sufficient_check(a_s, b_s, kmat, q_c, r_s, hypothesis: NecessaryCheck) -> S
 
 def compare_gains(f_direct, f_composed, tol: float = DEFAULT_TOL) -> DeviationCheck:
     """Entrywise comparison of the direct and composed feedback gains."""
-    fd = require_matrix(f_direct, "direct gain")
-    fc = require_matrix(f_composed, "composed gain")
-    if fd.shape != fc.shape:
-        raise ShapeError(f"gain shapes differ: {fd.shape} vs {fc.shape}")
+    fd, fc = conform(
+        (f_direct, "direct gain", "m", "n"), (f_composed, "composed gain", "m", "n")
+    )
     return _deviation(fd, fc, tol)
 
 

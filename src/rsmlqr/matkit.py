@@ -1,5 +1,21 @@
 """Dense real-matrix utilities used throughout the package.
 
+The shape contract
+------------------
+Every public gate of the package coerces and checks its array arguments
+in one ``conform`` call.  Each argument is a spec ``(value, name, rows,
+cols)`` for a matrix or ``(value, name, length)`` for a vector; the value
+becomes a float64 array of finite real numbers or raises
+``InvalidMatrixError`` naming the argument.  A dimension is an int, or a
+symbol (``"n"`` state order, ``"m"`` inputs, ``"s"`` stacked order, ``"c"``
+composite order, ...) bound by its first occurrence, so a gate writes its
+shape links down once, as the mathematics states them, and every mismatch
+raises ``ShapeError`` in one format that names both arguments.
+``require_matrix`` is the coercion alone and ``require_square`` the
+one-spec contract ``(m, name, "n", "n")``.
+
+Utilities
+---------
 Block-diagonal stacking, symmetric eigendecomposition, SVD-based
 numerical rank, Hurwitz and definiteness tests, the weight gate
 (``require_definite``), positive-semidefinite square-root factors, the PBH
@@ -44,26 +60,71 @@ RTOL = 1e-9
 _EPS = float(np.finfo(float).eps)
 
 
-def require_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Coerce ``m`` to a 2-D float64 array of finite real numbers; anything
-    else, such as strings, complex numbers or ragged rows, raises
+def _real(value, name: str) -> np.ndarray:
+    """``value`` as a float64 array of finite real numbers, of any shape;
+    anything else, such as strings, complex numbers or ragged rows, raises
     ``InvalidMatrixError``."""
     try:
-        arr = np.asarray(m).astype(float, casting="same_kind", copy=False)
+        arr = np.asarray(value)
+        # most gates receive float64 arrays the package built itself, and a
+        # no-op astype would be about a third of the cost of this check
+        if arr.dtype != np.float64:
+            arr = arr.astype(float, casting="same_kind")
     except (TypeError, ValueError) as exc:
         raise InvalidMatrixError(f"{name} must hold real numbers: {exc}") from None
-    if arr.ndim != 2:
-        raise InvalidMatrixError(f"{name} must be 2-D, got ndim={arr.ndim}")
     if arr.size and not np.isfinite(arr).all():
         raise InvalidMatrixError(f"{name} contains non-finite entries")
     return arr
 
 
-def require_square(m, name: str = "matrix") -> np.ndarray:
-    arr = require_matrix(m, name)
-    if arr.shape[0] != arr.shape[1]:
-        raise ShapeError(f"{name} must be square, got shape {arr.shape}")
+def require_matrix(m, name: str = "matrix") -> np.ndarray:
+    """Coerce ``m`` to a 2-D float64 array of finite real numbers; anything
+    else, such as strings, complex numbers, ragged rows or another number
+    of dimensions, raises ``InvalidMatrixError``."""
+    arr = _real(m, name)
+    if arr.ndim != 2:
+        raise InvalidMatrixError(f"{name} must be 2-D, got ndim={arr.ndim}")
     return arr
+
+
+def conform(*specs) -> tuple[np.ndarray, ...]:
+    """The shape contract of every gate: coerce each argument and bind the
+    dimensions the arguments share.
+
+    Each spec is ``(value, name, rows, cols)`` for a matrix, which
+    ``require_matrix`` coerces, or ``(value, name, length)`` for a vector,
+    which may arrive in any array shape and is coerced the same way, then
+    flattened.  A dimension is an int, which the axis must equal, or a
+    symbol such as ``"n"``, which its first occurrence binds and every
+    later one must match.  Specs are checked in order, and the first
+    disagreement raises ``ShapeError`` naming the argument, its shape, the
+    symbol and the argument that bound it.  Returns the coerced arrays in
+    spec order.
+    """
+    bound: dict[str, tuple[int, str]] = {}
+    arrays = []
+    for value, name, *dims in specs:
+        if len(dims) == 2:
+            arr, axes = require_matrix(value, name), ("rows", "columns")
+        else:
+            arr, axes = _real(value, name).reshape(-1), ("entries",)
+        for size, dim, axis in zip(arr.shape, dims, axes):
+            if isinstance(dim, str):
+                want, source = bound.setdefault(dim, (size, name))
+            else:
+                want, source = dim, None
+            if size != want:
+                rule = f"{dim} = {want} from {source}" if source else str(want)
+                raise ShapeError(
+                    f"{name} has {size} {axis}, expected {rule} (shape {arr.shape})"
+                )
+        arrays.append(arr)
+    return tuple(arrays)
+
+
+def require_square(m, name: str = "matrix") -> np.ndarray:
+    """``m`` as a square matrix, by the shape contract."""
+    return conform((m, name, "n", "n"))[0]
 
 
 def block_diag(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -192,7 +253,11 @@ def definiteness(m, tol: float = RTOL) -> Definiteness:
     requiring it to exceed ``+cut``.  An asymmetric matrix is reported as
     neither psd nor pd, whatever its spectrum.
     """
-    arr = require_square(m, "definiteness input")
+    return _definiteness(require_square(m, "definiteness input"), tol)
+
+
+def _definiteness(arr: np.ndarray, tol: float = RTOL) -> Definiteness:
+    """The body of ``definiteness`` on a square array already coerced."""
     cut = _cut(arr, tol)
     symmetric, _ = _is_symmetric(arr, cut)
     if arr.shape[0] == 0:
@@ -220,7 +285,7 @@ def require_definite(m, name: str, pd: bool = False) -> np.ndarray:
 def _require_definite(m, name: str, pd: bool = False) -> tuple[np.ndarray, Definiteness]:
     """``require_definite`` that also returns the verdict it decided on."""
     arr = require_square(m, name)
-    d = definiteness(arr)
+    d = _definiteness(arr)
     if not d.symmetric:
         raise NotSymmetricError(
             f"{name} must be symmetric; max|M - M^T| exceeds {RTOL:.1e} * (1 + max|M|)"
@@ -291,27 +356,18 @@ def is_controllable(a, b) -> RankTest:
     pair: the nearer it is to the cut, the nearer the weakest reached
     direction came to being dropped.
     """
-    a_arr = require_square(a, "state matrix")
-    b_arr = require_matrix(b, "input matrix")
-    n = a_arr.shape[0]
-    if b_arr.shape[0] != n:
-        raise ShapeError(
-            f"input matrix has {b_arr.shape[0]} rows, expected {n} to match "
-            "the state dimension"
-        )
+    a_arr, b_arr = conform(
+        (a, "state matrix", "n", "n"), (b, "input matrix", "n", "m")
+    )
     return _staircase(a_arr, b_arr)
 
 
 def is_observable(a, c) -> RankTest:
     """Observability rank test: the controllability staircase of the dual
     pair ``(A^T, C^T)``, with its scale-free cut and margin."""
-    a_arr = require_square(a, "state matrix")
-    c_arr = require_matrix(c, "output matrix")
-    if c_arr.shape[1] != a_arr.shape[0]:
-        raise ShapeError(
-            f"output matrix has {c_arr.shape[1]} columns, expected "
-            f"{a_arr.shape[0]} to match the state dimension"
-        )
+    a_arr, c_arr = conform(
+        (a, "state matrix", "n", "n"), (c, "output matrix", "p", "n")
+    )
     return _staircase(a_arr.T, c_arr.T)
 
 

@@ -76,9 +76,10 @@ matrix K (see the rsm module), with unknown X of shape (n1+n2) x nc:
 where the ``_s`` matrices live in stacked coordinates and ``Q_c`` in
 composite coordinates.
 
-Each public function here validates its raw arrays and hands them to a
-private kernel (``_care_residual``, ``_solve_care``, ``_rect_residual``)
-that trusts them; the package's own pipeline calls the kernels directly.
+Each public function here validates its raw arrays with one
+``matkit.conform`` call and hands them to a private kernel
+(``_care_residual``, ``_solve_care``, ``_rect_residual``) that trusts them;
+the package's own pipeline calls the kernels directly.
 """
 
 from __future__ import annotations
@@ -97,16 +98,18 @@ from .errors import (
     ShapeError,
     SingularMatrixError,
 )
+# require_matrix stays importable from here only because perfbench's tracer
+# counts calls under this name; the gates coerce through conform.
 from .matkit import (
     RTOL,
     _cut,
     _is_symmetric,
     _pbh_unreachable,
+    conform,
     definiteness,
     is_hurwitz,
     require_definite,
     require_matrix,
-    require_square,
 )
 
 _NEWTON_SWEEPS = 5
@@ -142,19 +145,10 @@ def care_residual(a, b, q, r, p) -> tuple[np.ndarray, float]:
     Evaluated exactly as written so it serves as an oracle independent of
     how a candidate ``P`` was produced.
     """
-    a_arr = require_square(a, "A")
-    b_arr = require_matrix(b, "B")
-    q_arr = require_square(q, "Q")
-    r_arr = require_square(r, "R")
-    p_arr = require_square(p, "P")
-    n = a_arr.shape[0]
-    if b_arr.shape[0] != n or q_arr.shape[0] != n or p_arr.shape[0] != n:
-        raise ShapeError("A, B, Q, P must share the state dimension")
-    if r_arr.shape[0] != b_arr.shape[1]:
-        raise ShapeError(
-            f"R is {r_arr.shape[0]}x{r_arr.shape[1]} but B has "
-            f"{b_arr.shape[1]} columns"
-        )
+    a_arr, b_arr, q_arr, r_arr, p_arr = conform(
+        (a, "A", "n", "n"), (b, "B", "n", "m"), (q, "Q", "n", "n"),
+        (r, "R", "m", "m"), (p, "P", "n", "n"),
+    )
     return _care_residual(a_arr, b_arr, q_arr, r_arr, p_arr)
 
 
@@ -279,12 +273,9 @@ def solve_lyapunov(a_cl, w, tol: float = 1e-10) -> np.ndarray:
     is verified against ``tol``, with two refinement passes (three solves)
     before giving up.
     """
-    a_arr = require_square(a_cl, "closed-loop matrix")
-    w_arr = require_square(w, "W")
-    if a_arr.shape != w_arr.shape:
-        raise ShapeError(
-            f"closed-loop matrix is {a_arr.shape} but W is {w_arr.shape}"
-        )
+    a_arr, w_arr = conform(
+        (a_cl, "closed-loop matrix", "n", "n"), (w, "W", "n", "n")
+    )
     symmetric, asym = _is_symmetric(w_arr, _cut(w_arr))
     if not symmetric:
         raise NotSymmetricError(
@@ -362,19 +353,11 @@ def solve_care(a, b, q, r, tol: float = RTOL) -> RiccatiSolution:
     ``NumericalFailureError``.  A failed doubling attempt raises nothing of
     its own: every error is the sign path's.
     """
-    a_arr = require_square(a, "A")
-    b_arr = require_matrix(b, "B")
-    q_arr = require_square(q, "Q")
-    r_arr = require_square(r, "R")
-    n = a_arr.shape[0]
-    m = b_arr.shape[1]
-    if b_arr.shape[0] != n:
-        raise ShapeError(f"B has {b_arr.shape[0]} rows, expected {n}")
-    if q_arr.shape[0] != n:
-        raise ShapeError(f"Q is {q_arr.shape}, expected {(n, n)}")
-    if r_arr.shape[0] != m:
-        raise ShapeError(f"R is {r_arr.shape}, expected {(m, m)}")
-    if m < 1:
+    a_arr, b_arr, q_arr, r_arr = conform(
+        (a, "A", "n", "n"), (b, "B", "n", "m"), (q, "Q", "n", "n"),
+        (r, "R", "m", "m"),
+    )
+    if b_arr.shape[1] < 1:
         raise ShapeError("B must have at least one column")
     return _solve_care(
         a_arr, b_arr, require_definite(q_arr, "Q"),
@@ -584,30 +567,14 @@ def rectangular_riccati_residual(a_s, b_s, k, q_c, r_s, x) -> tuple[np.ndarray, 
 
         -X^T (A_s K) - (A_s K)^T X - Q_c + X^T B_s R_s^{-1} B_s^T X
     """
-    a_arr = require_square(a_s, "stacked state matrix")
-    b_arr = require_matrix(b_s, "stacked input matrix")
-    k_arr = require_matrix(k, "coupling matrix")
-    q_arr = require_square(q_c, "composite state weight")
-    r_arr = require_square(r_s, "stacked input weight")
-    n_s = a_arr.shape[0]
-    if b_arr.shape[0] != n_s or k_arr.shape[0] != n_s:
-        raise ShapeError("stacked matrices must share their row dimension")
-    if q_arr.shape[0] != k_arr.shape[1]:
-        raise ShapeError(
-            f"composite weight is {q_arr.shape} but the coupling matrix has "
-            f"{k_arr.shape[1]} columns"
-        )
-    if r_arr.shape[0] != b_arr.shape[1]:
-        raise ShapeError(
-            f"input weight is {r_arr.shape} but the stacked input matrix has "
-            f"{b_arr.shape[1]} columns"
-        )
-    x_arr = require_matrix(x, "X")
-    if x_arr.shape != k_arr.shape:
-        raise ShapeError(
-            f"X is {x_arr.shape}, expected {k_arr.shape} to match the "
-            "coupling matrix"
-        )
+    a_arr, b_arr, k_arr, q_arr, r_arr, x_arr = conform(
+        (a_s, "stacked state matrix", "s", "s"),
+        (b_s, "stacked input matrix", "s", "m"),
+        (k, "coupling matrix", "s", "c"),
+        (q_c, "composite state weight", "c", "c"),
+        (r_s, "stacked input weight", "m", "m"),
+        (x, "X", "s", "c"),
+    )
     return _rect_residual(a_arr, b_arr, k_arr, q_arr, r_arr, x_arr)
 
 

@@ -27,14 +27,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import PatternError, ShapeError
-# definiteness stays importable from here for perfbench's tracer.
+# definiteness and require_matrix stay importable from here only because
+# perfbench's tracer wraps them under these names.
 from .matkit import (
     _require_definite,
     block_diag,
+    conform,
     definiteness,
     require_definite,
     require_matrix,
-    require_square,
 )
 
 
@@ -47,14 +48,11 @@ class LinearSystem:
     B: np.ndarray
 
     def __post_init__(self):
-        a = require_square(self.A, f"{self.name}.A")
-        b = require_matrix(self.B, f"{self.name}.B")
+        a, b = conform(
+            (self.A, f"{self.name}.A", "n", "n"), (self.B, f"{self.name}.B", "n", "m")
+        )
         if a.shape[0] < 1:
             raise ShapeError(f"{self.name}.A must be at least 1x1")
-        if b.shape[0] != a.shape[0]:
-            raise ShapeError(
-                f"{self.name}.B has {b.shape[0]} rows, expected {a.shape[0]}"
-            )
         if b.shape[1] < 1:
             raise ShapeError(f"{self.name}.B must have at least one input column")
         object.__setattr__(self, "A", a)
@@ -206,10 +204,10 @@ def build_composition_matrix(pattern: CompositionPattern) -> CompositionMatrix:
     return CompositionMatrix(kmat)
 
 
-def _coupling_array(coupling) -> np.ndarray:
-    if isinstance(coupling, CompositionMatrix):
-        return coupling.K
-    return require_matrix(coupling, "coupling matrix")
+def _coupling(coupling):
+    """The matrix of a ``CompositionMatrix``, or ``coupling`` as given, for
+    ``conform`` to check."""
+    return coupling.K if isinstance(coupling, CompositionMatrix) else coupling
 
 
 def compose_open_loop(
@@ -240,13 +238,10 @@ def compose_cost(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Composite cost pair: states reduce through the coupling matrix, inputs
     stay block diagonal (inputs are never shared)."""
-    kmat = _coupling_array(coupling)
-    n1 = weights1.Q.shape[0]
-    n2 = weights2.Q.shape[0]
-    if kmat.shape[0] != n1 + n2:
-        raise ShapeError(
-            f"coupling matrix has {kmat.shape[0]} rows, expected {n1 + n2}"
-        )
+    _, kmat = conform(
+        (block_diag(weights1.Q, weights2.Q), "blockdiag(Q1, Q2)", "s", "s"),
+        (_coupling(coupling), "coupling matrix", "s", "c"),
+    )
     return _compose_cost(weights1, weights2, kmat)[:2]
 
 
@@ -263,24 +258,15 @@ def _compose_cost(
 
 def compose_gains(f1, f2, coupling) -> np.ndarray:
     """Push block feedback gains through the coupling: ``blockdiag(F1, F2) K``."""
-    f1_arr = require_matrix(f1, "F1")
-    f2_arr = require_matrix(f2, "F2")
-    kmat = _coupling_array(coupling)
-    stacked = block_diag(f1_arr, f2_arr)
-    if kmat.shape[0] != stacked.shape[1]:
-        raise ShapeError(
-            f"coupling matrix has {kmat.shape[0]} rows but the stacked gain "
-            f"acts on {stacked.shape[1]} states"
-        )
+    f1_arr, f2_arr = conform((f1, "F1", "m1", "n1"), (f2, "F2", "m2", "n2"))
+    stacked, kmat = conform(
+        (block_diag(f1_arr, f2_arr), "blockdiag(F1, F2)", "m", "s"),
+        (_coupling(coupling), "coupling matrix", "s", "c"),
+    )
     return stacked @ kmat
 
 
 def closed_loop_matrix(composite: CompositeSystem, f) -> np.ndarray:
     """Closed-loop state matrix ``A_c + B_c F`` for ``u = F x``."""
-    f_arr = require_matrix(f, "feedback gain")
-    if f_arr.shape != (composite.m, composite.n):
-        raise ShapeError(
-            f"feedback gain is {f_arr.shape}, expected "
-            f"{(composite.m, composite.n)}"
-        )
+    (f_arr,) = conform((f, "feedback gain", composite.m, composite.n))
     return composite.A + composite.B @ f_arr

@@ -20,8 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHurwitzError, ShapeError
-from .matkit import require_matrix, require_square
+from .errors import NotHurwitzError
+# require_matrix stays importable from here only because perfbench's tracer
+# counts calls under this name; the gates coerce through conform.
+from .matkit import conform, require_matrix
 from .riccati import RiccatiSolution, solve_lyapunov
 from .rsm import CompositeSystem
 
@@ -59,15 +61,6 @@ class GapResult:
     stable_direct: bool
 
 
-def _state_vector(x0, n: int) -> np.ndarray:
-    arr = np.asarray(x0, dtype=float).reshape(-1)
-    if arr.shape[0] != n:
-        raise ShapeError(f"initial state has length {arr.shape[0]}, expected {n}")
-    if not np.isfinite(arr).all():
-        raise ShapeError("initial state contains non-finite entries")
-    return arr
-
-
 def simulate(a_cl, x0, horizon: float, step: float) -> Trajectory:
     """Integrate ``xdot = A_cl x`` from ``x0`` over ``[0, horizon]``.
 
@@ -75,8 +68,9 @@ def simulate(a_cl, x0, horizon: float, step: float) -> Trajectory:
     evenly, so the grid is uniform and the last sample lands exactly on the
     horizon.  Classical RK4: global error is O(step^4).
     """
-    a_arr = require_square(a_cl, "closed-loop matrix")
-    x = _state_vector(x0, a_arr.shape[0])
+    a_arr, x = conform(
+        (a_cl, "closed-loop matrix", "n", "n"), (x0, "initial state", "n")
+    )
     if not (math.isfinite(horizon) and horizon > 0.0):
         raise ValueError(f"horizon must be positive and finite, got {horizon}")
     if not (math.isfinite(step) and step > 0.0):
@@ -106,21 +100,10 @@ def closed_loop_cost(a, b, f, q, r, x0) -> CostResult:
     ``x0^T X x0`` with ``X`` the Lyapunov solution, so no integration error
     enters.  A non-Hurwitz loop returns the infinite sentinel.
     """
-    a_arr = require_square(a, "A")
-    b_arr = require_matrix(b, "B")
-    f_arr = require_matrix(f, "F")
-    q_arr = require_square(q, "Q")
-    r_arr = require_square(r, "R")
-    if b_arr.shape[0] != a_arr.shape[0]:
-        raise ShapeError("A and B must share their row dimension")
-    n, m = a_arr.shape[0], b_arr.shape[1]
-    if f_arr.shape != (m, n):
-        raise ShapeError(f"F is {f_arr.shape}, expected {(m, n)}")
-    if q_arr.shape[0] != n:
-        raise ShapeError(f"Q is {q_arr.shape}, expected {(n, n)}")
-    if r_arr.shape[0] != m:
-        raise ShapeError(f"R is {r_arr.shape}, expected {(m, m)}")
-    x = _state_vector(x0, n)
+    a_arr, b_arr, f_arr, q_arr, r_arr, x = conform(
+        (a, "A", "n", "n"), (b, "B", "n", "m"), (f, "F", "m", "n"),
+        (q, "Q", "n", "n"), (r, "R", "m", "m"), (x0, "initial state", "n"),
+    )
     a_cl = a_arr + b_arr @ f_arr
     w = q_arr + f_arr.T @ r_arr @ f_arr
     try:
@@ -148,13 +131,11 @@ def optimality_gap(
     When exactly one loop is stable the gap is ``+/-inf`` (composed
     unstable gives ``+inf``); when neither is, it is NaN.
     """
-    if direct.P.shape != (composite.n, composite.n):
-        raise ShapeError(
-            f"direct Riccati solution is {direct.P.shape}, expected "
-            f"{(composite.n, composite.n)}"
-        )
-    composed = closed_loop_cost(composite.A, composite.B, f_composed, q, r, x0)
-    x = _state_vector(x0, composite.n)
+    _, x = conform(
+        (direct.P, "direct Riccati solution", composite.n, composite.n),
+        (x0, "initial state", composite.n),
+    )
+    composed = closed_loop_cost(composite.A, composite.B, f_composed, q, r, x)
     stable_direct = direct.closed_loop_max_re < 0.0
     j_direct = max(float(x @ direct.P @ x), 0.0) if stable_direct else math.inf
     if composed.stable and stable_direct:
@@ -212,14 +193,10 @@ def quadrature_cost(trajectory: Trajectory, weight) -> float:
     error, so expect agreement with the exact cost at the 1e-4 level for
     well-resolved, long-enough runs.
     """
-    w_arr = require_square(weight, "weight")
-    states = trajectory.states
+    w_arr, states = conform(
+        (weight, "weight", "n", "n"), (trajectory.states, "trajectory states", "t", "n")
+    )
     times = np.asarray(trajectory.times, dtype=float)
-    if states.ndim != 2 or states.shape[1] != w_arr.shape[0]:
-        raise ShapeError(
-            f"trajectory states have shape {states.shape}, incompatible with "
-            f"weight of shape {w_arr.shape}"
-        )
     if states.shape[0] < 3:
         raise ValueError("need at least three samples for Simpson quadrature")
     if times.shape != (states.shape[0],) or not (np.diff(times) > 0.0).all():

@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 import rsmlqr
 from rsmlqr.cli import main, parse_problem, problem_document, render_json
@@ -46,6 +45,8 @@ from rsmlqr.rsm import (
     compose_open_loop,
 )
 from rsmlqr.sim import quadrature_cost, simulate
+
+from numpy_oracles import block_diag
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 
@@ -115,10 +116,10 @@ def _recheck_without_invariants(sys1, sys2, pattern, w1, w2):
     q_c, _ = compose_cost(w1, w2, composite.coupling)
     d1 = lqr_subsystem(sys1, w1)
     d2 = lqr_subsystem(sys2, w2)
-    direct = lqr_composite(composite, q_c, scipy.linalg.block_diag(w1.R, w2.R))
-    p_stacked = scipy.linalg.block_diag(d1.P, d2.P)
+    direct = lqr_composite(composite, q_c, block_diag(w1.R, w2.R))
+    p_stacked = block_diag(d1.P, d2.P)
     kmat = composite.coupling.K
-    r_stacked = scipy.linalg.block_diag(w1.R, w2.R)
+    r_stacked = block_diag(w1.R, w2.R)
     exact = check_exact_condition(p_stacked, kmat, direct.P)
     necessary = check_necessary_condition(p_stacked, kmat)
     sufficient = check_sufficient_condition(
@@ -171,7 +172,7 @@ def audit_suite() -> AuditSuite:
         denom_stacked = 1.0 + float(np.linalg.norm(x_stacked)) ** 2 * b_s_sq
         denom_composite = 1.0 + float(np.linalg.norm(x_composite)) ** 2 * b_s_sq
 
-        f_block = scipy.linalg.block_diag(analysis.design1.F, analysis.design2.F)
+        f_block = block_diag(analysis.design1.F, analysis.design2.F)
         lhs = closed_loop_matrix(composite, analysis.F_composed)
         rhs = kmat.T @ (composite.A_stacked + composite.B_stacked @ f_block) @ kmat
         closure_ratio = float(

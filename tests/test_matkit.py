@@ -13,6 +13,7 @@ from rsmlqr.matkit import (
     _rank_from_svals,
     _singular_values,
     block_diag,
+    conform,
     definiteness,
     is_controllable,
     is_hurwitz,
@@ -157,6 +158,77 @@ class TestRequireMatrix:
     def test_public_gate_raises_typed(self, bad):
         with pytest.raises(InvalidMatrixError, match="Q must hold real numbers"):
             solve_care([[-1.0]], [[1.0]], bad, [[1.0]])
+
+
+class TestConform:
+    def test_int_dims(self):
+        (m,) = conform(([[1, 2, 3], [4, 5, 6]], "M", 2, 3))
+        assert m.dtype == float and m.shape == (2, 3)
+        with pytest.raises(ShapeError, match=r"^M has 3 columns, expected 4 \(shape \(2, 3\)\)$"):
+            conform((m, "M", 2, 4))
+        with pytest.raises(ShapeError, match=r"^M has 2 rows, expected 1 "):
+            conform((m, "M", 1, 3))
+
+    def test_symbol_binds_across_arguments(self):
+        a, b, r = conform(
+            (np.eye(2), "A", "n", "n"), (np.ones((2, 3)), "B", "n", "m"),
+            (np.eye(3), "R", "m", "m"),
+        )
+        assert (a.shape, b.shape, r.shape) == ((2, 2), (2, 3), (3, 3))
+        with pytest.raises(
+            ShapeError,
+            match=r"^B has 3 rows, expected n = 2 from A \(shape \(3, 1\)\)$",
+        ):
+            conform((np.eye(2), "A", "n", "n"), (np.ones((3, 1)), "B", "n", "m"))
+        with pytest.raises(ShapeError, match=r"^R has 2 rows, expected m = 1 from B "):
+            conform(
+                (np.eye(2), "A", "n", "n"), (np.ones((2, 1)), "B", "n", "m"),
+                (np.eye(2), "R", "m", "m"),
+            )
+
+    def test_symbols_are_bound_per_call(self):
+        conform((np.eye(2), "A", "n", "n"))
+        conform((np.eye(3), "A", "n", "n"))
+
+    def test_non_square(self):
+        with pytest.raises(ShapeError, match=r"^Q has 3 columns, expected n = 2 from Q "):
+            conform((np.zeros((2, 3)), "Q", "n", "n"))
+
+    def test_first_disagreement_in_spec_order(self):
+        with pytest.raises(ShapeError, match="^B has"):
+            conform(
+                (np.eye(2), "A", "n", "n"), (np.ones((3, 1)), "B", "n", "m"),
+                (np.eye(4), "Q", "n", "n"),
+            )
+
+    @pytest.mark.parametrize("bad", [np.ones(3), np.ones((1, 1, 3)), 1.0])
+    def test_wrong_ndim(self, bad):
+        with pytest.raises(InvalidMatrixError, match="M must be 2-D"):
+            conform((bad, "M", 1, 3))
+
+    @pytest.mark.parametrize("shape", [(3,), (3, 1), (1, 3), (1, 3, 1)])
+    def test_vector_of_any_shape(self, shape):
+        a, x = conform(
+            (np.eye(3), "A", "n", "n"), (np.arange(3.0).reshape(shape), "x", "n")
+        )
+        np.testing.assert_array_equal(x, [0.0, 1.0, 2.0])
+        with pytest.raises(ShapeError, match=r"^x has 3 entries, expected n = 2 from A "):
+            conform((np.eye(2), "A", "n", "n"), (np.zeros(shape), "x", "n"))
+
+    @pytest.mark.parametrize("dims", [(1, 1), ("n", "n"), ("n",)])
+    @pytest.mark.parametrize(
+        "bad", [*NON_NUMERIC.values(), None, "abc"],
+        ids=[*NON_NUMERIC.keys(), "none", "string-scalar"],
+    )
+    def test_coercion_errors_stay_invalid_matrix(self, bad, dims):
+        with pytest.raises(InvalidMatrixError, match="W must hold real numbers"):
+            conform((bad, "W", *dims))
+
+    @pytest.mark.parametrize("dims", [(2, 2), ("n", "n"), ("n",)])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_entries(self, value, dims):
+        with pytest.raises(InvalidMatrixError, match="W contains non-finite entries"):
+            conform(([[1.0, value], [0.0, 1.0]], "W", *dims))
 
 
 class TestSymEig:

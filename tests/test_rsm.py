@@ -23,6 +23,8 @@ from rsmlqr.rsm import (
     compose_open_loop,
 )
 
+from numpy_oracles import block_diag
+
 
 def all_patterns(n1, n2):
     """Every sharing pattern between systems of order n1 and n2."""
@@ -290,9 +292,7 @@ class TestClosedLoop:
             f2 = rng.standard_normal((m2, n2))
             f = compose_gains(f1, f2, comp.coupling)
             lhs = closed_loop_matrix(comp, f)
-            import scipy.linalg
-
-            f_stacked = scipy.linalg.block_diag(f1, f2)
+            f_stacked = block_diag(f1, f2)
             kmat = comp.coupling.K
             rhs = kmat.T @ (comp.A_stacked + comp.B_stacked @ f_stacked) @ kmat
             scale = 1.0 + max(np.abs(lhs).max(), np.abs(rhs).max())
@@ -317,9 +317,7 @@ class TestClosedLoop:
                 n1, n2, tuple((int(a), int(b)) for a, b in zip(firsts, seconds))
             )
             kmat = build_composition_matrix(pattern).K
-            import scipy.linalg
-
-            composite = kmat.T @ scipy.linalg.block_diag(*blocks) @ kmat
+            composite = kmat.T @ block_diag(*blocks) @ kmat
             res = is_hurwitz(composite)
             assert res.hurwitz, f"max Re {res.max_real_part} for k={k}"
 
@@ -330,9 +328,7 @@ class TestClosedLoop:
         a2 = np.array([[-0.1, 0.0], [5.0, -0.1]])
         pattern = CompositionPattern(2, 2, ((0, 0), (1, 1)))
         kmat = build_composition_matrix(pattern).K
-        import scipy.linalg
-
-        composite = kmat.T @ scipy.linalg.block_diag(a1, a2) @ kmat
+        composite = kmat.T @ block_diag(a1, a2) @ kmat
         verdict = is_hurwitz(composite)
         assert isinstance(verdict.hurwitz, bool)
         assert is_hurwitz(a1).hurwitz and is_hurwitz(a2).hurwitz

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rsmlqr.errors import ShapeError
+from rsmlqr.errors import InvalidMatrixError, ShapeError
 from rsmlqr.lqr import evaluate_composition, lqr_subsystem, sample_instance
 from rsmlqr.riccati import RiccatiSolution
 from rsmlqr.rsm import (
@@ -297,3 +297,57 @@ class TestQuadratureCost:
         traj = simulate([[-1.0]], [1.0], horizon=1.0, step=0.1)
         with pytest.raises(ShapeError):
             quadrature_cost(traj, np.eye(2))
+
+
+def _initial_state_callers():
+    """Each public function that takes ``x0``, as ``x0 -> result`` on one
+    composite of order 2, the result reduced to an array to compare."""
+    s = LinearSystem("one", [[-1.0]], [[1.0]])
+    w = CostWeights([[1.0]], [[1.0]])
+    analysis = evaluate_composition(s, s, CompositionPattern(1, 1), w, w)
+    comp, q, r, f = analysis.composite, analysis.Q, analysis.R, analysis.F_composed
+    return {
+        "simulate": lambda x0: simulate(comp.A + comp.B @ f, x0, 1.0, 0.1).states,
+        "closed_loop_cost": lambda x0: closed_loop_cost(
+            comp.A, comp.B, f, q, r, x0
+        ).value,
+        "optimality_gap": lambda x0: optimality_gap(
+            comp, q, r, f, analysis.direct.solution, x0
+        ).J_composed,
+    }
+
+
+X0_CALLERS = ("simulate", "closed_loop_cost", "optimality_gap")
+BAD_X0 = {
+    "string": "abc",
+    "strings": ["1.0", "2.0"],
+    "complex": [1j, 0.0],
+    "none": None,
+    "ragged": [[1.0], [2.0, 3.0]],
+    "nan": [np.nan, 1.0],
+    "inf": [1.0, -np.inf],
+}
+
+
+class TestInitialState:
+    """``x0`` goes through the shape contract as a vector: any array shape
+    holding ``n`` finite real entries."""
+
+    @pytest.mark.parametrize("caller", X0_CALLERS)
+    @pytest.mark.parametrize("bad", BAD_X0.values(), ids=BAD_X0.keys())
+    def test_unusable_entries_raise_invalid_matrix(self, caller, bad):
+        with pytest.raises(InvalidMatrixError, match="^initial state "):
+            _initial_state_callers()[caller](bad)
+
+    @pytest.mark.parametrize("caller", X0_CALLERS)
+    @pytest.mark.parametrize("shape", [(2, 1), (1, 2), (1, 2, 1)])
+    def test_any_shape_with_n_entries(self, caller, shape):
+        call = _initial_state_callers()[caller]
+        flat = np.array([1.0, -2.0])
+        np.testing.assert_array_equal(call(flat.reshape(shape)), call(flat))
+
+    @pytest.mark.parametrize("caller", X0_CALLERS)
+    @pytest.mark.parametrize("x0", [[1.0], [1.0, 2.0, 3.0], np.ones((2, 2))])
+    def test_wrong_entry_count(self, caller, x0):
+        with pytest.raises(ShapeError, match="^initial state has .* entries, expected"):
+            _initial_state_callers()[caller](x0)

@@ -13,9 +13,10 @@ Problem files are JSON:
 where ``pairs`` identifies state ``j`` of the first subsystem with state
 ``k`` of the second (zero-based).  Validation happens before any numerics
 and reports the JSON path of the first violated constraint.  The parser
-checks only the JSON shape of ``pairs``; ``CompositionPattern`` owns the
-range and uniqueness rules, and its ``PatternError`` path is reported with
-the ``$.pattern.`` prefix.  ``CostWeights`` owns the weight rules, and its
+checks only the JSON shape of ``pairs``; ``CompositionPattern`` owns every
+pattern rule (each pair two integers, each index in range and shared at
+most once), and its ``PatternError`` path is reported with the
+``$.pattern.`` prefix.  ``CostWeights`` owns the weight rules, and its
 errors are reported with the subsystem's path, such as ``$.subsystems[1]:``.
 
 All machine output is byte-deterministic for a fixed input, tolerance, and
@@ -48,6 +49,7 @@ from .lqr import (
     CompositionAnalysis,
     LQRDesign,
     SearchConfig,
+    _require_tol,
     counterexample_search,
     design_composition,
     evaluate_composition,
@@ -158,9 +160,7 @@ def _as_object(node, path: str) -> dict:
 
 
 def _as_number(node, path: str) -> float:
-    if isinstance(node, _HugeInt):
-        _schema_fail(path, "integer is too large for a double")
-    if isinstance(node, bool) or not isinstance(node, (int, float)):
+    if isinstance(node, bool) or not isinstance(node, (int, float, _HugeInt)):
         _schema_fail(path, f"expected a number, got {type(node).__name__}")
     try:
         value = float(node)
@@ -188,14 +188,6 @@ def _as_matrix(node, path: str) -> np.ndarray:
             )
         rows.append([_as_number(x, f"{path}[{i}][{j}]") for j, x in enumerate(row)])
     return np.array(rows, dtype=float)
-
-
-def _as_index(node, path: str) -> int:
-    if isinstance(node, _HugeInt):
-        _schema_fail(path, "integer is too large to be a state index")
-    if isinstance(node, bool) or not isinstance(node, int):
-        _schema_fail(path, f"expected an integer, got {type(node).__name__}")
-    return int(node)
 
 
 def _parse_subsystem(node, path: str) -> tuple[str, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -230,16 +222,8 @@ def _parse_pattern(node, path: str, n1: int, n2: int) -> CompositionPattern:
     raw_pairs = _require_key(obj, "pairs", path)
     if not isinstance(raw_pairs, list):
         _schema_fail(f"{path}.pairs", "expected an array of [j, k] pairs")
-    pairs = []
-    for i, entry in enumerate(raw_pairs):
-        entry_path = f"{path}.pairs[{i}]"
-        if not isinstance(entry, list) or len(entry) != 2:
-            _schema_fail(entry_path, "expected a pair [j, k] of two integers")
-        j = _as_index(entry[0], f"{entry_path}[0]")
-        k = _as_index(entry[1], f"{entry_path}[1]")
-        pairs.append((j, k))
     try:
-        return CompositionPattern(n1, n2, tuple(pairs))
+        return CompositionPattern(n1, n2, tuple(raw_pairs))
     except PatternError as exc:
         raise SchemaError(f"{path}.{exc}") from exc
 
@@ -256,11 +240,15 @@ def _reject_constant(token: str):
 
 
 class _HugeInt:
-    """An integer literal with more digits than ``int()`` converts.
+    """An integer literal with more digits than ``int()`` converts.  Like an
+    int too large for a double, it raises ``OverflowError`` on conversion,
+    which the schema checks and ``CompositionPattern`` report at its JSON
+    path; the interpreter's digit limit stays as it is."""
 
-    The schema checks reject it at its JSON path; the interpreter's digit
-    limit stays as it is.
-    """
+    def __index__(self):
+        raise OverflowError("integer literal beyond the digit limit")
+
+    __float__ = __index__
 
 
 def _parse_int(token: str):
@@ -476,9 +464,8 @@ def _verdict(analysis: CompositionAnalysis, requested: tuple[str, ...]) -> tuple
 # subcommands
 
 def _resolve_tol(args) -> float:
-    if args.tol is not None:
-        tol = args.tol
-    else:
+    tol = args.tol
+    if tol is None:
         raw = os.environ.get(_TOL_ENV_VAR)
         if raw is None:
             return DEFAULT_TOL
@@ -488,9 +475,7 @@ def _resolve_tol(args) -> float:
             raise SchemaError(
                 f"environment variable {_TOL_ENV_VAR}={raw!r} is not a number"
             ) from None
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise SchemaError(f"tolerance must be positive and finite, got {tol}")
-    return tol
+    return _require_tol(tol)
 
 
 def _parse_x0(text: str | None, n: int) -> np.ndarray:

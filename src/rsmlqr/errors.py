@@ -50,8 +50,12 @@ class SingularMatrixError(RsmLqrError, ValueError):
 
 
 class PatternError(RsmLqrError, ValueError):
-    """A composition pattern is malformed: an index is out of range or a
-    state is shared more than once."""
+    """A composition pattern is malformed: a pair is not two integers, an
+    index is out of range or a state is shared more than once."""
+
+
+class InvalidArgumentError(RsmLqrError, ValueError):
+    """A scalar argument, such as a tolerance or a horizon, is out of range."""
 
 
 class SchemaError(RsmLqrError, ValueError):

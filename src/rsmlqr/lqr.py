@@ -18,6 +18,15 @@ ways:
               (A_s K K^T, D) with D^T D = K Q_c K^T.  Success proves the
               designs coincide; failure alone proves nothing.
 
+The observability half is computed on the composite pair.  With
+``D = F K^T`` and ``F^T F = Q_c``, ``D (A_s K K^T)^j = F A_c^j K^T``, so
+the observability matrix of the stacked pair is that of ``(A_c, F)``
+times ``K^T``: its rank is that of the c x c pair, at most ``c = s - k``
+for ``k`` shared states.  The stacked staircase would count rounding
+error along ``ker K^T``, which no output sees, into that rank.  The rank
+is still required to reach the stacked order ``s``, so the sufficient
+test cannot predict once any state is shared.
+
 Both rank tests run Paige's orthogonal controllability staircase
 (``matkit.is_controllable``; observability through the dual pair), which
 keeps full rank at the composite orders where the columns of the Kalman
@@ -46,6 +55,7 @@ from . import sim
 from .errors import (
     DetectabilityWarning,
     InconsistencyError,
+    InvalidArgumentError,
     NotHurwitzError,
     NotStabilizableError,
     NumericalFailureError,
@@ -89,6 +99,13 @@ from .rsm import (
 )
 
 DEFAULT_TOL = 1e-8
+
+
+def _require_tol(tol: float) -> float:
+    """``tol`` if it is positive and finite, else ``InvalidArgumentError``."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise InvalidArgumentError(f"tolerance must be positive and finite, got {tol}")
+    return tol
 
 
 @dataclass(frozen=True)
@@ -245,7 +262,7 @@ def check_exact_condition(p_stacked, coupling, p_composite, tol: float = DEFAULT
         (_coupling(coupling), "coupling matrix", "s", "c"),
         (p_composite, "composite Riccati solution", "c", "c"),
     )
-    return _exact_check(p_s, kmat, p_c, tol)
+    return _exact_check(p_s, kmat, p_c, _require_tol(tol))
 
 
 def _exact_check(p_s, kmat, p_c, tol: float) -> DeviationCheck:
@@ -259,7 +276,7 @@ def check_necessary_condition(p_stacked, coupling, tol: float = DEFAULT_TOL) -> 
         (p_stacked, "stacked Riccati solution", "s", "s"),
         (_coupling(coupling), "coupling matrix", "s", "c"),
     )
-    return _necessary_check(p_s, kmat, tol)
+    return _necessary_check(p_s, kmat, _require_tol(tol))
 
 
 def _necessary_check(p_s, kmat, tol: float) -> NecessaryCheck:
@@ -294,7 +311,8 @@ def check_sufficient_condition(
     )
     q_c = require_definite(q_c, "composite state weight")
     r_s = require_definite(r_s, "stacked input weight", pd=True)
-    return _sufficient_check(a_s, b_s, kmat, q_c, r_s, _necessary_check(p_s, kmat, tol))
+    hypothesis = _necessary_check(p_s, kmat, _require_tol(tol))
+    return _sufficient_check(a_s, b_s, kmat, q_c, r_s, hypothesis)
 
 
 def _sufficient_check(a_s, b_s, kmat, q_c, r_s, hypothesis: NecessaryCheck) -> SufficientCheck:
@@ -305,8 +323,10 @@ def _sufficient_check(a_s, b_s, kmat, q_c, r_s, hypothesis: NecessaryCheck) -> S
     lam, sigma = sym_eig(r_s)
     b_whitened = b_s @ (sigma / np.sqrt(lam)[None, :])
     ctrb = _staircase(akk, b_whitened)
-    d_factor = psd_sqrt_factor(kmat @ q_c @ kmat.T)
-    obsv = _staircase(akk.T, d_factor.T)
+    # the observability matrix of (A_s K K^T, F K^T) is that of (A_c, F)
+    # times K^T, so its rank is that of the c x c pair's
+    obsv = _staircase((kmat.T @ a_s @ kmat).T, psd_sqrt_factor(q_c).T)
+    obsv = obsv._replace(ok=obsv.rank == a_s.shape[0], required=a_s.shape[0])
     return SufficientCheck(
         hypothesis_ok=hypothesis.passes,
         controllability=ctrb,
@@ -319,7 +339,7 @@ def compare_gains(f_direct, f_composed, tol: float = DEFAULT_TOL) -> DeviationCh
     fd, fc = conform(
         (f_direct, "direct gain", "m", "n"), (f_composed, "composed gain", "m", "n")
     )
-    return _deviation(fd, fc, tol)
+    return _deviation(fd, fc, _require_tol(tol))
 
 
 def design_composition(
@@ -365,6 +385,7 @@ def evaluate_composition(
     the check verdicts contradict each other, since that can only mean a
     broken invariant.
     """
+    tol = _require_tol(tol)
     design = design_composition(sys1, sys2, pattern, weights1, weights2)
     composite, q_c, r_c = design.composite, design.Q, design.R
     direct, f_composed = design.direct, design.F_composed
@@ -426,13 +447,13 @@ class SearchConfig:
         for name in ("n_range", "m_range", "k_range"):
             lo, hi = getattr(self, name)
             if lo > hi:
-                raise ValueError(f"{name} has lo > hi: ({lo}, {hi})")
+                raise InvalidArgumentError(f"{name} has lo > hi: ({lo}, {hi})")
         if self.n_range[0] < 1 or self.m_range[0] < 1 or self.k_range[0] < 0:
-            raise ValueError("dimension ranges out of bounds")
+            raise InvalidArgumentError("dimension ranges out of bounds")
         if self.trials < 0:
-            raise ValueError(f"trials must be nonnegative, got {self.trials}")
+            raise InvalidArgumentError(f"trials must be nonnegative, got {self.trials}")
         if math.isnan(self.deviation_threshold):
-            raise ValueError("deviation_threshold must not be NaN")
+            raise InvalidArgumentError("deviation_threshold must not be NaN")
 
 
 @dataclass(frozen=True)
@@ -512,6 +533,7 @@ def counterexample_search(config: SearchConfig, tol: float = DEFAULT_TOL) -> Sea
     sampled instance (which the sampler makes rare) skip that trial; an
     ``InconsistencyError`` is never swallowed.
     """
+    tol = _require_tol(tol)
     rng = np.random.default_rng(config.seed)
     found: list[FoundInstance] = []
     skipped = 0

@@ -157,6 +157,35 @@ def _is_symmetric(arr: np.ndarray, cut: float) -> tuple[bool, float]:
     return asym <= cut, asym
 
 
+def _require_symmetric(arr: np.ndarray, name: str) -> np.ndarray:
+    """``0.5 (M + M^T)`` for a symmetric ``arr``, at the cut ``_cut(arr)``;
+    otherwise the package's one ``NotSymmetricError``, naming ``name``."""
+    symmetric, asym = _is_symmetric(arr, _cut(arr))
+    if not symmetric:
+        raise NotSymmetricError(
+            f"{name} must be symmetric; max|M - M^T| = {asym:.3e} exceeds "
+            f"{RTOL:.1e} * (1 + max|M|)"
+        )
+    return 0.5 * (arr + arr.T)
+
+
+def _raise_indefinite(name: str, min_eig: float, pd: bool = False):
+    """The package's one ``NotPSDError``, or ``NotPDError`` with ``pd``."""
+    error, kind = (NotPDError, "definite") if pd else (NotPSDError, "semidefinite")
+    raise error(
+        f"{name} must be positive {kind}; min eigenvalue "
+        f"{min_eig:.6e}, cut {RTOL:.1e} * (1 + max|M|)"
+    )
+
+
+def _lapack(what: str, fn, *args, error=NumericalFailureError, **kwargs):
+    """``fn(*args, **kwargs)``; a ``LinAlgError`` is raised as ``error`` naming ``what``."""
+    try:
+        return fn(*args, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise error(f"{what} failed: {exc}") from exc
+
+
 class SymEig(NamedTuple):
     """Eigendecomposition of a symmetric matrix, eigenvalues ascending."""
 
@@ -198,18 +227,8 @@ def sym_eig(m) -> SymEig:
     ``V diag(w) V^T`` is verified against the symmetrized input to
     ``1e-10 * (1 + ||M||_F)`` before returning.
     """
-    arr = require_square(m, "sym_eig input")
-    symmetric, asym = _is_symmetric(arr, _cut(arr))
-    if not symmetric:
-        raise NotSymmetricError(
-            f"matrix is not symmetric: max|M - M^T| = {asym:.3e} "
-            f"exceeds {RTOL:.1e} * (1 + max|M|)"
-        )
-    sym = 0.5 * (arr + arr.T)
-    try:
-        w, v = np.linalg.eigh(sym)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"eigendecomposition failed: {exc}") from exc
+    sym = _require_symmetric(require_square(m, "sym_eig input"), "sym_eig input")
+    w, v = _lapack("eigendecomposition", np.linalg.eigh, sym)
     recon = float(np.linalg.norm(v @ (w[:, None] * v.T) - sym))
     if recon > 1e-10 * (1.0 + float(np.linalg.norm(sym))):
         raise NumericalFailureError(
@@ -219,10 +238,7 @@ def sym_eig(m) -> SymEig:
 
 
 def _singular_values(arr: np.ndarray) -> np.ndarray:
-    try:
-        return np.linalg.svd(arr, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"SVD failed to converge: {exc}") from exc
+    return _lapack("SVD", np.linalg.svd, arr, compute_uv=False)
 
 
 def _rank_from_svals(s: np.ndarray, shape: tuple[int, int]) -> int:
@@ -236,10 +252,7 @@ def is_hurwitz(m) -> Hurwitz:
     arr = require_square(m, "is_hurwitz input")
     if arr.shape[0] == 0:
         return Hurwitz(True, float("-inf"))
-    try:
-        eigs = np.linalg.eigvals(arr)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"eigenvalue computation failed: {exc}") from exc
+    eigs = _lapack("eigenvalue computation", np.linalg.eigvals, arr)
     max_re = float(eigs.real.max())
     return Hurwitz(max_re < 0.0, max_re)
 
@@ -262,10 +275,7 @@ def _definiteness(arr: np.ndarray, tol: float = RTOL) -> Definiteness:
     symmetric, _ = _is_symmetric(arr, cut)
     if arr.shape[0] == 0:
         return Definiteness(symmetric, symmetric, symmetric, 0.0)
-    try:
-        w = np.linalg.eigvalsh(0.5 * (arr + arr.T))
-    except np.linalg.LinAlgError as exc:
-        raise NumericalFailureError(f"eigenvalue computation failed: {exc}") from exc
+    w = _lapack("eigenvalue computation", np.linalg.eigvalsh, 0.5 * (arr + arr.T))
     min_eig = float(w[0])
     return Definiteness(
         symmetric,
@@ -287,15 +297,9 @@ def _require_definite(m, name: str, pd: bool = False) -> tuple[np.ndarray, Defin
     arr = require_square(m, name)
     d = _definiteness(arr)
     if not d.symmetric:
-        raise NotSymmetricError(
-            f"{name} must be symmetric; max|M - M^T| exceeds {RTOL:.1e} * (1 + max|M|)"
-        )
+        _require_symmetric(arr, name)  # raises: the same rule at the same cut
     if not (d.pd if pd else d.psd):
-        error, kind = (NotPDError, "definite") if pd else (NotPSDError, "semidefinite")
-        raise error(
-            f"{name} must be positive {kind}; min eigenvalue "
-            f"{d.min_eigenvalue:.6e}, cut {RTOL:.1e} * (1 + max|M|)"
-        )
+        _raise_indefinite(name, d.min_eigenvalue, pd)
     return 0.5 * (arr + arr.T), d
 
 
@@ -312,10 +316,7 @@ def psd_sqrt_factor(m) -> np.ndarray:
     arr = np.asarray(m, dtype=float)
     cut = _cut(arr)
     if w.size and float(w[0]) < -cut:
-        raise NotPSDError(
-            f"matrix is not positive semidefinite: eigenvalue {w[0]:.6e} "
-            f"is below -{RTOL:.1e} * (1 + max|M|)"
-        )
+        _raise_indefinite("psd_sqrt_factor input", float(w[0]))
     keep = w > cut
     factor = np.sqrt(w[keep])[:, None] * v[:, keep].T
     sym = 0.5 * (arr + arr.T)
@@ -333,7 +334,8 @@ def _pbh_unreachable(a: np.ndarray, make_b) -> complex | None:
     ``make_b()`` returns ``B``; it is called only if such an eigenvalue
     exists."""
     edge = -_cut(a)
-    modes = [lam for lam in np.linalg.eigvals(a) if lam.real >= edge]
+    eigs = _lapack("eigenvalue computation", np.linalg.eigvals, a)
+    modes = [lam for lam in eigs if lam.real >= edge]
     b = make_b() if modes else None
     n = a.shape[0]
     for lam in modes:
@@ -421,10 +423,7 @@ def _staircase(a: np.ndarray, b: np.ndarray) -> RankTest:
             # A block at least half as wide as it is tall usually fills its
             # space; its full SVD then also gives the complement to move to.
             full = width == 0 and 2 * cols >= rows
-            try:
-                u, s, _ = np.linalg.svd(block, full_matrices=full)
-            except np.linalg.LinAlgError as exc:
-                raise NumericalFailureError(f"SVD failed to converge: {exc}") from exc
+            u, s, _ = _lapack("SVD", np.linalg.svd, block, full_matrices=full)
             kept = int(np.count_nonzero(s > cut))
             smallest = float(s[kept - 1]) if kept else 0.0
             new = u[:, :kept]

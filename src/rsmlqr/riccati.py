@@ -21,7 +21,10 @@ Linear Algebra Appl. 396, 2005).  After a Cayley transform with shift
 quadratically to ``P``.  Each step is one n x n LU and a few n x n
 products, where a sign step inverts the 2n x 2n Hamiltonian, and no
 least-squares read-out follows.  It stops by the sign iteration's rule,
-read on the increment of ``H``.
+read on the increment of ``H``, and gives up once ``||H||`` has grown by
+half or more, with an increment that did not shrink, for
+``_SDA_GROWTH_STEPS = 8`` steps running: the mark of an eigenvalue on the
+imaginary axis.
 
 The Riccati solver first balances the Hamiltonian's off-diagonal blocks
 ``G`` and ``Q`` by a power of two ``sigma`` (an exact similarity), since
@@ -92,7 +95,6 @@ import numpy as np
 from .errors import (
     NotHurwitzError,
     NotStabilizableError,
-    NotSymmetricError,
     NumericalFailureError,
     RsmLqrError,
     ShapeError,
@@ -102,9 +104,9 @@ from .errors import (
 # counts calls under this name; the gates coerce through conform.
 from .matkit import (
     RTOL,
-    _cut,
-    _is_symmetric,
+    _lapack,
     _pbh_unreachable,
+    _require_symmetric,
     conform,
     definiteness,
     is_hurwitz,
@@ -122,6 +124,12 @@ _SDA_MIN_ORDER = 16
 # spectral radius rho < 1, so 60 steps resolve any rho with 1 - rho above
 # the unit round-off; more cannot converge.
 _SDA_MAX_ITER = 60
+# At rho = 1 (a Hamiltonian eigenvalue on the imaginary axis) ||H_k||
+# doubles each step, and so does its increment.  A convergence with 1 - rho
+# near 2^-k looks the same for about k steps, so after this many such steps
+# running the doubling leaves the CARE to the sign step; only one with
+# 1 - rho below about 2^-8 is left to it while still converging.
+_SDA_GROWTH_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -154,11 +162,8 @@ def care_residual(a, b, q, r, p) -> tuple[np.ndarray, float]:
 
 def _care_residual(a, b, q, r, p) -> tuple[np.ndarray, float]:
     """The body of ``care_residual`` on trusted arrays."""
-    try:
-        gain_term = p @ b @ np.linalg.solve(r, b.T @ p)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"R is singular: {exc}") from exc
-    res = -p @ a - a.T @ p - q + gain_term
+    solved = _lapack("solve with R", np.linalg.solve, r, b.T @ p, error=SingularMatrixError)
+    res = -p @ a - a.T @ p - q + p @ b @ solved
     return res, float(np.linalg.norm(res))
 
 
@@ -276,12 +281,7 @@ def solve_lyapunov(a_cl, w, tol: float = 1e-10) -> np.ndarray:
     a_arr, w_arr = conform(
         (a_cl, "closed-loop matrix", "n", "n"), (w, "W", "n", "n")
     )
-    symmetric, asym = _is_symmetric(w_arr, _cut(w_arr))
-    if not symmetric:
-        raise NotSymmetricError(
-            f"W must be symmetric: max|W - W^T| = {asym:.3e}"
-        )
-    w_sym = 0.5 * (w_arr + w_arr.T)
+    w_sym = _require_symmetric(w_arr, "W")
     x = _lyap_core(a_arr, w_sym)
     scale = 1.0 + float(np.linalg.norm(w_sym))
     for passes in range(3):
@@ -420,15 +420,18 @@ def _sda(a, g, q, gamma: float) -> np.ndarray:
 
     one n x n solve each.  ``H`` converges quadratically when the
     Hamiltonian has no eigenvalue on the imaginary axis; the stopping rule
-    is ``_sign_newton``'s, read on the increment of ``H``.  The limit is
+    is ``_sign_newton``'s, read on the increment of ``H``.  With one on the
+    axis ``||H||`` doubles each step instead, so ``_SDA_GROWTH_STEPS``
+    steps running in which it grows by half or more while the increment
+    does not shrink stop the doubling.  The limit is
     the minimal PSD solution, which is the stabilizing one only when
     ``(A, sqrt(Q))`` is detectable: the caller certifies it.
 
     ``gamma`` must be positive (``ValueError`` otherwise): with
     ``gamma < 0`` the steps converge, silently, to a solution that is not
     stabilizing.  Raises ``np.linalg.LinAlgError`` when ``A_g``, ``W`` or
-    ``I + G H`` is singular, an iterate is not finite, or there is no
-    convergence within ``_SDA_MAX_ITER`` steps.
+    ``I + G H`` is singular, an iterate is not finite, ``H`` grows as
+    above, or there is no convergence within ``_SDA_MAX_ITER`` steps.
     """
     if not gamma > 0.0:
         raise ValueError(f"doubling needs a shift gamma > 0, got {gamma!r}")
@@ -447,7 +450,8 @@ def _sda(a, g, q, gamma: float) -> np.ndarray:
     h_k = (2.0 * gamma) * (w_inv @ (q @ a_inv))
     g_k = 0.5 * (g_k + g_k.T)
     h_k = 0.5 * (h_k + h_k.T)
-    last2 = float("inf")
+    last2 = last_size2 = float("inf")
+    growing = 0
     # iterates that overflow are a breakdown, caught by the finiteness test
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(_SDA_MAX_ITER):
@@ -470,7 +474,13 @@ def _sda(a, g, q, gamma: float) -> np.ndarray:
                 step2 <= _SIGN_FLOOR_TOL**2 * size2 and 4.0 * step2 > last2
             ):
                 return h_k
-            last2 = step2
+            growing = growing + 1 if step2 >= last2 and size2 >= 2.25 * last_size2 else 0
+            if growing == _SDA_GROWTH_STEPS:
+                raise np.linalg.LinAlgError(
+                    f"doubling did not converge: ||H|| grew by half or more for "
+                    f"{growing} steps running"
+                )
+            last2, last_size2 = step2, size2
     raise np.linalg.LinAlgError(
         f"doubling did not converge in {_SDA_MAX_ITER} steps"
     )
@@ -511,7 +521,7 @@ def _sign_candidate(a, b, g, q) -> np.ndarray:
     lhs[n:] += eye
     rhs = -s[:, :n]
     rhs[:n] -= eye
-    p, _, rank, _ = np.linalg.lstsq(lhs, rhs, rcond=None)
+    p, _, rank, _ = _lapack("least-squares read-out", np.linalg.lstsq, lhs, rhs, rcond=None)
     if rank < n:
         raise NotStabilizableError(
             "stable subspace basis is singular in the state coordinates; "
@@ -581,9 +591,6 @@ def rectangular_riccati_residual(a_s, b_s, k, q_c, r_s, x) -> tuple[np.ndarray, 
 def _rect_residual(a_s, b_s, k, q_c, r_s, x) -> tuple[np.ndarray, float]:
     """The body of ``rectangular_riccati_residual`` on trusted arrays."""
     ak = a_s @ k
-    try:
-        quad = x.T @ b_s @ np.linalg.solve(r_s, b_s.T @ x)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMatrixError(f"input weight is singular: {exc}") from exc
-    res = -x.T @ ak - ak.T @ x - q_c + quad
+    solved = _lapack("solve with R_s", np.linalg.solve, r_s, b_s.T @ x, error=SingularMatrixError)
+    res = -x.T @ ak - ak.T @ x - q_c + x.T @ b_s @ solved
     return res, float(np.linalg.norm(res))

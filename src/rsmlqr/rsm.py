@@ -21,6 +21,7 @@ junction array that maps each stacked state to its composite column.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -87,55 +88,61 @@ class CostWeights:
         )
 
 
+def _integer(value, path: str) -> int:
+    """``value`` by ``operator.index`` (not a ``bool``), else ``PatternError``."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    except OverflowError:
+        raise PatternError(f"{path}: integer is too large to be a state index") from None
+    raise PatternError(f"{path}: expected an integer, got {type(value).__name__}")
+
+
 @dataclass(frozen=True)
 class CompositionPattern:
     """Which states are shared: ``pairs[i] = (j, k)`` identifies state ``j``
     of subsystem 1 with state ``k`` of subsystem 2.  Indices are zero-based
     and each state may appear in at most one pair.
 
-    This class owns the pattern rules.  Pairs are checked in order, and for
-    each pair the range of ``j``, the range of ``k``, then the uniqueness of
-    ``j`` and of ``k``; the first violation raises ``PatternError`` with a
-    message that starts with its path, such as ``pairs[0][1]: ...``."""
+    This class owns every pattern rule: ``n1, n2 >= 1`` are integers, and
+    every pair is two integers (``operator.index``, ``bool`` excluded)
+    before any pair is checked for the range of ``j``, of ``k``, then the
+    uniqueness of ``j`` and of ``k``.  The first violation raises
+    ``PatternError`` with its path first, such as ``pairs[0][1]: ...``."""
 
     n1: int
     n2: int
     pairs: tuple[tuple[int, int], ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        if self.n1 < 1 or self.n2 < 1:
+        sizes = _integer(self.n1, "n1"), _integer(self.n2, "n2")
+        if min(sizes) < 1:
             raise PatternError(
-                f"state dimensions must be positive, got n1={self.n1}, n2={self.n2}"
+                f"state dimensions must be positive, got n1={sizes[0]}, n2={sizes[1]}"
             )
-        norm = []
-        seen_first: set[int] = set()
-        seen_second: set[int] = set()
+        pairs = []
         for i, pair in enumerate(self.pairs):
-            if len(pair) != 2:
-                raise PatternError(
-                    f"pairs[{i}]: expected a pair [j, k] of two integers"
-                )
-            j, k = int(pair[0]), int(pair[1])
-            if not 0 <= j < self.n1:
-                raise PatternError(
-                    f"pairs[{i}][0]: index {j} out of range [0, {self.n1}) for subsystem 1"
-                )
-            if not 0 <= k < self.n2:
-                raise PatternError(
-                    f"pairs[{i}][1]: index {k} out of range [0, {self.n2}) for subsystem 2"
-                )
-            if j in seen_first:
-                raise PatternError(
-                    f"pairs[{i}]: subsystem-1 state {j} is shared more than once"
-                )
-            if k in seen_second:
-                raise PatternError(
-                    f"pairs[{i}]: subsystem-2 state {k} is shared more than once"
-                )
-            seen_first.add(j)
-            seen_second.add(k)
-            norm.append((j, k))
-        object.__setattr__(self, "pairs", tuple(norm))
+            try:  # a string or a mapping unpacks, but is not a pair
+                j, k = () if isinstance(pair, (str, dict)) else pair
+            except (TypeError, ValueError):
+                raise PatternError(f"pairs[{i}]: expected a pair [j, k] of two integers") from None
+            pairs.append((_integer(j, f"pairs[{i}][0]"), _integer(k, f"pairs[{i}][1]")))
+        seen = (set(), set())
+        for i, pair in enumerate(pairs):
+            for side, (index, size) in enumerate(zip(pair, sizes)):
+                if not 0 <= index < size:
+                    raise PatternError(f"pairs[{i}][{side}]: index {index} out of "
+                                       f"range [0, {size}) for subsystem {side + 1}")
+            for side, index in enumerate(pair):
+                if index in seen[side]:
+                    raise PatternError(f"pairs[{i}]: subsystem-{side + 1} state "
+                                       f"{index} is shared more than once")
+                seen[side].add(index)
+        object.__setattr__(self, "n1", sizes[0])
+        object.__setattr__(self, "n2", sizes[1])
+        object.__setattr__(self, "pairs", tuple(pairs))
 
     @property
     def k_shared(self) -> int:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHurwitzError
+from .errors import InvalidArgumentError, NotHurwitzError
 # require_matrix stays importable from here only because perfbench's tracer
 # counts calls under this name; the gates coerce through conform.
 from .matkit import conform, require_matrix
@@ -72,9 +72,9 @@ def simulate(a_cl, x0, horizon: float, step: float) -> Trajectory:
         (a_cl, "closed-loop matrix", "n", "n"), (x0, "initial state", "n")
     )
     if not (math.isfinite(horizon) and horizon > 0.0):
-        raise ValueError(f"horizon must be positive and finite, got {horizon}")
+        raise InvalidArgumentError(f"horizon must be positive and finite, got {horizon}")
     if not (math.isfinite(step) and step > 0.0):
-        raise ValueError(f"step must be positive and finite, got {step}")
+        raise InvalidArgumentError(f"step must be positive and finite, got {step}")
     n_steps = max(1, round(horizon / step))
     h = horizon / n_steps
     states = np.empty((n_steps + 1, x.shape[0]))
@@ -198,8 +198,8 @@ def quadrature_cost(trajectory: Trajectory, weight) -> float:
     )
     times = np.asarray(trajectory.times, dtype=float)
     if states.shape[0] < 3:
-        raise ValueError("need at least three samples for Simpson quadrature")
+        raise InvalidArgumentError("need at least three samples for Simpson quadrature")
     if times.shape != (states.shape[0],) or not (np.diff(times) > 0.0).all():
-        raise ValueError("trajectory times must increase, one per state sample")
+        raise InvalidArgumentError("trajectory times must increase, one per state sample")
     integrand = np.einsum("ti,ij,tj->t", states, w_arr, states)
     return _simpson(integrand, times)

@@ -215,6 +215,35 @@ class TestParseProblem:
             parse_problem(str(bad))
         assert str(info.value) == message
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            pytest.param(
+                "B", [[1.0, 0.0]],
+                "$.subsystems[1].B: must have 2 rows to match A, got 1",
+                id="B-rows",
+            ),
+            pytest.param(
+                "Q", [[1.0]],
+                "$.subsystems[1].Q: must be 2x2 to match A, got 1x1",
+                id="Q-shape",
+            ),
+            pytest.param(
+                "R", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
+                "$.subsystems[1].R: must be 2x2 to match the input count, got 3x3",
+                id="R-shape",
+            ),
+        ],
+    )
+    def test_dimension_error_names_matrix_path(self, tmp_path, key, value, message):
+        doc = json.loads(Path(COUPLED).read_text())
+        doc["subsystems"][1][key] = value
+        bad = tmp_path / "dims.json"
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(SchemaError) as info:
+            parse_problem(str(bad))
+        assert str(info.value) == message
+
 
     @pytest.mark.parametrize(
         "index, key, value, message",
@@ -430,6 +459,22 @@ class TestCheckCommand:
         assert main(["check", COUNTEREXAMPLE]) == 1
         assert "RSMLQR_TOL" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["inf", "nan", "0", "-1e-8"])
+    def test_tolerance_must_be_positive_and_finite(self, flag, capsys):
+        assert main(["check", COUNTEREXAMPLE, f"--tol={flag}"]) == 1
+        err = capsys.readouterr().err
+        assert err == f"rsmlqr: error: tolerance must be positive and finite, got {float(flag)}\n"
+
+    def test_timings_only_on_request(self, tmp_path, capsys):
+        plain, timed = tmp_path / "plain.json", tmp_path / "timed.json"
+        assert main(["check", COUPLED, "--report", str(plain)]) == 3
+        assert main(["check", COUPLED, "--report", str(timed), "--timings"]) == 3
+        capsys.readouterr()
+        assert "timings_ms" not in json.loads(plain.read_text())["meta"]
+        timings = json.loads(timed.read_text())["meta"]["timings_ms"]
+        assert list(timings) == ["parse", "analysis"]
+        assert all(value >= 0.0 for value in timings.values())
+
     def test_flag_overrides_env(self, capsys, monkeypatch):
         monkeypatch.setenv("RSMLQR_TOL", "1.0")
         assert main(["check", COUNTEREXAMPLE, "--tol", "1e-8"]) == 3
@@ -578,6 +623,25 @@ class TestMainEntry:
             main(["--version"])
         assert exc.value.code == 0
         assert "rsmlqr" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["simulate", COUPLED, "--horizon", "0"],
+                "horizon must be positive and finite, got 0.0",
+            ),
+            (
+                ["search", "--n-min", "3", "--n-max", "1"],
+                "n_range has lo > hi: (3, 1)",
+            ),
+        ],
+    )
+    def test_bad_scalar_argument_exits_1(self, argv, message, capsys):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"rsmlqr: error: {message}\n"
+        assert captured.out == ""
 
     def test_usage_error_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -6,7 +6,10 @@ import pytest
 from rsmlqr import lqr, sim
 from rsmlqr.errors import (
     DetectabilityWarning,
+    InconsistencyError,
+    InvalidArgumentError,
     NotPSDError,
+    NotStabilizableError,
     NotSymmetricError,
     ShapeError,
 )
@@ -27,6 +30,7 @@ from rsmlqr.rsm import (
     CompositionPattern,
     CostWeights,
     LinearSystem,
+    compose_cost,
     compose_open_loop,
 )
 
@@ -300,6 +304,32 @@ class TestSufficientCondition:
                 np.diag([1.0, 0.0]),
                 np.diag([0.3, 0.2]),
             )
+
+
+class TestObservabilityOnTheCompositePair:
+    """With ``D = F K^T`` and ``F^T F = Q_c``, ``D (A_s K K^T)^j = F A_c^j K^T``:
+    the observability matrix of the stacked pair is that of ``(A_c, F)``
+    times ``K^T``, so its rank is at most the composite order ``c = s - k``
+    and the stacked order ``s`` is out of reach once a state is shared."""
+
+    def test_rank_is_at_most_the_composite_order(self):
+        rng = np.random.default_rng(5)
+        shared = 0
+        for _ in range(400):
+            sys1, sys2, pattern, w1, w2 = sample_instance(rng, (1, 6), (1, 2), (0, 4))
+            composite = compose_open_loop(sys1, sys2, pattern)
+            q_c, r_c = compose_cost(w1, w2, composite.coupling)
+            s = composite.A_stacked.shape[0]
+            # the observability half does not read P_s
+            obsv = check_sufficient_condition(
+                composite.A_stacked, composite.B_stacked, composite.coupling,
+                q_c, r_c, np.zeros((s, s)),
+            ).observability
+            assert obsv.required == s
+            assert obsv.rank <= s - pattern.k_shared
+            assert obsv.ok == (obsv.rank == s)
+            shared += pattern.k_shared > 0
+        assert shared > 200
 
 
 def drawn_subsystem(rng, n, inputs=2):
@@ -582,3 +612,76 @@ class TestCounterexampleSearch:
             SearchConfig(trials=-1)
         with pytest.raises(ValueError, match="NaN"):
             SearchConfig(deviation_threshold=math.nan)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"n_range": (3, 1)},
+            {"n_range": (0, 1)},
+            {"trials": -1},
+            {"deviation_threshold": math.nan},
+        ],
+    )
+    def test_config_errors_are_invalid_argument_errors(self, kwargs):
+        with pytest.raises(InvalidArgumentError):
+            SearchConfig(**kwargs)
+
+    def test_failed_trial_is_skipped(self, monkeypatch):
+        evaluate = lqr.evaluate_composition
+        calls = []
+
+        def failing_every_third(*args):
+            calls.append(len(calls))
+            if calls[-1] % 3 == 0:
+                raise NotStabilizableError("no stabilizing solution")
+            return evaluate(*args)
+
+        monkeypatch.setattr(lqr, "evaluate_composition", failing_every_third)
+        result = counterexample_search(SearchConfig(trials=9, seed=4))
+        assert result.trials == 9 and result.skipped == 3
+        assert all(inst.trial % 3 for inst in result.found)
+
+    def test_inconsistency_propagates(self, monkeypatch):
+        def inconsistent(*args):
+            raise InconsistencyError("verdicts disagree")
+
+        monkeypatch.setattr(lqr, "evaluate_composition", inconsistent)
+        with pytest.raises(InconsistencyError):
+            counterexample_search(SearchConfig(trials=3, seed=4))
+
+
+BAD_TOLERANCES = [math.inf, math.nan, 0.0, -1e-8]
+
+
+class TestCheckTolerance:
+    """A check tolerance must be positive and finite: with ``inf`` every
+    deviation passes, and the counterexample would read compositional."""
+
+    @pytest.mark.parametrize("tol", BAD_TOLERANCES)
+    def test_evaluate_composition(self, tol):
+        with pytest.raises(InvalidArgumentError, match="positive and finite"):
+            counterexample_analysis(tol=tol)
+
+    @pytest.mark.parametrize("tol", BAD_TOLERANCES)
+    def test_counterexample_search(self, tol):
+        with pytest.raises(InvalidArgumentError, match="positive and finite"):
+            counterexample_search(SearchConfig(trials=0), tol)
+
+    @pytest.mark.parametrize("tol", BAD_TOLERANCES)
+    def test_check_gates(self, tol):
+        p, k = np.diag([0.3, 0.2]), np.array([[1.0], [1.0]])
+        gates = [
+            lambda: check_exact_condition(p, k, [[0.25]], tol),
+            lambda: check_necessary_condition(p, k, tol),
+            lambda: check_sufficient_condition(
+                np.diag([-1.0, -2.0]), np.eye(2), k, [[2.0]], np.eye(2), p, tol
+            ),
+            lambda: compare_gains([[1.0]], [[1.0]], tol),
+        ]
+        for gate in gates:
+            with pytest.raises(InvalidArgumentError, match="positive and finite"):
+                gate()
+
+    def test_is_a_value_error(self):
+        with pytest.raises(ValueError):
+            counterexample_analysis(tol=math.inf)

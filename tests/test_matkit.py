@@ -6,6 +6,7 @@ from rsmlqr.errors import (
     NotPDError,
     NotPSDError,
     NotSymmetricError,
+    NumericalFailureError,
     ShapeError,
 )
 from rsmlqr.matkit import (
@@ -229,6 +230,34 @@ class TestConform:
     def test_non_finite_entries(self, value, dims):
         with pytest.raises(InvalidMatrixError, match="W contains non-finite entries"):
             conform(([[1.0, value], [0.0, 1.0]], "W", *dims))
+
+
+class TestLapackFailure:
+    """A LAPACK routine that does not converge raises ``LinAlgError``; the
+    package raises it as ``NumericalFailureError`` naming the operation."""
+
+    @staticmethod
+    def _failing(monkeypatch, name):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError(f"{name} did not converge")
+
+        monkeypatch.setattr(np.linalg, name, fail)
+
+    @pytest.mark.parametrize(
+        "routine, call, operation",
+        [
+            ("eigh", lambda: sym_eig(np.eye(2)), "eigendecomposition"),
+            ("eigvalsh", lambda: definiteness(np.eye(2)), "eigenvalue computation"),
+            ("eigvals", lambda: is_hurwitz(-np.eye(2)), "eigenvalue computation"),
+            ("svd", lambda: is_controllable(np.eye(2), np.eye(2)), "SVD"),
+        ],
+    )
+    def test_becomes_numerical_failure(self, monkeypatch, routine, call, operation):
+        self._failing(monkeypatch, routine)
+        with pytest.raises(NumericalFailureError) as info:
+            call()
+        assert str(info.value) == f"{operation} failed: {routine} did not converge"
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
 
 class TestSymEig:

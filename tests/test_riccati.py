@@ -334,7 +334,8 @@ class TestDoubling:
 
     def test_imaginary_axis_stops_at_the_cap(self):
         # eigenvalues +-i: the Cayley transform has |rho| = 1, H doubles
-        # each step, and the kernel gives up after _SDA_MAX_ITER steps
+        # each step, and the kernel gives up once it has seen that for
+        # _SDA_GROWTH_STEPS steps running
         with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
             riccati._sda(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.zeros((2, 2)), np.eye(2), 1.0)
 
@@ -350,6 +351,41 @@ class TestDoubling:
         b[2:] = rng.standard_normal((n - 2, 2))
         with pytest.raises(NotStabilizableError, match="0\\+1j is unreachable"):
             solve_care(a, b, np.eye(n), np.eye(2))
+
+    def test_imaginary_axis_mode_stops_the_doubling_early(self, monkeypatch):
+        # the same CARE: ||H|| doubles from the second step on, so the
+        # doubling hands over to the sign step after about ten solves
+        # rather than at its _SDA_MAX_ITER = 60 cap
+        n = 20
+        rng = np.random.default_rng(20)
+        a = np.zeros((n, n))
+        a[0, 1], a[1, 0] = 1.0, -1.0
+        a[2:, 2:] = random_hurwitz(rng, n - 2)
+        b = np.zeros((n, 2))
+        b[2:] = rng.standard_normal((n - 2, 2))
+        sda, solve = riccati._sda, np.linalg.solve
+        inside, solves, stops = [], [], []
+
+        def counting_solve(*args):
+            solves.extend(inside)
+            return solve(*args)
+
+        def tracking_sda(*args):
+            inside.append(1)
+            try:
+                return sda(*args)
+            except np.linalg.LinAlgError as exc:
+                stops.append(str(exc))
+                raise
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        monkeypatch.setattr(riccati, "_sda", tracking_sda)
+        with pytest.raises(NotStabilizableError, match="0\\+1j is unreachable"):
+            solve_care(a, b, np.eye(n), np.eye(2))
+        assert len(stops) == 1 and "did not converge" in stops[0]
+        assert 0 < len(solves) <= 10
 
 
 class TestSolveCareErrors:

@@ -57,6 +57,42 @@ class TestCompositionPattern:
         with pytest.raises(PatternError):
             CompositionPattern(0, 1)
 
+    @pytest.mark.parametrize(
+        "n1, pairs, message",
+        [
+            (2, ((0.7, 1),), "pairs[0][0]: expected an integer, got float"),
+            (2, ((0, 2.9),), "pairs[0][1]: expected an integer, got float"),
+            (2, ((True, 0),), "pairs[0][0]: expected an integer, got bool"),
+            (2, (("1", "0"),), "pairs[0][0]: expected an integer, got str"),
+            (2, (1,), "pairs[0]: expected a pair [j, k] of two integers"),
+            (2, ((0, 1, 1),), "pairs[0]: expected a pair [j, k] of two integers"),
+            (2, ("01",), "pairs[0]: expected a pair [j, k] of two integers"),
+            (2, ({"j": 0, "k": 1},), "pairs[0]: expected a pair [j, k] of two integers"),
+            (2.5, (), "n1: expected an integer, got float"),
+            # the shape of every pair is checked before any range rule
+            (2, ((5, 0), (0, None)), "pairs[1][1]: expected an integer, got NoneType"),
+        ],
+    )
+    def test_pairs_and_dims_must_be_integers(self, n1, pairs, message):
+        with pytest.raises(PatternError) as info:
+            CompositionPattern(n1, 2, pairs)
+        assert str(info.value) == message
+
+    def test_index_too_large_to_convert(self):
+        class Huge:
+            def __index__(self):
+                raise OverflowError
+
+        with pytest.raises(PatternError) as info:
+            CompositionPattern(2, 2, ((0, Huge()),))
+        assert str(info.value) == "pairs[0][1]: integer is too large to be a state index"
+
+    def test_integer_types_are_stored_as_int(self):
+        pattern = CompositionPattern(np.int64(3), 2, [np.array([2, 1]), (np.int32(0), 0)])
+        assert pattern == CompositionPattern(3, 2, ((2, 1), (0, 0)))
+        assert type(pattern.n1) is int
+        assert all(type(i) is int for pair in pattern.pairs for i in pair)
+
 
 class TestBuildCompositionMatrix:
     def test_two_state_single_share(self):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rsmlqr.errors import InvalidMatrixError, ShapeError
+from rsmlqr.errors import InvalidArgumentError, InvalidMatrixError, ShapeError
 from rsmlqr.lqr import evaluate_composition, lqr_subsystem, sample_instance
 from rsmlqr.riccati import RiccatiSolution
 from rsmlqr.rsm import (
@@ -70,6 +70,14 @@ class TestSimulate:
         assert traj.states.shape[0] < 3002
         assert np.isfinite(traj.states).all()
         assert traj.times.shape[0] == traj.states.shape[0]
+
+    @pytest.mark.parametrize(
+        "horizon, step",
+        [(0.0, 1e-3), (math.inf, 1e-3), (1.0, -1e-3), (1.0, math.nan)],
+    )
+    def test_bad_scalars_are_invalid_argument_errors(self, horizon, step):
+        with pytest.raises(InvalidArgumentError, match="positive and finite"):
+            simulate([[-1.0]], [1.0], horizon=horizon, step=step)
 
     def test_bad_arguments(self):
         with pytest.raises(ValueError):
@@ -287,6 +295,13 @@ class TestQuadratureCost:
         for times in ([0.0, 1.0, 2.0], [0.0, 1.0, 1.0, 2.0], [0.0, 2.0, 1.0, 3.0]):
             with pytest.raises(ValueError):
                 quadrature_cost(Trajectory(np.array(times), states), [[1.0]])
+
+    def test_bad_sample_grid_is_invalid_argument_error(self):
+        states = np.ones((4, 1))
+        with pytest.raises(InvalidArgumentError, match="increase"):
+            quadrature_cost(Trajectory(np.array([0.0, 2.0, 1.0, 3.0]), states), [[1.0]])
+        with pytest.raises(InvalidArgumentError, match="three samples"):
+            quadrature_cost(Trajectory(np.array([0.0, 1.0]), states[:2]), [[1.0]])
 
     def test_too_few_samples_rejected(self):
         traj = Trajectory(np.array([0.0, 1.0]), np.ones((2, 1)))

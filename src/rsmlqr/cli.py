@@ -13,11 +13,13 @@ Problem files are JSON:
 where ``pairs`` identifies state ``j`` of the first subsystem with state
 ``k`` of the second (zero-based).  Validation happens before any numerics
 and reports the JSON path of the first violated constraint.  The parser
-checks only the JSON shape of ``pairs``; ``CompositionPattern`` owns every
-pattern rule (each pair two integers, each index in range and shared at
-most once), and its ``PatternError`` path is reported with the
-``$.pattern.`` prefix.  ``CostWeights`` owns the weight rules, and its
-errors are reported with the subsystem's path, such as ``$.subsystems[1]:``.
+checks only JSON-level rules: objects, keys, arrays of rows, finite number
+entries and ragged rows.  ``CompositionPattern`` owns every pattern rule
+(each pair two integers, each index in range and shared at most once), and
+its ``PatternError`` path is reported with the ``$.pattern.`` prefix.
+``LinearSystem``, ``CostWeights`` and ``lqr``'s pairing rule own the
+matrix rules, and their errors are reported with the subsystem's path, such
+as ``$.subsystems[1]:``.
 
 All machine output is byte-deterministic for a fixed input, tolerance, and
 package version: floats are printed with 17 significant digits (enough to
@@ -49,6 +51,7 @@ from .lqr import (
     CompositionAnalysis,
     LQRDesign,
     SearchConfig,
+    _require_paired,
     _require_tol,
     counterexample_search,
     design_composition,
@@ -190,31 +193,22 @@ def _as_matrix(node, path: str) -> np.ndarray:
     return np.array(rows, dtype=float)
 
 
-def _parse_subsystem(node, path: str) -> tuple[str, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def _parse_subsystem(node, path: str) -> tuple[LinearSystem, CostWeights]:
+    """Check the JSON-level rules, then build the ``LinearSystem`` and
+    ``CostWeights`` and pair them; their errors are reported at ``path``."""
     obj = _as_object(node, path)
     name = _require_key(obj, "name", path)
     if not isinstance(name, str) or not name:
         _schema_fail(f"{path}.name", "expected a non-empty string")
-    a = _as_matrix(_require_key(obj, "A", path), f"{path}.A")
-    b = _as_matrix(_require_key(obj, "B", path), f"{path}.B")
-    q = _as_matrix(_require_key(obj, "Q", path), f"{path}.Q")
-    r = _as_matrix(_require_key(obj, "R", path), f"{path}.R")
-    n = a.shape[0]
-    if a.shape[0] != a.shape[1]:
-        _schema_fail(f"{path}.A", f"must be square, got {a.shape[0]}x{a.shape[1]}")
-    if b.shape[0] != n:
-        _schema_fail(f"{path}.B", f"must have {n} rows to match A, got {b.shape[0]}")
-    if q.shape != (n, n):
-        _schema_fail(
-            f"{path}.Q", f"must be {n}x{n} to match A, got {q.shape[0]}x{q.shape[1]}"
-        )
-    m = b.shape[1]
-    if r.shape != (m, m):
-        _schema_fail(
-            f"{path}.R",
-            f"must be {m}x{m} to match the input count, got {r.shape[0]}x{r.shape[1]}",
-        )
-    return name, a, b, q, r
+    a, b, q, r = (
+        _as_matrix(_require_key(obj, key, path), f"{path}.{key}") for key in "ABQR"
+    )
+    try:
+        system, weights = LinearSystem(name, a, b), CostWeights(q, r)
+        _require_paired(weights, system.n, system.m, name)
+    except RsmLqrError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
+    return system, weights
 
 
 def _parse_pattern(node, path: str, n1: int, n2: int) -> CompositionPattern:
@@ -226,13 +220,6 @@ def _parse_pattern(node, path: str, n1: int, n2: int) -> CompositionPattern:
         return CompositionPattern(n1, n2, tuple(raw_pairs))
     except PatternError as exc:
         raise SchemaError(f"{path}.{exc}") from exc
-
-
-def _parse_weights(q: np.ndarray, r: np.ndarray, path: str) -> CostWeights:
-    try:
-        return CostWeights(q, r)
-    except RsmLqrError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
 
 
 def _reject_constant(token: str):
@@ -261,10 +248,9 @@ def _parse_int(token: str):
 def parse_problem(path) -> ProblemFile:
     """Load and validate a problem file.
 
-    Structure and dimensional consistency are checked first with exact JSON
-    paths; only then are the domain objects constructed, which enforces the
-    semantic requirements (stability is not required, but weights must be
-    definite and the pattern injective).
+    Each subsystem's JSON structure is checked first, with exact JSON
+    paths; then its domain objects are built, which enforce shapes and
+    definiteness (stability is not required), and last the pattern.
     """
     raw = Path(path).read_bytes()
     digest = hashlib.sha256(raw).hexdigest()
@@ -282,19 +268,12 @@ def parse_problem(path) -> ProblemFile:
     subsystems = _require_key(root, "subsystems", "$")
     if not isinstance(subsystems, list) or len(subsystems) != 2:
         _schema_fail("$.subsystems", "expected an array of exactly two subsystems")
-    name1, a1, b1, q1, r1 = _parse_subsystem(subsystems[0], "$.subsystems[0]")
-    name2, a2, b2, q2, r2 = _parse_subsystem(subsystems[1], "$.subsystems[1]")
+    system1, weights1 = _parse_subsystem(subsystems[0], "$.subsystems[0]")
+    system2, weights2 = _parse_subsystem(subsystems[1], "$.subsystems[1]")
     pattern = _parse_pattern(
-        _require_key(root, "pattern", "$"), "$.pattern", a1.shape[0], a2.shape[0]
+        _require_key(root, "pattern", "$"), "$.pattern", system1.n, system2.n
     )
-    return ProblemFile(
-        system1=LinearSystem(name1, a1, b1),
-        weights1=_parse_weights(q1, r1, "$.subsystems[0]"),
-        system2=LinearSystem(name2, a2, b2),
-        weights2=_parse_weights(q2, r2, "$.subsystems[1]"),
-        pattern=pattern,
-        digest=digest,
-    )
+    return ProblemFile(system1, weights1, system2, weights2, pattern, digest)
 
 
 def problem_document(
@@ -833,13 +812,8 @@ def main(argv=None) -> int:
         return _EXIT_ERROR
     try:
         return args.func(args)
-    except RsmLqrError as exc:
-        print(f"rsmlqr: error: {exc}", file=sys.stderr)
-        return _EXIT_ERROR
-    except OSError as exc:
-        print(f"rsmlqr: error: {exc}", file=sys.stderr)
-        return _EXIT_ERROR
-    except ValueError as exc:
+    # numpy's LinAlgError is a ValueError
+    except (RsmLqrError, OSError, ValueError) as exc:
         print(f"rsmlqr: error: {exc}", file=sys.stderr)
         return _EXIT_ERROR
 

@@ -14,9 +14,11 @@ ways:
   necessary   P_s K K^T symmetric PSD.  Failure proves the designs differ;
               passing alone proves nothing.
   sufficient  the necessary condition plus controllability of
-              (A_s K K^T, B_s R_s^{-1/2}) and observability of
-              (A_s K K^T, D) with D^T D = K Q_c K^T.  Success proves the
-              designs coincide; failure alone proves nothing.
+              (A_s K K^T, B_s), of the rank of the paper's
+              (A_s K K^T, B_s R_s^{-1/2}) since R_s^{-1/2} is invertible,
+              and observability of (A_s K K^T, D) with D^T D = K Q_c K^T.
+              Success proves the designs coincide; failure alone proves
+              nothing.
 
 The observability half is computed on the composite pair.  With
 ``D = F K^T`` and ``F^T F = Q_c``, ``D (A_s K K^T)^j = F A_c^j K^T``, so
@@ -77,7 +79,6 @@ from .matkit import (
     psd_sqrt_factor,
     require_definite,
     require_matrix,
-    sym_eig,
 )
 from .riccati import (
     RiccatiSolution,
@@ -93,6 +94,7 @@ from .rsm import (
     LinearSystem,
     _compose_cost,
     _coupling,
+    _integer,
     compose_cost,
     compose_gains,
     compose_open_loop,
@@ -220,12 +222,18 @@ def _design(a, b, q, r, label: str, q_pd: bool) -> LQRDesign:
     return LQRDesign(solution=_solve_care(a, b, q, r), notes=notes)
 
 
+def _require_paired(weights: CostWeights, n: int, m: int, label: str):
+    """The pairing rule of a design: ``Q`` is n x n and ``R`` is m x m for
+    the system named ``label``, else ``ShapeError``."""
+    conform(
+        (weights.Q, f"{label}: state weight Q", n, n),
+        (weights.R, f"{label}: input weight R", m, m),
+    )
+
+
 def lqr_subsystem(system: LinearSystem, weights: CostWeights) -> LQRDesign:
     """Optimal state feedback for one subsystem."""
-    conform(
-        (weights.Q, f"{system.name}: state weight Q", system.n, system.n),
-        (weights.R, f"{system.name}: input weight R", system.m, system.m),
-    )
+    _require_paired(weights, system.n, system.m, system.name)
     return _design(
         system.A, system.B, weights.Q, weights.R, system.name, weights.q_pd
     )
@@ -292,14 +300,14 @@ def check_sufficient_condition(
     """Success here proves the two designs coincide.
 
     Hypotheses checked: ``P_s K K^T`` symmetric PSD (the necessary
-    condition), controllability of
-    ``(A_s K K^T, B_s Sigma Lambda^{-1/2})`` where ``R_s = Sigma Lambda
-    Sigma^T``, and observability of ``(A_s K K^T, D)`` with
-    ``D^T D = K Q_c K^T``.  Failure is recorded but proves nothing on its
-    own; the caller falls back to the exact test.  ``Q_c`` must be
-    symmetric positive semidefinite and ``R_s`` symmetric positive definite
-    by the weight gate ``require_definite`` (``NotSymmetricError``,
-    ``NotPSDError`` or ``NotPDError`` otherwise).
+    condition), controllability of ``(A_s K K^T, B_s)``, which has the rank
+    of the paper's ``(A_s K K^T, B_s R_s^{-1/2})`` because ``R_s^{-1/2}``
+    is invertible, and observability of ``(A_s K K^T, D)`` with ``D^T D =
+    K Q_c K^T``.  Failure is recorded but proves nothing on its own; the
+    caller falls back to the exact test.  ``Q_c`` must be symmetric
+    positive semidefinite and ``R_s`` symmetric positive definite, as the
+    theorem assumes, by the weight gate ``require_definite``
+    (``NotSymmetricError``, ``NotPSDError`` or ``NotPDError`` otherwise).
     """
     a_s, b_s, kmat, q_c, r_s, p_s = conform(
         (a_stacked, "stacked state matrix", "s", "s"),
@@ -310,19 +318,16 @@ def check_sufficient_condition(
         (p_stacked, "stacked Riccati solution", "s", "s"),
     )
     q_c = require_definite(q_c, "composite state weight")
-    r_s = require_definite(r_s, "stacked input weight", pd=True)
+    require_definite(r_s, "stacked input weight", pd=True)
     hypothesis = _necessary_check(p_s, kmat, _require_tol(tol))
-    return _sufficient_check(a_s, b_s, kmat, q_c, r_s, hypothesis)
+    return _sufficient_check(a_s, b_s, kmat, q_c, hypothesis)
 
 
-def _sufficient_check(a_s, b_s, kmat, q_c, r_s, hypothesis: NecessaryCheck) -> SufficientCheck:
-    """The body of ``check_sufficient_condition`` on trusted arrays, with
-    ``R_s`` symmetric PD, reusing the necessary check already computed for
-    the same ``P_s`` and ``K``."""
-    akk = a_s @ kmat @ kmat.T
-    lam, sigma = sym_eig(r_s)
-    b_whitened = b_s @ (sigma / np.sqrt(lam)[None, :])
-    ctrb = _staircase(akk, b_whitened)
+def _sufficient_check(a_s, b_s, kmat, q_c, hypothesis: NecessaryCheck) -> SufficientCheck:
+    """The body of ``check_sufficient_condition`` on trusted arrays,
+    reusing the necessary check already computed for the same ``P_s`` and
+    ``K``."""
+    ctrb = _staircase(a_s @ kmat @ kmat.T, b_s)
     # the observability matrix of (A_s K K^T, F K^T) is that of (A_c, F)
     # times K^T, so its rank is that of the c x c pair's
     obsv = _staircase((kmat.T @ a_s @ kmat).T, psd_sqrt_factor(q_c).T)
@@ -351,12 +356,13 @@ def design_composition(
 ) -> CompositionDesign:
     """Compose, then synthesize the two subsystem designs and the direct
     one, and push the subsystem gains through the coupling; no check runs.
-    The direct design trusts the composite weights and their gate's PD
-    verdict."""
+    The subsystem designs come first, so the pairing rule rejects a weight
+    of the wrong size before it enters the composite cost.  The direct
+    design trusts the composite weights and their gate's PD verdict."""
     composite = compose_open_loop(sys1, sys2, pattern)
-    q_c, r_c, q_pd = _compose_cost(weights1, weights2, composite.coupling.K)
     design1 = lqr_subsystem(sys1, weights1)
     design2 = lqr_subsystem(sys2, weights2)
+    q_c, r_c, q_pd = _compose_cost(weights1, weights2, composite.coupling.K)
     direct = _design(composite.A, composite.B, q_c, r_c, "composite", q_pd)
     return CompositionDesign(
         composite=composite,
@@ -395,7 +401,7 @@ def evaluate_composition(
 
     exact = _exact_check(p_stacked, kmat, direct.P, tol)
     necessary = _necessary_check(p_stacked, kmat, tol)
-    sufficient = _sufficient_check(a_s, b_s, kmat, q_c, r_c, necessary)
+    sufficient = _sufficient_check(a_s, b_s, kmat, q_c, necessary)
     gains = _deviation(direct.F, f_composed, tol)
     rect_stacked = _rect_residual(a_s, b_s, kmat, q_c, r_c, p_stacked @ kmat)[1]
     rect_composite = _rect_residual(a_s, b_s, kmat, q_c, r_c, kmat @ direct.P)[1]
@@ -445,13 +451,20 @@ class SearchConfig:
 
     def __post_init__(self):
         for name in ("n_range", "m_range", "k_range"):
-            lo, hi = getattr(self, name)
+            lo, hi = (
+                _integer(value, f"{name}[{i}]", InvalidArgumentError)
+                for i, value in enumerate(getattr(self, name))
+            )
             if lo > hi:
                 raise InvalidArgumentError(f"{name} has lo > hi: ({lo}, {hi})")
+            object.__setattr__(self, name, (lo, hi))
         if self.n_range[0] < 1 or self.m_range[0] < 1 or self.k_range[0] < 0:
             raise InvalidArgumentError("dimension ranges out of bounds")
-        if self.trials < 0:
-            raise InvalidArgumentError(f"trials must be nonnegative, got {self.trials}")
+        for name in ("trials", "seed"):
+            value = _integer(getattr(self, name), name, InvalidArgumentError)
+            if value < 0:
+                raise InvalidArgumentError(f"{name} must be nonnegative, got {value}")
+            object.__setattr__(self, name, value)
         if math.isnan(self.deviation_threshold):
             raise InvalidArgumentError("deviation_threshold must not be NaN")
 

@@ -16,13 +16,14 @@ one-spec contract ``(m, name, "n", "n")``.
 
 Utilities
 ---------
-Block-diagonal stacking, symmetric eigendecomposition, SVD-based
-numerical rank, Hurwitz and definiteness tests, the weight gate
-(``require_definite``), positive-semidefinite square-root factors, the PBH
-test, and controllability/observability rank tests.  The rank tests never
-form the n-by-n*m Kalman matrix, whose columns lose rank in floating point
-from order 40 or so on: they build an orthonormal basis of the reachable
-subspace block by block, Paige's orthogonal staircase, in O(n^3).
+Block-diagonal stacking, SVD-based numerical rank, Hurwitz and
+definiteness tests, the weight gate (``require_definite``),
+positive-semidefinite square-root factors (the package's one symmetric
+eigendecomposition), the PBH test, and controllability/observability rank
+tests.  The rank tests never form the n-by-n*m Kalman matrix, whose columns
+lose rank in floating point from order 40 or so on: they build an
+orthonormal basis of the reachable subspace block by block, Paige's
+orthogonal staircase, in O(n^3).
 Everything works on plain float64 ndarrays, never mutates its inputs, and
 keeps no state.
 
@@ -186,13 +187,6 @@ def _lapack(what: str, fn, *args, error=NumericalFailureError, **kwargs):
         raise error(f"{what} failed: {exc}") from exc
 
 
-class SymEig(NamedTuple):
-    """Eigendecomposition of a symmetric matrix, eigenvalues ascending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 class Definiteness(NamedTuple):
     symmetric: bool
     psd: bool
@@ -217,24 +211,6 @@ class RankTest(NamedTuple):
     rank: int
     required: int
     margin: float
-
-
-def sym_eig(m) -> SymEig:
-    """Eigendecomposition of a symmetric matrix via the self-adjoint path.
-
-    Rejects input that breaks the symmetry rule ``max|M - M^T| <= RTOL *
-    (1 + max|M|)``, then decomposes the symmetrized matrix.  The reconstruction
-    ``V diag(w) V^T`` is verified against the symmetrized input to
-    ``1e-10 * (1 + ||M||_F)`` before returning.
-    """
-    sym = _require_symmetric(require_square(m, "sym_eig input"), "sym_eig input")
-    w, v = _lapack("eigendecomposition", np.linalg.eigh, sym)
-    recon = float(np.linalg.norm(v @ (w[:, None] * v.T) - sym))
-    if recon > 1e-10 * (1.0 + float(np.linalg.norm(sym))):
-        raise NumericalFailureError(
-            f"eigendecomposition reconstruction error {recon:.3e} out of tolerance"
-        )
-    return SymEig(w, v)
 
 
 def _singular_values(arr: np.ndarray) -> np.ndarray:
@@ -306,20 +282,22 @@ def _require_definite(m, name: str, pd: bool = False) -> tuple[np.ndarray, Defin
 def psd_sqrt_factor(m) -> np.ndarray:
     """Factor a symmetric PSD matrix as ``M = D^T D`` with ``D`` r-by-n.
 
-    Eigenvalues above the cut ``RTOL * (1 + max|M|)`` are kept, so the row
-    count of ``D`` equals the numerical rank of ``M``; an eigenvalue below
-    ``-cut`` raises.  The factorization error ``||D^T D - M||_F`` is
-    verified against ``sqrt(n) * cut``, the most that the dropped
-    eigenvalues, each within the cut, can add up to.
+    ``M`` must pass the symmetry rule ``max|M - M^T| <= cut``, ``cut =
+    RTOL * (1 + max|M|)``, and ``eigh`` decomposes its symmetrized form.
+    Eigenvalues above the cut are kept, so the row count of ``D`` equals
+    the numerical rank of ``M``; an eigenvalue below ``-cut`` raises.  The
+    factorization error ``||D^T D - M||_F`` is verified against
+    ``sqrt(n) * cut``, the most that the dropped eigenvalues, each within
+    the cut, can add up to.
     """
-    w, v = sym_eig(m)
-    arr = np.asarray(m, dtype=float)
+    arr = require_square(m, "psd_sqrt_factor input")
     cut = _cut(arr)
+    sym = _require_symmetric(arr, "psd_sqrt_factor input")
+    w, v = _lapack("eigendecomposition", np.linalg.eigh, sym)
     if w.size and float(w[0]) < -cut:
         _raise_indefinite("psd_sqrt_factor input", float(w[0]))
     keep = w > cut
     factor = np.sqrt(w[keep])[:, None] * v[:, keep].T
-    sym = 0.5 * (arr + arr.T)
     err = float(np.linalg.norm(factor.T @ factor - sym))
     if err > np.sqrt(arr.shape[0]) * cut:
         raise NumericalFailureError(

@@ -88,16 +88,17 @@ class CostWeights:
         )
 
 
-def _integer(value, path: str) -> int:
-    """``value`` by ``operator.index`` (not a ``bool``), else ``PatternError``."""
+def _integer(value, path: str, error=PatternError) -> int:
+    """``value`` by ``operator.index`` (not a ``bool``), else ``error``
+    naming ``path``."""
     try:
         if not isinstance(value, bool):
             return operator.index(value)
     except TypeError:
         pass
     except OverflowError:
-        raise PatternError(f"{path}: integer is too large to be a state index") from None
-    raise PatternError(f"{path}: expected an integer, got {type(value).__name__}")
+        raise error(f"{path}: integer is too large to be a state index") from None
+    raise error(f"{path}: expected an integer, got {type(value).__name__}")
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,23 @@ class TestRenderJson:
         assert render_json(doc) == render_json(doc)
 
 
+DELETE = object()
+
+
+def _coupled_with(where, value) -> bytes:
+    """``coupled_2x2.json`` with the node at the key path ``where`` set to
+    ``value``, or removed for ``DELETE``, as UTF-8 bytes."""
+    doc = json.loads(Path(COUPLED).read_text())
+    node = doc
+    for key in where[:-1]:
+        node = node[key]
+    if value is DELETE:
+        del node[where[-1]]
+    else:
+        node[where[-1]] = value
+    return json.dumps(doc).encode()
+
+
 class TestParseProblem:
     def test_counterexample_file(self):
         problem = parse_problem(COUNTEREXAMPLE)
@@ -83,8 +100,12 @@ class TestParseProblem:
         doc["subsystems"][0]["A"] = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
         bad = tmp_path / "nonsquare.json"
         bad.write_text(json.dumps(doc), encoding="utf-8")
-        with pytest.raises(SchemaError, match=r"subsystems\[0\]\.A.*square"):
+        with pytest.raises(SchemaError) as info:
             parse_problem(str(bad))
+        assert str(info.value) == (
+            "$.subsystems[0]: upstream.A has 3 columns, expected n = 2 from "
+            "upstream.A (shape (2, 3))"
+        )
 
     def test_ragged_matrix_rejected(self, tmp_path):
         doc = json.loads(Path(COUPLED).read_text())
@@ -220,17 +241,20 @@ class TestParseProblem:
         [
             pytest.param(
                 "B", [[1.0, 0.0]],
-                "$.subsystems[1].B: must have 2 rows to match A, got 1",
+                "$.subsystems[1]: downstream.B has 1 rows, expected n = 2 from "
+                "downstream.A (shape (1, 2))",
                 id="B-rows",
             ),
             pytest.param(
                 "Q", [[1.0]],
-                "$.subsystems[1].Q: must be 2x2 to match A, got 1x1",
+                "$.subsystems[1]: downstream: state weight Q has 1 rows, "
+                "expected 2 (shape (1, 1))",
                 id="Q-shape",
             ),
             pytest.param(
                 "R", [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]],
-                "$.subsystems[1].R: must be 2x2 to match the input count, got 3x3",
+                "$.subsystems[1]: downstream: input weight R has 3 rows, "
+                "expected 2 (shape (3, 3))",
                 id="R-shape",
             ),
         ],
@@ -267,6 +291,71 @@ class TestParseProblem:
         bad.write_text(json.dumps(doc), encoding="utf-8")
         with pytest.raises(SchemaError, match=message):
             parse_problem(str(bad))
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            pytest.param(
+                _coupled_with(("subsystems", 0, "B"), DELETE),
+                "$.subsystems[0]: missing required key 'B'",
+                id="missing-key",
+            ),
+            pytest.param(
+                _coupled_with(("subsystems", 1), [1.0]),
+                "$.subsystems[1]: expected an object, got list",
+                id="subsystem-not-object",
+            ),
+            pytest.param(
+                _coupled_with(("subsystems", 0, "A", 0, 1), "0.5"),
+                "$.subsystems[0].A[0][1]: expected a number, got str",
+                id="string-entry",
+            ),
+            pytest.param(
+                _coupled_with(("subsystems", 1, "Q", 0, 0), True),
+                "$.subsystems[1].Q[0][0]: expected a number, got bool",
+                id="boolean-entry",
+            ),
+            pytest.param(
+                _coupled_with(("subsystems", 0, "A", 1, 1), "BIG").replace(
+                    b'"BIG"', b"1e999"
+                ),
+                "$.subsystems[0].A[1][1]: numbers must be finite",
+                id="overflowing-literal",
+            ),
+            pytest.param(
+                _coupled_with(("subsystems", 0, "R"), []),
+                "$.subsystems[0].R: expected a non-empty array of rows",
+                id="empty-matrix",
+            ),
+            pytest.param(
+                _coupled_with(("subsystems", 1, "B", 1), []),
+                "$.subsystems[1].B[1]: expected a non-empty array of numbers",
+                id="empty-row",
+            ),
+            pytest.param(
+                _coupled_with(("subsystems", 0, "name"), ""),
+                "$.subsystems[0].name: expected a non-empty string",
+                id="empty-name",
+            ),
+            pytest.param(
+                b'{"subsystems": "\xff"}',
+                "$: file is not valid UTF-8: 'utf-8' codec can't decode byte "
+                "0xff in position 16: invalid start byte",
+                id="not-utf8",
+            ),
+            pytest.param(
+                _coupled_with(("subsystems", 1), DELETE),
+                "$.subsystems: expected an array of exactly two subsystems",
+                id="one-subsystem",
+            ),
+        ],
+    )
+    def test_json_level_error_names_path(self, tmp_path, raw, message):
+        bad = tmp_path / "schema.json"
+        bad.write_bytes(raw)
+        with pytest.raises(SchemaError) as info:
+            parse_problem(str(bad))
+        assert str(info.value) == message
 
 
 class TestComposeCommand:
@@ -635,12 +724,31 @@ class TestMainEntry:
                 ["search", "--n-min", "3", "--n-max", "1"],
                 "n_range has lo > hi: (3, 1)",
             ),
+            (["check", COUPLED, "--checks", ","], "--checks must name at least one check"),
+            (
+                ["check", INDEPENDENT, "--x0", "a,b"],
+                "--x0 must be a comma-separated list of numbers, got 'a,b'",
+            ),
+            (["check", INDEPENDENT, "--x0", "inf,1,1"], "--x0 entries must be finite"),
         ],
     )
     def test_bad_scalar_argument_exits_1(self, argv, message, capsys):
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.err == f"rsmlqr: error: {message}\n"
+        assert captured.out == ""
+
+    def test_linalg_error_exits_1(self, capsys, monkeypatch):
+        # numpy's LinAlgError is a ValueError, so main reports it as one line
+        import rsmlqr.cli
+
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(rsmlqr.cli, "evaluate_composition", fail)
+        assert main(["check", COUPLED]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "rsmlqr: error: SVD did not converge\n"
         assert captured.out == ""
 
     def test_usage_error_exits_1(self, capsys):

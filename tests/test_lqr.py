@@ -230,8 +230,8 @@ class TestSufficientCondition:
         assert not suff.predicts_compositional
 
     def test_twin_observability_breaks_down(self):
-        # shared scalar state: P_s K K^T is symmetric PSD and the whitened
-        # input pair is controllable, but K Q_c K^T has rank 1 against a
+        # shared scalar state: P_s K K^T is symmetric PSD and the input
+        # pair (A_s K K^T, B_s) is controllable, but K Q_c K^T has rank 1 against a
         # 2-dimensional stacked state, so no prediction is made even though
         # the designs do coincide: the test is one-sided
         report = twin_analysis().report
@@ -481,6 +481,15 @@ class TestEvaluateComposition:
     def test_gap_absent_by_default(self):
         assert counterexample_analysis().report.gap is None
 
+    def test_weight_of_the_wrong_size_is_a_shape_error(self):
+        # the pairing rule runs before the weights enter the composite cost
+        system = LinearSystem("pair", -np.eye(2), np.ones((2, 1)))
+        with pytest.raises(ShapeError, match="pair: state weight Q has 3 rows"):
+            evaluate_composition(
+                system, scalar_system("one", -1.0), CompositionPattern(2, 1),
+                CostWeights(np.eye(3), [[1.0]]), UNIT_WEIGHTS,
+            )
+
     def test_notes_propagate(self):
         system = LinearSystem("odd", np.diag([1.0, -1.0]), np.eye(2))
         weights = CostWeights(np.diag([0.0, 1.0]), np.eye(2))
@@ -620,6 +629,11 @@ class TestCounterexampleSearch:
             {"n_range": (0, 1)},
             {"trials": -1},
             {"deviation_threshold": math.nan},
+            {"trials": 2.5},
+            {"trials": True},
+            {"k_range": (0, "a")},
+            {"n_range": (1.5, 2.5)},
+            {"seed": -1},
         ],
     )
     def test_config_errors_are_invalid_argument_errors(self, kwargs):

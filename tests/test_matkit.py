@@ -22,7 +22,6 @@ from rsmlqr.matkit import (
     psd_sqrt_factor,
     require_definite,
     require_matrix,
-    sym_eig,
 )
 from rsmlqr.riccati import solve_care
 
@@ -246,7 +245,7 @@ class TestLapackFailure:
     @pytest.mark.parametrize(
         "routine, call, operation",
         [
-            ("eigh", lambda: sym_eig(np.eye(2)), "eigendecomposition"),
+            ("eigh", lambda: psd_sqrt_factor(np.eye(2)), "eigendecomposition"),
             ("eigvalsh", lambda: definiteness(np.eye(2)), "eigenvalue computation"),
             ("eigvals", lambda: is_hurwitz(-np.eye(2)), "eigenvalue computation"),
             ("svd", lambda: is_controllable(np.eye(2), np.eye(2)), "SVD"),
@@ -258,60 +257,6 @@ class TestLapackFailure:
             call()
         assert str(info.value) == f"{operation} failed: {routine} did not converge"
         assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
-
-
-class TestSymEig:
-    def test_identity(self):
-        w, v = sym_eig(np.eye(3))
-        np.testing.assert_allclose(w, np.ones(3))
-        np.testing.assert_allclose(v @ v.T, np.eye(3), atol=1e-14)
-
-    def test_diagonal_known_values(self):
-        w, v = sym_eig([[2.0, 0.0], [0.0, 3.0]])
-        np.testing.assert_allclose(w, [2.0, 3.0])
-        np.testing.assert_allclose(np.abs(v), np.eye(2), atol=1e-14)
-
-    def test_offdiagonal_known_values(self):
-        w, _ = sym_eig([[0.0, 1.0], [1.0, 0.0]])
-        np.testing.assert_allclose(w, [-1.0, 1.0], atol=1e-14)
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(NotSymmetricError):
-            sym_eig([[0.0, 1.0], [2.0, 0.0]])
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ShapeError):
-            sym_eig(np.zeros((2, 3)))
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(InvalidMatrixError):
-            sym_eig([[np.nan, 0.0], [0.0, 1.0]])
-
-    @pytest.mark.parametrize("n", [1, 5, 17, 50])
-    def test_reconstruction_random(self, n):
-        rng = np.random.default_rng(1000 + n)
-        for _ in range(5):
-            g = rng.standard_normal((n, n))
-            m = g + g.T
-            w, v = sym_eig(m)
-            err = np.linalg.norm(v @ np.diag(w) @ v.T - m)
-            assert err <= 1e-10 * (1.0 + np.linalg.norm(m))
-            assert np.all(np.diff(w) >= 0)
-
-    @pytest.mark.parametrize("asym, symmetric", [(5e-10, True), (5e-9, False)])
-    def test_same_symmetry_rule_as_definiteness(self, asym, symmetric):
-        m = np.array([[1.0, 0.5], [0.5 + asym, 1.0]])
-        assert definiteness(m).symmetric is symmetric
-        if symmetric:
-            sym_eig(m)
-        else:
-            with pytest.raises(NotSymmetricError, match=r"\(1 \+ max\|M\|\)"):
-                sym_eig(m)
-
-    def test_tolerance_override(self):
-        m = [[1.0, 1.0 + 1e-7], [1.0, 1.0]]
-        with pytest.raises(NotSymmetricError):
-            sym_eig(m)
 
 
 def rank_svd(m):
@@ -403,9 +348,78 @@ class TestPsdSqrtFactor:
         assert d.shape == (2, 2)
         np.testing.assert_allclose(d.T @ d, np.eye(2), atol=1e-12)
 
+    def test_identity_3x3(self):
+        d = psd_sqrt_factor(np.eye(3))
+        assert d.shape == (3, 3)
+        np.testing.assert_allclose(d.T @ d, np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(d @ d.T, np.eye(3), atol=1e-12)
+
     def test_scalar(self):
         d = psd_sqrt_factor([[4.0]])
         np.testing.assert_allclose(np.abs(d), [[2.0]])
+
+    def test_diagonal_known_values(self):
+        # rows follow the eigenvalues in ascending order
+        d = psd_sqrt_factor([[2.0, 0.0], [0.0, 3.0]])
+        np.testing.assert_allclose(np.abs(d), np.diag(np.sqrt([2.0, 3.0])), atol=1e-14)
+
+    def test_offdiagonal_known_values(self):
+        # [[2, 1], [1, 2]] has eigenvalues 1 and 3; [[0, 1], [1, 0]] has -1 and 1
+        d = psd_sqrt_factor([[2.0, 1.0], [1.0, 2.0]])
+        np.testing.assert_allclose((d**2).sum(axis=1), [1.0, 3.0], atol=1e-14)
+        np.testing.assert_allclose(d.T @ d, [[2.0, 1.0], [1.0, 2.0]], atol=1e-14)
+        with pytest.raises(NotPSDError, match=r"min eigenvalue -1\.000000e\+00"):
+            psd_sqrt_factor([[0.0, 1.0], [1.0, 0.0]])
+
+    @pytest.mark.parametrize("n", [1, 5, 17, 50])
+    def test_reconstruction_random(self, n):
+        rng = np.random.default_rng(1000 + n)
+        for _ in range(5):
+            g = rng.standard_normal((n, n))
+            m = g @ g.T
+            d = psd_sqrt_factor(m)
+            err = np.linalg.norm(d.T @ d - m)
+            assert err <= np.sqrt(n) * 1e-9 * (1.0 + np.abs(m).max())
+            assert np.all(np.diff((d**2).sum(axis=1)) >= 0)
+
+    def test_rejects_asymmetric(self):
+        with pytest.raises(NotSymmetricError, match="psd_sqrt_factor input"):
+            psd_sqrt_factor([[0.0, 1.0], [2.0, 0.0]])
+
+    def test_rejects_asymmetry_above_the_cut(self):
+        with pytest.raises(NotSymmetricError, match="psd_sqrt_factor input"):
+            psd_sqrt_factor([[1.0, 1.0 + 1e-7], [1.0, 1.0]])
+
+    def test_rejects_nonsquare(self):
+        with pytest.raises(ShapeError):
+            psd_sqrt_factor(np.zeros((2, 3)))
+
+    def test_rejects_nonfinite(self):
+        with pytest.raises(InvalidMatrixError):
+            psd_sqrt_factor([[np.nan, 0.0], [0.0, 1.0]])
+
+    @pytest.mark.parametrize("asym, symmetric", [(5e-10, True), (5e-9, False)])
+    def test_same_symmetry_rule_as_definiteness(self, asym, symmetric):
+        m = np.array([[1.0, 0.5], [0.5 + asym, 1.0]])
+        assert definiteness(m).symmetric is symmetric
+        if symmetric:
+            psd_sqrt_factor(m)
+        else:
+            with pytest.raises(NotSymmetricError, match=r"\(1 \+ max\|M\|\)"):
+                psd_sqrt_factor(m)
+
+    def test_factor_certificate(self, monkeypatch):
+        # eigenvectors that do not belong to the eigenvalues give a factor
+        # with D^T D = diag(4, 1) for M = diag(1, 4)
+        eigh = np.linalg.eigh
+
+        def wrong_vectors(m):
+            w, v = eigh(m)
+            return w, v[:, ::-1]
+
+        monkeypatch.setattr(np.linalg, "eigh", wrong_vectors)
+        with pytest.raises(NumericalFailureError, match="square-root factor error"):
+            psd_sqrt_factor(np.diag([1.0, 4.0]))
 
     def test_rank_deficient_known_factor(self):
         m = np.array([[2.0, 2.0], [2.0, 2.0]])
@@ -415,7 +429,7 @@ class TestPsdSqrtFactor:
         np.testing.assert_allclose(d.T @ d, m, atol=1e-12)
 
     def test_rejects_indefinite(self):
-        with pytest.raises(NotPSDError):
+        with pytest.raises(NotPSDError, match=r"min eigenvalue -1\.000000e\+00"):
             psd_sqrt_factor([[-1.0]])
 
     def test_zero_matrix_gives_empty_factor(self):

@@ -207,6 +207,21 @@ class TestComposeOpenLoop:
             compose_open_loop(s1, s2, CompositionPattern(2, 1))
 
 
+class TestLinearSystem:
+    @pytest.mark.parametrize(
+        "a, b, message",
+        [
+            (np.zeros((0, 0)), np.zeros((0, 1)), "s.A must be at least 1x1"),
+            ([[-1.0]], np.zeros((1, 0)), "s.B must have at least one input column"),
+        ],
+        ids=["empty-A", "zero-column-B"],
+    )
+    def test_empty_dimension_is_a_shape_error(self, a, b, message):
+        with pytest.raises(ShapeError) as info:
+            LinearSystem("s", a, b)
+        assert str(info.value) == message
+
+
 class TestCostWeights:
     def test_rejects_indefinite_state_weight(self):
         with pytest.raises(NotPSDError):

@@ -327,7 +327,7 @@ def _composite_doc(composite: CompositeSystem, q: np.ndarray, r: np.ndarray) -> 
             "n": composite.n,
             "m": composite.m,
         },
-        "K": composite.coupling.K,
+        "K": composite.coupling,
         "A": composite.A,
         "B": composite.B,
         "Q": q,

@@ -93,7 +93,6 @@ from .rsm import (
     CostWeights,
     LinearSystem,
     _compose_cost,
-    _coupling,
     _integer,
     compose_cost,
     compose_gains,
@@ -267,7 +266,7 @@ def check_exact_condition(p_stacked, coupling, p_composite, tol: float = DEFAULT
     """
     p_s, kmat, p_c = conform(
         (p_stacked, "stacked Riccati solution", "s", "s"),
-        (_coupling(coupling), "coupling matrix", "s", "c"),
+        (coupling, "coupling matrix", "s", "c"),
         (p_composite, "composite Riccati solution", "c", "c"),
     )
     return _exact_check(p_s, kmat, p_c, _require_tol(tol))
@@ -282,7 +281,7 @@ def check_necessary_condition(p_stacked, coupling, tol: float = DEFAULT_TOL) -> 
     """Failure of ``P_s K K^T`` to be symmetric PSD rules equivalence out."""
     p_s, kmat = conform(
         (p_stacked, "stacked Riccati solution", "s", "s"),
-        (_coupling(coupling), "coupling matrix", "s", "c"),
+        (coupling, "coupling matrix", "s", "c"),
     )
     return _necessary_check(p_s, kmat, _require_tol(tol))
 
@@ -312,12 +311,12 @@ def check_sufficient_condition(
     a_s, b_s, kmat, q_c, r_s, p_s = conform(
         (a_stacked, "stacked state matrix", "s", "s"),
         (b_stacked, "stacked input matrix", "s", "m"),
-        (_coupling(coupling), "coupling matrix", "s", "c"),
+        (coupling, "coupling matrix", "s", "c"),
         (q_composite, "composite state weight", "c", "c"),
         (r_stacked, "stacked input weight", "m", "m"),
         (p_stacked, "stacked Riccati solution", "s", "s"),
     )
-    q_c = require_definite(q_c, "composite state weight")
+    q_c = require_definite(q_c, "composite state weight")[0]
     require_definite(r_s, "stacked input weight", pd=True)
     hypothesis = _necessary_check(p_s, kmat, _require_tol(tol))
     return _sufficient_check(a_s, b_s, kmat, q_c, hypothesis)
@@ -358,11 +357,11 @@ def design_composition(
     one, and push the subsystem gains through the coupling; no check runs.
     The subsystem designs come first, so the pairing rule rejects a weight
     of the wrong size before it enters the composite cost.  The direct
-    design trusts the composite weights and their gate's PD verdict."""
+    design trusts the composite weights, and ``Q_c`` as PD when both ``Q``s are."""
     composite = compose_open_loop(sys1, sys2, pattern)
     design1 = lqr_subsystem(sys1, weights1)
     design2 = lqr_subsystem(sys2, weights2)
-    q_c, r_c, q_pd = _compose_cost(weights1, weights2, composite.coupling.K)
+    q_c, r_c, q_pd = _compose_cost(weights1, weights2, composite.coupling)
     direct = _design(composite.A, composite.B, q_c, r_c, "composite", q_pd)
     return CompositionDesign(
         composite=composite,
@@ -397,7 +396,7 @@ def evaluate_composition(
     direct, f_composed = design.direct, design.F_composed
     a_s, b_s = composite.A_stacked, composite.B_stacked
     p_stacked = block_diag(design.design1.P, design.design2.P)
-    kmat = composite.coupling.K
+    kmat = composite.coupling
 
     exact = _exact_check(p_stacked, kmat, direct.P, tol)
     necessary = _necessary_check(p_stacked, kmat, tol)
@@ -451,10 +450,12 @@ class SearchConfig:
 
     def __post_init__(self):
         for name in ("n_range", "m_range", "k_range"):
-            lo, hi = (
-                _integer(value, f"{name}[{i}]", InvalidArgumentError)
-                for i, value in enumerate(getattr(self, name))
-            )
+            try:
+                lo, hi = getattr(self, name)
+            except (TypeError, ValueError):
+                raise InvalidArgumentError(f"{name} must be a pair (lo, hi)") from None
+            lo = _integer(lo, f"{name}[0]", InvalidArgumentError)
+            hi = _integer(hi, f"{name}[1]", InvalidArgumentError)
             if lo > hi:
                 raise InvalidArgumentError(f"{name} has lo > hi: ({lo}, {hi})")
             object.__setattr__(self, name, (lo, hi))
@@ -465,8 +466,15 @@ class SearchConfig:
             if value < 0:
                 raise InvalidArgumentError(f"{name} must be nonnegative, got {value}")
             object.__setattr__(self, name, value)
-        if math.isnan(self.deviation_threshold):
-            raise InvalidArgumentError("deviation_threshold must not be NaN")
+        threshold = self.deviation_threshold
+        try:
+            real = not isinstance(threshold, bool) and not math.isnan(threshold)
+        except TypeError:
+            real = False
+        if not real:
+            raise InvalidArgumentError(
+                f"deviation_threshold must be a real number, not NaN, got {threshold!r}"
+            )
 
 
 @dataclass(frozen=True)

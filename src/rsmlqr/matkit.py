@@ -261,15 +261,11 @@ def _definiteness(arr: np.ndarray, tol: float = RTOL) -> Definiteness:
     )
 
 
-def require_definite(m, name: str, pd: bool = False) -> np.ndarray:
-    """The weight gate: ``0.5 (M + M^T)`` once ``definiteness`` finds ``m``
-    symmetric and PSD (PD with ``pd``); otherwise ``NotSymmetricError``,
-    ``NotPSDError`` or ``NotPDError`` naming ``name``."""
-    return _require_definite(m, name, pd)[0]
-
-
-def _require_definite(m, name: str, pd: bool = False) -> tuple[np.ndarray, Definiteness]:
-    """``require_definite`` that also returns the verdict it decided on."""
+def require_definite(m, name: str, pd: bool = False) -> tuple[np.ndarray, Definiteness]:
+    """The weight gate: ``0.5 (M + M^T)`` and the ``definiteness`` verdict
+    it decided on, once that finds ``m`` symmetric and PSD (PD with
+    ``pd``); otherwise ``NotSymmetricError``, ``NotPSDError`` or
+    ``NotPDError`` naming ``name``."""
     arr = require_square(m, name)
     d = _definiteness(arr)
     if not d.symmetric:

@@ -360,8 +360,8 @@ def solve_care(a, b, q, r, tol: float = RTOL) -> RiccatiSolution:
     if b_arr.shape[1] < 1:
         raise ShapeError("B must have at least one column")
     return _solve_care(
-        a_arr, b_arr, require_definite(q_arr, "Q"),
-        require_definite(r_arr, "R", pd=True), tol,
+        a_arr, b_arr, require_definite(q_arr, "Q")[0],
+        require_definite(r_arr, "R", pd=True)[0], tol,
     )
 
 

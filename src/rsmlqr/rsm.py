@@ -11,7 +11,8 @@ the input matrices, the composite open loop is
 
 costs compose as ``Q_c = K^T blockdiag(Q1, Q2) K`` with the input weight
 staying block diagonal, and block feedback gains push through as
-``F_c = blockdiag(F1, F2) K``.
+``F_c = blockdiag(F1, F2) K``.  ``K`` is a plain s x c array, which every
+gate takes as it is.
 
 Composite state ordering: subsystem-1 states in their original order
 (shared states sit at their subsystem-1 position), then the non-shared
@@ -31,7 +32,6 @@ from .errors import PatternError, ShapeError
 # definiteness and require_matrix stay importable from here only because
 # perfbench's tracer wraps them under these names.
 from .matkit import (
-    _require_definite,
     block_diag,
     conform,
     definiteness,
@@ -80,11 +80,11 @@ class CostWeights:
     q_pd: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        q, d = _require_definite(self.Q, "state weight Q")
+        q, d = require_definite(self.Q, "state weight Q")
         object.__setattr__(self, "Q", q)
         object.__setattr__(self, "q_pd", d.pd)
         object.__setattr__(
-            self, "R", require_definite(self.R, "input weight R", pd=True)
+            self, "R", require_definite(self.R, "input weight R", pd=True)[0]
         )
 
 
@@ -150,20 +150,6 @@ class CompositionPattern:
         return len(self.pairs)
 
 
-@dataclass(frozen=True)
-class CompositionMatrix:
-    """The 0/1 coupling matrix.
-
-    Row ``s`` (a stacked state) has its single 1 in the column of the
-    composite state it belongs to.  Structural facts: every row of ``K`` has
-    exactly one 1; every column has one 1 (exclusive state) or two 1s split
-    across the two subsystem blocks (shared state); hence ``K^T K`` is
-    diagonal with entries in {1, 2}.
-    """
-
-    K: np.ndarray
-
-
 class CompositeDims(NamedTuple):
     n1: int
     n2: int
@@ -180,7 +166,7 @@ class CompositeSystem:
     B: np.ndarray
     A_stacked: np.ndarray
     B_stacked: np.ndarray
-    coupling: CompositionMatrix
+    coupling: np.ndarray
     dims: CompositeDims
 
     @property
@@ -192,13 +178,17 @@ class CompositeSystem:
         return self.B.shape[1]
 
 
-def build_composition_matrix(pattern: CompositionPattern) -> CompositionMatrix:
-    """Construct the coupling matrix for a sharing pattern.
+def build_composition_matrix(pattern: CompositionPattern) -> np.ndarray:
+    """The 0/1 coupling matrix ``K``, s x c, of a sharing pattern.
 
     Composite states are ordered subsystem-1 first, then the non-shared
     subsystem-2 states; a shared state occupies the position of its
     subsystem-1 member.  ``K`` is built from one junction array holding the
-    composite column of each stacked state.
+    composite column of each stacked state, so row ``s`` (a stacked state)
+    has its single 1 in the column of the composite state it belongs to.
+    Every column has one 1 (exclusive state) or two 1s split across the two
+    subsystem blocks (shared state); hence ``K^T K`` is diagonal with
+    entries in {1, 2}.
     """
     n1, n2 = pattern.n1, pattern.n2
     second = np.full(n2, -1)
@@ -209,13 +199,7 @@ def build_composition_matrix(pattern: CompositionPattern) -> CompositionMatrix:
     junction = np.concatenate([np.arange(n1), second])
     kmat = np.zeros((n1 + n2, n1 + n2 - pattern.k_shared))
     kmat[np.arange(n1 + n2), junction] = 1.0
-    return CompositionMatrix(kmat)
-
-
-def _coupling(coupling):
-    """The matrix of a ``CompositionMatrix``, or ``coupling`` as given, for
-    ``conform`` to check."""
-    return coupling.K if isinstance(coupling, CompositionMatrix) else coupling
+    return kmat
 
 
 def compose_open_loop(
@@ -227,16 +211,15 @@ def compose_open_loop(
             f"pattern is for dimensions ({pattern.n1}, {pattern.n2}) but the "
             f"subsystems have ({sys1.n}, {sys2.n}) states"
         )
-    coupling = build_composition_matrix(pattern)
+    kmat = build_composition_matrix(pattern)
     a_stacked = block_diag(sys1.A, sys2.A)
     b_stacked = block_diag(sys1.B, sys2.B)
-    kmat = coupling.K
     return CompositeSystem(
         A=kmat.T @ a_stacked @ kmat,
         B=kmat.T @ b_stacked,
         A_stacked=a_stacked,
         B_stacked=b_stacked,
-        coupling=coupling,
+        coupling=kmat,
         dims=CompositeDims(sys1.n, sys2.n, pattern.k_shared, sys1.m, sys2.m),
     )
 
@@ -248,7 +231,7 @@ def compose_cost(
     stay block diagonal (inputs are never shared)."""
     _, kmat = conform(
         (block_diag(weights1.Q, weights2.Q), "blockdiag(Q1, Q2)", "s", "s"),
-        (_coupling(coupling), "coupling matrix", "s", "c"),
+        (coupling, "coupling matrix", "s", "c"),
     )
     return _compose_cost(weights1, weights2, kmat)[:2]
 
@@ -257,11 +240,15 @@ def _compose_cost(
     weights1: CostWeights, weights2: CostWeights, kmat: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, bool]:
     """The body of ``compose_cost`` on a coupling matrix of matching rows,
-    with the weight gate's verdict that the composite ``Q`` is PD."""
-    q_c, d = _require_definite(
-        kmat.T @ block_diag(weights1.Q, weights2.Q) @ kmat, "composite state weight"
+    with the verdict that the composite ``Q`` is PD.  No gate decides it
+    again: ``K^T K >= I``, so ``v^T K^T Q_s K v >= lambda_min(Q_s) ||K v||^2
+    >= lambda_min(Q_s)`` for a unit ``v``, and PD weights give a PD ``Q_c``."""
+    q_c = kmat.T @ block_diag(weights1.Q, weights2.Q) @ kmat
+    return (
+        0.5 * (q_c + q_c.T),
+        block_diag(weights1.R, weights2.R),
+        weights1.q_pd and weights2.q_pd,
     )
-    return q_c, block_diag(weights1.R, weights2.R), d.pd
 
 
 def compose_gains(f1, f2, coupling) -> np.ndarray:
@@ -269,7 +256,7 @@ def compose_gains(f1, f2, coupling) -> np.ndarray:
     f1_arr, f2_arr = conform((f1, "F1", "m1", "n1"), (f2, "F2", "m2", "n2"))
     stacked, kmat = conform(
         (block_diag(f1_arr, f2_arr), "blockdiag(F1, F2)", "m", "s"),
-        (_coupling(coupling), "coupling matrix", "s", "c"),
+        (coupling, "coupling matrix", "s", "c"),
     )
     return stacked @ kmat
 

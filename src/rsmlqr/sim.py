@@ -1,6 +1,7 @@
 """Closed-loop simulation and cost evaluation.
 
-Trajectories come from classical fixed-step fourth-order Runge-Kutta.  The
+Trajectories come from classical fixed-step fourth-order Runge-Kutta, one
+product with the RK4 step matrix per step (see ``simulate``).  The
 infinite-horizon quadratic cost is evaluated exactly through a Lyapunov
 solve (``J = x0^T X x0`` with ``A_cl^T X + X A_cl + W = 0``), whose Hurwitz
 gate is read off the matrix sign the solve computes.  The direct design's
@@ -66,7 +67,9 @@ def simulate(a_cl, x0, horizon: float, step: float) -> Trajectory:
 
     The step is adjusted to the nearest value that divides the horizon
     evenly, so the grid is uniform and the last sample lands exactly on the
-    horizon.  Classical RK4: global error is O(step^4).
+    horizon.  Classical RK4, global error O(step^4): on a linear system one
+    step is exactly ``x <- T x`` with ``T = I + Z + Z^2/2 + Z^3/6 + Z^4/24``
+    and ``Z = h A_cl``, formed once by Horner's rule.
     """
     a_arr, x = conform(
         (a_cl, "closed-loop matrix", "n", "n"), (x0, "initial state", "n")
@@ -77,15 +80,16 @@ def simulate(a_cl, x0, horizon: float, step: float) -> Trajectory:
         raise InvalidArgumentError(f"step must be positive and finite, got {step}")
     n_steps = max(1, round(horizon / step))
     h = horizon / n_steps
+    z, eye = h * a_arr, np.eye(x.shape[0])
+    step_matrix = eye
+    for k in (4.0, 3.0, 2.0, 1.0):
+        step_matrix = eye + (z / k) @ step_matrix
     states = np.empty((n_steps + 1, x.shape[0]))
     states[0] = x
     for i in range(1, n_steps + 1):
-        k1 = a_arr @ x
-        k2 = a_arr @ (x + 0.5 * h * k1)
-        k3 = a_arr @ (x + 0.5 * h * k2)
-        k4 = a_arr @ (x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if float(np.abs(x).max(initial=0.0)) > DIVERGENCE_LIMIT:
+        x = step_matrix @ x
+        # not <=, so that a NaN state left by an overflow counts as divergence
+        if not float(np.abs(x).max(initial=0.0)) <= DIVERGENCE_LIMIT:
             times = np.arange(i) * h
             return Trajectory(times, states[:i].copy(), diverged=True)
         states[i] = x

@@ -118,7 +118,7 @@ def _recheck_without_invariants(sys1, sys2, pattern, w1, w2):
     d2 = lqr_subsystem(sys2, w2)
     direct = lqr_composite(composite, q_c, block_diag(w1.R, w2.R))
     p_stacked = block_diag(d1.P, d2.P)
-    kmat = composite.coupling.K
+    kmat = composite.coupling
     r_stacked = block_diag(w1.R, w2.R)
     exact = check_exact_condition(p_stacked, kmat, direct.P)
     necessary = check_necessary_condition(p_stacked, kmat)
@@ -165,7 +165,7 @@ def audit_suite() -> AuditSuite:
 
         composite = analysis.composite
         report = analysis.report
-        kmat = composite.coupling.K
+        kmat = composite.coupling
         b_s_sq = float(np.linalg.norm(composite.B_stacked)) ** 2
         x_stacked = analysis.P_stacked @ kmat
         x_composite = kmat @ analysis.direct.P
@@ -227,7 +227,7 @@ class TestCompositionOracles:
             [[1, 0, 0], [0, 1, 0], [0, 1, 0], [0, 0, 1]], dtype=float
         )
         coupling = build_composition_matrix(pattern)
-        exact = np.array_equal(coupling.K, expected)
+        exact = np.array_equal(coupling, expected)
         for _ in range(3):
             build_composition_matrix(pattern)
         best = min(

@@ -9,8 +9,10 @@ import numpy as np
 import pytest
 
 import rsmlqr
+from rsmlqr import lqr
 from rsmlqr.cli import main, parse_problem, render_json, serialize_problem
-from rsmlqr.errors import SchemaError
+from rsmlqr.errors import DetectabilityWarning, SchemaError
+from rsmlqr.matkit import RankTest
 
 PROBLEMS = Path(__file__).resolve().parent.parent / "problems"
 COUNTEREXAMPLE = str(PROBLEMS / "counterexample.json")
@@ -572,6 +574,51 @@ class TestCheckCommand:
     def test_wrong_x0_length(self, capsys):
         assert main(["check", COUNTEREXAMPLE, "--x0", "1.0,2.0"]) == 1
         assert "--x0" in capsys.readouterr().err
+
+    # each kernel replaced by one that contradicts the exact test
+    @pytest.mark.parametrize(
+        "kernel, verdict, problem, message",
+        [
+            ("_sufficient_check",
+             lqr.SufficientCheck(True, *[RankTest(True, 1, 1, 1.0)] * 2), COUNTEREXAMPLE,
+             "sufficient condition predicts equivalent designs but the exact "
+             "test measured deviation 1.114379e-01 (relative 7.879851e-02)"),
+            ("_necessary_check", lqr.NecessaryCheck(False, False, -1.0), SYMMETRIC,
+             "exact test passed but the necessary condition failed "
+             "(symmetric=False, psd=False, min eigenvalue -1.000000e+00)"),
+        ],
+        ids=["sufficient-without-exact", "exact-without-necessary"],
+    )
+    def test_contradicting_verdicts_exit_1(
+        self, kernel, verdict, problem, message, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(lqr, kernel, lambda *args: verdict)
+        assert main(["check", problem]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"rsmlqr: error: {message}\n"
+
+    def test_undetectable_weight_notes(self, tmp_path, capsys):
+        # the unstable first state of "left" carries no cost, and sharing
+        # its second state leaves it unseen in the composite too
+        doc = {
+            "subsystems": [
+                {"name": "left", "A": [[1.0, 0.0], [0.0, -1.0]], "B": [[1.0], [1.0]],
+                 "Q": [[0.0, 0.0], [0.0, 1.0]], "R": [[1.0]]},
+                {"name": "right", "A": [[-2.0]], "B": [[1.0]], "Q": [[1.0]], "R": [[1.0]]},
+            ],
+            "pattern": {"pairs": [[1, 0]]},
+        }
+        path = tmp_path / "undetectable.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.warns(DetectabilityWarning):
+            assert main(["check", str(path)]) == 3
+        notes = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("note: ")
+        ]
+        assert [note.split(":")[1] for note in notes] == [" left", " composite"]
+        assert all("(A, sqrt(Q)) is not detectable" in note for note in notes)
 
 
 class TestSimulateCommand:

@@ -443,11 +443,11 @@ class TestCheckAgreement:
             comp = analysis.composite
             r_stacked = linalg.block_diag(w1.R, w2.R)
             for x in (
-                analysis.P_stacked @ comp.coupling.K,
-                comp.coupling.K @ analysis.direct.P,
+                analysis.P_stacked @ comp.coupling,
+                comp.coupling @ analysis.direct.P,
             ):
                 _, norm = rectangular_riccati_residual(
-                    comp.A_stacked, comp.B_stacked, comp.coupling.K,
+                    comp.A_stacked, comp.B_stacked, comp.coupling,
                     analysis.Q, r_stacked, x,
                 )
                 scale = 1.0 + np.linalg.norm(x) ** 2 * np.linalg.norm(comp.B_stacked) ** 2
@@ -459,7 +459,7 @@ class TestCheckAgreement:
         #   -X (A_s K K^T) - (A_s K K^T)^T X - K Q_c K^T + X B_s R_s^{-1} B_s^T X = 0
         analysis = twin_analysis()
         comp = analysis.composite
-        kmat = comp.coupling.K
+        kmat = comp.coupling
         x = kmat @ analysis.direct.P @ kmat.T
         akk = comp.A_stacked @ kmat @ kmat.T
         b_s, r_s = comp.B_stacked, np.eye(2)
@@ -501,6 +501,22 @@ class TestEvaluateComposition:
             )
         assert any("detectable" in note for note in analysis.report.notes)
 
+    def test_sharing_the_unweighted_state_makes_the_composite_detectable(self):
+        # Q1 = 0 leaves subsystem one's unstable mode unseen, but its state
+        # is shared with subsystem two, whose Q2 = 1 sees it: Q_c = 1 is PD,
+        # though not both weights are, so the composite runs the PBH test
+        # and finds every mode observable
+        weights = CostWeights([[0.0]], [[1.0]])
+        with pytest.warns(DetectabilityWarning, match="odd:"):
+            analysis = evaluate_composition(
+                scalar_system("odd", 1.0), scalar_system("even", -2.0),
+                FULL_SHARE, weights, UNIT_WEIGHTS,
+            )
+        np.testing.assert_array_equal(analysis.Q, [[1.0]])
+        assert len(analysis.report.notes) == 1
+        assert analysis.report.notes[0].startswith("odd:")
+        assert analysis.direct.notes == ()
+
     @pytest.mark.parametrize(
         "n_range, k_range",
         [((1, 3), (0, 2)), ((1, 6), (0, 3)), ((1, 6), (0, 0))],
@@ -516,7 +532,7 @@ class TestEvaluateComposition:
             analysis = evaluate_composition(sys1, sys2, pattern, w1, w2, tol)
             report = analysis.report
             comp = analysis.composite
-            a_s, b_s, kmat = comp.A_stacked, comp.B_stacked, comp.coupling.K
+            a_s, b_s, kmat = comp.A_stacked, comp.B_stacked, comp.coupling
             p_s, p_c = analysis.P_stacked, analysis.direct.P
             assert report.exact == check_exact_condition(p_s, kmat, p_c, tol)
             assert report.necessary == check_necessary_condition(p_s, kmat, tol)
@@ -634,6 +650,11 @@ class TestCounterexampleSearch:
             {"k_range": (0, "a")},
             {"n_range": (1.5, 2.5)},
             {"seed": -1},
+            {"n_range": (1, 2, 3)},
+            {"n_range": 5},
+            {"deviation_threshold": "x"},
+            {"deviation_threshold": None},
+            {"deviation_threshold": True},
         ],
     )
     def test_config_errors_are_invalid_argument_errors(self, kwargs):

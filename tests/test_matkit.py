@@ -473,7 +473,7 @@ class TestScaledDefiniteness:
 class TestRequireDefinite:
     def test_returns_symmetrized(self):
         m = np.array([[2.0, 1.0], [1.0 + 1e-10, 2.0]])
-        out = require_definite(m, "W", pd=True)
+        out = require_definite(m, "W", pd=True)[0]
         np.testing.assert_array_equal(out, out.T)
         np.testing.assert_allclose(out, m, atol=1e-10)
 

@@ -172,6 +172,41 @@ class TestNewtonPolish:
         np.testing.assert_allclose(tight, loose, rtol=1e-9, atol=1e-12)
 
 
+class TestCertificates:
+    # The scalar CARE of A = -1, B = Q = R = 1 is p^2 + 2p - 1 = 0, with
+    # the stabilizing root -1 + sqrt(2) and the anti-stabilizing -1 - sqrt(2).
+    @staticmethod
+    def _scalar():
+        a, b, q, r = (np.array([[v]]) for v in (-1.0, 1.0, 1.0, 1.0))
+        return a, b, q, r, b @ b.T
+
+    def test_anti_stabilizing_root_is_not_psd(self):
+        a, b, q, r, g = self._scalar()
+        p = np.array([[-1.0 - SQRT2]])
+        msg = riccati._certified(a, b, q, r, g, p, 1e-9, "sign")
+        assert msg.startswith("computed Riccati solution is not positive semidefinite")
+        assert "-2.414214e+00" in msg
+
+    def test_unstable_polish_leaves_the_residual_failing(self, monkeypatch):
+        # p = -5 has residual 2 * -5 - 1 + 25 = 14 and A - G P = 4, so the
+        # first Newton sweep's Lyapunov solve is not Hurwitz and the polish
+        # stops with the candidate as it was
+        a, b, q, r, g = self._scalar()
+        core, raised = riccati._lyap_core, []
+
+        def recording(a_cl, w):
+            try:
+                return core(a_cl, w)
+            except NotHurwitzError as exc:
+                raised.append(exc)
+                raise
+
+        monkeypatch.setattr(riccati, "_lyap_core", recording)
+        msg = riccati._certified(a, b, q, r, g, np.array([[-5.0]]), 1e-9, "sign")
+        assert len(raised) == 1
+        assert msg == "Riccati residual 1.400e+01 exceeds 1.0e-09 * 6.000e+00"
+
+
 class TestLyapunovFailuresTyped:
     # The two ways the sign kernel stops: a singular iterate and no
     # convergence within its step cap.
@@ -339,6 +374,54 @@ class TestDoubling:
         with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
             riccati._sda(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.zeros((2, 2)), np.eye(2), 1.0)
 
+    @staticmethod
+    def _falls_back_to_sign(monkeypatch, **patches):
+        """An order-16 CARE that the doubling solves certifies the sign
+        candidate once ``patches`` of ``riccati`` make the doubling stop."""
+        rng = np.random.default_rng(1616)
+        a, b, q, r = random_care_problem(rng, 16, 2)
+        assert solve_care(a, b, q, r).method == "doubling"
+        for name, value in patches.items():
+            monkeypatch.setattr(riccati, name, value)
+        sol = solve_care(a, b, q, r)
+        assert sol.method == "sign"
+        _, res = care_residual(a, b, q, r, sol.P)
+        assert res <= 1e-9 * (1.0 + np.linalg.norm(sol.P) * np.linalg.norm(a))
+        assert sol.closed_loop_max_re < 0.0
+
+    def test_step_cap(self, monkeypatch):
+        sda = riccati._sda
+        stops = []
+
+        def recording(*args):
+            try:
+                return sda(*args)
+            except np.linalg.LinAlgError as exc:
+                stops.append(str(exc))
+                raise
+
+        self._falls_back_to_sign(monkeypatch, _SDA_MAX_ITER=1, _sda=recording)
+        assert stops == ["doubling did not converge in 1 steps"]
+
+    # scalars (a, g, q, gamma) that stop the first doubling step
+    BREAKDOWNS = {
+        # H starts at 4e299, so the first increment's square overflows
+        "non-finite": (-1.0, 1e-300, 1e300, 1.0),
+        # the Cayley transform gives G = 1 and H = -1 exactly, so I + G H = 0
+        "singular": (1.0, 1.0, -1.0, 4.0),
+    }
+
+    @pytest.mark.parametrize("case", sorted(BREAKDOWNS))
+    def test_breakdown(self, case, monkeypatch):
+        a, g, q, gamma = self.BREAKDOWNS[case]
+        args = (np.array([[a]]), np.array([[g]]), np.array([[q]]), gamma)
+        sda = riccati._sda
+        with pytest.raises(np.linalg.LinAlgError, match="doubling breakdown") as info:
+            sda(*args)
+        # only the singular solve chains numpy's own error
+        assert (info.value.__cause__ is not None) == (case == "singular")
+        self._falls_back_to_sign(monkeypatch, _sda=lambda *_: sda(*args))
+
     def test_uncontrollable_imaginary_axis_mode(self):
         # the rotation block of test_uncontrollable_imaginary_axis_mode
         # inside 20 states: the error is the sign path's, naming the mode
@@ -427,6 +510,12 @@ class TestSolveCareErrors:
         # cannot see, so the Hamiltonian itself is singular
         with pytest.raises(NotStabilizableError, match="singular iterate"):
             solve_care(np.diag([0.0, -1.0]), [[0.0], [1.0]], np.diag([0.0, 1.0]), [[1.0]])
+
+    def test_wrong_stable_dimension(self, monkeypatch):
+        # a sign of I counts no stable eigenvalue of the Hamiltonian
+        monkeypatch.setattr(riccati, "_sign_newton", lambda z, w=None: (np.eye(z.shape[0]), None))
+        with pytest.raises(NotStabilizableError, match="has dimension 0, expected 1"):
+            solve_care([[-1.0]], [[1.0]], [[1.0]], [[1.0]])
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):

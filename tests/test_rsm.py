@@ -11,11 +11,13 @@ from rsmlqr.errors import (
     PatternError,
     ShapeError,
 )
+from rsmlqr import matkit
 from rsmlqr.matkit import is_hurwitz
 from rsmlqr.rsm import (
     CompositionPattern,
     CostWeights,
     LinearSystem,
+    _compose_cost,
     build_composition_matrix,
     closed_loop_matrix,
     compose_cost,
@@ -105,22 +107,22 @@ class TestBuildCompositionMatrix:
                 [0.0, 0.0, 1.0],
             ]
         )
-        np.testing.assert_array_equal(cm.K, expected)
+        np.testing.assert_array_equal(cm, expected)
 
     def test_no_sharing_is_identity(self):
         cm = build_composition_matrix(CompositionPattern(2, 2))
-        np.testing.assert_array_equal(cm.K, np.eye(4))
+        np.testing.assert_array_equal(cm, np.eye(4))
 
     def test_full_sharing_scalars(self):
         cm = build_composition_matrix(CompositionPattern(1, 1, ((0, 0),)))
-        np.testing.assert_array_equal(cm.K, [[1.0], [1.0]])
+        np.testing.assert_array_equal(cm, [[1.0], [1.0]])
 
     def test_composite_ordering(self):
         # subsystem-1 states keep their order; then non-shared subsystem-2
         # states in their order
         cm = build_composition_matrix(CompositionPattern(3, 3, ((0, 2), (2, 0))))
         # row s of K is the unit vector of stacked state s's composite column
-        np.testing.assert_array_equal(cm.K, np.eye(4)[[0, 1, 2, 2, 3, 0]])
+        np.testing.assert_array_equal(cm, np.eye(4)[[0, 1, 2, 2, 3, 0]])
 
     def test_structural_invariants_exhaustive(self):
         for n1 in range(1, 5):
@@ -128,7 +130,7 @@ class TestBuildCompositionMatrix:
                 for pattern in all_patterns(n1, n2):
                     cm = build_composition_matrix(pattern)
                     k = pattern.k_shared
-                    kmat = cm.K
+                    kmat = cm
                     assert kmat.shape == (n1 + n2, n1 + n2 - k)
                     # every row selects exactly one composite state
                     assert np.array_equal(
@@ -159,8 +161,8 @@ class TestBuildCompositionMatrix:
         rng = np.random.default_rng(21)
         pattern = CompositionPattern(3, 4, ((1, 3), (2, 0)))
         cm = build_composition_matrix(pattern)
-        x = rng.standard_normal(cm.K.shape[1])
-        lifted = cm.K @ x
+        x = rng.standard_normal(cm.shape[1])
+        lifted = cm @ x
         for j, k in pattern.pairs:
             assert lifted[j] == lifted[3 + k]
 
@@ -284,6 +286,24 @@ class TestComposeCost:
             np.testing.assert_allclose(q, q.T, atol=1e-12)
             assert np.linalg.eigvalsh(q).min() >= -1e-9
 
+    def test_decides_no_definiteness(self, monkeypatch):
+        # both weights passed CostWeights, so K^T Q_s K is PSD by congruence
+        # and needs no eigenvalues of its own
+        w1 = CostWeights(np.diag([2.0, 0.0]), [[1.0]])
+        w2 = CostWeights([[3.0]], [[1.0]])
+        kmat = build_composition_matrix(CompositionPattern(2, 1, ((1, 0),)))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a definiteness decision ran")
+
+        monkeypatch.setattr(matkit, "_definiteness", refuse)
+        q, r = compose_cost(w1, w2, kmat)
+        np.testing.assert_array_equal(q, np.diag([2.0, 3.0]))
+        np.testing.assert_array_equal(r, np.eye(2))
+        # the PD verdict is the weights': Q1 is singular, so it is False
+        # even though sharing made this Q_c definite
+        assert _compose_cost(w1, w2, kmat)[2] is False
+
 
 class TestComposeGains:
     def test_scalar_full_share(self):
@@ -344,7 +364,7 @@ class TestClosedLoop:
             f = compose_gains(f1, f2, comp.coupling)
             lhs = closed_loop_matrix(comp, f)
             f_stacked = block_diag(f1, f2)
-            kmat = comp.coupling.K
+            kmat = comp.coupling
             rhs = kmat.T @ (comp.A_stacked + comp.B_stacked @ f_stacked) @ kmat
             scale = 1.0 + max(np.abs(lhs).max(), np.abs(rhs).max())
             assert np.abs(lhs - rhs).max() <= 1e-12 * scale
@@ -367,7 +387,7 @@ class TestClosedLoop:
             pattern = CompositionPattern(
                 n1, n2, tuple((int(a), int(b)) for a, b in zip(firsts, seconds))
             )
-            kmat = build_composition_matrix(pattern).K
+            kmat = build_composition_matrix(pattern)
             composite = kmat.T @ block_diag(*blocks) @ kmat
             res = is_hurwitz(composite)
             assert res.hurwitz, f"max Re {res.max_real_part} for k={k}"
@@ -378,7 +398,7 @@ class TestClosedLoop:
         a1 = np.array([[-0.1, 5.0], [0.0, -0.1]])
         a2 = np.array([[-0.1, 0.0], [5.0, -0.1]])
         pattern = CompositionPattern(2, 2, ((0, 0), (1, 1)))
-        kmat = build_composition_matrix(pattern).K
+        kmat = build_composition_matrix(pattern)
         composite = kmat.T @ block_diag(a1, a2) @ kmat
         verdict = is_hurwitz(composite)
         assert isinstance(verdict.hurwitz, bool)

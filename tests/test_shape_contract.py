@@ -61,7 +61,7 @@ SUB1 = LinearSystem("sub1", A, B)
 # ... glued to one of order 1 along one state: stacked order 3, composite
 # order 2, two inputs.
 PATTERN = CompositionPattern(2, 1, ((1, 0),))
-K = build_composition_matrix(PATTERN).K
+K = build_composition_matrix(PATTERN)
 COMPOSITE = compose_open_loop(SUB1, LinearSystem("sub2", [[-3.0]], [[1.0]]), PATTERN)
 A_S, B_S = COMPOSITE.A_stacked, COMPOSITE.B_stacked
 F_C = np.array([[-0.1, 0.0], [0.0, -0.2]])

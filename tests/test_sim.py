@@ -64,12 +64,40 @@ class TestSimulate:
         ratio = e1 / e2
         assert 10.0 <= ratio <= 20.0  # fourth order: halving the step ~ 16x
 
+    def test_matches_four_stage_rk4(self):
+        # the step matrix reorders the stage arithmetic, so the two agree to
+        # rounding: a few eps per step over 200 steps
+        rng = np.random.default_rng(12)
+        a = rng.standard_normal((4, 4)) - 3.0 * np.eye(4)
+        x, h = rng.standard_normal(4), 0.01
+        reference = [x]
+        for _ in range(200):
+            k1 = a @ x
+            k2 = a @ (x + 0.5 * h * k1)
+            k3 = a @ (x + 0.5 * h * k2)
+            k4 = a @ (x + h * k3)
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            reference.append(x)
+        traj = simulate(a, reference[0], horizon=2.0, step=h)
+        reference = np.array(reference)
+        np.testing.assert_allclose(
+            traj.states, reference, rtol=0.0, atol=1e-12 * np.abs(reference).max()
+        )
+
     def test_divergence_truncates_with_flag(self):
         traj = simulate([[2.0]], [1.0], horizon=30.0, step=1e-2)
         assert traj.diverged
         assert traj.states.shape[0] < 3002
         assert np.isfinite(traj.states).all()
         assert traj.times.shape[0] == traj.states.shape[0]
+
+    def test_overflow_diverges(self):
+        # the first step overflows, and inf * 0 makes it NaN, which no
+        # magnitude test exceeds
+        with np.errstate(over="ignore", invalid="ignore"):
+            traj = simulate(np.diag([1e300, -1.0]), [1.0, 1.0], horizon=1.0, step=0.5)
+        assert traj.diverged
+        np.testing.assert_array_equal(traj.states, [[1.0, 1.0]])
 
     @pytest.mark.parametrize(
         "horizon, step",
@@ -245,6 +273,29 @@ class TestOptimalityGap:
         )
         assert not result.stable_composed and result.stable_direct
         assert result.gap == math.inf
+
+    def _unstable_direct(self, analysis):
+        sol = analysis.direct.solution
+        return RiccatiSolution(sol.P, sol.F, sol.residual_norm, 0.5)
+
+    def test_unstable_direct_loop_negative_infinite_gap(self):
+        analysis = self._counterexample()
+        result = optimality_gap(
+            analysis.composite, analysis.Q, analysis.R, analysis.F_composed,
+            self._unstable_direct(analysis), [1.0],
+        )
+        assert result.stable_composed and not result.stable_direct
+        assert result.J_direct == math.inf
+        assert result.gap == -math.inf
+
+    def test_both_loops_unstable_nan_gap(self):
+        analysis = self._counterexample()
+        result = optimality_gap(
+            analysis.composite, analysis.Q, analysis.R, np.array([[10.0], [10.0]]),
+            self._unstable_direct(analysis), [1.0],
+        )
+        assert not result.stable_composed and not result.stable_direct
+        assert math.isnan(result.gap)
 
 
 class TestQuadratureCost:

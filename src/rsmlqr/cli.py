@@ -298,20 +298,6 @@ def problem_document(
     }
 
 
-def serialize_problem(problem: ProblemFile) -> str:
-    """Problem file back to canonical text; parsing it again reproduces the
-    same systems, weights, and pattern exactly (floats round-trip)."""
-    return render_json(
-        problem_document(
-            problem.system1,
-            problem.weights1,
-            problem.system2,
-            problem.weights2,
-            problem.pattern,
-        )
-    )
-
-
 # ---------------------------------------------------------------------------
 # report assembly
 
@@ -785,18 +771,19 @@ def build_parser() -> argparse.ArgumentParser:
         "search", help="random search for instances where composition is not optimal"
     )
     _add_tol(p_search)
-    p_search.add_argument("--trials", type=int, default=100, help="instances to sample (default 100)")
-    p_search.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    p_search.add_argument(
-        "--threshold", type=float, default=1e-2,
-        help="deviation above which an instance is collected (default 0.01)",
-    )
-    p_search.add_argument("--n-min", type=int, default=1, help="min subsystem order (default 1)")
-    p_search.add_argument("--n-max", type=int, default=3, help="max subsystem order (default 3)")
-    p_search.add_argument("--m-min", type=int, default=1, help="min input count (default 1)")
-    p_search.add_argument("--m-max", type=int, default=2, help="max input count (default 2)")
-    p_search.add_argument("--k-min", type=int, default=0, help="min shared states (default 0)")
-    p_search.add_argument("--k-max", type=int, default=2, help="max shared states (default 2)")
+    for flag, kind, default, what in (
+        ("--trials", int, SearchConfig.trials, "instances to sample"),
+        ("--seed", int, SearchConfig.seed, "RNG seed"),
+        ("--threshold", float, SearchConfig.deviation_threshold,
+         "deviation above which an instance is collected"),
+        ("--n-min", int, SearchConfig.n_range[0], "min subsystem order"),
+        ("--n-max", int, SearchConfig.n_range[1], "max subsystem order"),
+        ("--m-min", int, SearchConfig.m_range[0], "min input count"),
+        ("--m-max", int, SearchConfig.m_range[1], "max input count"),
+        ("--k-min", int, SearchConfig.k_range[0], "min shared states"),
+        ("--k-max", int, SearchConfig.k_range[1], "max shared states"),
+    ):
+        p_search.add_argument(flag, type=kind, default=default, help=f"{what} (default %(default)s)")
     p_search.add_argument(
         "--out", default=None, help="directory for the found problem files"
     )

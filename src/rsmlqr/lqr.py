@@ -82,7 +82,7 @@ from .matkit import (
 )
 from .riccati import (
     RiccatiSolution,
-    _rect_residual,
+    _riccati_residual,
     _solve_care,
     rectangular_riccati_residual,
     solve_care,
@@ -402,8 +402,9 @@ def evaluate_composition(
     necessary = _necessary_check(p_stacked, kmat, tol)
     sufficient = _sufficient_check(a_s, b_s, kmat, q_c, necessary)
     gains = _deviation(direct.F, f_composed, tol)
-    rect_stacked = _rect_residual(a_s, b_s, kmat, q_c, r_c, p_stacked @ kmat)[1]
-    rect_composite = _rect_residual(a_s, b_s, kmat, q_c, r_c, kmat @ direct.P)[1]
+    ak = a_s @ kmat
+    rect_stacked = _riccati_residual(ak, b_s, q_c, r_c, p_stacked @ kmat)[1]
+    rect_composite = _riccati_residual(ak, b_s, q_c, r_c, kmat @ direct.P)[1]
 
     gap = None
     if x0 is not None:
@@ -501,11 +502,7 @@ def _sample_system(rng: np.random.Generator, name: str, n: int, m: int) -> Linea
     max_re = float(np.linalg.eigvals(a).real.max())
     if max_re > -0.5:
         a = a - (max_re + 0.5) * np.eye(n)
-    while True:
-        b = rng.uniform(-1.0, 1.0, size=(n, m))
-        if float(np.abs(b).max(initial=0.0)) == 0.0 or (np.abs(b).max(axis=0) < 1e-12).any():
-            continue
-        return LinearSystem(name, a, b)
+    return LinearSystem(name, a, rng.uniform(-1.0, 1.0, size=(n, m)))
 
 
 def _sample_weights(rng: np.random.Generator, n: int, m: int) -> CostWeights:
@@ -516,15 +513,15 @@ def _sample_weights(rng: np.random.Generator, n: int, m: int) -> CostWeights:
 
 def sample_instance(
     rng: np.random.Generator,
-    n_range: tuple[int, int] = (1, 3),
-    m_range: tuple[int, int] = (1, 2),
-    k_range: tuple[int, int] = (0, 2),
+    n_range: tuple[int, int] = SearchConfig.n_range,
+    m_range: tuple[int, int] = SearchConfig.m_range,
+    k_range: tuple[int, int] = SearchConfig.k_range,
 ):
-    """Draw one random composition instance.
+    """Draw one random composition instance; ranges default to SearchConfig's.
 
     Stability is forced by shifting sampled state matrices left of
     ``Re = -0.5``; weights are Gram matrices plus ``0.1 I`` so they are
-    safely definite.  Input columns are resampled if one comes out zero.
+    safely definite.  Input entries are drawn from ``uniform(-1, 1)``.
     Returns ``(sys1, sys2, pattern, weights1, weights2)``.
     """
     n1 = int(rng.integers(n_range[0], n_range[1] + 1))

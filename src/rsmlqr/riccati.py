@@ -32,12 +32,13 @@ both kernels read a scale off ``||H||``, which unbalanced blocks inflate
 past the spectrum.  At orders ``n >= _SDA_MIN_ORDER = 16`` it takes its
 candidate from ``_sda``, with ``gamma`` the power of two nearest the RMS
 singular value ``||H_bal||_F / sqrt(2n)`` of the balanced Hamiltonian.
-Below that order the doubling takes more steps than the scaled sign
-iteration, each with more numpy calls, so it would be the slower of the
-two.  When the doubling breaks down, or its candidate fails a certificate,
-the solver falls back to the sign candidate, and only that one can raise,
-so every error type and message is the sign path's.  The fallback is
-there for two reasons:
+Below that order the sign candidate is taken, though the doubling is the
+slower of the two only up to about order 8: on random CAREs with m = 2 and
+one BLAS thread it is 15-30% slower at orders 2-6, even at 7-10 and 8-15%
+faster at 11-15.  When the doubling breaks down, or its candidate fails a
+certificate, the solver falls back to the sign candidate, and only that one
+can raise, so every error type and message is the sign path's.  The
+fallback is there for two reasons:
 
 - the doubling converges to the minimal PSD solution, which is not the
   stabilizing one when ``(A, sqrt(Q))`` is not detectable;
@@ -77,12 +78,12 @@ matrix K (see the rsm module), with unknown X of shape (n1+n2) x nc:
     0 = -X^T (A_s K) - (A_s K)^T X - Q_c + X^T B_s R_s^{-1} B_s^T X
 
 where the ``_s`` matrices live in stacked coordinates and ``Q_c`` in
-composite coordinates.
+composite coordinates; the CARE residual is its ``K = I``, ``X = P`` case.
 
 Each public function here validates its raw arrays with one
 ``matkit.conform`` call and hands them to a private kernel
-(``_care_residual``, ``_solve_care``, ``_rect_residual``) that trusts them;
-the package's own pipeline calls the kernels directly.
+(``_riccati_residual``, ``_solve_care``) that trusts them; the package's
+own pipeline calls the kernels directly.
 """
 
 from __future__ import annotations
@@ -148,7 +149,9 @@ class RiccatiSolution:
 
 
 def care_residual(a, b, q, r, p) -> tuple[np.ndarray, float]:
-    """Residual ``-P A - A^T P - Q + P B R^{-1} B^T P`` and its Frobenius norm.
+    """Residual ``-P^T A - A^T P - Q + P^T B R^{-1} B^T P`` and its Frobenius
+    norm: the rectangular residual with ``K = I``, ``X = P``.  It is the
+    CARE's for a symmetric ``P``; an asymmetric ``P`` is not symmetrized.
 
     Evaluated exactly as written so it serves as an oracle independent of
     how a candidate ``P`` was produced.
@@ -157,14 +160,16 @@ def care_residual(a, b, q, r, p) -> tuple[np.ndarray, float]:
         (a, "A", "n", "n"), (b, "B", "n", "m"), (q, "Q", "n", "n"),
         (r, "R", "m", "m"), (p, "P", "n", "n"),
     )
-    return _care_residual(a_arr, b_arr, q_arr, r_arr, p_arr)
+    return _riccati_residual(a_arr, b_arr, q_arr, r_arr, p_arr)[:2]
 
 
-def _care_residual(a, b, q, r, p) -> tuple[np.ndarray, float]:
-    """The body of ``care_residual`` on trusted arrays."""
-    solved = _lapack("solve with R", np.linalg.solve, r, b.T @ p, error=SingularMatrixError)
-    res = -p @ a - a.T @ p - q + p @ b @ solved
-    return res, float(np.linalg.norm(res))
+def _riccati_residual(ak, b, q, r, x) -> tuple[np.ndarray, float, np.ndarray]:
+    """``(res, ||res||_F, R^{-1} B^T X)`` for
+    ``res = -X^T AK - AK^T X - Q + X^T B R^{-1} B^T X`` on trusted arrays,
+    ``AK = A_s K`` or, for the CARE, ``A``."""
+    solved = _lapack("solve with R", np.linalg.solve, r, b.T @ x, error=SingularMatrixError)
+    res = -x.T @ ak - ak.T @ x - q + x.T @ b @ solved
+    return res, float(np.linalg.norm(res)), solved
 
 
 def _sign_newton(z: np.ndarray, w: np.ndarray | None = None):
@@ -188,8 +193,8 @@ def _sign_newton(z: np.ndarray, w: np.ndarray | None = None):
     Converged when ``||dZ||_F <= _SIGN_TOL ||Z||_F``, or when a step below
     ``_SIGN_FLOOR_TOL ||Z||_F`` is not half the one before it.  Raises
     ``np.linalg.LinAlgError`` for a singular iterate (an LU that breaks
-    down or an inverse that is not finite) or no convergence within
-    ``_SIGN_MAX_ITER`` steps.
+    down or an inverse that is not finite), a ``W`` that is not finite at
+    convergence, or no convergence within ``_SIGN_MAX_ITER`` steps.
     """
     n = z.shape[0]
     if n == 0:
@@ -197,35 +202,39 @@ def _sign_newton(z: np.ndarray, w: np.ndarray | None = None):
     c = 1.0
     scaling = True
     last2 = float("inf")
-    for _ in range(_SIGN_MAX_ITER):
-        try:
-            z_inv = np.linalg.inv(z)
-        except np.linalg.LinAlgError as exc:
-            raise np.linalg.LinAlgError("singular iterate") from exc
-        inv2 = float(np.vdot(z_inv, z_inv))
-        if not np.isfinite(inv2):
-            raise np.linalg.LinAlgError("singular iterate")
-        if scaling:
-            tr_inv = float(np.trace(z_inv)) if w is not None else 0.0
-            ratio = float(np.trace(z)) / tr_inv if tr_inv < 0.0 else 0.0
-            if ratio > 0.0:
-                c = ratio**0.5
-            else:
-                c = (float(np.vdot(z, z)) / inv2) ** 0.25
-        z_next = 0.5 * (z / c + c * z_inv)
-        if w is not None:
-            w = 0.5 * (w / c + c * (z_inv.T @ w @ z_inv))
-        step = z_next - z
-        step2 = float(np.vdot(step, step))
-        size2 = float(np.vdot(z_next, z_next))
-        z = z_next
-        if step2 <= _SIGN_TOL**2 * size2 or (
-            step2 <= _SIGN_FLOOR_TOL**2 * size2 and 4.0 * step2 > last2
-        ):
-            return z, w
-        if step2 <= _SIGN_SCALE_TOL**2 * size2:
-            scaling, c = False, 1.0
-        last2 = step2
+    # an overflow is a singular iterate or, in W, fails the test at convergence
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_SIGN_MAX_ITER):
+            try:
+                z_inv = np.linalg.inv(z)
+            except np.linalg.LinAlgError as exc:
+                raise np.linalg.LinAlgError("singular iterate") from exc
+            inv2 = float(np.vdot(z_inv, z_inv))
+            if not np.isfinite(inv2):
+                raise np.linalg.LinAlgError("singular iterate")
+            if scaling:
+                tr_inv = float(np.trace(z_inv)) if w is not None else 0.0
+                ratio = float(np.trace(z)) / tr_inv if tr_inv < 0.0 else 0.0
+                if ratio > 0.0:
+                    c = ratio**0.5
+                else:
+                    c = (float(np.vdot(z, z)) / inv2) ** 0.25
+            z_next = 0.5 * (z / c + c * z_inv)
+            if w is not None:
+                w = 0.5 * (w / c + c * (z_inv.T @ w @ z_inv))
+            step = z_next - z
+            step2 = float(np.vdot(step, step))
+            size2 = float(np.vdot(z_next, z_next))
+            z = z_next
+            if step2 <= _SIGN_TOL**2 * size2 or (
+                step2 <= _SIGN_FLOOR_TOL**2 * size2 and 4.0 * step2 > last2
+            ):
+                if w is not None and not np.isfinite(w).all():
+                    raise np.linalg.LinAlgError("non-finite W")
+                return z, w
+            if step2 <= _SIGN_SCALE_TOL**2 * size2:
+                scaling, c = False, 1.0
+            last2 = step2
     raise np.linalg.LinAlgError(
         f"sign iteration did not converge in {_SIGN_MAX_ITER} steps"
     )
@@ -534,7 +543,7 @@ def _certified(a, b, q, r, g, p, tol: float, method: str) -> RiccatiSolution | s
     """Polish the candidate ``p`` and certify it: the ``RiccatiSolution``
     when the residual, PSD and Hurwitz certificates pass, else the message
     of the first that failed.  ``g`` is ``B R^{-1} B^T``."""
-    res, res_norm = _care_residual(a, b, q, r, p)
+    res, res_norm, solved = _riccati_residual(a, b, q, r, p)
     # Newton polish in correction form: with Res(P) the residual above and
     # A_cl = A - G P, the step D solves A_cl^T D + D A_cl = Res(P), so the
     # Lyapunov solve's relative error scales the residual, not P.
@@ -546,10 +555,10 @@ def _certified(a, b, q, r, g, p, tol: float, method: str) -> RiccatiSolution | s
             p_next = p + _lyap_core(a - g @ p, -0.5 * (res + res.T))
         except NotHurwitzError:
             break
-        res_next, next_norm = _care_residual(a, b, q, r, p_next)
-        if next_norm >= res_norm:
+        res_next, next_norm, solved_next = _riccati_residual(a, b, q, r, p_next)
+        if not next_norm < res_norm:  # a NaN residual fails this test too
             break
-        p, res, res_norm = p_next, res_next, next_norm
+        p, res, res_norm, solved = p_next, res_next, next_norm, solved_next
 
     scale = 1.0 + float(np.linalg.norm(p)) * float(np.linalg.norm(a))
     if res_norm > tol * scale:
@@ -560,7 +569,7 @@ def _certified(a, b, q, r, g, p, tol: float, method: str) -> RiccatiSolution | s
             "computed Riccati solution is not positive semidefinite; "
             f"min eigenvalue {d.min_eigenvalue:.6e}"
         )
-    f = -np.linalg.solve(r, b.T @ p)
+    f = -solved
     hur = is_hurwitz(a + b @ f)
     if not hur.hurwitz:
         return (
@@ -571,7 +580,8 @@ def _certified(a, b, q, r, g, p, tol: float, method: str) -> RiccatiSolution | s
 
 
 def rectangular_riccati_residual(a_s, b_s, k, q_c, r_s, x) -> tuple[np.ndarray, float]:
-    """Residual of the rectangular composite Riccati equation.
+    """Residual of the rectangular composite Riccati equation and its
+    Frobenius norm; ``care_residual`` is its ``K = I``, ``X = P`` case.
 
     The unknown ``X`` is (n1+n2) x nc, the residual nc x nc:
 
@@ -585,12 +595,4 @@ def rectangular_riccati_residual(a_s, b_s, k, q_c, r_s, x) -> tuple[np.ndarray, 
         (r_s, "stacked input weight", "m", "m"),
         (x, "X", "s", "c"),
     )
-    return _rect_residual(a_arr, b_arr, k_arr, q_arr, r_arr, x_arr)
-
-
-def _rect_residual(a_s, b_s, k, q_c, r_s, x) -> tuple[np.ndarray, float]:
-    """The body of ``rectangular_riccati_residual`` on trusted arrays."""
-    ak = a_s @ k
-    solved = _lapack("solve with R_s", np.linalg.solve, r_s, b_s.T @ x, error=SingularMatrixError)
-    res = -x.T @ ak - ak.T @ x - q_c + x.T @ b_s @ solved
-    return res, float(np.linalg.norm(res))
+    return _riccati_residual(a_arr @ k_arr, b_arr, q_arr, r_arr, x_arr)[:2]

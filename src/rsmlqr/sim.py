@@ -81,18 +81,20 @@ def simulate(a_cl, x0, horizon: float, step: float) -> Trajectory:
     n_steps = max(1, round(horizon / step))
     h = horizon / n_steps
     z, eye = h * a_arr, np.eye(x.shape[0])
-    step_matrix = eye
-    for k in (4.0, 3.0, 2.0, 1.0):
-        step_matrix = eye + (z / k) @ step_matrix
     states = np.empty((n_steps + 1, x.shape[0]))
     states[0] = x
-    for i in range(1, n_steps + 1):
-        x = step_matrix @ x
-        # not <=, so that a NaN state left by an overflow counts as divergence
-        if not float(np.abs(x).max(initial=0.0)) <= DIVERGENCE_LIMIT:
-            times = np.arange(i) * h
-            return Trajectory(times, states[:i].copy(), diverged=True)
-        states[i] = x
+    # an overflow, in T or in a step, leaves a state the guard below catches
+    with np.errstate(over="ignore", invalid="ignore"):
+        step_matrix = eye
+        for k in (4.0, 3.0, 2.0, 1.0):
+            step_matrix = eye + (z / k) @ step_matrix
+        for i in range(1, n_steps + 1):
+            x = step_matrix @ x
+            # not <=, so that a NaN state left by an overflow counts as divergence
+            if not float(np.abs(x).max(initial=0.0)) <= DIVERGENCE_LIMIT:
+                times = np.arange(i) * h
+                return Trajectory(times, states[:i].copy(), diverged=True)
+            states[i] = x
     times = np.arange(n_steps + 1) * h
     return Trajectory(times, states, diverged=False)
 

@@ -10,7 +10,7 @@ import pytest
 
 import rsmlqr
 from rsmlqr import lqr
-from rsmlqr.cli import main, parse_problem, render_json, serialize_problem
+from rsmlqr.cli import build_parser, main, parse_problem, problem_document, render_json
 from rsmlqr.errors import DetectabilityWarning, SchemaError
 from rsmlqr.matkit import RankTest
 
@@ -44,6 +44,13 @@ class TestRenderJson:
         doc = {"b": [1.5, 2.5], "a": {"nested": True, "x": None}}
         assert render_json(doc) == render_json(doc)
 
+    def test_empty_dict(self):
+        assert render_json({}) == "{}\n"
+
+    def test_unrenderable_type(self):
+        with pytest.raises(TypeError, match="cannot render value of type object"):
+            render_json(object())
+
 
 DELETE = object()
 
@@ -73,7 +80,9 @@ class TestParseProblem:
 
     def test_roundtrip_identity(self, tmp_path):
         problem = parse_problem(COUPLED)
-        text = serialize_problem(problem)
+        text = render_json(problem_document(
+            problem.system1, problem.weights1, problem.system2, problem.weights2, problem.pattern
+        ))
         reparsed_doc = json.loads(text)
         assert reparsed_doc["subsystems"][0]["name"] == "upstream"
         # write, parse again, and compare every payload field exactly
@@ -85,7 +94,9 @@ class TestParseProblem:
         np.testing.assert_array_equal(problem.weights1.Q, again.weights1.Q)
         np.testing.assert_array_equal(problem.weights2.R, again.weights2.R)
         assert problem.pattern.pairs == again.pattern.pairs
-        assert serialize_problem(again) == text
+        assert render_json(problem_document(
+            again.system1, again.weights1, again.system2, again.weights2, again.pattern
+        )) == text
 
     def test_missing_file(self):
         with pytest.raises(FileNotFoundError):
@@ -679,6 +690,16 @@ class TestSimulateCommand:
 
 
 class TestSearchCommand:
+    def test_flag_defaults_are_search_config_defaults(self):
+        args = build_parser().parse_args(["search"])
+        config = lqr.SearchConfig()
+        assert (args.n_min, args.n_max) == config.n_range
+        assert (args.m_min, args.m_max) == config.m_range
+        assert (args.k_min, args.k_max) == config.k_range
+        assert args.trials == config.trials
+        assert args.seed == config.seed
+        assert args.threshold == config.deviation_threshold
+
     def test_summary_and_problem_files(self, tmp_path, capsys):
         out_dir = tmp_path / "found"
         code = main([

@@ -192,6 +192,10 @@ class TestExactCondition:
         with pytest.raises(ShapeError):
             check_exact_condition(np.eye(3), np.ones((2, 1)), np.eye(1))
 
+    def test_report_verdict_is_the_exact_test(self):
+        assert counterexample_analysis().report.compositional is False
+        assert twin_analysis().report.compositional is True
+
 
 class TestNecessaryCondition:
     def test_counterexample_fails_symmetry(self):

@@ -164,6 +164,39 @@ class TestNewtonPolish:
         assert np.linalg.eigvals(a - b @ f).real.max() < 0.0
         assert sol.closed_loop_max_re < 0.0
 
+    def test_non_finite_step_is_rejected(self, monkeypatch):
+        # a NaN Newton step has a NaN residual, which must not pass for an
+        # improvement: the unpolished candidate is certified instead
+        core, calls = riccati._lyap_core, []
+
+        def nan_first(a_cl, w):
+            calls.append(1)
+            return np.full_like(w, np.nan) if len(calls) == 1 else core(a_cl, w)
+
+        rng = np.random.default_rng(1300)
+        a, b, q, r = random_care_problem(rng, 5, 2)
+        monkeypatch.setattr(riccati, "_lyap_core", nan_first)
+        sol = solve_care(a, b, q, r, tol=1e-14)
+        assert len(calls) == 1
+        assert np.isfinite(sol.P).all()
+        _, res = care_residual(a, b, q, r, sol.P)
+        assert res == sol.residual_norm
+        assert res <= 1e-14 * (1.0 + np.linalg.norm(sol.P) * np.linalg.norm(a))
+
+    def test_certificate_solves_with_r_once(self, monkeypatch):
+        # the scalar CARE: one solve forms G = B R^{-1} B^T and one is the
+        # certified residual's, whose R^{-1} B^T P is the gain as well
+        solve, calls = np.linalg.solve, []
+
+        def counting(*args):
+            calls.append(1)
+            return solve(*args)
+
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        sol = solve_care([[-1.0]], [[1.0]], [[1.0]], [[1.0]])
+        assert len(calls) == 2
+        np.testing.assert_allclose(sol.F, [[1.0 - SQRT2]], rtol=1e-14)
+
     def test_default_tol_agrees_with_polished(self):
         rng = np.random.default_rng(1300)
         a, b, q, r = random_care_problem(rng, 5, 2)
@@ -253,6 +286,19 @@ class TestSignNewton:
         # eigenvalues +-i: the scaled first step lands on the zero matrix
         with pytest.raises(np.linalg.LinAlgError, match="singular iterate"):
             riccati._sign_newton(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+
+    def test_non_finite_inverse_is_a_singular_iterate(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "inv", lambda m: np.full_like(m, np.inf))
+        with pytest.raises(np.linalg.LinAlgError, match="singular iterate"):
+            riccati._sign_newton(np.diag([-1.0, 2.0]))
+
+    def test_overflowing_w_fails_without_a_warning(self, lyap_calls):
+        # the first step divides W = 1e300 I by c = 1e-10: the carried W
+        # overflows while Z converges, and the finiteness test at
+        # convergence stops the solve after one iteration, with no warning
+        with pytest.raises(NumericalFailureError, match="stopped on a Hurwitz matrix"):
+            solve_lyapunov(-1e-10 * np.eye(2), 1e300 * np.eye(2))
+        assert len(lyap_calls) == 1
 
     def test_singular_input_is_a_singular_iterate(self):
         # the LU breaks down on the first step; its error becomes the
@@ -520,6 +566,10 @@ class TestSolveCareErrors:
     def test_shape_mismatch(self):
         with pytest.raises(ShapeError):
             solve_care(np.eye(2), np.ones((3, 1)), np.eye(2), [[1.0]])
+
+    def test_no_input_column(self):
+        with pytest.raises(ShapeError, match="B must have at least one column"):
+            solve_care(-np.eye(2), np.zeros((2, 0)), np.eye(2), np.zeros((0, 0)))
 
     def test_asymmetric_q(self):
         with pytest.raises(NotSymmetricError):

@@ -99,6 +99,11 @@ class TestSimulate:
         assert traj.diverged
         np.testing.assert_array_equal(traj.states, [[1.0, 1.0]])
 
+    def test_overflow_warns_nothing(self):
+        # no errstate here: pyproject makes a RuntimeWarning an error
+        traj = simulate(np.diag([1e300, -1.0]), [1.0, 1.0], horizon=1.0, step=0.5)
+        assert traj.diverged
+
     @pytest.mark.parametrize(
         "horizon, step",
         [(0.0, 1e-3), (math.inf, 1e-3), (1.0, -1e-3), (1.0, math.nan)],

@@ -66,7 +66,8 @@ from .errors import (
 # straight to _staircase); solve_care, rectangular_riccati_residual,
 # is_controllable, is_observable, compose_cost and require_matrix stay
 # importable from here only because perfbench's tracer wraps them under
-# these names.
+# these names.  The necessary test calls definiteness through this module's
+# name for the same reason: the tracer times it as lqr.definiteness.
 from .matkit import (
     RankTest,
     _pbh_unreachable,
@@ -316,26 +317,41 @@ def check_sufficient_condition(
         (r_stacked, "stacked input weight", "m", "m"),
         (p_stacked, "stacked Riccati solution", "s", "s"),
     )
-    q_c = require_definite(q_c, "composite state weight")[0]
+    q_c, q_def = require_definite(q_c, "composite state weight")
     require_definite(r_s, "stacked input weight", pd=True)
     hypothesis = _necessary_check(p_s, kmat, _require_tol(tol))
-    return _sufficient_check(a_s, b_s, kmat, q_c, hypothesis)
+    return _sufficient_check(a_s, b_s, kmat, q_c, q_def.pd, hypothesis)
 
 
-def _sufficient_check(a_s, b_s, kmat, q_c, hypothesis: NecessaryCheck) -> SufficientCheck:
+def _sufficient_check(
+    a_s, b_s, kmat, q_c, q_pd: bool, hypothesis: NecessaryCheck
+) -> SufficientCheck:
     """The body of ``check_sufficient_condition`` on trusted arrays,
     reusing the necessary check already computed for the same ``P_s`` and
-    ``K``."""
+    ``K``; ``q_pd`` is the weight gates' verdict that ``Q_c`` is PD."""
     ctrb = _staircase(a_s @ kmat @ kmat.T, b_s)
     # the observability matrix of (A_s K K^T, F K^T) is that of (A_c, F)
     # times K^T, so its rank is that of the c x c pair's
-    obsv = _staircase((kmat.T @ a_s @ kmat).T, psd_sqrt_factor(q_c).T)
+    obsv = _staircase((kmat.T @ a_s @ kmat).T, _weight_factor(q_c, q_pd))
     obsv = obsv._replace(ok=obsv.rank == a_s.shape[0], required=a_s.shape[0])
     return SufficientCheck(
         hypothesis_ok=hypothesis.passes,
         controllability=ctrb,
         observability=obsv,
     )
+
+
+def _weight_factor(q_c: np.ndarray, q_pd: bool) -> np.ndarray:
+    """``L`` with ``L L^T = Q_c``: the Cholesky factor when the weight gates
+    found ``Q_c`` PD, else ``psd_sqrt_factor(Q_c)^T``.  Any two full-rank
+    factors differ by an orthogonal mix of their columns, so the staircase
+    reads the same rank and margin off either, up to round-off."""
+    if q_pd:
+        try:
+            return np.linalg.cholesky(q_c)
+        except np.linalg.LinAlgError:
+            pass
+    return psd_sqrt_factor(q_c).T
 
 
 def compare_gains(f_direct, f_composed, tol: float = DEFAULT_TOL) -> DeviationCheck:
@@ -400,7 +416,9 @@ def evaluate_composition(
 
     exact = _exact_check(p_stacked, kmat, direct.P, tol)
     necessary = _necessary_check(p_stacked, kmat, tol)
-    sufficient = _sufficient_check(a_s, b_s, kmat, q_c, necessary)
+    # PD weights give a PD Q_c, as _compose_cost records for the direct design
+    q_pd = weights1.q_pd and weights2.q_pd
+    sufficient = _sufficient_check(a_s, b_s, kmat, q_c, q_pd, necessary)
     gains = _deviation(direct.F, f_composed, tol)
     ak = a_s @ kmat
     rect_stacked = _riccati_residual(ak, b_s, q_c, r_c, p_stacked @ kmat)[1]

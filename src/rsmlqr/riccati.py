@@ -18,27 +18,28 @@ It serves every Lyapunov solve, and the CARE below ``_SDA_MIN_ORDER``.
 ``_sda`` is the structure-preserving doubling algorithm (Chu, Fan & Lin,
 Linear Algebra Appl. 396, 2005).  After a Cayley transform with shift
 ``gamma > 0`` it iterates on n x n blocks ``E, G, H``, and ``H`` converges
-quadratically to ``P``.  Each step is one n x n LU and a few n x n
+quadratically to ``P``.  Each step is one n x n inverse and a few n x n
 products, where a sign step inverts the 2n x 2n Hamiltonian, and no
-least-squares read-out follows.  It stops by the sign iteration's rule,
-read on the increment of ``H``, and gives up once ``||H||`` has grown by
-half or more, with an increment that did not shrink, for
-``_SDA_GROWTH_STEPS = 8`` steps running: the mark of an eigenvalue on the
-imaginary axis.
+least-squares read-out follows.  The inverse of ``I + G H`` multiplies
+``E`` and ``G``: two products cost less than a 2n-column solve.  It stops
+by the sign iteration's rule, read on the increment of ``H``, and gives up
+once ``||H||`` has grown by half or more, with an increment that did not
+shrink, for ``_SDA_GROWTH_STEPS = 8`` steps running: the mark of an
+eigenvalue on the imaginary axis.
 
 The Riccati solver first balances the Hamiltonian's off-diagonal blocks
 ``G`` and ``Q`` by a power of two ``sigma`` (an exact similarity), since
 both kernels read a scale off ``||H||``, which unbalanced blocks inflate
-past the spectrum.  At orders ``n >= _SDA_MIN_ORDER = 16`` it takes its
+past the spectrum.  At orders ``n >= _SDA_MIN_ORDER = 9`` it takes its
 candidate from ``_sda``, with ``gamma`` the power of two nearest the RMS
 singular value ``||H_bal||_F / sqrt(2n)`` of the balanced Hamiltonian.
-Below that order the sign candidate is taken, though the doubling is the
-slower of the two only up to about order 8: on random CAREs with m = 2 and
-one BLAS thread it is 15-30% slower at orders 2-6, even at 7-10 and 8-15%
-faster at 11-15.  When the doubling breaks down, or its candidate fails a
-certificate, the solver falls back to the sign candidate, and only that one
-can raise, so every error type and message is the sign path's.  The
-fallback is there for two reasons:
+Below that order the sign candidate is taken: on random CAREs with m = 2
+and one BLAS thread (80 per order, the least of three medians, each CARE
+solved by both kernels in turn) the doubling is 4-23% slower at orders
+2-8 and 7-25% faster at orders 9-16.  When the doubling breaks down, or
+its candidate fails a certificate, the solver falls back to the sign
+candidate, and only that one can raise, so every error type and message is
+the sign path's.  The fallback is there for two reasons:
 
 - the doubling converges to the minimal PSD solution, which is not the
   stabilizing one when ``(A, sqrt(Q))`` is not detectable;
@@ -52,6 +53,21 @@ each of which is one Lyapunov solve for the step, and certified by its
 residual, its definiteness and a Hurwitz closed loop.  The polish brings
 a residual well above round-off back down without changing which
 solution is selected.
+
+Definiteness and the closed loop are certified together by the Lyapunov
+inequality, with two Cholesky factorizations and no eigenvalue.  With
+``A_cl = A + B F`` and ``M = -(A_cl^T P + P A_cl)``, which is
+``Q + P G P + Res(P)``, a PD ``P`` and a PD ``M`` make ``A_cl`` Hurwitz.
+Each is factored less a shift that bounds its rounding, ``delta_P`` for
+the factorization and ``delta_M`` for the factorization and the forming
+of ``M`` (about ``n eps ||P||_F ||A_cl||_F``), so success proves both
+for the exact matrices, and a PD ``P`` passes the PSD test at any cut.
+When either factorization fails, as for the singular ``P`` of a singular
+``Q`` or an ``M`` that is not safely definite, the eigenvalue tests
+(``definiteness`` of ``P``, ``is_hurwitz`` of ``A_cl``) decide, and every
+verdict and message is theirs.  ``RiccatiSolution.closed_loop_max_re`` is
+computed from ``A_cl`` on first read and cached, so only a caller that
+reads it, such as a rendered report, pays for the eigenvalues.
 
 Every Lyapunov equation, whether from ``solve_lyapunov`` or from a Newton
 sweep, is solved by the same iteration on ``A_cl`` carrying ``W`` along
@@ -89,7 +105,8 @@ own pipeline calls the kernels directly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -102,8 +119,12 @@ from .errors import (
     SingularMatrixError,
 )
 # require_matrix stays importable from here only because perfbench's tracer
-# counts calls under this name; the gates coerce through conform.
+# counts calls under this name; the gates coerce through conform.  The
+# certificate's eigenvalue fallback calls definiteness and is_hurwitz through
+# this module's names, not matkit's kernels: perfbench's tracer wraps
+# riccati.definiteness by name, and times the fallback through it.
 from .matkit import (
+    _EPS,
     RTOL,
     _lapack,
     _pbh_unreachable,
@@ -120,7 +141,7 @@ _SIGN_MAX_ITER = 100
 _SIGN_TOL = 1e-13
 _SIGN_SCALE_TOL = 1e-2
 _SIGN_FLOOR_TOL = 1e-6
-_SDA_MIN_ORDER = 16
+_SDA_MIN_ORDER = 9
 # The doubling error falls like rho^(2^k) for the Cayley-transformed
 # spectral radius rho < 1, so 60 steps resolve any rho with 1 - rho above
 # the unit round-off; more cannot converge.
@@ -136,16 +157,33 @@ _SDA_GROWTH_STEPS = 8
 @dataclass(frozen=True)
 class RiccatiSolution:
     """Stabilizing Riccati solution with its accuracy certificate and the
-    certified gain ``F = -R^{-1} B^T P``, whose closed loop ``A + B F`` has
-    largest eigenvalue real part ``closed_loop_max_re < 0``.  ``method``
-    names the kernel whose candidate was certified: ``"doubling"`` or
-    ``"sign"``."""
+    certified gain ``F = -R^{-1} B^T P``, whose closed loop
+    ``A_cl = A + B F`` is Hurwitz.  ``method`` names the kernel whose
+    candidate was certified: ``"doubling"`` or ``"sign"``.
+
+    ``stabilizing`` is the Hurwitz certificate's verdict.
+    ``closed_loop_max_re``, the largest real part of an eigenvalue of
+    ``A_cl``, is computed from ``A_cl`` on first read and cached, unless
+    ``known_max_re`` already holds it: the eigenvalue test's value when
+    that test decided the certificate, or a value given by hand, in which
+    case ``stabilizing`` is ``known_max_re < 0``."""
 
     P: np.ndarray
     F: np.ndarray
     residual_norm: float
-    closed_loop_max_re: float
+    known_max_re: float | None = None
     method: str = "sign"
+    A_cl: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def stabilizing(self) -> bool:
+        return self.known_max_re is None or self.known_max_re < 0.0
+
+    @cached_property
+    def closed_loop_max_re(self) -> float:
+        if self.known_max_re is not None:
+            return self.known_max_re
+        return is_hurwitz(self.A_cl).max_real_part
 
 
 def care_residual(a, b, q, r, p) -> tuple[np.ndarray, float]:
@@ -335,7 +373,7 @@ def solve_care(a, b, q, r, tol: float = RTOL) -> RiccatiSolution:
 
     is first balanced exactly, ``G -> sigma G`` and ``Q -> Q / sigma`` with
     ``sigma`` the power of two nearest ``sqrt(||Q||_F / ||G||_F)``, and the
-    balanced solution is ``P / sigma``.  At orders ``n >= 16`` the candidate
+    balanced solution is ``P / sigma``.  At orders ``n >= 9`` the candidate
     comes from the structure-preserving doubling algorithm (``_sda``), with
     shift ``gamma`` the power of two nearest ``||H_bal||_F / sqrt(2n)``.
     Below that order, or when the doubling breaks down or its candidate
@@ -348,7 +386,9 @@ def solve_care(a, b, q, r, tol: float = RTOL) -> RiccatiSolution:
     ``"sign"``.  Up to five Newton sweeps (one Lyapunov solve each) then
     reduce the residual.  The final residual must
     satisfy ``||res||_F <= tol * (1 + ||P||_F ||A||_F)``, ``P`` must be PSD
-    and ``A - B R^{-1} B^T P`` Hurwitz.
+    and ``A - B R^{-1} B^T P`` Hurwitz: proven by two Cholesky
+    factorizations (``_lyapunov_certified``), else decided by the
+    eigenvalue tests.
 
     ``Q`` and ``R`` pass the weight gate ``require_definite``, which raises
     ``NotSymmetricError``, ``NotPSDError`` or ``NotPDError``.  Raises
@@ -427,7 +467,7 @@ def _sda(a, g, q, gamma: float) -> np.ndarray:
         G <- G + E (I + G H)^{-1} G E^T
         H <- H + E^T H (I + G H)^{-1} E
 
-    one n x n solve each.  ``H`` converges quadratically when the
+    one n x n inverse each.  ``H`` converges quadratically when the
     Hamiltonian has no eigenvalue on the imaginary axis; the stopping rule
     is ``_sign_newton``'s, read on the increment of ``H``.  With one on the
     axis ``||H||`` doubles each step instead, so ``_SDA_GROWTH_STEPS``
@@ -464,14 +504,16 @@ def _sda(a, g, q, gamma: float) -> np.ndarray:
     # iterates that overflow are a breakdown, caught by the finiteness test
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(_SDA_MAX_ITER):
+            # one inverse and two products: a 2n-column solve costs more
+            # than both products together
             try:
-                t = np.linalg.solve(eye + g_k @ h_k, np.concatenate((e, g_k), axis=1))
+                w = np.linalg.inv(eye + g_k @ h_k)
             except np.linalg.LinAlgError as exc:
                 raise np.linalg.LinAlgError("doubling breakdown") from exc
-            t_e = t[:, :n]
+            t_e = w @ e
             step = e.T @ h_k @ t_e
             step = 0.5 * (step + step.T)
-            g_k = g_k + e @ t[:, n:] @ e.T
+            g_k = g_k + e @ (w @ g_k) @ e.T
             g_k = 0.5 * (g_k + g_k.T)
             e = e @ t_e
             h_k = h_k + step
@@ -563,20 +605,73 @@ def _certified(a, b, q, r, g, p, tol: float, method: str) -> RiccatiSolution | s
     scale = 1.0 + float(np.linalg.norm(p)) * float(np.linalg.norm(a))
     if res_norm > tol * scale:
         return f"Riccati residual {res_norm:.3e} exceeds {tol:.1e} * {scale:.3e}"
+    f = -solved
+    a_cl = a + b @ f
+    if _lyapunov_certified(p, a_cl):
+        return RiccatiSolution(p, f, res_norm, None, method, a_cl)
+    # a singular P (a singular Q) or an M that is not safely definite (an
+    # undetectable pair): the eigenvalue tests decide and name the failure
     d = definiteness(p)
     if not d.psd:
         return (
             "computed Riccati solution is not positive semidefinite; "
             f"min eigenvalue {d.min_eigenvalue:.6e}"
         )
-    f = -solved
-    hur = is_hurwitz(a + b @ f)
+    hur = is_hurwitz(a_cl)
     if not hur.hurwitz:
         return (
             "computed Riccati solution is not stabilizing; closed-loop "
             f"max real part {hur.max_real_part:.6e}"
         )
-    return RiccatiSolution(p, f, res_norm, hur.max_real_part, method)
+    return RiccatiSolution(p, f, res_norm, hur.max_real_part, method, a_cl)
+
+
+def _cholesky_rounding(x: np.ndarray) -> float:
+    """Twice ``(n + 1) eps sum|x_ii|``, a bound on the 2-norm of the
+    backward error of a Cholesky factorization of ``x`` that completes:
+    ``R^T R = X + E`` with ``|E| <= gamma_(n+1) |R^T| |R|`` (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2002, Thm 10.3), and
+    ``|| |R^T| |R| ||_2 <= trace(R^T R)``.  The factor two covers the
+    rounding of the shift and of ``gamma``."""
+    return 2.0 * (x.shape[0] + 1) * _EPS * float(np.abs(np.diagonal(x)).sum())
+
+
+def _lyapunov_certified(p: np.ndarray, a_cl: np.ndarray) -> bool:
+    """Whether two Cholesky factorizations prove the symmetric ``P`` PD
+    and ``A_cl`` Hurwitz; ``False`` leaves the verdict to the eigenvalue
+    tests.
+
+    With ``M = -(A_cl^T P + P A_cl)``, ``P > 0`` and ``M > 0`` make
+    ``A_cl`` Hurwitz: an eigenpair ``A_cl v = lambda v`` gives
+    ``2 Re(lambda) v^* P v = -v^* M v < 0``.  For the Riccati solution
+    ``M = Q + P G P + Res(P)``.  Each factorization is of the matrix less a
+    shift that bounds its rounding, so success proves definiteness of the
+    exact matrix:
+
+    - ``P - delta_P I`` with ``delta_P`` the Cholesky bound
+      ``_cholesky_rounding(P)``;
+    - ``M - delta_M I`` with ``delta_M`` that bound for ``M`` plus
+      ``2 n eps ||P||_F ||A_cl||_F + eps ||M||_F``, the rounding in forming
+      ``M`` from the product ``P A_cl``.
+
+    ``P > 0`` also passes the PSD test at any cut, so this is never more
+    lenient than the eigenvalue tests."""
+    n = p.shape[0]
+    if n == 0:
+        return True
+    eye = np.eye(n)
+    pa = p @ a_cl
+    m = -(pa + pa.T)
+    delta_m = _cholesky_rounding(m) + _EPS * (
+        2.0 * n * float(np.linalg.norm(p)) * float(np.linalg.norm(a_cl))
+        + float(np.linalg.norm(m))
+    )
+    try:
+        np.linalg.cholesky(p - _cholesky_rounding(p) * eye)
+        np.linalg.cholesky(m - delta_m * eye)
+    except np.linalg.LinAlgError:
+        return False
+    return True
 
 
 def rectangular_riccati_residual(a_s, b_s, k, q_c, r_s, x) -> tuple[np.ndarray, float]:

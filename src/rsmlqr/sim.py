@@ -131,8 +131,9 @@ def optimality_gap(
     with ``A_cl = A + B F`` and ``F = -R^{-1} B^T P_c``, the Riccati
     identity gives ``A_cl^T P_c + P_c A_cl + Q + F^T R F = -Res(P_c)``, so
     ``J_direct = x0^T P_c x0`` is exact up to the certified residual, and
-    the direct loop is stable by ``direct.closed_loop_max_re < 0``.  Only
-    the composed loop takes a Lyapunov solve (``closed_loop_cost``).
+    the direct loop is stable by ``direct.stabilizing``, the verdict of its
+    Hurwitz certificate, so no eigenvalue is computed for it.  Only the
+    composed loop takes a Lyapunov solve (``closed_loop_cost``).
 
     When exactly one loop is stable the gap is ``+/-inf`` (composed
     unstable gives ``+inf``); when neither is, it is NaN.
@@ -142,7 +143,7 @@ def optimality_gap(
         (x0, "initial state", composite.n),
     )
     composed = closed_loop_cost(composite.A, composite.B, f_composed, q, r, x)
-    stable_direct = direct.closed_loop_max_re < 0.0
+    stable_direct = direct.stabilizing
     j_direct = max(float(x @ direct.P @ x), 0.0) if stable_direct else math.inf
     if composed.stable and stable_direct:
         gap = composed.value - j_direct

@@ -25,6 +25,7 @@ from rsmlqr.lqr import (
     lqr_subsystem,
     sample_instance,
 )
+from rsmlqr.matkit import is_hurwitz
 from rsmlqr.riccati import rectangular_riccati_residual
 from rsmlqr.rsm import (
     CompositionPattern,
@@ -335,6 +336,20 @@ class TestObservabilityOnTheCompositePair:
             shared += pattern.k_shared > 0
         assert shared > 200
 
+    def test_cholesky_factor_reads_the_eigen_factors_rank_and_margin(self):
+        # a PD Q_c takes its Cholesky factor; the two factors differ by an
+        # orthogonal mix of columns, so the staircase reads the same test
+        rng = np.random.default_rng(6)
+        for _ in range(100):
+            sys1, sys2, pattern, w1, w2 = sample_instance(rng, (1, 6), (1, 2), (0, 4))
+            composite = compose_open_loop(sys1, sys2, pattern)
+            q_c, _ = compose_cost(w1, w2, composite.coupling)
+            a_c = composite.A.T
+            chol = lqr._staircase(a_c, lqr._weight_factor(q_c, True))
+            eigen = lqr._staircase(a_c, lqr._weight_factor(q_c, False))
+            assert chol.rank == eigen.rank
+            assert chol.margin == pytest.approx(eigen.margin, rel=1e-12, abs=1e-15)
+
 
 def drawn_subsystem(rng, n, inputs=2):
     """A stable n-state subsystem with PD weights, drawn the way the
@@ -388,6 +403,45 @@ class TestSufficientAtScale:
                     predicted += 1
                     assert report.exact.equivalent
         assert predicted >= 15  # at least every unshared pair
+
+
+class TestEigenvalueFreePipeline:
+    """The Riccati certificates are Cholesky factorizations, and
+    ``closed_loop_max_re`` is computed only when it is read."""
+
+    def test_evaluate_makes_no_eigvals_call(self, monkeypatch):
+        # composite order 44: two drawn subsystems of order 24, 4 shared
+        rng = np.random.default_rng(44)
+        (sys1, w1), (sys2, w2) = drawn_subsystem(rng, 24), drawn_subsystem(rng, 24)
+        pattern = CompositionPattern(24, 24, ((0, 3), (5, 7), (11, 2), (20, 19)))
+        calls = {"eigvals": 0, "eigvalsh": 0}
+        for name in calls:
+            real = getattr(np.linalg, name)
+
+            def counting(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        analysis = evaluate_composition(
+            sys1, sys2, pattern, w1, w2, x0=np.ones(44)
+        )
+        gap = analysis.report.gap
+        assert gap.stable_composed and gap.stable_direct
+        assert analysis.direct.solution.method == "doubling"
+        # the one symmetric eigenvalue problem is the necessary test's
+        # reported minimum eigenvalue of P_s K K^T
+        assert calls == {"eigvals": 0, "eigvalsh": 1}
+
+        sol = analysis.direct.solution
+        a_cl = analysis.composite.A + analysis.composite.B @ sol.F
+        first = sol.closed_loop_max_re
+        assert calls["eigvals"] == 1
+        assert sol.closed_loop_max_re == first
+        assert calls["eigvals"] == 1
+        monkeypatch.undo()
+        assert first == is_hurwitz(a_cl).max_real_part < 0.0
+        assert sol.stabilizing
 
 
 class TestCompareGains:

@@ -20,6 +20,7 @@ from rsmlqr.errors import (
     RsmLqrError,
     ShapeError,
 )
+from rsmlqr.matkit import definiteness, is_hurwitz
 from rsmlqr.riccati import (
     care_residual,
     rectangular_riccati_residual,
@@ -350,8 +351,10 @@ class TestSignNewton:
 
 
 class TestDoubling:
-    # Orders from riccati._SDA_MIN_ORDER up take their candidate from the
-    # structure-preserving doubling; the sign step is the fallback.
+    # Orders from riccati._SDA_MIN_ORDER = 9 up take their candidate from the
+    # structure-preserving doubling; the sign step is the fallback.  On
+    # random CAREs with m = 2 and one BLAS thread the doubling is 4-23%
+    # slower at orders 2-8 and 7-25% faster at orders 9-16.
     @pytest.mark.parametrize("n", [16, 20, 45])
     def test_pd_weight_takes_doubling_without_a_2n_inverse(self, n, monkeypatch):
         shapes = []
@@ -372,8 +375,9 @@ class TestDoubling:
         assert sol.closed_loop_max_re < 0.0
 
     def test_small_order_takes_sign(self):
-        rng = np.random.default_rng(1615)
-        assert solve_care(*random_care_problem(rng, 15, 2)).method == "sign"
+        n = riccati._SDA_MIN_ORDER - 1
+        rng = np.random.default_rng(1600 + n)
+        assert solve_care(*random_care_problem(rng, n, 2)).method == "sign"
 
     def test_undetectable_weight_falls_back_to_sign(self):
         # the unstable mode at 1.3 is invisible to Q: doubling converges to
@@ -483,8 +487,8 @@ class TestDoubling:
 
     def test_imaginary_axis_mode_stops_the_doubling_early(self, monkeypatch):
         # the same CARE: ||H|| doubles from the second step on, so the
-        # doubling hands over to the sign step after about ten solves
-        # rather than at its _SDA_MAX_ITER = 60 cap
+        # doubling hands over to the sign step after about ten steps, each
+        # one inverse of I + G H, rather than at its _SDA_MAX_ITER = 60 cap
         n = 20
         rng = np.random.default_rng(20)
         a = np.zeros((n, n))
@@ -492,12 +496,12 @@ class TestDoubling:
         a[2:, 2:] = random_hurwitz(rng, n - 2)
         b = np.zeros((n, 2))
         b[2:] = rng.standard_normal((n - 2, 2))
-        sda, solve = riccati._sda, np.linalg.solve
-        inside, solves, stops = [], [], []
+        sda, inv = riccati._sda, np.linalg.inv
+        inside, inverses, stops = [], [], []
 
-        def counting_solve(*args):
-            solves.extend(inside)
-            return solve(*args)
+        def counting_inv(*args):
+            inverses.extend(inside)
+            return inv(*args)
 
         def tracking_sda(*args):
             inside.append(1)
@@ -509,12 +513,121 @@ class TestDoubling:
             finally:
                 inside.pop()
 
-        monkeypatch.setattr(np.linalg, "solve", counting_solve)
+        monkeypatch.setattr(np.linalg, "inv", counting_inv)
         monkeypatch.setattr(riccati, "_sda", tracking_sda)
         with pytest.raises(NotStabilizableError, match="0\\+1j is unreachable"):
             solve_care(a, b, np.eye(n), np.eye(2))
         assert len(stops) == 1 and "did not converge" in stops[0]
-        assert 0 < len(solves) <= 10
+        # the Cayley transform takes the first two inverses, the steps the rest
+        assert 0 < len(inverses) - 2 <= 10
+
+
+class TestLyapunovCertificate:
+    """PSD and Hurwitz are proven by Cholesky factorizations of ``P`` and of
+    ``M = -(A_cl^T P + P A_cl)``; the eigenvalue tests decide when either
+    fails."""
+
+    @staticmethod
+    def _eigen_verdict(p, a_cl):
+        return definiteness(p).psd and is_hurwitz(a_cl).hurwitz
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 9, 13, 21, 34, 55, 89, 120])
+    def test_agrees_with_the_eigenvalue_tests(self, n):
+        rng = np.random.default_rng(2100 + n)
+        a, b, q, r = random_care_problem(rng, n, 2)
+        sol = solve_care(a, b, q, r)
+        p, a_cl = sol.P, a + b @ sol.F
+        # the stabilizing solution is proven by the factorizations alone
+        assert riccati._lyapunov_certified(p, a_cl)
+        assert self._eigen_verdict(p, a_cl)
+        # candidates just past each boundary, which the eigenvalue tests
+        # reject, are never proven: P moved to min eigenvalue -1e-6 (1 +
+        # max|P|), below the PSD cut, and the loop moved right to max real
+        # part 1e-6; a singular P may be left to the eigenvalue tests
+        eye = np.eye(n)
+        lam = float(np.linalg.eigvalsh(p)[0])
+        below = p - (lam + 1e-6 * (1.0 + np.abs(p).max())) * eye
+        right = a_cl + (1e-6 - is_hurwitz(a_cl).max_real_part) * eye
+        for cand_p, cand_a in ((below, a_cl), (p, right), (below, right)):
+            assert not self._eigen_verdict(cand_p, cand_a)
+            assert not riccati._lyapunov_certified(cand_p, cand_a)
+        singular = p - lam * eye
+        if riccati._lyapunov_certified(singular, a_cl):
+            assert self._eigen_verdict(singular, a_cl)
+
+    def test_singular_q_takes_the_eigenvalue_path(self, monkeypatch):
+        # the first mode is stable and carries no cost, so P[0, 0] = 0: the
+        # factorization of P fails and the eigenvalue tests certify
+        n = 12
+        rng = np.random.default_rng(12)
+        a = np.diag(-np.arange(1.0, n + 1.0))
+        b = rng.standard_normal((n, 2))
+        q = np.diag([0.0] + [1.0] * (n - 1))
+        calls = []
+        for name in ("definiteness", "is_hurwitz"):
+            real = getattr(riccati, name)
+
+            def recording(m, *args, _real=real, _name=name):
+                calls.append(_name)
+                return _real(m, *args)
+
+            monkeypatch.setattr(riccati, name, recording)
+        sol = solve_care(a, b, q, np.eye(2))
+        assert sol.P[0, 0] == pytest.approx(0.0, abs=1e-12)
+        assert sol.method == "doubling"
+        assert calls == ["definiteness", "is_hurwitz"]
+        # the eigenvalue test's value is kept, not computed again
+        assert sol.known_max_re == sol.closed_loop_max_re < 0.0
+        assert calls == ["definiteness", "is_hurwitz"]
+        assert sol.stabilizing
+
+    def test_failure_messages_are_the_eigenvalue_tests(self):
+        # the anti-stabilizing root 1 - sqrt(2) of -2p - 1 + p^2 = 0 solves
+        # the scalar CARE exactly but is negative
+        one = np.ones((1, 1))
+        msg = riccati._certified(
+            one, one, one, one, one, np.array([[1.0 - SQRT2]]), riccati.RTOL, "sign"
+        )
+        min_eig = definiteness([[1.0 - SQRT2]]).min_eigenvalue
+        assert msg == (
+            "computed Riccati solution is not positive semidefinite; "
+            f"min eigenvalue {min_eig:.6e}"
+        )
+        # the undetectable CARE of test_undetectable_weight_falls_back_to_sign:
+        # the doubling's minimal solution, P11 = 0, leaves the mode at 1.3
+        n = 20
+        a = np.diag([1.3] + [-1.1] * (n - 1))
+        q = np.diag([0.0] + [1.0] * (n - 1))
+        eye = np.eye(n)
+        p = riccati._sda(a, eye, q, 1.0)
+        msg = riccati._certified(a, eye, q, eye, eye, p, riccati.RTOL, "doubling")
+        max_re = is_hurwitz(a - p).max_real_part
+        assert max_re == pytest.approx(1.3, abs=1e-12)
+        assert msg == (
+            "computed Riccati solution is not stabilizing; closed-loop "
+            f"max real part {max_re:.6e}"
+        )
+
+    def test_max_re_is_computed_once_on_first_read(self, monkeypatch):
+        rng = np.random.default_rng(48)
+        a, b, q, r = random_care_problem(rng, 48, 2)
+        calls = []
+        real = riccati.is_hurwitz
+
+        def recording(m):
+            calls.append(1)
+            return real(m)
+
+        monkeypatch.setattr(riccati, "is_hurwitz", recording)
+        sol = solve_care(a, b, q, r)
+        assert sol.known_max_re is None and not calls
+        first = sol.closed_loop_max_re
+        assert sol.closed_loop_max_re == first == real(a + b @ sol.F).max_real_part
+        assert len(calls) == 1
+
+    def test_hand_built_solution_keeps_its_value(self):
+        sol = riccati.RiccatiSolution(np.eye(1), np.zeros((1, 1)), 0.0, 0.5)
+        assert sol.closed_loop_max_re == 0.5 and not sol.stabilizing
 
 
 class TestSolveCareErrors:

@@ -1,31 +1,31 @@
 """Continuous-time algebraic Riccati and Lyapunov solvers plus residuals.
 
-Two numpy kernels do the work.  ``_sign_newton`` computes the matrix sign
-function by the scaled Newton iteration ``Z <- (Z/c + c Z^{-1})/2``
-(Roberts, Int. J. Control 32, 1980; Byers, Linear Algebra Appl. 85, 1987).
-The scale is read off the inverse the step forms anyway, so each step is
-one LU: the norm scaling ``c = sqrt(||Z||_F / ||Z^{-1}||_F)`` (Kenney &
-Laub, SIAM J. Matrix Anal. Appl. 13, 1992) for the Hamiltonian, and
-``c = sqrt(tr Z / tr Z^{-1})`` for the Hurwitz matrix of a Lyapunov solve,
-where both traces are negative and the scale depends on the eigenvalues
-alone.  Scaling stops once the relative step falls to 1e-2.  The iteration
-has converged once ``||dZ||_F <= 1e-13 ||Z||_F``, or once a step below 1e-6
-relative is no longer half the one before it, which is the round-off floor
-of an ill-conditioned sign.  A singular iterate, or no convergence within
-``_SIGN_MAX_ITER = 100`` steps, stops it with ``np.linalg.LinAlgError``.
-It serves every Lyapunov solve, and the CARE below ``_SDA_MIN_ORDER``.
-
-``_sda`` is the structure-preserving doubling algorithm (Chu, Fan & Lin,
-Linear Algebra Appl. 396, 2005).  After a Cayley transform with shift
-``gamma > 0`` it iterates on n x n blocks ``E, G, H``, and ``H`` converges
-quadratically to ``P``.  Each step is one n x n inverse and a few n x n
-products, where a sign step inverts the 2n x 2n Hamiltonian, and no
-least-squares read-out follows.  The inverse of ``I + G H`` multiplies
-``E`` and ``G``: two products cost less than a 2n-column solve.  It stops
-by the sign iteration's rule, read on the increment of ``H``, and gives up
-once ``||H||`` has grown by half or more, with an increment that did not
+Two numpy kernels do the work.  ``_sda`` is the structure-preserving
+doubling algorithm (Chu, Fan & Lin, Linear Algebra Appl. 396, 2005).
+After a Cayley transform with shift ``gamma > 0`` it iterates on n x n
+blocks ``E, G, H``, and ``H`` converges quadratically to ``P``.  Each step
+is one n x n inverse and a few n x n products, where a sign step inverts
+the 2n x 2n Hamiltonian, and no least-squares read-out follows.  The
+inverse of ``I + G H`` multiplies ``E`` and ``G``: two products cost less
+than a 2n-column solve.  It stops by the sign kernel's rule (below), read on
+the increment of ``H``, or once ``||E_k||_F^2 <= 1e-13``, since the next
+increment carries ``E_k`` twice and would only confirm the stop.  It gives
+up once ``||H||`` has grown by half or more, with an increment that did not
 shrink, for ``_SDA_GROWTH_STEPS = 8`` steps running: the mark of an
 eigenvalue on the imaginary axis.
+
+``_sign_newton`` computes the matrix sign function by the scaled Newton
+iteration ``Z <- (Z/c + c Z^{-1})/2`` (Roberts, Int. J. Control 32, 1980;
+Byers, Linear Algebra Appl. 85, 1987), with the norm scaling
+``c = sqrt(||Z||_F / ||Z^{-1}||_F)`` (Kenney & Laub, SIAM J. Matrix Anal.
+Appl. 13, 1992) read off the inverse the step forms anyway, so each step
+is one LU.  Scaling stops once the relative step falls to 1e-2.  The
+iteration has converged once ``||dZ||_F <= 1e-13 ||Z||_F``, or once a step
+below 1e-6 relative is no longer half the one before it, which is the
+round-off floor of an ill-conditioned sign.  A singular iterate, or no
+convergence within ``_SIGN_MAX_ITER = 100`` steps, stops it with
+``np.linalg.LinAlgError``.  It serves the Hamiltonian only: the CARE below
+``_SDA_MIN_ORDER``, and the doubling's fallback.
 
 The Riccati solver first balances the Hamiltonian's off-diagonal blocks
 ``G`` and ``Q`` by a power of two ``sigma`` (an exact similarity), since
@@ -70,12 +70,17 @@ computed from ``A_cl`` on first read and cached, so only a caller that
 reads it, such as a rendered report, pays for the eigenvalues.
 
 Every Lyapunov equation, whether from ``solve_lyapunov`` or from a Newton
-sweep, is solved by the same iteration on ``A_cl`` carrying ``W`` along
-(``W <- (W/c + c Z^{-T} W Z^{-1})/2``, whose limit is ``2 X``).  Its
-Hurwitz gate is read off the sign it computes, by the rule the Riccati
-solver applies to the Hamiltonian: the stable count ``(n - trace S)/2``
-must be ``n``.  The eigenvalues of ``A_cl`` are computed only when that
-gate or the iteration fails, to name the largest real part in the error.
+sweep, is solved by ``_lyap_core``: Smith's doubling after a Cayley
+transform (Smith, SIAM J. Appl. Math. 16, 1968), which is the doubling
+above with ``G = 0`` (Chu, Fan & Lin, 2005).  Its shift is the power of
+two nearest the RMS singular value ``||A_cl||_F / sqrt(n)``, by the
+CARE's rule.  It makes one n x n inverse in total, of ``A_cl - gamma I``,
+and then three products per step.  Since ``X - H_k = E_k^T X E_k`` holds
+exactly, it stops once ``||E_k||_F^2 <= eps``.  ``E_k = C^(2^k)`` vanishes
+if and only if ``A_cl`` is Hurwitz, so reaching that stop is the Hurwitz
+gate.  The eigenvalues of ``A_cl`` are computed only when the doubling
+does not reach it, to tell ``NotHurwitzError`` from
+``NumericalFailureError`` and to name the largest real part in the error.
 ``solve_lyapunov`` then verifies the result against its relative residual
 tolerance of 1e-10.
 
@@ -142,9 +147,9 @@ _SIGN_TOL = 1e-13
 _SIGN_SCALE_TOL = 1e-2
 _SIGN_FLOOR_TOL = 1e-6
 _SDA_MIN_ORDER = 9
-# The doubling error falls like rho^(2^k) for the Cayley-transformed
-# spectral radius rho < 1, so 60 steps resolve any rho with 1 - rho above
-# the unit round-off; more cannot converge.
+# The error of either doubling (CARE or Lyapunov) falls like rho^(2^k) for
+# the Cayley-transformed spectral radius rho < 1, so 60 steps resolve any
+# rho with 1 - rho above the unit round-off; more cannot converge.
 _SDA_MAX_ITER = 60
 # At rho = 1 (a Hamiltonian eigenvalue on the imaginary axis) ||H_k||
 # doubles each step, and so does its increment.  A convergence with 1 - rho
@@ -210,37 +215,26 @@ def _riccati_residual(ak, b, q, r, x) -> tuple[np.ndarray, float, np.ndarray]:
     return res, float(np.linalg.norm(res)), solved
 
 
-def _sign_newton(z: np.ndarray, w: np.ndarray | None = None):
-    """``(sign(Z), W_inf)`` by the scaled Newton iteration.
+def _sign_newton(z: np.ndarray) -> np.ndarray:
+    """``sign(Z)`` by the norm-scaled Newton iteration.
 
-    Each step is ``Z <- (Z/c + c Z^{-1})/2`` and, when ``w`` is given,
-    ``W <- (W/c + c Z^{-T} W Z^{-1})/2`` with the same ``Z`` and ``c``
-    (``W_inf`` is ``None`` otherwise).  The scale is read off the inverse
-    the step forms, so each step is one LU, until the relative step falls
-    to ``_SIGN_SCALE_TOL``, and is 1 after that:
-
-    - the norm scaling ``c = sqrt(||Z||_F / ||Z^{-1}||_F)``, in general;
-    - ``c = sqrt(tr Z / tr Z^{-1})`` when ``w`` is given and the ratio is
-      positive, as it is for a Hurwitz ``Z``.  Both traces are sums of
-      negative real parts, and ``c^2`` is a weighted mean of the
-      ``|lambda|^2`` with weights ``-Re lambda / |lambda|^2``.  Like
-      determinantal scaling, it reads the eigenvalues only, where the norm
-      scaling of a strongly non-normal ``Z`` also reads its departure from
-      normality.
+    Each step is ``Z <- (Z/c + c Z^{-1})/2`` with the norm scaling
+    ``c = sqrt(||Z||_F / ||Z^{-1}||_F)``, read off the inverse the step
+    forms, so each step is one LU, until the relative step falls to
+    ``_SIGN_SCALE_TOL``; ``c`` is 1 after that.
 
     Converged when ``||dZ||_F <= _SIGN_TOL ||Z||_F``, or when a step below
     ``_SIGN_FLOOR_TOL ||Z||_F`` is not half the one before it.  Raises
     ``np.linalg.LinAlgError`` for a singular iterate (an LU that breaks
-    down or an inverse that is not finite), a ``W`` that is not finite at
-    convergence, or no convergence within ``_SIGN_MAX_ITER`` steps.
+    down or an inverse that is not finite) or no convergence within
+    ``_SIGN_MAX_ITER`` steps.
     """
-    n = z.shape[0]
-    if n == 0:
-        return z, w
+    if z.shape[0] == 0:
+        return z
     c = 1.0
     scaling = True
     last2 = float("inf")
-    # an overflow is a singular iterate or, in W, fails the test at convergence
+    # an overflow is a singular iterate
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(_SIGN_MAX_ITER):
             try:
@@ -251,15 +245,8 @@ def _sign_newton(z: np.ndarray, w: np.ndarray | None = None):
             if not np.isfinite(inv2):
                 raise np.linalg.LinAlgError("singular iterate")
             if scaling:
-                tr_inv = float(np.trace(z_inv)) if w is not None else 0.0
-                ratio = float(np.trace(z)) / tr_inv if tr_inv < 0.0 else 0.0
-                if ratio > 0.0:
-                    c = ratio**0.5
-                else:
-                    c = (float(np.vdot(z, z)) / inv2) ** 0.25
+                c = (float(np.vdot(z, z)) / inv2) ** 0.25
             z_next = 0.5 * (z / c + c * z_inv)
-            if w is not None:
-                w = 0.5 * (w / c + c * (z_inv.T @ w @ z_inv))
             step = z_next - z
             step2 = float(np.vdot(step, step))
             size2 = float(np.vdot(z_next, z_next))
@@ -267,9 +254,7 @@ def _sign_newton(z: np.ndarray, w: np.ndarray | None = None):
             if step2 <= _SIGN_TOL**2 * size2 or (
                 step2 <= _SIGN_FLOOR_TOL**2 * size2 and 4.0 * step2 > last2
             ):
-                if w is not None and not np.isfinite(w).all():
-                    raise np.linalg.LinAlgError("non-finite W")
-                return z, w
+                return z
             if step2 <= _SIGN_SCALE_TOL**2 * size2:
                 scaling, c = False, 1.0
             last2 = step2
@@ -278,49 +263,71 @@ def _sign_newton(z: np.ndarray, w: np.ndarray | None = None):
     )
 
 
-def _not_hurwitz(a_cl: np.ndarray, unstable: int | None = None) -> RsmLqrError:
-    """The error for a Lyapunov solve whose Hurwitz gate failed: the sign
-    counted ``unstable`` eigenvalues with ``Re >= 0`` (``None`` when the
-    iteration itself stopped).  ``NotHurwitzError`` naming the largest real
-    part when ``A_cl`` is not Hurwitz or the sign says so;
-    ``NumericalFailureError`` for a stopped iteration on a Hurwitz
-    matrix."""
-    hur = is_hurwitz(a_cl)
-    if hur.hurwitz and unstable is None:
+def _shift(sq_norm: float, n: int) -> float:
+    """The doubling's Cayley shift: the power of two nearest the RMS
+    singular value ``sqrt(sq_norm / n)`` of an order-``n`` matrix whose
+    squared Frobenius norm is ``sq_norm``, or 1 for a zero matrix."""
+    return 2.0 ** round(0.5 * math.log2(sq_norm / n)) if sq_norm > 0.0 else 1.0
+
+
+def _not_hurwitz(a_cl: np.ndarray) -> RsmLqrError:
+    """The error for a Lyapunov doubling that stopped without ``E_k``
+    vanishing, decided by the eigenvalues of ``A_cl``:
+    ``NotHurwitzError`` naming how many have ``Re >= 0`` and the largest
+    real part, or ``NumericalFailureError`` when ``A_cl`` is Hurwitz."""
+    eigs = _lapack("eigenvalue computation", np.linalg.eigvals, a_cl)
+    max_re = float(eigs.real.max())
+    if max_re < 0.0:
         return NumericalFailureError(
-            "Lyapunov solve failed: the sign iteration stopped on a Hurwitz "
-            f"matrix (max real part {hur.max_real_part:.6e})"
+            "Lyapunov solve failed: the doubling stopped on a Hurwitz "
+            f"matrix (max real part {max_re:.6e})"
         )
-    count = "an eigenvalue" if unstable is None else f"{unstable} eigenvalue(s)"
+    unstable = int(np.count_nonzero(eigs.real >= 0.0))
     return NotHurwitzError(
-        f"closed-loop matrix has {count} with real part >= 0 "
-        f"(max real part {hur.max_real_part:.6e})"
+        f"closed-loop matrix has {unstable} eigenvalue(s) with real part >= 0 "
+        f"(max real part {max_re:.6e})"
     )
 
 
 def _lyap_core(a_cl: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Solve A^T X + X A = -W as half the ``W`` that the sign iteration on
-    A carries; symmetric result.  The Hurwitz gate is the stable count
-    ``(n - trace S)/2 = n``: ``NotHurwitzError`` when the sign counts an
-    unstable eigenvalue, or when the iteration stops on a matrix that is
-    not Hurwitz; ``NumericalFailureError`` when it stops on one that is."""
+    """Solve A^T X + X A = -W by Smith's doubling (``_sda`` with
+    ``G = 0``); symmetric result.  With ``A_g = A - gamma I``, ``X`` solves
+    ``X = C^T X C + H_0`` for ``C = I + 2 gamma A_g^{-1}`` and
+    ``H_0 = 2 gamma A_g^{-T} W A_g^{-1}``; the steps ``H <- H + E^T H E``,
+    ``E <- E^2`` from ``E_0 = C`` stop once ``||E_k||_F^2 <= eps``, which
+    only a Hurwitz ``A`` reaches.  A singular ``A_g``, an iterate that is
+    not finite or ``_SDA_MAX_ITER`` steps raise ``_not_hurwitz(A)``."""
+    n = a_cl.shape[0]
+    gamma = _shift(float(np.vdot(a_cl, a_cl)), n)
     try:
-        s, w_inf = _sign_newton(a_cl, w)
-    except np.linalg.LinAlgError as exc:
+        a_inv = np.linalg.inv(a_cl - gamma * np.eye(n))
+    except np.linalg.LinAlgError as exc:  # gamma > 0 is an eigenvalue
         raise _not_hurwitz(a_cl) from exc
-    unstable = round(0.5 * (a_cl.shape[0] + float(np.trace(s))))
-    if unstable:
-        raise _not_hurwitz(a_cl, unstable)
-    x = 0.5 * w_inf
-    return 0.5 * (x + x.T)
+    # iterates that overflow stop the doubling, caught by the finiteness tests
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = (2.0 * gamma) * a_inv
+        e[np.diag_indices(n)] += 1.0
+        h = (2.0 * gamma) * (a_inv.T @ w @ a_inv)
+        for _ in range(_SDA_MAX_ITER):
+            e2 = float(np.vdot(e, e))
+            if e2 <= _EPS:
+                if np.isfinite(h).all():
+                    return 0.5 * (h + h.T)
+                break
+            if not math.isfinite(e2):
+                break
+            h = h + e.T @ h @ e
+            e = e @ e
+    raise _not_hurwitz(a_cl)
 
 
 def solve_lyapunov(a_cl, w, tol: float = 1e-10) -> np.ndarray:
     """Solve ``A_cl^T X + X A_cl + W = 0`` for symmetric ``X``.
 
     ``A_cl`` must be Hurwitz, since otherwise the solution need not exist
-    or be unique: the solve reads that off the sign of ``A_cl`` it computes
-    and raises ``NotHurwitzError`` otherwise.  ``W`` must be symmetric.
+    or be unique: the solve's doubling (``_lyap_core``) reaches its stop
+    only when it is, and ``NotHurwitzError`` is raised otherwise.  ``W``
+    must be symmetric.
     The relative residual ``||A_cl^T X + X A_cl + W||_F / (1 + ||W||_F)``
     is verified against ``tol``, with two refinement passes (three solves)
     before giving up.
@@ -437,7 +444,7 @@ def _solve_care(a, b, q, r, tol: float = RTOL) -> RiccatiSolution:
             + (sigma * g_norm) ** 2
             + (q_norm / sigma) ** 2
         )
-        gamma = 2.0 ** round(0.5 * math.log2(h2 / (2 * n))) if h2 > 0.0 else 1.0
+        gamma = _shift(h2, 2 * n)
         # a breakdown, a stopped polish or a failed certificate falls back
         # to the sign candidate, whose errors are the public ones
         try:
@@ -468,8 +475,10 @@ def _sda(a, g, q, gamma: float) -> np.ndarray:
         H <- H + E^T H (I + G H)^{-1} E
 
     one n x n inverse each.  ``H`` converges quadratically when the
-    Hamiltonian has no eigenvalue on the imaginary axis; the stopping rule
-    is ``_sign_newton``'s, read on the increment of ``H``.  With one on the
+    Hamiltonian has no eigenvalue on the imaginary axis.  It stops by
+    ``_sign_newton``'s rule, read on the increment of ``H``, or once
+    ``||E||_F^2 <= _SIGN_TOL``: the next increment carries ``E`` twice, so
+    it would only confirm the stop.  With an eigenvalue on the imaginary
     axis ``||H||`` doubles each step instead, so ``_SDA_GROWTH_STEPS``
     steps running in which it grows by half or more while the increment
     does not shrink stop the doubling.  The limit is
@@ -521,8 +530,12 @@ def _sda(a, g, q, gamma: float) -> np.ndarray:
             size2 = float(np.vdot(h_k, h_k))
             if not math.isfinite(step2 + size2):
                 raise np.linalg.LinAlgError("doubling breakdown")
-            if step2 <= _SIGN_TOL**2 * size2 or (
-                step2 <= _SIGN_FLOOR_TOL**2 * size2 and 4.0 * step2 > last2
+            # the next increment E^T H (I + G H)^{-1} E carries E twice, so
+            # once ||E||_F^2 <= _SIGN_TOL it would only confirm the stop
+            if (
+                float(np.vdot(e, e)) <= _SIGN_TOL
+                or step2 <= _SIGN_TOL**2 * size2
+                or (step2 <= _SIGN_FLOOR_TOL**2 * size2 and 4.0 * step2 > last2)
             ):
                 return h_k
             growing = growing + 1 if step2 >= last2 and size2 >= 2.25 * last_size2 else 0
@@ -552,7 +565,7 @@ def _sign_candidate(a, b, g, q) -> np.ndarray:
     ham[n:, :n] = -q
     ham[n:, n:] = -a.T
     try:
-        s = _sign_newton(ham)[0]
+        s = _sign_newton(ham)
     except np.linalg.LinAlgError as exc:
         raise _certificate_failure(
             a, b,

@@ -4,8 +4,10 @@ Trajectories come from classical fixed-step fourth-order Runge-Kutta, one
 product with the RK4 step matrix per step (see ``simulate``).  The
 infinite-horizon quadratic cost is evaluated exactly through a Lyapunov
 solve (``J = x0^T X x0`` with ``A_cl^T X + X A_cl + W = 0``), whose Hurwitz
-gate is read off the matrix sign the solve computes.  The direct design's
-cost needs no solve: its certified Riccati solution is its cost matrix.
+gate is the stop of the doubling that solves it: the powers of the Cayley
+transform of ``A_cl`` vanish only when ``A_cl`` is Hurwitz.  The direct
+design's cost needs no solve: its certified Riccati solution is its cost
+matrix.
 Quadrature over a simulated trajectory exists as an independent
 cross-check, not as the primary route.  The cross-check is the package's
 own composite Simpson rule on the sample times; an even sample count gets

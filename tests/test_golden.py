@@ -3,13 +3,15 @@
 ``tests/golden/`` holds, for each bundled problem, the stdout of
 ``rsmlqr compose`` and ``rsmlqr lqr`` and the file written by
 ``rsmlqr check --gap --report``, plus the stdout of
-``rsmlqr search --seed 7 --trials 200``.  Key order, integers, booleans,
-strings and nulls must match exactly.  Floats must agree to 1e-12 relative,
-with a 1e-13 absolute floor for roundoff-level entries such as residual
-norms (at most about 4e-15 in these files), so the comparison holds on
-another BLAS.  An integral double renders without a fraction and parses
-back as an int, so a number on either side that is not an int on both is
-compared as a float.
+``rsmlqr search --seed 7 --trials 200``.  It also holds the report of
+``tests/data/chains_20.json``, whose composite order 37 is the only one
+here at or above the switch order of the CARE's doubling kernel.  Key
+order, integers, booleans, strings and nulls must match exactly.  Floats
+must agree to 1e-12 relative, with a 1e-13 absolute floor for
+roundoff-level entries such as residual norms (at most about 1.4e-14 in
+these files), so the comparison holds on another BLAS.  An integral double
+renders without a fraction and parses back as an int, so a number on
+either side that is not an int on both is compared as a float.
 
 When an output change is intended, regenerate the files with the commands
 above and explain every changed value.
@@ -26,6 +28,8 @@ from rsmlqr.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 PROBLEMS = ("counterexample", "coupled_2x2", "independent_pair", "symmetric_pair")
 GOLDEN = Path(__file__).resolve().parent / "golden"
+REPORTS = {problem: ROOT / "problems" / f"{problem}.json" for problem in PROBLEMS}
+REPORTS["chains_20"] = ROOT / "tests" / "data" / "chains_20.json"
 
 
 def _is_number(value) -> bool:
@@ -65,10 +69,10 @@ def test_stdout_document(problem, command, capsys):
     assert_matches(got, want)
 
 
-@pytest.mark.parametrize("problem", PROBLEMS)
+@pytest.mark.parametrize("problem", REPORTS)
 def test_check_report(problem, tmp_path, capsys):
     report = tmp_path / "report.json"
-    argv = ["check", str(ROOT / "problems" / f"{problem}.json"), "--gap"]
+    argv = ["check", str(REPORTS[problem]), "--gap"]
     main(argv + ["--report", str(report)])
     capsys.readouterr()
     got = json.loads(report.read_text())

@@ -242,46 +242,53 @@ class TestCertificates:
 
 
 class TestLyapunovFailuresTyped:
-    # The two ways the sign kernel stops: a singular iterate and no
-    # convergence within its step cap.
-    @pytest.mark.parametrize(
-        "exc",
-        [
-            np.linalg.LinAlgError("singular iterate"),
-            np.linalg.LinAlgError("sign iteration did not converge"),
-        ],
-    )
-    def test_solver_exception_becomes_numerical_failure(self, monkeypatch, exc):
-        def broken(z, w=None):
+    # The ways the Lyapunov doubling stops on a Hurwitz matrix: its one
+    # inverse, of the Cayley shift A - gamma I, fails, an iterate is not
+    # finite, or E_k has not vanished within the step cap.
+    def test_singular_cayley_inverse_becomes_numerical_failure(self, monkeypatch):
+        exc = np.linalg.LinAlgError("Singular matrix")
+
+        def broken(m):
             raise exc
 
-        monkeypatch.setattr(riccati, "_sign_newton", broken)
+        monkeypatch.setattr(np.linalg, "inv", broken)
         with pytest.raises(NumericalFailureError) as info:
             solve_lyapunov(np.diag([-1.0, -2.0]), np.eye(2))
         assert isinstance(info.value, RsmLqrError)
         assert info.value.__cause__ is exc
 
-    def test_polish_failure_is_typed(self, monkeypatch):
-        sign = riccati._sign_newton
+    @pytest.mark.parametrize("stop", ["non-finite", "step-cap"])
+    def test_stopped_doubling_becomes_numerical_failure(self, monkeypatch, stop):
+        if stop == "non-finite":
+            monkeypatch.setattr(np.linalg, "inv", lambda m: np.full_like(m, np.nan))
+        else:
+            # E_1 = diag(-1/3, 0) has not vanished after the one step allowed
+            monkeypatch.setattr(riccati, "_SDA_MAX_ITER", 1)
+        with pytest.raises(NumericalFailureError, match="stopped on a Hurwitz matrix") as info:
+            solve_lyapunov(np.diag([-1.0, -2.0]), np.eye(2))
+        assert isinstance(info.value, RsmLqrError)
 
-        def broken(z, w=None):
-            # the Hamiltonian sign step runs; only the Lyapunov solves break
-            if w is not None:
+    def test_polish_failure_is_typed(self, monkeypatch):
+        inv = np.linalg.inv
+
+        def broken(m):
+            # the Hamiltonian sign steps invert 10 x 10 matrices and run;
+            # only the Lyapunov solves' 5 x 5 Cayley inverse breaks
+            if m.shape[0] == 5:
                 raise np.linalg.LinAlgError("forced")
-            return sign(z)
+            return inv(m)
 
         rng = np.random.default_rng(1300)
         a, b, q, r = random_care_problem(rng, 5, 2)
-        monkeypatch.setattr(riccati, "_sign_newton", broken)
+        monkeypatch.setattr(np.linalg, "inv", broken)
         with pytest.raises(NumericalFailureError):
             solve_care(a, b, q, r, tol=1e-14)
 
 
 class TestSignNewton:
     def test_diagonal(self):
-        s, w = riccati._sign_newton(np.diag([-2.0, 0.5, 30.0]))
+        s = riccati._sign_newton(np.diag([-2.0, 0.5, 30.0]))
         np.testing.assert_allclose(s, np.diag([-1.0, 1.0, 1.0]), atol=1e-15)
-        assert w is None
 
     def test_singular_iterate(self):
         # eigenvalues +-i: the scaled first step lands on the zero matrix
@@ -294,9 +301,9 @@ class TestSignNewton:
             riccati._sign_newton(np.diag([-1.0, 2.0]))
 
     def test_overflowing_w_fails_without_a_warning(self, lyap_calls):
-        # the first step divides W = 1e300 I by c = 1e-10: the carried W
-        # overflows while Z converges, and the finiteness test at
-        # convergence stops the solve after one iteration, with no warning
+        # gamma = 2^-33: H_0 = 2 gamma A_g^{-T} W A_g^{-1} overflows while
+        # E_k vanishes, and the finiteness test at the stop ends the solve
+        # after one call, with no warning
         with pytest.raises(NumericalFailureError, match="stopped on a Hurwitz matrix"):
             solve_lyapunov(-1e-10 * np.eye(2), 1e300 * np.eye(2))
         assert len(lyap_calls) == 1
@@ -322,7 +329,7 @@ class TestSignNewton:
         d = np.array([-1e3, -1.0, -1e-3, 1e-3, 1.0, 1e3])
         monkeypatch.setattr(np.linalg, "inv", counting)
         monkeypatch.setattr(np.linalg, "slogdet", None)
-        s, _ = riccati._sign_newton(v @ np.diag(d) @ inv(v))
+        s = riccati._sign_newton(v @ np.diag(d) @ inv(v))
         exact = v @ np.diag(np.sign(d)) @ inv(v)
         assert np.linalg.norm(s - exact) <= 1e-9 * np.linalg.norm(exact)
         assert 1 <= len(calls) <= 10
@@ -340,7 +347,7 @@ class TestSignNewton:
         q2, _ = np.linalg.qr(rng.standard_normal((8, 8)))
         v = q1 @ np.diag(np.logspace(0, -4, 8)) @ q2
         d = np.array([-1.0, -1.5, -2.0, -3.0, 1.0, 1.5, 2.0, 3.0])
-        s, _ = riccati._sign_newton(v @ np.diag(d) @ np.linalg.inv(v))
+        s = riccati._sign_newton(v @ np.diag(d) @ np.linalg.inv(v))
         exact = v @ np.diag(np.sign(d)) @ np.linalg.inv(v)
         assert np.linalg.norm(s - exact) <= 1e-8 * np.linalg.norm(exact)
 
@@ -471,6 +478,35 @@ class TestDoubling:
         # only the singular solve chains numpy's own error
         assert (info.value.__cause__ is not None) == (case == "singular")
         self._falls_back_to_sign(monkeypatch, _sda=lambda *_: sda(*args))
+
+    def test_vanished_e_saves_the_confirming_step(self, monkeypatch):
+        # once ||E_k||_F^2 <= _SIGN_TOL the next increment would only
+        # confirm the stop: on this order-100 CARE the doubling makes 12
+        # inverses (two for the Cayley transform), where the increment rule
+        # alone took 13
+        n = 100
+        a, b, q, r = random_care_problem(np.random.default_rng(2200), n, 2)
+        sda, inv = riccati._sda, np.linalg.inv
+        inside, inverses = [], []
+
+        def counting_inv(*args):
+            inverses.extend(inside)
+            return inv(*args)
+
+        def tracking_sda(*args):
+            inside.append(1)
+            try:
+                return sda(*args)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(np.linalg, "inv", counting_inv)
+        monkeypatch.setattr(riccati, "_sda", tracking_sda)
+        sol = solve_care(a, b, q, r)
+        assert len(inverses) == 12
+        assert sol.method == "doubling"
+        _, res = care_residual(a, b, q, r, sol.P)
+        assert res <= riccati.RTOL * (1.0 + np.linalg.norm(sol.P) * np.linalg.norm(a))
 
     def test_uncontrollable_imaginary_axis_mode(self):
         # the rotation block of test_uncontrollable_imaginary_axis_mode
@@ -672,7 +708,7 @@ class TestSolveCareErrors:
 
     def test_wrong_stable_dimension(self, monkeypatch):
         # a sign of I counts no stable eigenvalue of the Hamiltonian
-        monkeypatch.setattr(riccati, "_sign_newton", lambda z, w=None: (np.eye(z.shape[0]), None))
+        monkeypatch.setattr(riccati, "_sign_newton", lambda z: np.eye(z.shape[0]))
         with pytest.raises(NotStabilizableError, match="has dimension 0, expected 1"):
             solve_care([[-1.0]], [[1.0]], [[1.0]], [[1.0]])
 
@@ -731,18 +767,39 @@ class TestSolveLyapunov:
     @pytest.mark.parametrize(
         "a, max_re",
         [
-            # the sign counts one unstable eigenvalue
+            # E_k grows like 3^(2^k) and overflows within a few steps
             (np.diag([-1.0, 0.5, -2.0]), "5.000000e-01"),
-            # +-2i stay on the axis under every Newton step, so the
-            # iteration stops and the eigenvalues name the failure
+            # +-2i map onto the unit circle, so E_k never vanishes and the
+            # doubling runs to its step cap
             (np.array([[0.0, 2.0, 0.0], [-2.0, 0.0, 0.0], [0.0, 0.0, -3.0]]), "0.000000e+00"),
+            # E_k grows like (1 + 2e-12)^(2^k) and overflows near step 48
+            (np.diag([-1.0, 1e-12, -2.0]), "1.000000e-12"),
         ],
-        ids=["unstable", "imaginary_axis"],
+        ids=["unstable", "imaginary_axis", "barely_unstable"],
     )
     def test_hurwitz_gate_names_max_real_part(self, a, max_re, lyap_calls):
         with pytest.raises(NotHurwitzError, match=re.escape(f"max real part {max_re}")):
             solve_lyapunov(a, np.eye(3))
         assert len(lyap_calls) == 1
+
+    @pytest.mark.parametrize("n", [60, 120])
+    def test_one_inverse_per_solve(self, n, monkeypatch, lyap_calls):
+        # the Cayley transform inverts A - gamma I once; every doubling step
+        # is three products
+        rng = np.random.default_rng(2260 + n)
+        a = random_hurwitz(rng, n)
+        g = rng.standard_normal((n, n))
+        shapes, inv = [], np.linalg.inv
+
+        def counting(m):
+            shapes.append(m.shape[0])
+            return inv(m)
+
+        monkeypatch.setattr(np.linalg, "inv", counting)
+        x = riccati._lyap_core(a, g.T @ g)
+        assert shapes == [n] and np.isfinite(x).all()
+        solve_lyapunov(a, g.T @ g)
+        assert shapes == [n] * len(lyap_calls)
 
     def test_asymmetric_w_rejected(self):
         with pytest.raises(NotSymmetricError):
@@ -926,6 +983,24 @@ def test_care_matches_scipy(seed, n, m, q_exp, r_exp, unstable):
     assert np.linalg.norm(sol.P - ref) <= 1e-7 * np.linalg.norm(ref)
     _, res = care_residual(a, b, q, r, sol.P)
     assert res <= 1e-9 * (1.0 + np.linalg.norm(sol.P) * np.linalg.norm(a))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 30, 60, 90, 120])
+def test_lyapunov_stiff_spectrum_matches_scipy(n):
+    # eigenvalues -1e-3 .. -1e3 with eigenvectors of condition 10: the
+    # Cayley transform maps the slowest mode to about 1 - 4e-6, so the
+    # doubling takes about 22 steps.  Both solvers agree to about 5e-10.
+    linalg = pytest.importorskip("scipy.linalg")
+    rng = np.random.default_rng(2300 + n)
+    q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    v = q1 @ np.diag(np.logspace(0, -1, n)) @ q2
+    a = v @ np.diag(-np.logspace(-3, 3, n)) @ np.linalg.inv(v)
+    g = rng.standard_normal((n, n))
+    w = g.T @ g
+    x = solve_lyapunov(a, w)
+    ref = linalg.solve_continuous_lyapunov(a.T, -w)
+    assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
 
 
 @oracle_cases(seed=(0, 2**32 - 1), n=(1, 120), w_exp=(-6.0, 6.0))

@@ -7,12 +7,12 @@ blocks ``E, G, H``, and ``H`` converges quadratically to ``P``.  Each step
 is one n x n inverse and a few n x n products, where a sign step inverts
 the 2n x 2n Hamiltonian, and no least-squares read-out follows.  The
 inverse of ``I + G H`` multiplies ``E`` and ``G``: two products cost less
-than a 2n-column solve.  It stops by the sign kernel's rule (below), read on
-the increment of ``H``, or once ``||E_k||_F^2 <= 1e-13``, since the next
-increment carries ``E_k`` twice and would only confirm the stop.  It gives
-up once ``||H||`` has grown by half or more, with an increment that did not
-shrink, for ``_SDA_GROWTH_STEPS = 8`` steps running: the mark of an
-eigenvalue on the imaginary axis.
+than a 2n-column solve.  Like the Lyapunov doubling below, it has one stop:
+once ``E_k`` has vanished, ``||E_k||_F^2 <= 1e-13``, since every later
+increment carries ``E_k`` twice and could only confirm it.  A slow
+convergence is never mistaken for divergence; an eigenvalue on the
+imaginary axis keeps ``E_k`` from vanishing, and the doubling stops at its
+step cap.
 
 ``_sign_newton`` computes the matrix sign function by the scaled Newton
 iteration ``Z <- (Z/c + c Z^{-1})/2`` (Roberts, Int. J. Control 32, 1980;
@@ -30,19 +30,23 @@ convergence within ``_SIGN_MAX_ITER = 100`` steps, stops it with
 The Riccati solver first balances the Hamiltonian's off-diagonal blocks
 ``G`` and ``Q`` by a power of two ``sigma`` (an exact similarity), since
 both kernels read a scale off ``||H||``, which unbalanced blocks inflate
-past the spectrum.  At orders ``n >= _SDA_MIN_ORDER = 9`` it takes its
-candidate from ``_sda``, with ``gamma`` the power of two nearest the RMS
-singular value ``||H_bal||_F / sqrt(2n)`` of the balanced Hamiltonian.
-Below that order the sign candidate is taken: on random CAREs with m = 2
-and one BLAS thread (80 per order, the least of three medians, each CARE
-solved by both kernels in turn) the doubling is 4-23% slower at orders
-2-8 and 7-25% faster at orders 9-16.  When the doubling breaks down, or
-its candidate fails a certificate, the solver falls back to the sign
+past the spectrum.  A Hamiltonian whose squared Frobenius norm overflows
+has no scale to read and raises ``NumericalFailureError``, as does a
+Lyapunov ``A_cl`` or ``W`` whose squared norm overflows.  At orders
+``n >= _SDA_MIN_ORDER = 9`` the solver takes its candidate from ``_sda``,
+with ``gamma`` the power of two nearest the RMS singular value
+``||H_bal||_F / sqrt(2n)`` of the balanced Hamiltonian.  Below that order
+the sign candidate is taken: on random CAREs with m = 2 and one BLAS
+thread (80 per order, the least of three medians, each CARE solved by both
+kernels in turn) the doubling is 4-23% slower at orders 2-8 and 7-25%
+faster at orders 9-16.  When the doubling breaks down or stops at its cap,
+or its candidate fails a certificate, the solver falls back to the sign
 candidate, and only that one can raise, so every error type and message is
 the sign path's.  The fallback is there for two reasons:
 
-- the doubling converges to the minimal PSD solution, which is not the
-  stabilizing one when ``(A, sqrt(Q))`` is not detectable;
+- when ``(A, sqrt(Q))`` is not detectable the doubling need not converge:
+  with an unstable mode that ``Q`` does not see, ``E_k`` overflows within a
+  few steps;
 - a power-of-two ``gamma`` can be an eigenvalue of ``A``, and then the
   Cayley transform does not exist.
 
@@ -151,12 +155,6 @@ _SDA_MIN_ORDER = 9
 # the Cayley-transformed spectral radius rho < 1, so 60 steps resolve any
 # rho with 1 - rho above the unit round-off; more cannot converge.
 _SDA_MAX_ITER = 60
-# At rho = 1 (a Hamiltonian eigenvalue on the imaginary axis) ||H_k||
-# doubles each step, and so does its increment.  A convergence with 1 - rho
-# near 2^-k looks the same for about k steps, so after this many such steps
-# running the doubling leaves the CARE to the sign step; only one with
-# 1 - rho below about 2^-8 is left to it while still converging.
-_SDA_GROWTH_STEPS = 8
 
 
 @dataclass(frozen=True)
@@ -245,7 +243,10 @@ def _sign_newton(z: np.ndarray) -> np.ndarray:
             if not np.isfinite(inv2):
                 raise np.linalg.LinAlgError("singular iterate")
             if scaling:
-                c = (float(np.vdot(z, z)) / inv2) ** 0.25
+                z2 = float(np.vdot(z, z))
+                c = (z2 / inv2) ** 0.25
+                if not 0.0 < c < math.inf:  # c^4 left the float range
+                    c = math.sqrt(math.sqrt(z2) / math.sqrt(inv2))
             z_next = 0.5 * (z / c + c * z_inv)
             step = z_next - z
             step2 = float(np.vdot(step, step))
@@ -268,6 +269,17 @@ def _shift(sq_norm: float, n: int) -> float:
     singular value ``sqrt(sq_norm / n)`` of an order-``n`` matrix whose
     squared Frobenius norm is ``sq_norm``, or 1 for a zero matrix."""
     return 2.0 ** round(0.5 * math.log2(sq_norm / n)) if sq_norm > 0.0 else 1.0
+
+
+def _out_of_range(what: str, **blocks: np.ndarray) -> NumericalFailureError:
+    """The error for a matrix whose squared Frobenius norm overflows, so
+    that no kernel can read a scale off it; names each block's largest
+    entry."""
+    scales = ", ".join(f"max|{k}| {float(np.abs(x).max()):.3e}" for k, x in blocks.items())
+    return NumericalFailureError(
+        f"{what} is out of range: its squared Frobenius norm overflows "
+        f"({scales}); rescale the problem"
+    )
 
 
 def _not_hurwitz(a_cl: np.ndarray) -> RsmLqrError:
@@ -298,7 +310,10 @@ def _lyap_core(a_cl: np.ndarray, w: np.ndarray) -> np.ndarray:
     only a Hurwitz ``A`` reaches.  A singular ``A_g``, an iterate that is
     not finite or ``_SDA_MAX_ITER`` steps raise ``_not_hurwitz(A)``."""
     n = a_cl.shape[0]
-    gamma = _shift(float(np.vdot(a_cl, a_cl)), n)
+    a2 = float(np.vdot(a_cl, a_cl))
+    if not math.isfinite(a2):
+        raise _out_of_range("the closed-loop matrix", A_cl=a_cl)
+    gamma = _shift(a2, n)
     try:
         a_inv = np.linalg.inv(a_cl - gamma * np.eye(n))
     except np.linalg.LinAlgError as exc:  # gamma > 0 is an eigenvalue
@@ -330,21 +345,27 @@ def solve_lyapunov(a_cl, w, tol: float = 1e-10) -> np.ndarray:
     must be symmetric.
     The relative residual ``||A_cl^T X + X A_cl + W||_F / (1 + ||W||_F)``
     is verified against ``tol``, with two refinement passes (three solves)
-    before giving up.
+    before giving up.  An ``A_cl`` or ``W`` whose squared Frobenius norm
+    overflows raises ``NumericalFailureError`` naming its largest entry.
     """
     a_arr, w_arr = conform(
         (a_cl, "closed-loop matrix", "n", "n"), (w, "W", "n", "n")
     )
     w_sym = _require_symmetric(w_arr, "W")
     x = _lyap_core(a_arr, w_sym)
-    scale = 1.0 + float(np.linalg.norm(w_sym))
-    for passes in range(3):
-        res = a_arr.T @ x + x @ a_arr + w_sym
-        rel = float(np.linalg.norm(res)) / scale
-        if rel <= tol:
-            return x
-        if passes < 2:
-            x = x + _lyap_core(a_arr, res)
+    # a norm whose square overflows reads as inf: for W an error, for the
+    # residual a failed test
+    with np.errstate(over="ignore"):
+        scale = 1.0 + float(np.linalg.norm(w_sym))
+        if scale == math.inf:
+            raise _out_of_range("W", W=w_sym)
+        for passes in range(3):
+            res = a_arr.T @ x + x @ a_arr + w_sym
+            rel = float(np.linalg.norm(res)) / scale
+            if rel <= tol:
+                return x
+            if passes < 2:
+                x = x + _lyap_core(a_arr, res)
     raise NumericalFailureError(
         f"Lyapunov residual {rel:.3e} exceeds tolerance {tol:.1e} "
         "after refinement"
@@ -406,7 +427,9 @@ def solve_care(a, b, q, r, tol: float = RTOL) -> RiccatiSolution:
     unreachable eigenvalue of ``A`` with ``Re >= -RTOL (1 + max|A|)``.  A
     stopped sign iteration runs the same PBH test, so its error names the
     unreachable mode when there is one.  Any other certificate failure raises
-    ``NumericalFailureError``.  A failed doubling attempt raises nothing of
+    ``NumericalFailureError``, and so does a balanced Hamiltonian whose
+    squared Frobenius norm overflows; that error names the largest entry of
+    ``A``, ``G`` and ``Q``.  A failed doubling attempt raises nothing of
     its own: every error is the sign path's.
     """
     a_arr, b_arr, q_arr, r_arr = conform(
@@ -425,25 +448,28 @@ def _solve_care(a, b, q, r, tol: float = RTOL) -> RiccatiSolution:
     """The body of ``solve_care`` on trusted arrays: ``Q`` exactly symmetric
     PSD, ``R`` exactly symmetric PD, shapes matching, ``B`` not empty."""
     n = a.shape[0]
-    g = b @ np.linalg.solve(r, b.T)
-    g = 0.5 * (g + g.T)
+    # a G or a norm past the float range reads as inf or NaN and fails the
+    # test of h2 below
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = b @ np.linalg.solve(r, b.T)
+        g = 0.5 * (g + g.T)
+        q_norm, g_norm = float(np.linalg.norm(q)), float(np.linalg.norm(g))
+        a2 = float(np.vdot(a, a))
     # Both kernels read a scale off ||H||, which an unbalanced pair of
     # off-diagonal blocks inflates far past the spectrum.  With
     # P = sigma P_hat, P_hat solves the CARE of (A, sigma G, Q / sigma);
     # sigma is the power of two nearest sqrt(||Q||_F / ||G||_F), so the
     # balancing is exact.
-    q_norm, g_norm = float(np.linalg.norm(q)), float(np.linalg.norm(g))
     sigma = 1.0
-    if q_norm > 0.0 and g_norm > 0.0:
+    if 0.0 < q_norm < math.inf and 0.0 < g_norm < math.inf:
         sigma = 2.0 ** round(0.5 * (np.log2(q_norm) - np.log2(g_norm)))
+    g_bal, q_bal = sigma * g_norm, q_norm / sigma
+    h2 = 2.0 * a2 + g_bal * g_bal + q_bal * q_bal
+    if not math.isfinite(h2):
+        raise _out_of_range("the Hamiltonian", A=a, G=g, Q=q)
     if n >= _SDA_MIN_ORDER:
         # gamma: the power of two nearest the RMS singular value
         # ||H_bal||_F / sqrt(2n) of the balanced Hamiltonian
-        h2 = (
-            2.0 * float(np.vdot(a, a))
-            + (sigma * g_norm) ** 2
-            + (q_norm / sigma) ** 2
-        )
         gamma = _shift(h2, 2 * n)
         # a breakdown, a stopped polish or a failed certificate falls back
         # to the sign candidate, whose errors are the public ones
@@ -474,22 +500,19 @@ def _sda(a, g, q, gamma: float) -> np.ndarray:
         G <- G + E (I + G H)^{-1} G E^T
         H <- H + E^T H (I + G H)^{-1} E
 
-    one n x n inverse each.  ``H`` converges quadratically when the
-    Hamiltonian has no eigenvalue on the imaginary axis.  It stops by
-    ``_sign_newton``'s rule, read on the increment of ``H``, or once
-    ``||E||_F^2 <= _SIGN_TOL``: the next increment carries ``E`` twice, so
-    it would only confirm the stop.  With an eigenvalue on the imaginary
-    axis ``||H||`` doubles each step instead, so ``_SDA_GROWTH_STEPS``
-    steps running in which it grows by half or more while the increment
-    does not shrink stop the doubling.  The limit is
-    the minimal PSD solution, which is the stabilizing one only when
-    ``(A, sqrt(Q))`` is detectable: the caller certifies it.
+    one n x n inverse each.  ``E`` vanishes, and ``H`` converges
+    quadratically, when the Hamiltonian has no eigenvalue on the imaginary
+    axis.  The one stop is ``||E||_F^2 <= _SIGN_TOL``, the rule of
+    ``_lyap_core``: every later increment carries ``E`` twice, so it could
+    only confirm the stop.  The caller certifies the result: when
+    ``(A, sqrt(Q))`` is not detectable the steps need not converge at all.
 
     ``gamma`` must be positive (``ValueError`` otherwise): with
     ``gamma < 0`` the steps converge, silently, to a solution that is not
     stabilizing.  Raises ``np.linalg.LinAlgError`` when ``A_g``, ``W`` or
-    ``I + G H`` is singular, an iterate is not finite, ``H`` grows as
-    above, or there is no convergence within ``_SDA_MAX_ITER`` steps.
+    ``I + G H`` is singular, ``E`` or ``H`` overflows, or ``E`` has not
+    vanished within ``_SDA_MAX_ITER`` steps, as on an eigenvalue on the
+    imaginary axis.
     """
     if not gamma > 0.0:
         raise ValueError(f"doubling needs a shift gamma > 0, got {gamma!r}")
@@ -508,8 +531,6 @@ def _sda(a, g, q, gamma: float) -> np.ndarray:
     h_k = (2.0 * gamma) * (w_inv @ (q @ a_inv))
     g_k = 0.5 * (g_k + g_k.T)
     h_k = 0.5 * (h_k + h_k.T)
-    last2 = last_size2 = float("inf")
-    growing = 0
     # iterates that overflow are a breakdown, caught by the finiteness test
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(_SDA_MAX_ITER):
@@ -526,25 +547,13 @@ def _sda(a, g, q, gamma: float) -> np.ndarray:
             g_k = 0.5 * (g_k + g_k.T)
             e = e @ t_e
             h_k = h_k + step
-            step2 = float(np.vdot(step, step))
-            size2 = float(np.vdot(h_k, h_k))
-            if not math.isfinite(step2 + size2):
+            e2 = float(np.vdot(e, e))
+            if not math.isfinite(e2 + float(np.vdot(h_k, h_k))):
                 raise np.linalg.LinAlgError("doubling breakdown")
-            # the next increment E^T H (I + G H)^{-1} E carries E twice, so
-            # once ||E||_F^2 <= _SIGN_TOL it would only confirm the stop
-            if (
-                float(np.vdot(e, e)) <= _SIGN_TOL
-                or step2 <= _SIGN_TOL**2 * size2
-                or (step2 <= _SIGN_FLOOR_TOL**2 * size2 and 4.0 * step2 > last2)
-            ):
+            # every later increment carries E_k twice, so once
+            # ||E_k||_F^2 <= _SIGN_TOL it could only confirm the stop
+            if e2 <= _SIGN_TOL:
                 return h_k
-            growing = growing + 1 if step2 >= last2 and size2 >= 2.25 * last_size2 else 0
-            if growing == _SDA_GROWTH_STEPS:
-                raise np.linalg.LinAlgError(
-                    f"doubling did not converge: ||H|| grew by half or more for "
-                    f"{growing} steps running"
-                )
-            last2, last_size2 = step2, size2
     raise np.linalg.LinAlgError(
         f"doubling did not converge in {_SDA_MAX_ITER} steps"
     )
@@ -598,30 +607,32 @@ def _certified(a, b, q, r, g, p, tol: float, method: str) -> RiccatiSolution | s
     """Polish the candidate ``p`` and certify it: the ``RiccatiSolution``
     when the residual, PSD and Hurwitz certificates pass, else the message
     of the first that failed.  ``g`` is ``B R^{-1} B^T``."""
-    res, res_norm, solved = _riccati_residual(a, b, q, r, p)
-    # Newton polish in correction form: with Res(P) the residual above and
-    # A_cl = A - G P, the step D solves A_cl^T D + D A_cl = Res(P), so the
-    # Lyapunov solve's relative error scales the residual, not P.
-    for _ in range(_NEWTON_SWEEPS):
-        scale = tol * (1.0 + float(np.linalg.norm(p)) * float(np.linalg.norm(a)))
-        if res_norm <= 0.01 * scale:
-            break
-        try:
-            p_next = p + _lyap_core(a - g @ p, -0.5 * (res + res.T))
-        except NotHurwitzError:
-            break
-        res_next, next_norm, solved_next = _riccati_residual(a, b, q, r, p_next)
-        if not next_norm < res_norm:  # a NaN residual fails this test too
-            break
-        p, res, res_norm, solved = p_next, res_next, next_norm, solved_next
+    # Norms whose squares overflow read as inf, which the tests reject.
+    with np.errstate(over="ignore", invalid="ignore"):
+        res, res_norm, solved = _riccati_residual(a, b, q, r, p)
+        # Newton polish in correction form: with Res(P) the residual above
+        # and A_cl = A - G P, the step D solves A_cl^T D + D A_cl = Res(P),
+        # so the Lyapunov solve's relative error scales the residual, not P.
+        for _ in range(_NEWTON_SWEEPS):
+            scale = tol * (1.0 + float(np.linalg.norm(p)) * float(np.linalg.norm(a)))
+            if res_norm <= 0.01 * scale:
+                break
+            try:
+                p_next = p + _lyap_core(a - g @ p, -0.5 * (res + res.T))
+            except NotHurwitzError:
+                break
+            res_next, next_norm, solved_next = _riccati_residual(a, b, q, r, p_next)
+            if not next_norm < res_norm:  # a NaN residual fails this test too
+                break
+            p, res, res_norm, solved = p_next, res_next, next_norm, solved_next
 
-    scale = 1.0 + float(np.linalg.norm(p)) * float(np.linalg.norm(a))
-    if res_norm > tol * scale:
-        return f"Riccati residual {res_norm:.3e} exceeds {tol:.1e} * {scale:.3e}"
-    f = -solved
-    a_cl = a + b @ f
-    if _lyapunov_certified(p, a_cl):
-        return RiccatiSolution(p, f, res_norm, None, method, a_cl)
+        scale = 1.0 + float(np.linalg.norm(p)) * float(np.linalg.norm(a))
+        if not res_norm <= tol * scale < math.inf:  # NaN and inf fail too
+            return f"Riccati residual {res_norm:.3e} exceeds {tol:.1e} * {scale:.3e}"
+        f = -solved
+        a_cl = a + b @ f
+        if _lyapunov_certified(p, a_cl):
+            return RiccatiSolution(p, f, res_norm, None, method, a_cl)
     # a singular P (a singular Q) or an M that is not safely definite (an
     # undetectable pair): the eigenvalue tests decide and name the failure
     d = definiteness(p)
@@ -679,6 +690,8 @@ def _lyapunov_certified(p: np.ndarray, a_cl: np.ndarray) -> bool:
         2.0 * n * float(np.linalg.norm(p)) * float(np.linalg.norm(a_cl))
         + float(np.linalg.norm(m))
     )
+    if not math.isfinite(delta_m):  # a norm whose square overflows
+        return False
     try:
         np.linalg.cholesky(p - _cholesky_rounding(p) * eye)
         np.linalg.cholesky(m - delta_m * eye)

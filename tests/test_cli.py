@@ -609,6 +609,20 @@ class TestCheckCommand:
         assert captured.out == ""
         assert captured.err == f"rsmlqr: error: {message}\n"
 
+    def test_weight_whose_square_overflows_exits_1(self, tmp_path, capsys):
+        doc = json.loads(Path(COUPLED).read_text(encoding="utf-8"))
+        doc["subsystems"][0]["Q"][0][0] = 1e160
+        path = tmp_path / "huge_weight.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["check", str(path), "--gap"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "rsmlqr: error: the Hamiltonian is out of range: its squared "
+            "Frobenius norm overflows (max|A| 2.000e+00, max|G| 1.000e+00, "
+            "max|Q| 1.000e+160); rescale the problem\n"
+        )
+
     def test_undetectable_weight_notes(self, tmp_path, capsys):
         # the unstable first state of "left" carries no cost, and sharing
         # its second state leaves it unseen in the composite too

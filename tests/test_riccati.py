@@ -240,6 +240,13 @@ class TestCertificates:
         assert len(raised) == 1
         assert msg == "Riccati residual 1.400e+01 exceeds 1.0e-09 * 6.000e+00"
 
+    def test_overflowing_candidate_fails_the_residual(self):
+        # p = 1e160: the residual and ||P|| overflow to inf, which the
+        # residual test rejects (inf <= 1e-9 * inf would pass it)
+        a, b, q, r, g = self._scalar()
+        msg = riccati._certified(a, b, q, r, g, np.array([[1e160]]), 1e-9, "sign")
+        assert msg == "Riccati residual inf exceeds 1.0e-09 * inf"
+
 
 class TestLyapunovFailuresTyped:
     # The ways the Lyapunov doubling stops on a Hurwitz matrix: its one
@@ -387,13 +394,14 @@ class TestDoubling:
         assert solve_care(*random_care_problem(rng, n, 2)).method == "sign"
 
     def test_undetectable_weight_falls_back_to_sign(self):
-        # the unstable mode at 1.3 is invisible to Q: doubling converges to
-        # the minimal PSD solution P11 = 0, which is not stabilizing, and
-        # the sign step finds the stabilizing P11 = 2 * 1.3
+        # the unstable mode at 1.3 is invisible to Q: the doubling does not
+        # converge (E_k overflows within a few steps), and the sign step
+        # finds the stabilizing P11 = 2 * 1.3
         n = 20
         a = np.diag([1.3] + [-1.1] * (n - 1))
         q = np.diag([0.0] + [1.0] * (n - 1))
-        assert riccati._sda(a, np.eye(n), q, 1.0)[0, 0] == 0.0
+        with pytest.raises(np.linalg.LinAlgError, match="doubling breakdown"):
+            riccati._sda(a, np.eye(n), q, 1.0)
         sol = solve_care(a, np.eye(n), q, np.eye(n))
         assert sol.method == "sign"
         assert sol.P[0, 0] == pytest.approx(2.6, abs=1e-12)
@@ -425,9 +433,8 @@ class TestDoubling:
         assert riccati._sda(empty, empty, empty, 1.0).shape == (0, 0)
 
     def test_imaginary_axis_stops_at_the_cap(self):
-        # eigenvalues +-i: the Cayley transform has |rho| = 1, H doubles
-        # each step, and the kernel gives up once it has seen that for
-        # _SDA_GROWTH_STEPS steps running
+        # eigenvalues +-i: the Cayley transform has |rho| = 1, so E_k never
+        # vanishes and the kernel stops at _SDA_MAX_ITER
         with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
             riccati._sda(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.zeros((2, 2)), np.eye(2), 1.0)
 
@@ -480,10 +487,9 @@ class TestDoubling:
         self._falls_back_to_sign(monkeypatch, _sda=lambda *_: sda(*args))
 
     def test_vanished_e_saves_the_confirming_step(self, monkeypatch):
-        # once ||E_k||_F^2 <= _SIGN_TOL the next increment would only
+        # once ||E_k||_F^2 <= _SIGN_TOL every later increment could only
         # confirm the stop: on this order-100 CARE the doubling makes 12
-        # inverses (two for the Cayley transform), where the increment rule
-        # alone took 13
+        # inverses (two for the Cayley transform)
         n = 100
         a, b, q, r = random_care_problem(np.random.default_rng(2200), n, 2)
         sda, inv = riccati._sda, np.linalg.inv
@@ -521,10 +527,10 @@ class TestDoubling:
         with pytest.raises(NotStabilizableError, match="0\\+1j is unreachable"):
             solve_care(a, b, np.eye(n), np.eye(2))
 
-    def test_imaginary_axis_mode_stops_the_doubling_early(self, monkeypatch):
-        # the same CARE: ||H|| doubles from the second step on, so the
-        # doubling hands over to the sign step after about ten steps, each
-        # one inverse of I + G H, rather than at its _SDA_MAX_ITER = 60 cap
+    def test_imaginary_axis_mode_runs_the_doubling_to_its_cap(self, monkeypatch):
+        # the same CARE: E_k never vanishes, so the doubling hands over to
+        # the sign step at its _SDA_MAX_ITER = 60 cap, each step one inverse
+        # of I + G H
         n = 20
         rng = np.random.default_rng(20)
         a = np.zeros((n, n))
@@ -553,9 +559,9 @@ class TestDoubling:
         monkeypatch.setattr(riccati, "_sda", tracking_sda)
         with pytest.raises(NotStabilizableError, match="0\\+1j is unreachable"):
             solve_care(a, b, np.eye(n), np.eye(2))
-        assert len(stops) == 1 and "did not converge" in stops[0]
+        assert stops == [f"doubling did not converge in {riccati._SDA_MAX_ITER} steps"]
         # the Cayley transform takes the first two inverses, the steps the rest
-        assert 0 < len(inverses) - 2 <= 10
+        assert len(inverses) == 2 + riccati._SDA_MAX_ITER
 
 
 class TestLyapunovCertificate:
@@ -630,12 +636,13 @@ class TestLyapunovCertificate:
             f"min eigenvalue {min_eig:.6e}"
         )
         # the undetectable CARE of test_undetectable_weight_falls_back_to_sign:
-        # the doubling's minimal solution, P11 = 0, leaves the mode at 1.3
+        # its minimal PSD solution, P11 = 0 and sqrt(2.21) - 1.1 on the
+        # stable modes, solves it exactly but leaves the mode at 1.3
         n = 20
         a = np.diag([1.3] + [-1.1] * (n - 1))
         q = np.diag([0.0] + [1.0] * (n - 1))
         eye = np.eye(n)
-        p = riccati._sda(a, eye, q, 1.0)
+        p = np.diag([0.0] + [math.sqrt(2.21) - 1.1] * (n - 1))
         msg = riccati._certified(a, eye, q, eye, eye, p, riccati.RTOL, "doubling")
         max_re = is_hurwitz(a - p).max_real_part
         assert max_re == pytest.approx(1.3, abs=1e-12)
@@ -724,6 +731,50 @@ class TestSolveCareErrors:
         with pytest.raises(NotSymmetricError):
             solve_care(np.eye(2) * -1, np.eye(2), [[1.0, 0.5], [0.0, 1.0]], np.eye(2))
 
+    # finite entries whose squares overflow leave no scale to read off the
+    # Hamiltonian, and the error names each block's largest entry; G =
+    # B R^{-1} B^T itself overflows for B = 1e160.  A RuntimeWarning fails
+    # the suite, so none escapes on the way.
+    @pytest.mark.parametrize(
+        "a, b, q, scales",
+        [
+            ([[-1.0]], [[1.0]], [[1e160]], "1.000e+00, max|G| 1.000e+00, max|Q| 1.000e+160"),
+            ([[-1.0]], [[1e160]], [[1.0]], "1.000e+00, max|G| inf, max|Q| 1.000e+00"),
+            ([[-1e160]], [[1.0]], [[1.0]], "1.000e+160, max|G| 1.000e+00, max|Q| 1.000e+00"),
+            (
+                -1e160 * np.eye(10), np.ones((10, 1)), np.eye(10),
+                "1.000e+160, max|G| 1.000e+00, max|Q| 1.000e+00",
+            ),
+        ],
+        ids=["Q", "B", "A-sign", "A-doubling"],
+    )
+    def test_squares_past_the_float_range(self, a, b, q, scales):
+        with pytest.raises(NumericalFailureError) as info:
+            solve_care(a, b, q, [[1.0]])
+        assert str(info.value) == (
+            "the Hamiltonian is out of range: its squared Frobenius norm "
+            f"overflows (max|A| {scales}); rescale the problem"
+        )
+
+    @pytest.mark.parametrize(
+        "a, q, p",
+        [
+            # ||Z||_F / ||Z^{-1}||_F = 1e160 for the Hamiltonian's eigenvalues
+            # +-1e80, so the ratio of squares that gives the sign step's
+            # scale c overflows; c = 1e80 is read off the norms instead
+            (-1e80, 1.0, 5e-81),
+            # ||M||_F^2 overflows in the Cholesky certificate's shift, and
+            # the eigenvalue tests certify
+            (-1.0, 1e154, 1e77),
+        ],
+        ids=["wide-spectrum", "large-M"],
+    )
+    def test_certified_near_the_float_range(self, a, q, p):
+        sol = solve_care([[a]], [[1.0]], [[q]], [[1.0]])
+        assert sol.method == "sign"
+        assert sol.P[0, 0] == pytest.approx(p, rel=1e-12)
+        assert sol.stabilizing
+
 
 class TestCareResidual:
     def test_known_value(self):
@@ -800,6 +851,20 @@ class TestSolveLyapunov:
         assert shapes == [n] and np.isfinite(x).all()
         solve_lyapunov(a, g.T @ g)
         assert shapes == [n] * len(lyap_calls)
+
+    @pytest.mark.parametrize(
+        "a, w, message",
+        [
+            ([[-1e160]], [[1.0]], "the closed-loop matrix is out of range"),
+            ([[-1.0]], [[1e160]], "W is out of range"),
+        ],
+        ids=["A_cl", "W"],
+    )
+    def test_squares_past_the_float_range(self, a, w, message):
+        # the doubling's shift and the residual's scale are read off squared
+        # norms, which overflow here
+        with pytest.raises(NumericalFailureError, match=f"^{message}: its squared Frobenius"):
+            solve_lyapunov(a, w)
 
     def test_asymmetric_w_rejected(self):
         with pytest.raises(NotSymmetricError):
@@ -979,6 +1044,8 @@ def test_care_matches_scipy(seed, n, m, q_exp, r_exp, unstable):
     r = (h.T @ h + 0.1 * np.eye(m)) * 10.0**r_exp
     linalg = pytest.importorskip("scipy.linalg")
     sol = solve_care(a, b, q, r)
+    if n >= riccati._SDA_MIN_ORDER:
+        assert sol.method == "doubling"
     ref = linalg.solve_continuous_are(a, b, q, r)
     assert np.linalg.norm(sol.P - ref) <= 1e-7 * np.linalg.norm(ref)
     _, res = care_residual(a, b, q, r, sol.P)

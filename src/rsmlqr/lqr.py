@@ -61,6 +61,7 @@ from .errors import (
     NotHurwitzError,
     NotStabilizableError,
     NumericalFailureError,
+    RsmLqrError,
 )
 # The pipeline calls private kernels on trusted arrays (the rank tests go
 # straight to _staircase); solve_care, rectangular_riccati_residual,
@@ -85,6 +86,7 @@ from .riccati import (
     RiccatiSolution,
     _riccati_residual,
     _solve_care,
+    _solve_care_stack,
     rectangular_riccati_residual,
     solve_care,
 )
@@ -202,9 +204,12 @@ class CompositionAnalysis(CompositionDesign):
     report: CompositionalityReport
 
 
-def _design(a, b, q, r, label: str, q_pd: bool) -> LQRDesign:
+def _design(a, b, q, r, label: str, q_pd: bool, solution=None) -> LQRDesign:
     """Shared synthesis for arrays the callers have already validated;
-    ``q_pd`` is the weight gate's verdict that ``Q`` is PD.
+    ``q_pd`` is the weight gate's verdict that ``Q`` is PD.  ``solution``
+    is the CARE's member of a stacked solve when the caller made one: a
+    ``RiccatiSolution``, or the error ``_solve_care`` would have raised,
+    which is raised here, after the detectability check, as it would be.
 
     Detectability: every eigenvalue with ``Re >= -RTOL (1 + max|A|)`` must
     be observable through ``sqrt(Q)``, the PBH test of the dual pair
@@ -219,7 +224,11 @@ def _design(a, b, q, r, label: str, q_pd: bool) -> LQRDesign:
         )
         warnings.warn(msg, DetectabilityWarning, stacklevel=3)
         notes = (msg,)
-    return LQRDesign(solution=_solve_care(a, b, q, r), notes=notes)
+    if solution is None:
+        solution = _solve_care(a, b, q, r)
+    elif isinstance(solution, RsmLqrError):
+        raise solution
+    return LQRDesign(solution=solution, notes=notes)
 
 
 def _require_paired(weights: CostWeights, n: int, m: int, label: str):
@@ -379,6 +388,11 @@ def design_composition(
     design2 = lqr_subsystem(sys2, weights2)
     q_c, r_c, q_pd = _compose_cost(weights1, weights2, composite.coupling)
     direct = _design(composite.A, composite.B, q_c, r_c, "composite", q_pd)
+    return _composition_design(composite, q_c, r_c, design1, design2, direct)
+
+
+def _composition_design(composite, q_c, r_c, design1, design2, direct) -> CompositionDesign:
+    """The ``CompositionDesign`` of three designs, with the composed gain."""
     return CompositionDesign(
         composite=composite,
         Q=q_c,
@@ -408,6 +422,13 @@ def evaluate_composition(
     """
     tol = _require_tol(tol)
     design = design_composition(sys1, sys2, pattern, weights1, weights2)
+    # PD weights give a PD Q_c, as _compose_cost records for the direct design
+    return _analyse(design, weights1.q_pd and weights2.q_pd, tol, x0)
+
+
+def _analyse(design: CompositionDesign, q_pd: bool, tol: float, x0=None) -> CompositionAnalysis:
+    """Every check of ``evaluate_composition`` on the designs; ``q_pd`` is
+    the weight gates' verdict that ``Q_c`` is PD."""
     composite, q_c, r_c = design.composite, design.Q, design.R
     direct, f_composed = design.direct, design.F_composed
     a_s, b_s = composite.A_stacked, composite.B_stacked
@@ -416,13 +437,12 @@ def evaluate_composition(
 
     exact = _exact_check(p_stacked, kmat, direct.P, tol)
     necessary = _necessary_check(p_stacked, kmat, tol)
-    # PD weights give a PD Q_c, as _compose_cost records for the direct design
-    q_pd = weights1.q_pd and weights2.q_pd
     sufficient = _sufficient_check(a_s, b_s, kmat, q_c, q_pd, necessary)
     gains = _deviation(direct.F, f_composed, tol)
-    ak = a_s @ kmat
-    rect_stacked = _riccati_residual(ak, b_s, q_c, r_c, p_stacked @ kmat)[1]
-    rect_composite = _riccati_residual(ak, b_s, q_c, r_c, kmat @ direct.P)[1]
+    # the rectangular residuals of X = P_s K and X = K P_c, stacks of one
+    ak, b1, q1, r1 = (a_s @ kmat)[None], b_s[None], q_c[None], r_c[None]
+    rect_stacked = _riccati_residual(ak, b1, q1, r1, (p_stacked @ kmat)[None])[1][0]
+    rect_composite = _riccati_residual(ak, b1, q1, r1, (kmat @ direct.P)[None])[1][0]
 
     gap = None
     if x0 is not None:
@@ -561,6 +581,12 @@ def sample_instance(
     return sys1, sys2, pattern, w1, w2
 
 
+# Trials drawn, composed and solved together by counterexample_search: large
+# enough that each CARE shape group is a long stack, small enough that a
+# search of any length holds a bounded number of instances.
+_SEARCH_CHUNK = 500
+
+
 def counterexample_search(config: SearchConfig, tol: float = DEFAULT_TOL) -> SearchResult:
     """Deterministic seeded search for non-compositional instances.
 
@@ -568,32 +594,81 @@ def counterexample_search(config: SearchConfig, tol: float = DEFAULT_TOL) -> Sea
     collected with their full reports.  Solver preconditions that fail on a
     sampled instance (which the sampler makes rare) skip that trial; an
     ``InconsistencyError`` is never swallowed.
+
+    Trials run in chunks of ``_SEARCH_CHUNK``, which bounds the memory a
+    long search holds.  A chunk is drawn first, one trial after another,
+    so the random stream does not depend on the chunk size, and each trial
+    is composed once.  Its three CAREs (the two subsystems and the
+    composite) join the chunk's other CAREs of the same shape ``(n, m)``,
+    and each shape group is one stacked solve
+    (``riccati._solve_care_stack``) on a leading batch axis.  Its stacked
+    LAPACK and BLAS calls compute each member as they compute one matrix,
+    and its reductions (norms, the sign step's scale) are taken per member,
+    so every CARE gets bit for bit the solution it gets alone.  A member
+    that fails gets its own error and leaves the rest of its group solved.
+    The trials are then assembled and checked in order, with the
+    detectability note of ``_design`` for each design: a trial is skipped
+    on the first error of design 1, design 2 and the direct design, in that
+    order, as ``evaluate_composition`` would raise it.
     """
     tol = _require_tol(tol)
     rng = np.random.default_rng(config.seed)
     found: list[FoundInstance] = []
     skipped = 0
-    for trial in range(config.trials):
-        sys1, sys2, pattern, w1, w2 = sample_instance(
-            rng, config.n_range, config.m_range, config.k_range
-        )
-        try:
-            analysis = evaluate_composition(sys1, sys2, pattern, w1, w2, tol)
-        except (NotStabilizableError, NumericalFailureError, NotHurwitzError):
-            skipped += 1
-            continue
-        deviation = analysis.report.exact.deviation
-        if deviation > config.deviation_threshold and math.isfinite(deviation):
-            found.append(
-                FoundInstance(
-                    trial=trial,
-                    system1=sys1,
-                    system2=sys2,
-                    pattern=pattern,
-                    weights1=w1,
-                    weights2=w2,
-                    deviation=deviation,
-                    report=analysis.report,
-                )
+    for start in range(0, config.trials, _SEARCH_CHUNK):
+        trials, cares = [], []
+        for _ in range(min(_SEARCH_CHUNK, config.trials - start)):
+            sys1, sys2, pattern, w1, w2 = sample_instance(
+                rng, config.n_range, config.m_range, config.k_range
             )
+            composite = compose_open_loop(sys1, sys2, pattern)
+            q_c, r_c, q_pd = _compose_cost(w1, w2, composite.coupling)
+            trials.append((sys1, sys2, pattern, w1, w2, composite, q_c, r_c, q_pd))
+            cares += [
+                (sys1.A, sys1.B, w1.Q, w1.R),
+                (sys2.A, sys2.B, w2.Q, w2.R),
+                (composite.A, composite.B, q_c, r_c),
+            ]
+        solutions = _solve_by_shape(cares)
+        for offset, (sys1, sys2, pattern, w1, w2, composite, q_c, r_c, q_pd) in enumerate(trials):
+            sol1, sol2, sol_c = solutions[3 * offset:3 * offset + 3]
+            try:
+                design1 = _design(sys1.A, sys1.B, w1.Q, w1.R, sys1.name, w1.q_pd, sol1)
+                design2 = _design(sys2.A, sys2.B, w2.Q, w2.R, sys2.name, w2.q_pd, sol2)
+                direct = _design(composite.A, composite.B, q_c, r_c, "composite", q_pd, sol_c)
+                analysis = _analyse(
+                    _composition_design(composite, q_c, r_c, design1, design2, direct),
+                    q_pd, tol,
+                )
+            except (NotStabilizableError, NumericalFailureError, NotHurwitzError):
+                skipped += 1
+                continue
+            deviation = analysis.report.exact.deviation
+            if deviation > config.deviation_threshold and math.isfinite(deviation):
+                found.append(
+                    FoundInstance(
+                        trial=start + offset,
+                        system1=sys1,
+                        system2=sys2,
+                        pattern=pattern,
+                        weights1=w1,
+                        weights2=w2,
+                        deviation=deviation,
+                        report=analysis.report,
+                    )
+                )
     return SearchResult(tuple(found), config.trials, skipped)
+
+
+def _solve_by_shape(cares: list[tuple]) -> list[RiccatiSolution | RsmLqrError]:
+    """Each ``(A, B, Q, R)`` CARE's solution or error, in order, with one
+    stacked solve per shape ``(n, m)``."""
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, care in enumerate(cares):
+        groups.setdefault(care[1].shape, []).append(i)
+    out: list = [None] * len(cares)
+    for members in groups.values():
+        stacks = (np.array([cares[i][j] for i in members]) for j in range(4))
+        for i, sol in zip(members, _solve_care_stack(*stacks)):
+            out[i] = sol
+    return out

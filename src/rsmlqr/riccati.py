@@ -105,6 +105,37 @@ matrix K (see the rsm module), with unknown X of shape (n1+n2) x nc:
 where the ``_s`` matrices live in stacked coordinates and ``Q_c`` in
 composite coordinates; the CARE residual is its ``K = I``, ``X = P`` case.
 
+Stacks.  The Riccati kernels take a leading batch axis: ``_solve_care_stack``
+solves ``k`` CAREs of one shape from ``(k, n, n)``, ``(k, n, m)``,
+``(k, n, n)`` and ``(k, m, m)`` stacks and returns one result per member,
+and ``_solve_care`` is its stack of one, so there is a single code path.
+``_sign_newton``, ``_sign_candidate``, ``_certified``,
+``_lyapunov_certified``, ``_cholesky_rounding`` and ``_riccati_residual``
+work on stacks.  Their heavy steps are stacked ``inv``, ``solve``,
+``cholesky`` and ``matmul`` calls, which numpy computes member by member
+with the LAPACK and BLAS calls it makes for one matrix, and elementwise
+arithmetic, which is exact per entry.  Every reduction stays a member's
+own, so a member's ``P``, ``F``, residual and method are bit for bit what
+it gets alone, at any BLAS thread count:
+
+- a Frobenius norm is one dot product per member, a stacked 1 x 1
+  row-by-column product that numpy forms with the dot product of
+  ``np.vdot`` and ``np.linalg.norm`` (``einsum`` or a norm with ``axis=``
+  sums in another order and moves last bits);
+- the sign step's scale ``c`` is the member's Python float
+  ``(z2 / inv2) ** 0.25``, and each member keeps its own scaling and floor
+  state; a member that has converged leaves the active set.
+
+``lstsq`` has no stacked form, so the read-out loops over members.  The
+Newton polish and the eigenvalue tests, which few members need, run on a
+member's own slice, and from ``_SDA_MIN_ORDER`` on the doubling runs
+member by member before one stacked certificate.  A stacked ``inv`` or
+``cholesky`` fails as a whole when one member fails; it is then retried
+member by member, which names the member.  A member that fails gets its
+own error object, the one ``_solve_care`` raises for it alone, and the
+other members are unaffected.  ``lqr.counterexample_search`` groups its
+CAREs by shape this way; every other caller solves a stack of one.
+
 Each public function here validates its raw arrays with one
 ``matkit.conform`` call and hands them to a private kernel
 (``_riccati_residual``, ``_solve_care``) that trusts them; the package's
@@ -201,67 +232,134 @@ def care_residual(a, b, q, r, p) -> tuple[np.ndarray, float]:
         (a, "A", "n", "n"), (b, "B", "n", "m"), (q, "Q", "n", "n"),
         (r, "R", "m", "m"), (p, "P", "n", "n"),
     )
-    return _riccati_residual(a_arr, b_arr, q_arr, r_arr, p_arr)[:2]
+    res, norms, _ = _riccati_residual(
+        a_arr[None], b_arr[None], q_arr[None], r_arr[None], p_arr[None]
+    )
+    return res[0], norms[0]
 
 
-def _riccati_residual(ak, b, q, r, x) -> tuple[np.ndarray, float, np.ndarray]:
-    """``(res, ||res||_F, R^{-1} B^T X)`` for
-    ``res = -X^T AK - AK^T X - Q + X^T B R^{-1} B^T X`` on trusted arrays,
-    ``AK = A_s K`` or, for the CARE, ``A``."""
-    solved = _lapack("solve with R", np.linalg.solve, r, b.T @ x, error=SingularMatrixError)
-    res = -x.T @ ak - ak.T @ x - q + x.T @ b @ solved
-    return res, float(np.linalg.norm(res)), solved
+def _t(x: np.ndarray) -> np.ndarray:
+    """The transpose of each member of a stack."""
+    return x.swapaxes(-1, -2)
 
 
-def _sign_newton(z: np.ndarray) -> np.ndarray:
-    """``sign(Z)`` by the norm-scaled Newton iteration.
+def _sq_norms(x: np.ndarray) -> list[float]:
+    """``||X_i||_F^2`` of each member as one stacked row-by-column product:
+    numpy forms each member's 1 x 1 product with the dot product that
+    ``np.vdot`` and ``np.linalg.norm`` use, so a member's value does not
+    depend on its stack, which ``einsum`` or a norm with ``axis=`` does not
+    promise.  A stack of one calls ``np.vdot`` itself, which gives the same
+    bits in half the time of the stacked product."""
+    if len(x) == 1:
+        return [float(np.vdot(x[0], x[0]))]
+    rows = x.reshape(len(x), 1, -1)
+    return (rows @ rows.swapaxes(1, 2)).ravel().tolist()
+
+
+def _norms(x: np.ndarray) -> list[float]:
+    """``||X_i||_F`` of each member, exactly ``np.linalg.norm(X_i)``."""
+    return [math.sqrt(s) for s in _sq_norms(x)]
+
+
+def _each(fn, x: np.ndarray) -> tuple[np.ndarray, list[np.linalg.LinAlgError | None]]:
+    """``fn`` (``np.linalg.inv`` or ``cholesky``) on a stack, with each
+    member's ``LinAlgError`` or ``None``.  The stacked call raises when any
+    member fails; then each member is factored alone, which gives the same
+    bits, and a failed member's slice of the result is NaN."""
+    try:
+        return fn(x), [None] * len(x)
+    except np.linalg.LinAlgError:
+        pass
+    out, errors = np.full(x.shape, math.nan), []
+    for i, member in enumerate(x):
+        try:
+            out[i] = fn(member)
+            errors.append(None)
+        except np.linalg.LinAlgError as exc:
+            errors.append(exc)
+    return out, errors
+
+
+def _riccati_residual(ak, b, q, r, x) -> tuple[np.ndarray, list[float], np.ndarray]:
+    """``(res, [||res_i||_F], R^{-1} B^T X)`` for
+    ``res = -X^T AK - AK^T X - Q + X^T B R^{-1} B^T X`` on stacks of trusted
+    arrays, ``AK = A_s K`` or, for the CARE, ``A``.  A residual past the
+    float range reads as inf, without a warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        solved = _lapack(
+            "solve with R", np.linalg.solve, r, _t(b) @ x, error=SingularMatrixError
+        )
+        res = -_t(x) @ ak - _t(ak) @ x - q + _t(x) @ b @ solved
+        return res, _norms(res), solved
+
+
+def _sign_newton(z: np.ndarray) -> list[np.ndarray | np.linalg.LinAlgError]:
+    """``sign(Z_i)`` of each member of the stack ``z`` by the norm-scaled
+    Newton iteration, or the ``np.linalg.LinAlgError`` that stopped it.
 
     Each step is ``Z <- (Z/c + c Z^{-1})/2`` with the norm scaling
     ``c = sqrt(||Z||_F / ||Z^{-1}||_F)``, read off the inverse the step
     forms, so each step is one LU, until the relative step falls to
     ``_SIGN_SCALE_TOL``; ``c`` is 1 after that.
 
-    Converged when ``||dZ||_F <= _SIGN_TOL ||Z||_F``, or when a step below
-    ``_SIGN_FLOOR_TOL ||Z||_F`` is not half the one before it.  Raises
-    ``np.linalg.LinAlgError`` for a singular iterate (an LU that breaks
-    down or an inverse that is not finite) or no convergence within
-    ``_SIGN_MAX_ITER`` steps.
+    A member has converged when ``||dZ||_F <= _SIGN_TOL ||Z||_F``, or when a
+    step below ``_SIGN_FLOOR_TOL ||Z||_F`` is not half the one before it, and
+    then leaves the stack.  It stops with ``LinAlgError`` for a singular
+    iterate (an LU that breaks down or an inverse that is not finite) or no
+    convergence within ``_SIGN_MAX_ITER`` steps.  The steps are stacked
+    ``inv`` and elementwise arithmetic, and each member's norms and ``c``
+    are its own, so a member's iterates are those it takes alone.
     """
-    if z.shape[0] == 0:
-        return z
-    c = 1.0
-    scaling = True
-    last2 = float("inf")
+    if z.shape[-1] == 0:
+        return list(z)
+    out: list = [None] * len(z)
+    live = list(range(len(z)))  # the members still iterating, in stack order
+    c = np.ones((len(z), 1, 1))  # each live member's scale
+    scaling, last2 = [True] * len(z), [math.inf] * len(z)
     # an overflow is a singular iterate
     with np.errstate(over="ignore", invalid="ignore"):
+        z_sq = _sq_norms(z)
         for _ in range(_SIGN_MAX_ITER):
-            try:
-                z_inv = np.linalg.inv(z)
-            except np.linalg.LinAlgError as exc:
-                raise np.linalg.LinAlgError("singular iterate") from exc
-            inv2 = float(np.vdot(z_inv, z_inv))
-            if not np.isfinite(inv2):
-                raise np.linalg.LinAlgError("singular iterate")
-            if scaling:
-                z2 = float(np.vdot(z, z))
-                c = (z2 / inv2) ** 0.25
-                if not 0.0 < c < math.inf:  # c^4 left the float range
-                    c = math.sqrt(math.sqrt(z2) / math.sqrt(inv2))
+            z_inv, failed = _each(np.linalg.inv, z)
+            keep = []
+            for j, (i, inv2, z2) in enumerate(zip(live, _sq_norms(z_inv), z_sq)):
+                if failed[j] is not None or not math.isfinite(inv2):
+                    out[i] = np.linalg.LinAlgError("singular iterate")
+                    out[i].__cause__ = failed[j]
+                    continue
+                if scaling[i]:
+                    scale = (z2 / inv2) ** 0.25
+                    if not 0.0 < scale < math.inf:  # c^4 left the float range
+                        scale = math.sqrt(math.sqrt(z2) / math.sqrt(inv2))
+                    c[j] = scale
+                keep.append(j)
+            if not keep:
+                return out
+            if len(keep) < len(live):
+                z, z_inv, c, live = z[keep], z_inv[keep], c[keep], [live[j] for j in keep]
             z_next = 0.5 * (z / c + c * z_inv)
-            step = z_next - z
-            step2 = float(np.vdot(step, step))
-            size2 = float(np.vdot(z_next, z_next))
+            z_sq, keep = _sq_norms(z_next), []
+            for j, (i, step2, size2) in enumerate(zip(live, _sq_norms(z_next - z), z_sq)):
+                if step2 <= _SIGN_TOL**2 * size2 or (
+                    step2 <= _SIGN_FLOOR_TOL**2 * size2 and 4.0 * step2 > last2[i]
+                ):
+                    out[i] = z_next[j]
+                    continue
+                if step2 <= _SIGN_SCALE_TOL**2 * size2:
+                    scaling[i], c[j] = False, 1.0
+                last2[i] = step2
+                keep.append(j)
+            if not keep:
+                return out
+            if len(keep) < len(live):
+                z_next, c, live = z_next[keep], c[keep], [live[j] for j in keep]
+                z_sq = [z_sq[j] for j in keep]
             z = z_next
-            if step2 <= _SIGN_TOL**2 * size2 or (
-                step2 <= _SIGN_FLOOR_TOL**2 * size2 and 4.0 * step2 > last2
-            ):
-                return z
-            if step2 <= _SIGN_SCALE_TOL**2 * size2:
-                scaling, c = False, 1.0
-            last2 = step2
-    raise np.linalg.LinAlgError(
-        f"sign iteration did not converge in {_SIGN_MAX_ITER} steps"
-    )
+    for i in live:
+        out[i] = np.linalg.LinAlgError(
+            f"sign iteration did not converge in {_SIGN_MAX_ITER} steps"
+        )
+    return out
 
 
 def _shift(sq_norm: float, n: int) -> float:
@@ -352,13 +450,13 @@ def solve_lyapunov(a_cl, w, tol: float = 1e-10) -> np.ndarray:
         (a_cl, "closed-loop matrix", "n", "n"), (w, "W", "n", "n")
     )
     w_sym = _require_symmetric(w_arr, "W")
-    x = _lyap_core(a_arr, w_sym)
-    # a norm whose square overflows reads as inf: for W an error, for the
-    # residual a failed test
+    # a norm whose square overflows reads as inf: for W an error, named
+    # before the doubling's H_0 overflows on it, for the residual a failed test
     with np.errstate(over="ignore"):
         scale = 1.0 + float(np.linalg.norm(w_sym))
         if scale == math.inf:
             raise _out_of_range("W", W=w_sym)
+        x = _lyap_core(a_arr, w_sym)
         for passes in range(3):
             res = a_arr.T @ x + x @ a_arr + w_sym
             rel = float(np.linalg.norm(res)) / scale
@@ -446,45 +544,92 @@ def solve_care(a, b, q, r, tol: float = RTOL) -> RiccatiSolution:
 
 def _solve_care(a, b, q, r, tol: float = RTOL) -> RiccatiSolution:
     """The body of ``solve_care`` on trusted arrays: ``Q`` exactly symmetric
-    PSD, ``R`` exactly symmetric PD, shapes matching, ``B`` not empty."""
-    n = a.shape[0]
+    PSD, ``R`` exactly symmetric PD, shapes matching, ``B`` not empty.  It
+    is ``_solve_care_stack`` on the stack of one, raising its error."""
+    (sol,) = _solve_care_stack(a[None], b[None], q[None], r[None], tol)
+    if isinstance(sol, RsmLqrError):
+        raise sol
+    return sol
+
+
+def _solve_care_stack(a, b, q, r, tol: float = RTOL) -> list[RiccatiSolution | RsmLqrError]:
+    """``_solve_care`` on stacks of CAREs of one shape: ``A`` and ``Q`` of
+    shape ``(k, n, n)``, ``B`` of shape ``(k, n, m)`` and ``R`` of shape
+    ``(k, m, m)``.  Returns each member's solution, or the error that
+    ``_solve_care`` raises for it alone, in stack order; a failed member
+    leaves the others as they are."""
+    k, n = a.shape[:2]
+    out: list = [None] * k
     # a G or a norm past the float range reads as inf or NaN and fails the
     # test of h2 below
     with np.errstate(over="ignore", invalid="ignore"):
-        g = b @ np.linalg.solve(r, b.T)
-        g = 0.5 * (g + g.T)
-        q_norm, g_norm = float(np.linalg.norm(q)), float(np.linalg.norm(g))
-        a2 = float(np.vdot(a, a))
+        g = b @ np.linalg.solve(r, _t(b))
+        g = 0.5 * (g + _t(g))
+        q_norms, g_norms, a_sq = _norms(q), _norms(g), _sq_norms(a)
     # Both kernels read a scale off ||H||, which an unbalanced pair of
     # off-diagonal blocks inflates far past the spectrum.  With
     # P = sigma P_hat, P_hat solves the CARE of (A, sigma G, Q / sigma);
     # sigma is the power of two nearest sqrt(||Q||_F / ||G||_F), so the
     # balancing is exact.
-    sigma = 1.0
-    if 0.0 < q_norm < math.inf and 0.0 < g_norm < math.inf:
-        sigma = 2.0 ** round(0.5 * (np.log2(q_norm) - np.log2(g_norm)))
-    g_bal, q_bal = sigma * g_norm, q_norm / sigma
-    h2 = 2.0 * a2 + g_bal * g_bal + q_bal * q_bal
-    if not math.isfinite(h2):
-        raise _out_of_range("the Hamiltonian", A=a, G=g, Q=q)
-    if n >= _SDA_MIN_ORDER:
-        # gamma: the power of two nearest the RMS singular value
-        # ||H_bal||_F / sqrt(2n) of the balanced Hamiltonian
-        gamma = _shift(h2, 2 * n)
-        # a breakdown, a stopped polish or a failed certificate falls back
-        # to the sign candidate, whose errors are the public ones
-        try:
-            p = _sda(a, sigma * g, q / sigma, gamma)
-            sol = _certified(a, b, q, r, g, sigma * p, tol, "doubling")
-        except (np.linalg.LinAlgError, NumericalFailureError):
-            sol = None
-        if isinstance(sol, RiccatiSolution):
-            return sol
-    p = _sign_candidate(a, b, sigma * g, q / sigma)
-    sol = _certified(a, b, q, r, g, sigma * p, tol, "sign")
-    if isinstance(sol, str):
-        raise _certificate_failure(a, b, sol)
-    return sol
+    sigmas, h2 = [1.0] * k, [0.0] * k
+    for i, (q_norm, g_norm) in enumerate(zip(q_norms, g_norms)):
+        if 0.0 < q_norm < math.inf and 0.0 < g_norm < math.inf:
+            sigmas[i] = 2.0 ** round(0.5 * (np.log2(q_norm) - np.log2(g_norm)))
+        g_bal, q_bal = sigmas[i] * g_norm, q_norm / sigmas[i]
+        h2[i] = 2.0 * a_sq[i] + g_bal * g_bal + q_bal * q_bal
+        if not math.isfinite(h2[i]):
+            out[i] = _out_of_range("the Hamiltonian", A=a[i], G=g[i], Q=q[i])
+    sigma = np.array(sigmas)[:, None, None]
+    live = [i for i in range(k) if out[i] is None]
+    if n >= _SDA_MIN_ORDER and live:
+        # member by member: a breakdown, a stopped polish or a failed
+        # certificate falls back to the sign candidate, whose errors are the
+        # public ones
+        doubled, cands = [], []
+        for i in live:
+            s = sigmas[i]
+            # gamma: the power of two nearest the RMS singular value
+            # ||H_bal||_F / sqrt(2n) of the balanced Hamiltonian
+            gamma = _shift(h2[i], 2 * n)
+            try:
+                cands.append(_sda(a[i], s * g[i], q[i] / s, gamma))
+            except np.linalg.LinAlgError:
+                continue
+            doubled.append(i)
+        if doubled:
+            sel = _rows(doubled, k)
+            sols = _certified(
+                a[sel], b[sel], q[sel], r[sel], g[sel],
+                sigma[sel] * np.array(cands), tol, "doubling",
+            )
+            for i, sol in zip(doubled, sols):
+                if isinstance(sol, RiccatiSolution):
+                    out[i] = sol
+        live = [i for i in live if out[i] is None]
+    if not live:
+        return out
+    sel = _rows(live, k)
+    cands = _sign_candidate(a[sel], b[sel], sigma[sel] * g[sel], q[sel] / sigma[sel])
+    ready, ps = [], []
+    for i, cand in zip(live, cands):
+        if isinstance(cand, RsmLqrError):
+            out[i] = cand
+        else:
+            ready.append(i)
+            ps.append(cand)
+    if not ready:
+        return out
+    sel = _rows(ready, k)
+    p = sigma[sel] * np.array(ps)
+    for i, sol in zip(ready, _certified(a[sel], b[sel], q[sel], r[sel], g[sel], p, tol, "sign")):
+        out[i] = _certificate_failure(a[i], b[i], sol) if isinstance(sol, str) else sol
+    return out
+
+
+def _rows(members: list[int], k: int):
+    """An index of ``members`` into a stack of ``k``: the whole stack as a
+    view when it is every member, else their rows, copied."""
+    return slice(None) if len(members) == k else np.array(members)
 
 
 def _sda(a, g, q, gamma: float) -> np.ndarray:
@@ -504,8 +649,10 @@ def _sda(a, g, q, gamma: float) -> np.ndarray:
     quadratically, when the Hamiltonian has no eigenvalue on the imaginary
     axis.  The one stop is ``||E||_F^2 <= _SIGN_TOL``, the rule of
     ``_lyap_core``: every later increment carries ``E`` twice, so it could
-    only confirm the stop.  The caller certifies the result: when
-    ``(A, sqrt(Q))`` is not detectable the steps need not converge at all.
+    only confirm the stop.  ``G`` is updated after that test, from the old
+    ``E``, so the last step forms no ``G`` that nothing reads.  The caller
+    certifies the result: when ``(A, sqrt(Q))`` is not detectable the steps
+    need not converge at all.
 
     ``gamma`` must be positive (``ValueError`` otherwise): with
     ``gamma < 0`` the steps converge, silently, to a solution that is not
@@ -543,45 +690,60 @@ def _sda(a, g, q, gamma: float) -> np.ndarray:
             t_e = w @ e
             step = e.T @ h_k @ t_e
             step = 0.5 * (step + step.T)
-            g_k = g_k + e @ (w @ g_k) @ e.T
-            g_k = 0.5 * (g_k + g_k.T)
-            e = e @ t_e
+            e_next = e @ t_e
             h_k = h_k + step
-            e2 = float(np.vdot(e, e))
+            e2 = float(np.vdot(e_next, e_next))
             if not math.isfinite(e2 + float(np.vdot(h_k, h_k))):
                 raise np.linalg.LinAlgError("doubling breakdown")
             # every later increment carries E_k twice, so once
             # ||E_k||_F^2 <= _SIGN_TOL it could only confirm the stop
             if e2 <= _SIGN_TOL:
                 return h_k
+            g_k = g_k + e @ (w @ g_k) @ e.T
+            g_k = 0.5 * (g_k + g_k.T)
+            e = e_next
     raise np.linalg.LinAlgError(
         f"doubling did not converge in {_SDA_MAX_ITER} steps"
     )
 
 
-def _sign_candidate(a, b, g, q) -> np.ndarray:
-    """The stabilizing solution of ``0 = -P A - A^T P - Q + P G P``, read
-    off the sign ``S`` of ``H = [[A, -G], [-Q, -A^T]]``: the stable
-    invariant subspace ``[I; P]`` is the null space of ``S + I``, so ``P``
-    is the least-squares solution of ``[S12; S22 + I] X = -[S11 + I; S21]``.
-    Raises the public errors of ``solve_care`` for a stopped iteration, a
-    stable dimension ``(2n - trace S)/2`` other than ``n``, or a basis of
-    rank below ``n``; ``B`` only names an unreachable mode."""
+def _sign_candidate(a, b, g, q) -> list[np.ndarray | RsmLqrError]:
+    """The stabilizing solution of ``0 = -P A - A^T P - Q + P G P`` for each
+    member of the stacks, read off the sign ``S`` of
+    ``H = [[A, -G], [-Q, -A^T]]``: the stable invariant subspace ``[I; P]``
+    is the null space of ``S + I``, so ``P`` is the least-squares solution
+    of ``[S12; S22 + I] X = -[S11 + I; S21]``.  The signs are one stacked
+    ``_sign_newton``; ``lstsq`` has no stacked form, so the read-out is
+    member by member.  A member gets the public error of ``solve_care``
+    for a stopped iteration, a stable dimension ``(2n - trace S)/2`` other
+    than ``n``, or a basis of rank below ``n``; ``B`` only names an
+    unreachable mode."""
+    n = a.shape[1]
+    ham = np.empty((len(a), 2 * n, 2 * n))
+    ham[:, :n, :n] = a
+    ham[:, :n, n:] = -g
+    ham[:, n:, :n] = -q
+    ham[:, n:, n:] = -_t(a)
+    out: list = []
+    for a_i, b_i, s in zip(a, b, _sign_newton(ham)):
+        try:
+            out.append(_read_out(a_i, b_i, s))
+        except RsmLqrError as exc:
+            out.append(exc)
+    return out
+
+
+def _read_out(a, b, s: np.ndarray | np.linalg.LinAlgError) -> np.ndarray:
+    """One member's candidate from its sign ``s``, or its error from the
+    ``LinAlgError`` that stopped the sign iteration."""
     n = a.shape[0]
-    ham = np.empty((2 * n, 2 * n))
-    ham[:n, :n] = a
-    ham[:n, n:] = -g
-    ham[n:, :n] = -q
-    ham[n:, n:] = -a.T
-    try:
-        s = _sign_newton(ham)
-    except np.linalg.LinAlgError as exc:
+    if isinstance(s, np.linalg.LinAlgError):
         raise _certificate_failure(
             a, b,
-            f"Hamiltonian sign iteration failed ({exc}); (A, B) is likely not "
+            f"Hamiltonian sign iteration failed ({s}); (A, B) is likely not "
             "stabilizable or the Hamiltonian spectrum touches the imaginary axis",
             NotStabilizableError,
-        ) from exc
+        ) from s
     stable = round(n - 0.5 * float(np.trace(s)))
     if stable != n:
         raise NotStabilizableError(
@@ -603,38 +765,88 @@ def _sign_candidate(a, b, g, q) -> np.ndarray:
     return 0.5 * (p + p.T)
 
 
-def _certified(a, b, q, r, g, p, tol: float, method: str) -> RiccatiSolution | str:
-    """Polish the candidate ``p`` and certify it: the ``RiccatiSolution``
-    when the residual, PSD and Hurwitz certificates pass, else the message
-    of the first that failed.  ``g`` is ``B R^{-1} B^T``."""
+def _certified(a, b, q, r, g, p, tol: float, method: str) -> list[RiccatiSolution | str | RsmLqrError]:
+    """Polish each member's candidate ``p`` and certify it: its
+    ``RiccatiSolution`` when the residual, PSD and Hurwitz certificates
+    pass, else the message of the first that failed, or the error that
+    stopped its polish or its eigenvalue tests.  ``g`` is
+    ``B R^{-1} B^T``.  The residual and the Cholesky certificate are
+    stacked; the polish, which few members need, and the eigenvalue tests
+    run on a member's own slice."""
+    out: list = [None] * len(p)
     # Norms whose squares overflow read as inf, which the tests reject.
     with np.errstate(over="ignore", invalid="ignore"):
-        res, res_norm, solved = _riccati_residual(a, b, q, r, p)
-        # Newton polish in correction form: with Res(P) the residual above
-        # and A_cl = A - G P, the step D solves A_cl^T D + D A_cl = Res(P),
-        # so the Lyapunov solve's relative error scales the residual, not P.
-        for _ in range(_NEWTON_SWEEPS):
-            scale = tol * (1.0 + float(np.linalg.norm(p)) * float(np.linalg.norm(a)))
-            if res_norm <= 0.01 * scale:
-                break
-            try:
-                p_next = p + _lyap_core(a - g @ p, -0.5 * (res + res.T))
-            except NotHurwitzError:
-                break
-            res_next, next_norm, solved_next = _riccati_residual(a, b, q, r, p_next)
-            if not next_norm < res_norm:  # a NaN residual fails this test too
-                break
-            p, res, res_norm, solved = p_next, res_next, next_norm, solved_next
+        res, res_norms, solved = _riccati_residual(a, b, q, r, p)
+        p, passed = p.copy(), []
+        a_norms = _norms(a)
+        scales = [1.0 + p_norm * a_norm for p_norm, a_norm in zip(_norms(p), a_norms)]
+        for i, scale in enumerate(scales):
+            if not res_norms[i] <= 0.01 * (tol * scale):
+                try:
+                    p[i], res_norms[i], solved[i], scale = _polish(
+                        (a[i], b[i], q[i], r[i], g[i]), p[i], res[i], res_norms[i],
+                        solved[i], scale, a_norms[i], tol,
+                    )
+                except RsmLqrError as exc:
+                    out[i] = exc
+                    continue
+            if not res_norms[i] <= tol * scale < math.inf:  # NaN and inf fail too
+                out[i] = f"Riccati residual {res_norms[i]:.3e} exceeds {tol:.1e} * {scale:.3e}"
+            else:
+                passed.append(i)
+        if not passed:
+            return out
+        sel = _rows(passed, len(p))
+        p, f = p[sel], -solved[sel]
+        a_cl = a[sel] + b[sel] @ f
+        proven = _lyapunov_certified(p, a_cl)
+    for j, i in enumerate(passed):
+        if proven[j]:
+            out[i] = RiccatiSolution(p[j], f[j], res_norms[i], None, method, a_cl[j])
+            continue
+        # a singular P (a singular Q) or an M that is not safely definite
+        # (an undetectable pair): the eigenvalue tests decide and name the
+        # failure
+        try:
+            out[i] = _eigen_certified(p[j], f[j], res_norms[i], method, a_cl[j])
+        except RsmLqrError as exc:
+            out[i] = exc
+    return out
 
-        scale = 1.0 + float(np.linalg.norm(p)) * float(np.linalg.norm(a))
-        if not res_norm <= tol * scale < math.inf:  # NaN and inf fail too
-            return f"Riccati residual {res_norm:.3e} exceeds {tol:.1e} * {scale:.3e}"
-        f = -solved
-        a_cl = a + b @ f
-        if _lyapunov_certified(p, a_cl):
-            return RiccatiSolution(p, f, res_norm, None, method, a_cl)
-    # a singular P (a singular Q) or an M that is not safely definite (an
-    # undetectable pair): the eigenvalue tests decide and name the failure
+
+def _polish(care, p, res, res_norm: float, solved, scale: float, a_norm: float, tol: float):
+    """Newton sweeps on one member whose residual is above ``0.01 tol
+    scale``: ``care`` is its ``(A, B, Q, R, G)``, and ``scale`` is
+    ``1 + ||P||_F ||A||_F``.  A sweep is kept only while it lowers the
+    residual, and the sweeps stop once the residual is below that bound
+    again, or after ``_NEWTON_SWEEPS``.  Returns the polished
+    ``(P, ||Res(P)||_F, R^{-1} B^T P, scale)``.
+
+    In correction form, with ``Res(P)`` the residual and ``A_cl = A - G P``,
+    the step ``D`` solves ``A_cl^T D + D A_cl = Res(P)``, so the Lyapunov
+    solve's relative error scales the residual, not ``P``."""
+    a, b, q, r, g = care
+    for _ in range(_NEWTON_SWEEPS):
+        try:
+            p_next = p + _lyap_core(a - g @ p, -0.5 * (res + res.T))
+        except NotHurwitzError:
+            break
+        res_next, next_norm, solved_next = _riccati_residual(
+            a[None], b[None], q[None], r[None], p_next[None]
+        )
+        if not next_norm[0] < res_norm:  # a NaN residual fails this test too
+            break
+        p, res, res_norm, solved = p_next, res_next[0], next_norm[0], solved_next[0]
+        scale = 1.0 + float(np.linalg.norm(p)) * a_norm
+        if res_norm <= 0.01 * (tol * scale):
+            break
+    return p, res_norm, solved, scale
+
+
+def _eigen_certified(p, f, res_norm: float, method: str, a_cl) -> RiccatiSolution | str:
+    """One member's certificate by the eigenvalue tests, ``definiteness``
+    of ``P`` and ``is_hurwitz`` of ``A_cl``: the solution, or the message
+    of the first test that failed."""
     d = definiteness(p)
     if not d.psd:
         return (
@@ -650,20 +862,22 @@ def _certified(a, b, q, r, g, p, tol: float, method: str) -> RiccatiSolution | s
     return RiccatiSolution(p, f, res_norm, hur.max_real_part, method, a_cl)
 
 
-def _cholesky_rounding(x: np.ndarray) -> float:
-    """Twice ``(n + 1) eps sum|x_ii|``, a bound on the 2-norm of the
-    backward error of a Cholesky factorization of ``x`` that completes:
-    ``R^T R = X + E`` with ``|E| <= gamma_(n+1) |R^T| |R|`` (Higham,
-    *Accuracy and Stability of Numerical Algorithms*, 2002, Thm 10.3), and
-    ``|| |R^T| |R| ||_2 <= trace(R^T R)``.  The factor two covers the
-    rounding of the shift and of ``gamma``."""
-    return 2.0 * (x.shape[0] + 1) * _EPS * float(np.abs(np.diagonal(x)).sum())
+def _cholesky_rounding(x: np.ndarray) -> list[float]:
+    """Twice ``(n + 1) eps sum|x_ii|`` of each member, a bound on the
+    2-norm of the backward error of a Cholesky factorization of ``x`` that
+    completes: ``R^T R = X + E`` with ``|E| <= gamma_(n+1) |R^T| |R|``
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002,
+    Thm 10.3), and ``|| |R^T| |R| ||_2 <= trace(R^T R)``.  The factor two
+    covers the rounding of the shift and of ``gamma``."""
+    n = x.shape[-1]
+    diagonals = np.abs(x.diagonal(0, -2, -1))
+    return [2.0 * (n + 1) * _EPS * float(d.sum()) for d in diagonals]
 
 
-def _lyapunov_certified(p: np.ndarray, a_cl: np.ndarray) -> bool:
-    """Whether two Cholesky factorizations prove the symmetric ``P`` PD
-    and ``A_cl`` Hurwitz; ``False`` leaves the verdict to the eigenvalue
-    tests.
+def _lyapunov_certified(p: np.ndarray, a_cl: np.ndarray) -> list[bool]:
+    """Whether two Cholesky factorizations prove each member's symmetric
+    ``P`` PD and ``A_cl`` Hurwitz; ``False`` leaves the verdict to the
+    eigenvalue tests.
 
     With ``M = -(A_cl^T P + P A_cl)``, ``P > 0`` and ``M > 0`` make
     ``A_cl`` Hurwitz: an eigenpair ``A_cl v = lambda v`` gives
@@ -679,25 +893,30 @@ def _lyapunov_certified(p: np.ndarray, a_cl: np.ndarray) -> bool:
       ``M`` from the product ``P A_cl``.
 
     ``P > 0`` also passes the PSD test at any cut, so this is never more
-    lenient than the eigenvalue tests."""
-    n = p.shape[0]
+    lenient than the eigenvalue tests.  The factorizations are stacked, and
+    a member's shifts are its own."""
+    k, n = p.shape[:2]
     if n == 0:
-        return True
+        return [True] * k
     eye = np.eye(n)
     pa = p @ a_cl
-    m = -(pa + pa.T)
-    delta_m = _cholesky_rounding(m) + _EPS * (
-        2.0 * n * float(np.linalg.norm(p)) * float(np.linalg.norm(a_cl))
-        + float(np.linalg.norm(m))
-    )
-    if not math.isfinite(delta_m):  # a norm whose square overflows
-        return False
-    try:
-        np.linalg.cholesky(p - _cholesky_rounding(p) * eye)
-        np.linalg.cholesky(m - delta_m * eye)
-    except np.linalg.LinAlgError:
-        return False
-    return True
+    m = -(pa + _t(pa))
+    delta_m = [
+        c + _EPS * (2.0 * n * p_norm * a_norm + m_norm)
+        for c, p_norm, a_norm, m_norm in zip(
+            _cholesky_rounding(m), _norms(p), _norms(a_cl), _norms(m)
+        )
+    ]
+    # a norm whose square overflows leaves no shift, and no proof
+    finite = [math.isfinite(d) for d in delta_m]
+    delta_m = np.array([d if ok else 0.0 for d, ok in zip(delta_m, finite)])
+    delta_p = np.array(_cholesky_rounding(p))
+    _, p_failed = _each(np.linalg.cholesky, p - delta_p[:, None, None] * eye)
+    _, m_failed = _each(np.linalg.cholesky, m - delta_m[:, None, None] * eye)
+    return [
+        ok and fp is None and fm is None
+        for ok, fp, fm in zip(finite, p_failed, m_failed)
+    ]
 
 
 def rectangular_riccati_residual(a_s, b_s, k, q_c, r_s, x) -> tuple[np.ndarray, float]:
@@ -716,4 +935,7 @@ def rectangular_riccati_residual(a_s, b_s, k, q_c, r_s, x) -> tuple[np.ndarray, 
         (r_s, "stacked input weight", "m", "m"),
         (x, "X", "s", "c"),
     )
-    return _riccati_residual(a_arr @ k_arr, b_arr, q_arr, r_arr, x_arr)[:2]
+    res, norms, _ = _riccati_residual(
+        (a_arr @ k_arr)[None], b_arr[None], q_arr[None], r_arr[None], x_arr[None]
+    )
+    return res[0], norms[0]

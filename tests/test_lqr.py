@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rsmlqr import lqr, sim
+from rsmlqr import lqr, riccati, sim
 from rsmlqr.errors import (
     DetectabilityWarning,
     InconsistencyError,
@@ -719,8 +719,50 @@ class TestCounterexampleSearch:
         with pytest.raises(InvalidArgumentError):
             SearchConfig(**kwargs)
 
+    def test_one_stacked_sign_call_per_care_shape(self, monkeypatch):
+        # 50 trials make 150 CAREs of order <= 6, all on the sign path: each
+        # shape (n, m) is one stacked solve and one stacked sign iteration,
+        # and no CARE is solved alone
+        groups, signs = [], []
+        stack_solve, sign = lqr._solve_care_stack, riccati._sign_newton
+
+        def solving(a, b, q, r):
+            groups.append(b.shape)
+            return stack_solve(a, b, q, r)
+
+        def signing(z):
+            signs.append(len(z))
+            return sign(z)
+
+        def alone(*args):
+            raise AssertionError("a search CARE was solved alone")
+
+        monkeypatch.setattr(lqr, "_solve_care_stack", solving)
+        monkeypatch.setattr(riccati, "_sign_newton", signing)
+        monkeypatch.setattr(lqr, "_solve_care", alone)
+        monkeypatch.setattr(riccati, "_solve_care", alone)
+        result = counterexample_search(SearchConfig(trials=50, seed=7))
+        shapes = [shape[1:] for shape in groups]
+        assert len(shapes) == len(set(shapes))
+        assert sum(shape[0] for shape in groups) == 150
+        assert len(signs) == len(groups) and sum(signs) == 150
+        assert result.trials == 50 and result.found
+
+    def test_chunks_keep_the_random_stream(self, monkeypatch):
+        # trials drawn chunk by chunk are the trials drawn one at a time
+        config = SearchConfig(trials=7, seed=3)
+        whole = counterexample_search(config)
+        monkeypatch.setattr(lqr, "_SEARCH_CHUNK", 2)
+        chunked = counterexample_search(config)
+        assert len(whole.found) >= 2
+        assert [f.trial for f in chunked.found] == [f.trial for f in whole.found]
+        for a, b in zip(chunked.found, whole.found):
+            assert a.deviation == b.deviation
+            assert a.report.rect_residual_composite == b.report.rect_residual_composite
+
     def test_failed_trial_is_skipped(self, monkeypatch):
-        evaluate = lqr.evaluate_composition
+        # the search checks each trial's designs through _analyse, in order
+        evaluate = lqr._analyse
         calls = []
 
         def failing_every_third(*args):
@@ -729,7 +771,7 @@ class TestCounterexampleSearch:
                 raise NotStabilizableError("no stabilizing solution")
             return evaluate(*args)
 
-        monkeypatch.setattr(lqr, "evaluate_composition", failing_every_third)
+        monkeypatch.setattr(lqr, "_analyse", failing_every_third)
         result = counterexample_search(SearchConfig(trials=9, seed=4))
         assert result.trials == 9 and result.skipped == 3
         assert all(inst.trial % 3 for inst in result.found)
@@ -738,7 +780,7 @@ class TestCounterexampleSearch:
         def inconsistent(*args):
             raise InconsistencyError("verdicts disagree")
 
-        monkeypatch.setattr(lqr, "evaluate_composition", inconsistent)
+        monkeypatch.setattr(lqr, "_analyse", inconsistent)
         with pytest.raises(InconsistencyError):
             counterexample_search(SearchConfig(trials=3, seed=4))
 

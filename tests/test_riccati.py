@@ -64,6 +64,27 @@ def lyap_calls(monkeypatch):
     return calls
 
 
+def sign(z):
+    """``riccati._sign_newton`` on the stack of one, raising its error."""
+    (s,) = riccati._sign_newton(np.asarray(z, dtype=float)[None])
+    if isinstance(s, Exception):
+        raise s
+    return s
+
+
+def certify(a, b, q, r, g, p, tol, method):
+    """``riccati._certified`` on the stack of one."""
+    (sol,) = riccati._certified(
+        *(np.asarray(x, dtype=float)[None] for x in (a, b, q, r, g, p)), tol, method
+    )
+    return sol
+
+
+def lyapunov_certified(p, a_cl):
+    """``riccati._lyapunov_certified`` on the stack of one."""
+    return riccati._lyapunov_certified(p[None], a_cl[None])[0]
+
+
 class TestSolveCareScalarOracles:
     def test_a_minus_one(self):
         sol = solve_care([[-1.0]], [[1.0]], [[1.0]], [[1.0]])
@@ -217,7 +238,7 @@ class TestCertificates:
     def test_anti_stabilizing_root_is_not_psd(self):
         a, b, q, r, g = self._scalar()
         p = np.array([[-1.0 - SQRT2]])
-        msg = riccati._certified(a, b, q, r, g, p, 1e-9, "sign")
+        msg = certify(a, b, q, r, g, p, 1e-9, "sign")
         assert msg.startswith("computed Riccati solution is not positive semidefinite")
         assert "-2.414214e+00" in msg
 
@@ -236,7 +257,7 @@ class TestCertificates:
                 raise
 
         monkeypatch.setattr(riccati, "_lyap_core", recording)
-        msg = riccati._certified(a, b, q, r, g, np.array([[-5.0]]), 1e-9, "sign")
+        msg = certify(a, b, q, r, g, np.array([[-5.0]]), 1e-9, "sign")
         assert len(raised) == 1
         assert msg == "Riccati residual 1.400e+01 exceeds 1.0e-09 * 6.000e+00"
 
@@ -244,7 +265,7 @@ class TestCertificates:
         # p = 1e160: the residual and ||P|| overflow to inf, which the
         # residual test rejects (inf <= 1e-9 * inf would pass it)
         a, b, q, r, g = self._scalar()
-        msg = riccati._certified(a, b, q, r, g, np.array([[1e160]]), 1e-9, "sign")
+        msg = certify(a, b, q, r, g, np.array([[1e160]]), 1e-9, "sign")
         assert msg == "Riccati residual inf exceeds 1.0e-09 * inf"
 
 
@@ -294,32 +315,33 @@ class TestLyapunovFailuresTyped:
 
 class TestSignNewton:
     def test_diagonal(self):
-        s = riccati._sign_newton(np.diag([-2.0, 0.5, 30.0]))
+        s = sign(np.diag([-2.0, 0.5, 30.0]))
         np.testing.assert_allclose(s, np.diag([-1.0, 1.0, 1.0]), atol=1e-15)
 
     def test_singular_iterate(self):
         # eigenvalues +-i: the scaled first step lands on the zero matrix
         with pytest.raises(np.linalg.LinAlgError, match="singular iterate"):
-            riccati._sign_newton(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+            sign(np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
     def test_non_finite_inverse_is_a_singular_iterate(self, monkeypatch):
         monkeypatch.setattr(np.linalg, "inv", lambda m: np.full_like(m, np.inf))
         with pytest.raises(np.linalg.LinAlgError, match="singular iterate"):
-            riccati._sign_newton(np.diag([-1.0, 2.0]))
+            sign(np.diag([-1.0, 2.0]))
 
     def test_overflowing_w_fails_without_a_warning(self, lyap_calls):
-        # gamma = 2^-33: H_0 = 2 gamma A_g^{-T} W A_g^{-1} overflows while
-        # E_k vanishes, and the finiteness test at the stop ends the solve
-        # after one call, with no warning
-        with pytest.raises(NumericalFailureError, match="stopped on a Hurwitz matrix"):
+        # ||W||_F^2 overflows, so the error names W's scale before the
+        # doubling starts, where H_0 = 2 gamma A_g^{-T} W A_g^{-1} (gamma =
+        # 2^-33) would overflow too; no warning
+        with pytest.raises(NumericalFailureError, match="^W is out of range") as info:
             solve_lyapunov(-1e-10 * np.eye(2), 1e300 * np.eye(2))
-        assert len(lyap_calls) == 1
+        assert "max|W| 1.000e+300" in str(info.value)
+        assert len(lyap_calls) == 0
 
     def test_singular_input_is_a_singular_iterate(self):
         # the LU breaks down on the first step; its error becomes the
         # kernel's own
         with pytest.raises(np.linalg.LinAlgError, match="singular iterate"):
-            riccati._sign_newton(np.diag([0.0, 1.0]))
+            sign(np.diag([0.0, 1.0]))
 
     def test_norm_scaling_one_lu_per_step(self, monkeypatch):
         # eigenvalues 1e-3 .. 1e3 either side of the axis: the scaled
@@ -336,7 +358,7 @@ class TestSignNewton:
         d = np.array([-1e3, -1.0, -1e-3, 1e-3, 1.0, 1e3])
         monkeypatch.setattr(np.linalg, "inv", counting)
         monkeypatch.setattr(np.linalg, "slogdet", None)
-        s = riccati._sign_newton(v @ np.diag(d) @ inv(v))
+        s = sign(v @ np.diag(d) @ inv(v))
         exact = v @ np.diag(np.sign(d)) @ inv(v)
         assert np.linalg.norm(s - exact) <= 1e-9 * np.linalg.norm(exact)
         assert 1 <= len(calls) <= 10
@@ -344,7 +366,7 @@ class TestSignNewton:
     def test_no_convergence_within_cap(self):
         z = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 2.0]])
         with pytest.raises(np.linalg.LinAlgError, match="did not converge"):
-            riccati._sign_newton(z)
+            sign(z)
 
     def test_round_off_floor_stops(self):
         # eigenvectors with condition 1e4: the steps stall near 1e-11,
@@ -354,7 +376,7 @@ class TestSignNewton:
         q2, _ = np.linalg.qr(rng.standard_normal((8, 8)))
         v = q1 @ np.diag(np.logspace(0, -4, 8)) @ q2
         d = np.array([-1.0, -1.5, -2.0, -3.0, 1.0, 1.5, 2.0, 3.0])
-        s = riccati._sign_newton(v @ np.diag(d) @ np.linalg.inv(v))
+        s = sign(v @ np.diag(d) @ np.linalg.inv(v))
         exact = v @ np.diag(np.sign(d)) @ np.linalg.inv(v)
         assert np.linalg.norm(s - exact) <= 1e-8 * np.linalg.norm(exact)
 
@@ -375,7 +397,7 @@ class TestDoubling:
         inv = np.linalg.inv
 
         def recording(m):
-            shapes.append(m.shape[0])
+            shapes.append(m.shape[-1])
             return inv(m)
 
         rng = np.random.default_rng(1600 + n)
@@ -486,6 +508,33 @@ class TestDoubling:
         assert (info.value.__cause__ is not None) == (case == "singular")
         self._falls_back_to_sign(monkeypatch, _sda=lambda *_: sda(*args))
 
+    @pytest.mark.parametrize("n", [9, 20, 37])
+    def test_late_g_update_keeps_the_bits(self, n):
+        # _sda updates G after the stop test, so its last step forms no G;
+        # the reference updates G before that test on every step
+        def reference(a, g, q, gamma):
+            eye = np.eye(n)
+            a_inv = np.linalg.inv(a - gamma * eye)
+            w_inv = np.linalg.inv((a - gamma * eye).T + q @ (a_inv @ g))
+            e = eye + 2.0 * gamma * w_inv.T
+            g_k = (2.0 * gamma) * (w_inv.T @ (a_inv @ g).T)
+            h_k = (2.0 * gamma) * (w_inv @ (q @ a_inv))
+            g_k, h_k = 0.5 * (g_k + g_k.T), 0.5 * (h_k + h_k.T)
+            while True:
+                w = np.linalg.inv(eye + g_k @ h_k)
+                t_e = w @ e
+                step = e.T @ h_k @ t_e
+                g_k = g_k + e @ (w @ g_k) @ e.T
+                g_k = 0.5 * (g_k + g_k.T)
+                e = e @ t_e
+                h_k = h_k + 0.5 * (step + step.T)
+                if float(np.vdot(e, e)) <= riccati._SIGN_TOL:
+                    return h_k
+
+        a, b, q, _ = random_care_problem(np.random.default_rng(2500 + n), n, 2)
+        args = (a, b @ b.T, q, 2.0)
+        assert riccati._sda(*args).tobytes() == reference(*args).tobytes()
+
     def test_vanished_e_saves_the_confirming_step(self, monkeypatch):
         # once ||E_k||_F^2 <= _SIGN_TOL every later increment could only
         # confirm the stop: on this order-100 CARE the doubling makes 12
@@ -580,7 +629,7 @@ class TestLyapunovCertificate:
         sol = solve_care(a, b, q, r)
         p, a_cl = sol.P, a + b @ sol.F
         # the stabilizing solution is proven by the factorizations alone
-        assert riccati._lyapunov_certified(p, a_cl)
+        assert lyapunov_certified(p, a_cl)
         assert self._eigen_verdict(p, a_cl)
         # candidates just past each boundary, which the eigenvalue tests
         # reject, are never proven: P moved to min eigenvalue -1e-6 (1 +
@@ -592,9 +641,9 @@ class TestLyapunovCertificate:
         right = a_cl + (1e-6 - is_hurwitz(a_cl).max_real_part) * eye
         for cand_p, cand_a in ((below, a_cl), (p, right), (below, right)):
             assert not self._eigen_verdict(cand_p, cand_a)
-            assert not riccati._lyapunov_certified(cand_p, cand_a)
+            assert not lyapunov_certified(cand_p, cand_a)
         singular = p - lam * eye
-        if riccati._lyapunov_certified(singular, a_cl):
+        if lyapunov_certified(singular, a_cl):
             assert self._eigen_verdict(singular, a_cl)
 
     def test_singular_q_takes_the_eigenvalue_path(self, monkeypatch):
@@ -627,7 +676,7 @@ class TestLyapunovCertificate:
         # the anti-stabilizing root 1 - sqrt(2) of -2p - 1 + p^2 = 0 solves
         # the scalar CARE exactly but is negative
         one = np.ones((1, 1))
-        msg = riccati._certified(
+        msg = certify(
             one, one, one, one, one, np.array([[1.0 - SQRT2]]), riccati.RTOL, "sign"
         )
         min_eig = definiteness([[1.0 - SQRT2]]).min_eigenvalue
@@ -643,7 +692,7 @@ class TestLyapunovCertificate:
         q = np.diag([0.0] + [1.0] * (n - 1))
         eye = np.eye(n)
         p = np.diag([0.0] + [math.sqrt(2.21) - 1.1] * (n - 1))
-        msg = riccati._certified(a, eye, q, eye, eye, p, riccati.RTOL, "doubling")
+        msg = certify(a, eye, q, eye, eye, p, riccati.RTOL, "doubling")
         max_re = is_hurwitz(a - p).max_real_part
         assert max_re == pytest.approx(1.3, abs=1e-12)
         assert msg == (
@@ -715,7 +764,7 @@ class TestSolveCareErrors:
 
     def test_wrong_stable_dimension(self, monkeypatch):
         # a sign of I counts no stable eigenvalue of the Hamiltonian
-        monkeypatch.setattr(riccati, "_sign_newton", lambda z: np.eye(z.shape[0]))
+        monkeypatch.setattr(riccati, "_sign_newton", lambda z: [np.eye(z.shape[-1])] * len(z))
         with pytest.raises(NotStabilizableError, match="has dimension 0, expected 1"):
             solve_care([[-1.0]], [[1.0]], [[1.0]], [[1.0]])
 
@@ -776,6 +825,153 @@ class TestSolveCareErrors:
         assert sol.stabilizing
 
 
+def same_result(stacked, alone):
+    """Whether a stacked member and the same CARE solved alone agree bit for
+    bit: ``P``, ``F``, the residual, the method and the eigenvalue test's
+    value, or the error's type and message."""
+    if isinstance(alone, Exception):
+        return type(stacked) is type(alone) and str(stacked) == str(alone)
+    return (
+        isinstance(stacked, riccati.RiccatiSolution)
+        and stacked.P.tobytes() == alone.P.tobytes()
+        and stacked.F.tobytes() == alone.F.tobytes()
+        and stacked.residual_norm == alone.residual_norm
+        and stacked.method == alone.method
+        and stacked.known_max_re == alone.known_max_re
+    )
+
+
+def solve_alone(a, b, q, r, tol=riccati.RTOL):
+    """``riccati._solve_care`` on one member, or the error it raises."""
+    try:
+        return riccati._solve_care(a, b, q, r, tol)
+    except RsmLqrError as exc:
+        return exc
+
+
+def mixed_stack(rng, n, m, k):
+    """``k`` CAREs of order ``n`` with ``m`` inputs, drawn to differ: stable
+    and unstable ``A``, scales of ``A``, ``Q`` and ``R`` over several
+    decades, and a singular ``Q`` that does not see a decoupled stable first
+    state, whose ``P`` is singular and certified by the eigenvalue tests."""
+    stacks = []
+    for i in range(k):
+        a = rng.standard_normal((n, n)) * 10.0 ** rng.uniform(-1, 1)
+        if i % 2:
+            a = a - (float(np.linalg.eigvals(a).real.max()) + 0.5) * np.eye(n)
+        g = rng.standard_normal((n, n))
+        q = (g.T @ g + 0.1 * np.eye(n)) * 10.0 ** rng.uniform(-2, 2)
+        if i % 3 == 0 and n > 1:
+            a[0, 1:], a[1:, 0], a[0, 0] = 0.0, 0.0, -1.0 - abs(a[0, 0])
+            q[0], q[:, 0] = 0.0, 0.0
+        h = rng.standard_normal((m, m))
+        r = (h.T @ h + 0.1 * np.eye(m)) * 10.0 ** rng.uniform(-2, 2)
+        stacks.append((a, rng.standard_normal((n, m)), 0.5 * (q + q.T), 0.5 * (r + r.T)))
+    return [np.stack(x) for x in zip(*stacks)]
+
+
+class TestStackedSolve:
+    """``_solve_care_stack`` solves CAREs of one shape together; each member
+    gets exactly what ``_solve_care`` gives it alone.  CI runs this class
+    on one BLAS thread as well."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_members_match_their_solves_alone(self, n, m):
+        rng = np.random.default_rng(2600 + 10 * n + m)
+        stacks = mixed_stack(rng, n, m, 7)
+        sols = riccati._solve_care_stack(*stacks)
+        assert len(sols) == 7
+        for i, sol in enumerate(sols):
+            assert same_result(sol, solve_alone(*(x[i] for x in stacks)))
+        assert any(isinstance(sol, riccati.RiccatiSolution) for sol in sols)
+
+    def test_doubling_members_match_their_solves_alone(self):
+        # from _SDA_MIN_ORDER on the doubling runs member by member and the
+        # certificate is stacked; the undetectable member falls back to sign
+        rng = np.random.default_rng(2612)
+        a, b, q, r = mixed_stack(rng, 12, 2, 4)
+        a[0] = np.diag([1.3] + [-1.1] * 11)
+        q[0] = np.diag([0.0] + [1.0] * 11)
+        sols = riccati._solve_care_stack(a, b, q, r)
+        assert sols[0].method == "sign"
+        assert {sol.method for sol in sols[1:]} == {"doubling"}
+        for i, sol in enumerate(sols):
+            assert same_result(sol, solve_alone(a[i], b[i], q[i], r[i]))
+
+    @pytest.mark.parametrize(
+        "a, b, q, message",
+        [
+            # the rotation block is out of B's reach: the candidate fails its
+            # residual and the PBH test names the mode
+            (
+                [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, -1.0]],
+                [[0.0], [0.0], [1.0]], np.eye(3), "0\\+1j is unreachable",
+            ),
+            # a singular Hamiltonian: the stacked inverse fails, and the
+            # member's own inverse names it
+            (np.diag([0.0, -1.0, -2.0]), [[0.0], [1.0], [1.0]], np.diag([0.0, 1.0, 1.0]),
+             "singular iterate"),
+        ],
+        ids=["axis-mode", "singular-iterate"],
+    )
+    def test_failed_member_leaves_the_others_certified(self, a, b, q, message):
+        rng = np.random.default_rng(2603)
+        stacks = mixed_stack(rng, 3, 1, 5)
+        for x, member in zip(stacks, (a, b, q, [[1.0]])):
+            x[2] = member
+        sols = riccati._solve_care_stack(*stacks)
+        alone = solve_alone(*(x[2] for x in stacks))
+        assert isinstance(alone, NotStabilizableError)
+        assert re.search(message, str(alone))
+        assert same_result(sols[2], alone)
+        for i in (0, 1, 3, 4):
+            assert isinstance(sols[i], riccati.RiccatiSolution)
+            assert same_result(sols[i], solve_alone(*(x[i] for x in stacks)))
+        with pytest.raises(NotStabilizableError, match=message):
+            riccati._solve_care(*(x[2] for x in stacks))
+
+    def test_polished_members_match_their_solves_alone(self, lyap_calls):
+        # at tol = 1e-14 the sweep threshold is below the sign candidate's
+        # round-off, so every member takes the Newton polish on its slice
+        rng = np.random.default_rng(1300)
+        problems = [random_care_problem(rng, 5, 2) for _ in range(4)]
+        stacks = [np.stack(x) for x in zip(*problems)]
+        sols = riccati._solve_care_stack(*stacks, tol=1e-14)
+        assert len(lyap_calls) >= 4
+        for sol, problem in zip(sols, problems):
+            assert same_result(sol, solve_alone(*problem, tol=1e-14))
+
+    @pytest.mark.parametrize("k", [1, 2, 7])
+    def test_norms_are_each_members_own(self, k):
+        # a stacked 1 x 1 product per member (or np.vdot for a stack of one)
+        # sums in np.linalg.norm's order, at any stack size
+        rng = np.random.default_rng(2700 + k)
+        for n in (1, 3, 8, 16, 40):
+            x = rng.standard_normal((k, n, n)) * 10.0 ** rng.uniform(-8, 8, (k, 1, 1))
+            assert riccati._sq_norms(x) == [float(np.vdot(m, m)) for m in x]
+            assert riccati._norms(x) == [float(np.linalg.norm(m)) for m in x]
+
+    def test_sign_members_iterate_as_alone(self):
+        # converged, stopped by a singular iterate and stopped at the cap,
+        # in one stack: each member's sign or error is its own
+        zs = np.stack([
+            np.diag([-2.0, 0.5, 30.0]),
+            np.diag([0.0, 1.0, 2.0]),
+            np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 2.0]]),
+            np.array([[-1.0, 5.0, 0.0], [0.0, 2.0, 1.0], [0.0, 0.0, -0.5]]),
+        ])
+        out = riccati._sign_newton(zs)
+        for z, s in zip(zs, out):
+            try:
+                alone = sign(z)
+            except np.linalg.LinAlgError as exc:
+                assert type(s) is type(exc) and str(s) == str(exc)
+            else:
+                assert s.tobytes() == alone.tobytes()
+        assert [isinstance(s, np.ndarray) for s in out] == [True, False, False, True]
+
+
 class TestCareResidual:
     def test_known_value(self):
         # with P = I, A = [-1], B = Q = R = [1]: 1 + 1 - 1 + 1 = 2
@@ -795,6 +991,11 @@ class TestCareResidual:
         for a, p in [(-1.0, SQRT2 - 1.0), (-2.0, SQRT5 - 2.0)]:
             _, norm = care_residual([[a]], [[1.0]], [[1.0]], [[1.0]], [[p]])
             assert norm <= 1e-12
+
+    def test_overflow_reads_as_inf_without_a_warning(self):
+        # P^T B R^{-1} B^T P = 1e320 overflows; a RuntimeWarning fails the suite
+        res, norm = care_residual([[-1.0]], [[1.0]], [[1.0]], [[1.0]], [[1e160]])
+        assert norm == math.inf and res[0, 0] == math.inf
 
 
 class TestSolveLyapunov:
@@ -977,6 +1178,13 @@ class TestRectangularResidual:
         )
         expected = -(-0.3 - 0.8) - (-0.3 - 0.8) - 2.0 + (0.09 + 0.16)
         np.testing.assert_allclose(res, [[expected]], atol=1e-15)
+
+    def test_overflow_reads_as_inf_without_a_warning(self):
+        # the care_residual case with K = I; a RuntimeWarning fails the suite
+        res, norm = rectangular_riccati_residual(
+            [[-1.0]], [[1.0]], [[1.0]], [[1.0]], [[1.0]], [[1e160]]
+        )
+        assert norm == math.inf and res[0, 0] == math.inf
 
     def test_shape_guard(self):
         k = np.array([[1.0], [1.0]])

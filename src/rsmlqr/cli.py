@@ -33,6 +33,7 @@ one-sided checks were requested and none decided), 1 error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -106,6 +107,12 @@ def _render(value, indent: int) -> str:
     if isinstance(value, str):
         return json.dumps(value)
     if isinstance(value, np.ndarray):
+        if value.ndim == 2 and value.dtype == np.float64 and value.size:
+            # the generic list path's output, one join per row
+            rows = ",\n".join(
+                f"{pad}  [{', '.join(map(_fmt_float, row))}]" for row in value.tolist()
+            )
+            return "[\n" + rows + "\n" + pad + "]"
         value = value.tolist()
     if isinstance(value, (list, tuple)):
         items = list(value)
@@ -571,8 +578,8 @@ def cmd_check(args) -> int:
     for note in report.notes:
         lines.append(f"note: {note}")
     lines.append(f"verdict: {verdict}")
-    sys.stdout.write("\n".join(lines) + "\n")
 
+    # the report first: a report that cannot be written leaves stdout empty
     if args.report is not None:
         timings = None
         if args.timings:
@@ -584,6 +591,7 @@ def cmd_check(args) -> int:
             problem, analysis, tol, requested, x0, verdict, code, timings
         )
         _write_text(args.report, render_json(doc))
+    sys.stdout.write("\n".join(lines) + "\n")
     return code
 
 
@@ -662,7 +670,7 @@ def cmd_search(args) -> int:
         "found_count": len(result.found),
         "found": found_docs,
     }
-    sys.stdout.write(render_json(doc))
+    # the files first: a directory that cannot be written leaves stdout empty
     if args.out is not None:
         out_dir = Path(args.out)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -670,6 +678,7 @@ def cmd_search(args) -> int:
             (out_dir / f"counterexample_{i:03d}.json").write_text(
                 render_json(problem), encoding="utf-8"
             )
+    sys.stdout.write(render_json(doc))
     return _EXIT_OK
 
 
@@ -791,8 +800,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process: parsing leaves it as it is."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     if not hasattr(args, "func"):
         parser.print_help(sys.stderr)

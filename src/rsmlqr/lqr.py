@@ -49,6 +49,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -58,21 +59,26 @@ from .errors import (
     DetectabilityWarning,
     InconsistencyError,
     InvalidArgumentError,
+    InvalidMatrixError,
     NotHurwitzError,
     NotStabilizableError,
     NumericalFailureError,
     RsmLqrError,
 )
 # The pipeline calls private kernels on trusted arrays (the rank tests go
-# straight to _staircase); solve_care, rectangular_riccati_residual,
-# is_controllable, is_observable, compose_cost and require_matrix stay
+# straight to _staircase, the necessary test to _definiteness_stack);
+# solve_care, rectangular_riccati_residual, is_controllable, is_observable,
+# compose_cost, compose_gains, definiteness and require_matrix stay
 # importable from here only because perfbench's tracer wraps them under
-# these names.  The necessary test calls definiteness through this module's
-# name for the same reason: the tracer times it as lqr.definiteness.
+# these names.
 from .matkit import (
+    Definiteness,
     RankTest,
+    _definiteness_stack,
     _pbh_unreachable,
     _staircase,
+    _t,
+    _weight_gate,
     block_diag,
     conform,
     definiteness,
@@ -97,6 +103,7 @@ from .rsm import (
     LinearSystem,
     _compose_cost,
     _integer,
+    _trusted,
     compose_cost,
     compose_gains,
     compose_open_loop,
@@ -260,12 +267,17 @@ def lqr_composite(composite: CompositeSystem, q, r) -> LQRDesign:
     )
 
 
-def _deviation(lhs: np.ndarray, rhs: np.ndarray, tol: float) -> DeviationCheck:
-    diff = float(np.abs(lhs - rhs).max(initial=0.0))
-    scale = 1.0 + max(
-        float(np.abs(lhs).max(initial=0.0)), float(np.abs(rhs).max(initial=0.0))
+def _deviation(lhs: np.ndarray, rhs: np.ndarray, tol: float) -> list[DeviationCheck]:
+    """The ``DeviationCheck`` of each member of two stacks; a maximum over a
+    member is exact, so a member's check does not depend on its stack."""
+    diff = np.abs(lhs - rhs).max(axis=(1, 2), initial=0.0).tolist()
+    peaks = np.maximum(
+        np.abs(lhs).max(axis=(1, 2), initial=0.0), np.abs(rhs).max(axis=(1, 2), initial=0.0)
     )
-    return DeviationCheck(diff, diff / scale, diff <= tol * scale)
+    return [
+        DeviationCheck(d, d / scale, d <= tol * scale)
+        for d, scale in zip(diff, (1.0 + peaks).tolist())
+    ]
 
 
 def check_exact_condition(p_stacked, coupling, p_composite, tol: float = DEFAULT_TOL) -> DeviationCheck:
@@ -279,12 +291,18 @@ def check_exact_condition(p_stacked, coupling, p_composite, tol: float = DEFAULT
         (coupling, "coupling matrix", "s", "c"),
         (p_composite, "composite Riccati solution", "c", "c"),
     )
-    return _exact_check(p_s, kmat, p_c, _require_tol(tol))
+    return _exact_check(p_s[None], kmat[None], p_c[None], _require_tol(tol))[0][0]
 
 
-def _exact_check(p_s, kmat, p_c, tol: float) -> DeviationCheck:
-    """The body of ``check_exact_condition`` on trusted arrays."""
-    return _deviation(p_s @ kmat, kmat @ p_c, tol)
+def _exact_check(p_s, kmat, p_c, tol: float) -> tuple[list[DeviationCheck], np.ndarray]:
+    """The body of ``check_exact_condition`` on stacks of ``k`` trusted
+    arrays: each member's check, and the products ``P_s K`` and ``K P_c``
+    as one stack of ``2k``, which the rectangular residuals reuse."""
+    k = len(p_s)
+    x = np.empty((2 * k,) + kmat.shape[1:])
+    p_k = np.matmul(p_s, kmat, out=x[:k])
+    k_p = np.matmul(kmat, p_c, out=x[k:])
+    return _deviation(p_k, k_p, tol), x
 
 
 def check_necessary_condition(p_stacked, coupling, tol: float = DEFAULT_TOL) -> NecessaryCheck:
@@ -293,13 +311,28 @@ def check_necessary_condition(p_stacked, coupling, tol: float = DEFAULT_TOL) -> 
         (p_stacked, "stacked Riccati solution", "s", "s"),
         (coupling, "coupling matrix", "s", "c"),
     )
-    return _necessary_check(p_s, kmat, _require_tol(tol))
+    return _necessary_alone(p_s @ kmat @ kmat.T, _require_tol(tol))
 
 
-def _necessary_check(p_s, kmat, tol: float) -> NecessaryCheck:
-    """The body of ``check_necessary_condition`` on trusted arrays."""
-    d = definiteness(p_s @ kmat @ kmat.T, tol)
-    return NecessaryCheck(d.symmetric, d.psd, d.min_eigenvalue)
+def _necessary_alone(p_kk: np.ndarray, tol: float) -> NecessaryCheck:
+    """``_necessary_check`` on the stack of one, raising its error."""
+    (check,) = _necessary_check(p_kk[None], tol)
+    if not isinstance(check, NecessaryCheck):
+        raise check
+    return check
+
+
+def _necessary_check(p_kk: np.ndarray, tol: float) -> list[NecessaryCheck | RsmLqrError]:
+    """The body of ``check_necessary_condition`` on a stack of ``P_s K K^T``:
+    each member's check, or the error ``definiteness`` raises for it."""
+    out = []
+    for d in _definiteness_stack(p_kk, tol)[2]:
+        if d is None:
+            d = InvalidMatrixError("definiteness input contains non-finite entries")
+        elif isinstance(d, Definiteness):
+            d = NecessaryCheck(d.symmetric, d.psd, d.min_eigenvalue)
+        out.append(d)
+    return out
 
 
 def check_sufficient_condition(
@@ -328,21 +361,24 @@ def check_sufficient_condition(
     )
     q_c, q_def = require_definite(q_c, "composite state weight")
     require_definite(r_s, "stacked input weight", pd=True)
-    hypothesis = _necessary_check(p_s, kmat, _require_tol(tol))
-    return _sufficient_check(a_s, b_s, kmat, q_c, q_def.pd, hypothesis)
+    hypothesis = _necessary_alone(p_s @ kmat @ kmat.T, _require_tol(tol))
+    return _sufficient_check(
+        a_s @ kmat @ kmat.T, b_s, kmat.T @ a_s @ kmat, q_c, q_def.pd, hypothesis
+    )
 
 
 def _sufficient_check(
-    a_s, b_s, kmat, q_c, q_pd: bool, hypothesis: NecessaryCheck
+    a_kk, b_s, a_c, q_c, q_pd: bool, hypothesis: NecessaryCheck
 ) -> SufficientCheck:
-    """The body of ``check_sufficient_condition`` on trusted arrays,
-    reusing the necessary check already computed for the same ``P_s`` and
-    ``K``; ``q_pd`` is the weight gates' verdict that ``Q_c`` is PD."""
-    ctrb = _staircase(a_s @ kmat @ kmat.T, b_s)
+    """The body of ``check_sufficient_condition`` on trusted arrays
+    ``A_s K K^T``, ``B_s``, ``A_c = K^T A_s K`` and ``Q_c``, reusing the
+    necessary check already computed for the same ``P_s`` and ``K``;
+    ``q_pd`` is the weight gates' verdict that ``Q_c`` is PD."""
+    ctrb = _staircase(a_kk, b_s)
     # the observability matrix of (A_s K K^T, F K^T) is that of (A_c, F)
     # times K^T, so its rank is that of the c x c pair's
-    obsv = _staircase((kmat.T @ a_s @ kmat).T, _weight_factor(q_c, q_pd))
-    obsv = obsv._replace(ok=obsv.rank == a_s.shape[0], required=a_s.shape[0])
+    obsv = _staircase(a_c.T, _weight_factor(q_c, q_pd))
+    obsv = obsv._replace(ok=obsv.rank == a_kk.shape[0], required=a_kk.shape[0])
     return SufficientCheck(
         hypothesis_ok=hypothesis.passes,
         controllability=ctrb,
@@ -368,7 +404,7 @@ def compare_gains(f_direct, f_composed, tol: float = DEFAULT_TOL) -> DeviationCh
     fd, fc = conform(
         (f_direct, "direct gain", "m", "n"), (f_composed, "composed gain", "m", "n")
     )
-    return _deviation(fd, fc, _require_tol(tol))
+    return _deviation(fd[None], fc[None], _require_tol(tol))[0]
 
 
 def design_composition(
@@ -400,7 +436,7 @@ def _composition_design(composite, q_c, r_c, design1, design2, direct) -> Compos
         design1=design1,
         design2=design2,
         direct=direct,
-        F_composed=compose_gains(design1.F, design2.F, composite.coupling),
+        F_composed=block_diag(design1.F, design2.F) @ composite.coupling,
     )
 
 
@@ -423,31 +459,106 @@ def evaluate_composition(
     tol = _require_tol(tol)
     design = design_composition(sys1, sys2, pattern, weights1, weights2)
     # PD weights give a PD Q_c, as _compose_cost records for the direct design
-    return _analyse(design, weights1.q_pd and weights2.q_pd, tol, x0)
+    (analysis,) = _analyse([design], [weights1.q_pd and weights2.q_pd], tol, x0)
+    if isinstance(analysis, RsmLqrError):
+        raise analysis
+    return analysis
 
 
-def _analyse(design: CompositionDesign, q_pd: bool, tol: float, x0=None) -> CompositionAnalysis:
-    """Every check of ``evaluate_composition`` on the designs; ``q_pd`` is
-    the weight gates' verdict that ``Q_c`` is PD."""
-    composite, q_c, r_c = design.composite, design.Q, design.R
-    direct, f_composed = design.direct, design.F_composed
-    a_s, b_s = composite.A_stacked, composite.B_stacked
-    p_stacked = block_diag(design.design1.P, design.design2.P)
-    kmat = composite.coupling
+def _stack(arrays: list[np.ndarray]) -> np.ndarray:
+    """The arrays as one stack: a view of a lone array, else a copy."""
+    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
 
-    exact = _exact_check(p_stacked, kmat, direct.P, tol)
-    necessary = _necessary_check(p_stacked, kmat, tol)
-    sufficient = _sufficient_check(a_s, b_s, kmat, q_c, q_pd, necessary)
-    gains = _deviation(direct.F, f_composed, tol)
-    # the rectangular residuals of X = P_s K and X = K P_c, stacks of one
-    ak, b1, q1, r1 = (a_s @ kmat)[None], b_s[None], q_c[None], r_c[None]
-    rect_stacked = _riccati_residual(ak, b1, q1, r1, (p_stacked @ kmat)[None])[1][0]
-    rect_composite = _riccati_residual(ak, b1, q1, r1, (kmat @ direct.P)[None])[1][0]
 
+def _analyse(
+    designs: list[CompositionDesign], q_pds: list[bool], tol: float, x0=None
+) -> list[CompositionAnalysis | RsmLqrError]:
+    """Every check of ``evaluate_composition`` on each design: its analysis,
+    or the error ``evaluate_composition`` raises for it alone.  ``q_pds[i]``
+    is the weight gates' verdict that design ``i``'s ``Q_c`` is PD; with
+    ``x0`` each report carries the cost gap from ``x0``.
+
+    The designs are grouped by shape ``(s, m, c)``, and each group makes one
+    stacked call for the exact test (``P_s K`` against ``K P_c``), one for
+    the gains and one for both rectangular residuals; the necessary test's
+    eigenvalues are one stacked call per ``s``.  Every reduction is taken
+    per member (maxima, and norms by ``_sq_norms``) and the staircases run
+    per member, so each design gets bit for bit the analysis it gets alone."""
+    rows, necessary = _stacked_checks(designs, tol)
+    out: list = []
+    for design, q_pd, (p_stacked, exact, gains, rect, a_kk), hypothesis in zip(
+        designs, q_pds, rows, necessary
+    ):
+        if not isinstance(hypothesis, NecessaryCheck):
+            out.append(hypothesis)
+            continue
+        try:
+            sufficient = _sufficient_check(
+                a_kk, design.composite.B_stacked, design.composite.A, design.Q, q_pd, hypothesis
+            )
+            out.append(_conclude(
+                design, p_stacked, exact, hypothesis, sufficient, gains, rect, x0
+            ))
+        except RsmLqrError as exc:
+            out.append(exc)
+    return out
+
+
+def _stacked_checks(designs: list[CompositionDesign], tol: float) -> tuple[list, list]:
+    """The stacked calls of ``_analyse``: for each design, ``(P_s, exact,
+    gains, (rect_stacked, rect_composite), A_s K K^T)``, and its necessary
+    check or that check's error.  ``_shape_group`` takes the designs of one
+    shape ``(s, m, c)``, and ``_necessary_check`` the ``P_s K K^T`` of one
+    stacked order ``s``."""
+    rows = _by_key(
+        designs,
+        lambda d: d.composite.B_stacked.shape + (d.composite.n,),
+        lambda members: _shape_group([designs[i] for i in members], tol),
+    )
+    necessary = _by_key(
+        rows,
+        lambda row: row[-1].shape[0],
+        lambda members: _necessary_check(_stack([rows[i][-1] for i in members]), tol),
+    )
+    return [row[:-1] for row in rows], necessary
+
+
+def _shape_group(group: list[CompositionDesign], tol: float) -> list[tuple]:
+    """One stacked call each for the exact test (``P_s K`` against ``K P_c``),
+    the gains and both rectangular residuals of designs of one shape, with
+    ``A_s K K^T`` and ``P_s K K^T``: each member's row for
+    ``_stacked_checks``.  Its stacks, the doubled ones of the residuals too,
+    are freed when it returns, before the staircases run."""
+    k = len(group)
+    kmat = _stack([d.composite.coupling for d in group])
+    p_s = _stack([block_diag(d.design1.P, d.design2.P) for d in group])
+    exact, x = _exact_check(p_s, kmat, _stack([d.direct.P for d in group]), tol)
+    gains = _deviation(
+        _stack([d.direct.F for d in group]), _stack([d.F_composed for d in group]), tol
+    )
+    a_k = _stack([d.composite.A_stacked for d in group]) @ kmat
+    # the rectangular residuals of X = P_s K and X = K P_c in one call
+    twice = [
+        np.concatenate([y, y])
+        for y in (a_k, _stack([d.composite.B_stacked for d in group]),
+                  _stack([d.Q for d in group]), _stack([d.R for d in group]))
+    ]
+    norms = _riccati_residual(*twice, x)[1]
+    kt = _t(kmat)
+    return list(zip(
+        p_s, exact, gains, zip(norms[:k], norms[k:]), a_k @ kt, x[:k] @ kt
+    ))
+
+
+def _conclude(design, p_stacked, exact, necessary, sufficient, gains, rect, x0) -> CompositionAnalysis:
+    """One design's analysis from its checks: the gap from ``x0`` when it
+    is given, then the guards that raise ``InconsistencyError`` when the
+    verdicts contradict each other."""
     gap = None
     if x0 is not None:
         gap = sim.optimality_gap(
-            composite, q_c, r_c, f_composed, direct.solution, x0
+            design.composite, design.Q, design.R, design.F_composed,
+            design.direct.solution, x0,
         )
 
     if sufficient.predicts_compositional and not exact.equivalent:
@@ -468,8 +579,8 @@ def _analyse(design: CompositionDesign, q_pd: bool, tol: float, x0=None) -> Comp
         necessary=necessary,
         sufficient=sufficient,
         gains=gains,
-        rect_residual_stacked=rect_stacked,
-        rect_residual_composite=rect_composite,
+        rect_residual_stacked=rect[0],
+        rect_residual_composite=rect[1],
         gap=gap,
         notes=design.notes,
     )
@@ -535,20 +646,6 @@ class SearchResult:
     skipped: int
 
 
-def _sample_system(rng: np.random.Generator, name: str, n: int, m: int) -> LinearSystem:
-    a = rng.uniform(-2.0, 2.0, size=(n, n))
-    max_re = float(np.linalg.eigvals(a).real.max())
-    if max_re > -0.5:
-        a = a - (max_re + 0.5) * np.eye(n)
-    return LinearSystem(name, a, rng.uniform(-1.0, 1.0, size=(n, m)))
-
-
-def _sample_weights(rng: np.random.Generator, n: int, m: int) -> CostWeights:
-    g = rng.standard_normal((n, n))
-    h = rng.standard_normal((m, m))
-    return CostWeights(g.T @ g + 0.1 * np.eye(n), h.T @ h + 0.1 * np.eye(m))
-
-
 def sample_instance(
     rng: np.random.Generator,
     n_range: tuple[int, int] = SearchConfig.n_range,
@@ -560,31 +657,110 @@ def sample_instance(
     Stability is forced by shifting sampled state matrices left of
     ``Re = -0.5``; weights are Gram matrices plus ``0.1 I`` so they are
     safely definite.  Input entries are drawn from ``uniform(-1, 1)``.
-    Returns ``(sys1, sys2, pattern, weights1, weights2)``.
+    Returns ``(sys1, sys2, pattern, weights1, weights2)``.  It is the chunk
+    of one of the search's sampler.
     """
-    n1 = int(rng.integers(n_range[0], n_range[1] + 1))
-    n2 = int(rng.integers(n_range[0], n_range[1] + 1))
-    m1 = int(rng.integers(m_range[0], m_range[1] + 1))
-    m2 = int(rng.integers(m_range[0], m_range[1] + 1))
-    sys1 = _sample_system(rng, "sub1", n1, m1)
-    sys2 = _sample_system(rng, "sub2", n2, m2)
-    w1 = _sample_weights(rng, n1, m1)
-    w2 = _sample_weights(rng, n2, m2)
-    hi = min(k_range[1], n1, n2)
-    lo = min(k_range[0], hi)
-    k = int(rng.integers(lo, hi + 1))
-    first = rng.choice(n1, size=k, replace=False)
-    second = rng.choice(n2, size=k, replace=False)
-    pattern = CompositionPattern(
-        n1, n2, tuple((int(j), int(kk)) for j, kk in zip(first, second))
+    return _sample_chunk(rng, 1, n_range, m_range, k_range)[0]
+
+
+def _sample_chunk(rng: np.random.Generator, count: int, n_range, m_range, k_range) -> list[tuple]:
+    """``count`` instances of ``sample_instance``, drawn one trial after
+    another in its random order: the sizes, ``A1``, ``B1``, ``A2``, ``B2``,
+    the Gram factors of ``Q1``, ``R1``, ``Q2`` and ``R2``, the number of
+    shared states and the two index choices.  The stability shift, which
+    draws nothing, takes one stacked ``eigvals`` per subsystem order, and
+    the weights pass one stacked weight gate (``matkit._weight_gate``) per
+    order.  A stacked call computes each member as it computes that member
+    alone, so an instance does not depend on ``count``.  The gated weights
+    and the systems, once their stacks are finite and shaped, are built
+    without their gates running again."""
+    drawn, inputs, grams, patterns = [], [], [], []
+    for _ in range(count):
+        n1, n2, m1, m2 = (
+            int(rng.integers(lo, hi + 1)) for lo, hi in (n_range, n_range, m_range, m_range)
+        )
+        for n, m in ((n1, m1), (n2, m2)):
+            drawn.append(rng.uniform(-2.0, 2.0, size=(n, n)))
+            inputs.append(rng.uniform(-1.0, 1.0, size=(n, m)))
+        grams += [rng.standard_normal((d, d)) for d in (n1, m1, n2, m2)]
+        hi = min(k_range[1], n1, n2)
+        lo = min(k_range[0], hi)
+        k = int(rng.integers(lo, hi + 1))
+        first = rng.choice(n1, size=k, replace=False).tolist()
+        second = rng.choice(n2, size=k, replace=False).tolist()
+        patterns.append((n1, n2, tuple(zip(first, second))))
+
+    def gate(members):
+        # the Gram factors alternate between a Q's and an R's
+        g = np.array([grams[i] for i in members])
+        return zip(*_weight_gate(
+            _t(g) @ g + 0.1 * np.eye(g.shape[1]), [_WEIGHT_RULES[i % 2] for i in members]
+        ))
+
+    states = _by_key(
+        drawn, _order, lambda members: _shifted(np.array([drawn[i] for i in members]))
     )
-    return sys1, sys2, pattern, w1, w2
+    weights = _by_key(grams, _order, gate)
+    trusted = min(n_range[0], m_range[0]) >= 1 and np.isfinite(
+        np.concatenate([x.ravel() for x in states + inputs])
+    ).all()
+    system = partial(_trusted, LinearSystem) if trusted else LinearSystem
+    out = []
+    for t, (n1, n2, pairs) in enumerate(patterns):
+        sys1 = system(name="sub1", A=states[2 * t], B=inputs[2 * t])
+        sys2 = system(name="sub2", A=states[2 * t + 1], B=inputs[2 * t + 1])
+        gated = weights[4 * t:4 * t + 4]
+        for _, verdict in gated:
+            if not isinstance(verdict, Definiteness):
+                raise verdict
+        w1, w2 = (
+            _trusted(CostWeights, Q=q, R=r, q_pd=q_verdict.pd)
+            for (q, q_verdict), (r, _) in (gated[:2], gated[2:])
+        )
+        out.append((sys1, sys2, CompositionPattern(n1, n2, pairs), w1, w2))
+    return out
+
+
+def _order(x: np.ndarray) -> int:
+    """The order of a square matrix, the key its stack is grouped by."""
+    return x.shape[0]
+
+
+# the weight gate's rules for a Q and an R: the name an error gives, and PD
+_WEIGHT_RULES = (("state weight Q", False), ("input weight R", True))
+
+
+def _by_key(items: list, key, fn) -> list:
+    """``fn(members)`` on the indices ``members`` of each group of ``items``
+    that share ``key(item)``, a group in the order of its first member; its
+    results, one per member, in the order of ``items``."""
+    groups: dict = {}
+    for i, item in enumerate(items):
+        groups.setdefault(key(item), []).append(i)
+    out: list = [None] * len(items)
+    for members in groups.values():
+        for i, result in zip(members, fn(members)):
+            out[i] = result
+    return out
+
+
+def _shifted(a: np.ndarray) -> np.ndarray:
+    """The stack ``a`` with each member whose spectrum reaches past
+    ``Re = -0.5`` shifted left to it, in place."""
+    max_re = np.linalg.eigvals(a).real.max(axis=1)
+    moved = max_re > -0.5
+    a[moved] -= (max_re[moved] + 0.5)[:, None, None] * np.eye(a.shape[1])
+    return a
 
 
 # Trials drawn, composed and solved together by counterexample_search: large
 # enough that each CARE shape group is a long stack, small enough that a
 # search of any length holds a bounded number of instances.
 _SEARCH_CHUNK = 500
+
+# The errors on which the search skips a sampled trial: a solver
+# precondition that the sampler makes rare.
+_SKIPPED = (NotStabilizableError, NumericalFailureError, NotHurwitzError)
 
 
 def counterexample_search(config: SearchConfig, tol: float = DEFAULT_TOL) -> SearchResult:
@@ -596,54 +772,70 @@ def counterexample_search(config: SearchConfig, tol: float = DEFAULT_TOL) -> Sea
     ``InconsistencyError`` is never swallowed.
 
     Trials run in chunks of ``_SEARCH_CHUNK``, which bounds the memory a
-    long search holds.  A chunk is drawn first, one trial after another,
-    so the random stream does not depend on the chunk size, and each trial
-    is composed once.  Its three CAREs (the two subsystems and the
-    composite) join the chunk's other CAREs of the same shape ``(n, m)``,
-    and each shape group is one stacked solve
-    (``riccati._solve_care_stack``) on a leading batch axis.  Its stacked
-    LAPACK and BLAS calls compute each member as they compute one matrix,
-    and its reductions (norms, the sign step's scale) are taken per member,
-    so every CARE gets bit for bit the solution it gets alone.  A member
-    that fails gets its own error and leaves the rest of its group solved.
-    The trials are then assembled and checked in order, with the
-    detectability note of ``_design`` for each design: a trial is skipped
-    on the first error of design 1, design 2 and the direct design, in that
-    order, as ``evaluate_composition`` would raise it.
+    long search holds, and every stage of a chunk runs on a leading batch
+    axis.  A chunk is drawn one trial after another (``_sample_chunk``), so
+    the random stream does not depend on the chunk size; the stability
+    shifts and the weight gates are stacked per order.  Each trial is
+    composed once.  Its three CAREs (the two subsystems and the composite)
+    join the chunk's other CAREs of the same shape ``(n, m)``, and each
+    shape group is one stacked solve (``riccati._solve_care_stack``).  The
+    checks of the designed trials are stacked per shape too (``_analyse``).
+    Every stacked LAPACK and BLAS call computes each member as it computes
+    one matrix, and every reduction (norms, maxima, the sign step's scale)
+    is taken per member, so each trial gets bit for bit the report
+    ``evaluate_composition`` gives it alone.  A member that fails gets its
+    own error and leaves the rest of its stack as it is.  The trials are
+    then read in order: a trial is skipped on the first error of design 1,
+    design 2, the direct design and the checks, in that order, as
+    ``evaluate_composition`` would raise it, and any other error, such as
+    an ``InconsistencyError``, is raised for the earliest trial that has one.
     """
     tol = _require_tol(tol)
     rng = np.random.default_rng(config.seed)
     found: list[FoundInstance] = []
     skipped = 0
     for start in range(0, config.trials, _SEARCH_CHUNK):
-        trials, cares = [], []
-        for _ in range(min(_SEARCH_CHUNK, config.trials - start)):
-            sys1, sys2, pattern, w1, w2 = sample_instance(
-                rng, config.n_range, config.m_range, config.k_range
-            )
+        instances = _sample_chunk(
+            rng, min(_SEARCH_CHUNK, config.trials - start),
+            config.n_range, config.m_range, config.k_range,
+        )
+        composed, cares = [], []
+        for sys1, sys2, pattern, w1, w2 in instances:
             composite = compose_open_loop(sys1, sys2, pattern)
             q_c, r_c, q_pd = _compose_cost(w1, w2, composite.coupling)
-            trials.append((sys1, sys2, pattern, w1, w2, composite, q_c, r_c, q_pd))
+            composed.append((composite, q_c, r_c, q_pd))
             cares += [
                 (sys1.A, sys1.B, w1.Q, w1.R),
                 (sys2.A, sys2.B, w2.Q, w2.R),
                 (composite.A, composite.B, q_c, r_c),
             ]
         solutions = _solve_by_shape(cares)
-        for offset, (sys1, sys2, pattern, w1, w2, composite, q_c, r_c, q_pd) in enumerate(trials):
+        outcomes: list = []
+        for offset, ((sys1, sys2, _, w1, w2), (composite, q_c, r_c, q_pd)) in enumerate(
+            zip(instances, composed)
+        ):
             sol1, sol2, sol_c = solutions[3 * offset:3 * offset + 3]
             try:
                 design1 = _design(sys1.A, sys1.B, w1.Q, w1.R, sys1.name, w1.q_pd, sol1)
                 design2 = _design(sys2.A, sys2.B, w2.Q, w2.R, sys2.name, w2.q_pd, sol2)
                 direct = _design(composite.A, composite.B, q_c, r_c, "composite", q_pd, sol_c)
-                analysis = _analyse(
-                    _composition_design(composite, q_c, r_c, design1, design2, direct),
-                    q_pd, tol,
-                )
-            except (NotStabilizableError, NumericalFailureError, NotHurwitzError):
+            except RsmLqrError as exc:
+                outcomes.append(exc)
+                continue
+            outcomes.append(_composition_design(composite, q_c, r_c, design1, design2, direct))
+        designed = [i for i, o in enumerate(outcomes) if isinstance(o, CompositionDesign)]
+        analyses = _analyse(
+            [outcomes[i] for i in designed], [composed[i][3] for i in designed], tol
+        )
+        for i, analysis in zip(designed, analyses):
+            outcomes[i] = analysis
+        for offset, ((sys1, sys2, pattern, w1, w2), outcome) in enumerate(zip(instances, outcomes)):
+            if isinstance(outcome, _SKIPPED):
                 skipped += 1
                 continue
-            deviation = analysis.report.exact.deviation
+            if isinstance(outcome, RsmLqrError):
+                raise outcome
+            deviation = outcome.report.exact.deviation
             if deviation > config.deviation_threshold and math.isfinite(deviation):
                 found.append(
                     FoundInstance(
@@ -654,7 +846,7 @@ def counterexample_search(config: SearchConfig, tol: float = DEFAULT_TOL) -> Sea
                         weights1=w1,
                         weights2=w2,
                         deviation=deviation,
-                        report=analysis.report,
+                        report=outcome.report,
                     )
                 )
     return SearchResult(tuple(found), config.trials, skipped)
@@ -663,12 +855,10 @@ def counterexample_search(config: SearchConfig, tol: float = DEFAULT_TOL) -> Sea
 def _solve_by_shape(cares: list[tuple]) -> list[RiccatiSolution | RsmLqrError]:
     """Each ``(A, B, Q, R)`` CARE's solution or error, in order, with one
     stacked solve per shape ``(n, m)``."""
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, care in enumerate(cares):
-        groups.setdefault(care[1].shape, []).append(i)
-    out: list = [None] * len(cares)
-    for members in groups.values():
-        stacks = (np.array([cares[i][j] for i in members]) for j in range(4))
-        for i, sol in zip(members, _solve_care_stack(*stacks)):
-            out[i] = sol
-    return out
+    return _by_key(
+        cares,
+        lambda care: care[1].shape,
+        lambda members: _solve_care_stack(
+            *(np.array([cares[i][j] for i in members]) for j in range(4))
+        ),
+    )

@@ -17,7 +17,8 @@ one-spec contract ``(m, name, "n", "n")``.
 Utilities
 ---------
 Block-diagonal stacking, SVD-based numerical rank, Hurwitz and
-definiteness tests, the weight gate (``require_definite``),
+definiteness tests, the weight gate (``require_definite``, the stack of one
+of ``_weight_gate``),
 positive-semidefinite square-root factors (the package's one symmetric
 eigendecomposition), the PBH test, and controllability/observability rank
 tests.  The rank tests never form the n-by-n*m Kalman matrix, whose columns
@@ -25,7 +26,11 @@ lose rank in floating point from order 40 or so on: they build an
 orthonormal basis of the reachable subspace block by block, Paige's
 orthogonal staircase, in O(n^3).
 Everything works on plain float64 ndarrays, never mutates its inputs, and
-keeps no state.
+keeps no state.  The definiteness kernel (``_definiteness_stack``) takes a
+``(k, n, n)`` stack: its reductions are maxima, which are exact whatever
+their order, and the stacked ``eigvalsh`` computes each member as it
+computes that member alone, so a member's verdict does not depend on its
+stack.
 
 Tolerance conventions
 ---------------------
@@ -152,31 +157,43 @@ def _cut(arr: np.ndarray, tol: float = RTOL) -> float:
     return tol * (1.0 + _max_abs(arr))
 
 
-def _is_symmetric(arr: np.ndarray, cut: float) -> tuple[bool, float]:
-    """Whether ``max|M - M^T| <= cut``, and the asymmetry ``max|M - M^T|``."""
-    asym = _max_abs(arr - arr.T)
-    return asym <= cut, asym
+def _t(x: np.ndarray) -> np.ndarray:
+    """The transpose of each member of a stack."""
+    return x.swapaxes(-1, -2)
+
+
+def _not_symmetric(name: str, asym: float) -> NotSymmetricError:
+    """The package's one ``NotSymmetricError``, naming ``name``."""
+    return NotSymmetricError(
+        f"{name} must be symmetric; max|M - M^T| = {asym:.3e} exceeds "
+        f"{RTOL:.1e} * (1 + max|M|)"
+    )
 
 
 def _require_symmetric(arr: np.ndarray, name: str) -> np.ndarray:
     """``0.5 (M + M^T)`` for a symmetric ``arr``, at the cut ``_cut(arr)``;
-    otherwise the package's one ``NotSymmetricError``, naming ``name``."""
-    symmetric, asym = _is_symmetric(arr, _cut(arr))
-    if not symmetric:
-        raise NotSymmetricError(
-            f"{name} must be symmetric; max|M - M^T| = {asym:.3e} exceeds "
-            f"{RTOL:.1e} * (1 + max|M|)"
-        )
+    otherwise ``_not_symmetric``'s error, naming ``name``."""
+    asym = _max_abs(arr - arr.T)
+    if not asym <= _cut(arr):
+        raise _not_symmetric(name, asym)
     return 0.5 * (arr + arr.T)
 
 
-def _raise_indefinite(name: str, min_eig: float, pd: bool = False):
+def _indefinite(name: str, min_eig: float, pd: bool = False) -> NotPSDError | NotPDError:
     """The package's one ``NotPSDError``, or ``NotPDError`` with ``pd``."""
     error, kind = (NotPDError, "definite") if pd else (NotPSDError, "semidefinite")
-    raise error(
+    return error(
         f"{name} must be positive {kind}; min eigenvalue "
         f"{min_eig:.6e}, cut {RTOL:.1e} * (1 + max|M|)"
     )
+
+
+def _failed(what: str, exc: np.linalg.LinAlgError, error=NumericalFailureError):
+    """The ``error`` that reports the ``LinAlgError`` ``exc`` of ``what``,
+    caused by it."""
+    failure = error(f"{what} failed: {exc}")
+    failure.__cause__ = exc
+    return failure
 
 
 def _lapack(what: str, fn, *args, error=NumericalFailureError, **kwargs):
@@ -184,7 +201,29 @@ def _lapack(what: str, fn, *args, error=NumericalFailureError, **kwargs):
     try:
         return fn(*args, **kwargs)
     except np.linalg.LinAlgError as exc:
-        raise error(f"{what} failed: {exc}") from exc
+        raise _failed(what, exc, error) from exc
+
+
+def _each(fn, x: np.ndarray, shape: tuple[int, ...] | None = None):
+    """``fn`` (a stacked LAPACK call: ``np.linalg.inv``, ``cholesky`` or
+    ``eigvalsh``) on a stack, with each member's ``LinAlgError`` or ``None``.
+    The stacked call raises when any member fails; then each member is
+    computed alone, which gives the same bits, and a failed member's slice
+    of the result is NaN.  ``shape`` is a member's result shape when it is
+    not the member's own."""
+    try:
+        return fn(x), [None] * len(x)
+    except np.linalg.LinAlgError:
+        pass
+    out = np.full((len(x),) + (x.shape[1:] if shape is None else shape), math.nan)
+    errors = []
+    for i, member in enumerate(x):
+        try:
+            out[i] = fn(member)
+            errors.append(None)
+        except np.linalg.LinAlgError as exc:
+            errors.append(exc)
+    return out, errors
 
 
 class Definiteness(NamedTuple):
@@ -246,33 +285,76 @@ def definiteness(m, tol: float = RTOL) -> Definiteness:
 
 
 def _definiteness(arr: np.ndarray, tol: float = RTOL) -> Definiteness:
-    """The body of ``definiteness`` on a square array already coerced."""
-    cut = _cut(arr, tol)
-    symmetric, _ = _is_symmetric(arr, cut)
-    if arr.shape[0] == 0:
-        return Definiteness(symmetric, symmetric, symmetric, 0.0)
-    w = _lapack("eigenvalue computation", np.linalg.eigvalsh, 0.5 * (arr + arr.T))
-    min_eig = float(w[0])
-    return Definiteness(
-        symmetric,
-        symmetric and min_eig >= -cut,
-        symmetric and min_eig > cut,
-        min_eig,
-    )
+    """The body of ``definiteness`` on a square array already coerced: the
+    stack of one of ``_definiteness_stack``."""
+    (d,) = _definiteness_stack(arr[None], tol)[2]
+    if isinstance(d, NumericalFailureError):
+        raise d
+    return d
+
+
+def _definiteness_stack(x: np.ndarray, tol: float = RTOL) -> tuple[np.ndarray, np.ndarray, list]:
+    """``definiteness`` of each member of a ``(k, n, n)`` stack, with
+    ``0.5 (M + M^T)`` and the asymmetry ``max|M - M^T|`` of each member.
+    A member's entry is its ``Definiteness``, ``None`` when it holds a
+    non-finite entry, or the ``NumericalFailureError`` of its eigenvalues."""
+    k, n = x.shape[:2]
+    # a non-finite member's sums and differences may be NaN; it gets no verdict
+    with np.errstate(invalid="ignore"):
+        finite = np.isfinite(x).all(axis=(1, 2))
+        sym = 0.5 * (x + _t(x))
+        asym = np.abs(x - _t(x)).max(axis=(1, 2), initial=0.0)
+        cut = tol * (1.0 + np.abs(x).max(axis=(1, 2), initial=0.0))
+        symmetric, cuts = (asym <= cut).tolist(), cut.tolist()
+    out: list = [None] * k
+    live = list(range(k)) if finite.all() else np.flatnonzero(finite).tolist()
+    if n == 0 or not live:
+        for i in live:
+            out[i] = Definiteness(symmetric[i], symmetric[i], symmetric[i], 0.0)
+        return sym, asym, out
+    w, errors = _each(np.linalg.eigvalsh, sym[live] if len(live) < k else sym, (n,))
+    for i, min_eig, error in zip(live, w[:, 0].tolist(), errors):
+        s, cut = symmetric[i], cuts[i]
+        out[i] = (
+            _failed("eigenvalue computation", error) if error is not None
+            else Definiteness(s, s and min_eig >= -cut, s and min_eig > cut, min_eig)
+        )
+    return sym, asym, out
+
+
+def _weight_gate(x: np.ndarray, rules) -> tuple[np.ndarray, list]:
+    """The weight gate on a ``(k, n, n)`` stack: ``0.5 (M + M^T)`` of each
+    member, and each member's ``Definiteness`` or the error that
+    ``require_definite`` raises for it alone.  ``rules[i]`` is ``(name,
+    pd)``: the name the member's error gives, and whether it must be PD
+    rather than PSD.  The rules are the ones of ``definiteness`` at the cut
+    ``RTOL * (1 + max|M|)``: finite entries, then symmetry, then the
+    eigenvalue verdict."""
+    sym, asym, verdicts = _definiteness_stack(x)
+    out = []
+    for (name, pd), d, a in zip(rules, verdicts, asym.tolist()):
+        if d is None:
+            d = InvalidMatrixError(f"{name} contains non-finite entries")
+        elif isinstance(d, Definiteness):
+            if not d.symmetric:
+                d = _not_symmetric(name, a)
+            elif not (d.pd if pd else d.psd):
+                d = _indefinite(name, d.min_eigenvalue, pd)
+        out.append(d)
+    return sym, out
 
 
 def require_definite(m, name: str, pd: bool = False) -> tuple[np.ndarray, Definiteness]:
     """The weight gate: ``0.5 (M + M^T)`` and the ``definiteness`` verdict
     it decided on, once that finds ``m`` symmetric and PSD (PD with
     ``pd``); otherwise ``NotSymmetricError``, ``NotPSDError`` or
-    ``NotPDError`` naming ``name``."""
+    ``NotPDError`` naming ``name``.  It is ``_weight_gate`` on the stack of
+    one."""
     arr = require_square(m, name)
-    d = _definiteness(arr)
-    if not d.symmetric:
-        _require_symmetric(arr, name)  # raises: the same rule at the same cut
-    if not (d.pd if pd else d.psd):
-        _raise_indefinite(name, d.min_eigenvalue, pd)
-    return 0.5 * (arr + arr.T), d
+    sym, (d,) = _weight_gate(arr[None], [(name, pd)])
+    if not isinstance(d, Definiteness):
+        raise d
+    return sym[0], d
 
 
 def psd_sqrt_factor(m) -> np.ndarray:
@@ -291,7 +373,7 @@ def psd_sqrt_factor(m) -> np.ndarray:
     sym = _require_symmetric(arr, "psd_sqrt_factor input")
     w, v = _lapack("eigendecomposition", np.linalg.eigh, sym)
     if w.size and float(w[0]) < -cut:
-        _raise_indefinite("psd_sqrt_factor input", float(w[0]))
+        raise _indefinite("psd_sqrt_factor input", float(w[0]))
     keep = w > cut
     factor = np.sqrt(w[keep])[:, None] * v[:, keep].T
     err = float(np.linalg.norm(factor.T @ factor - sym))

@@ -166,9 +166,11 @@ from .errors import (
 from .matkit import (
     _EPS,
     RTOL,
+    _each,
     _lapack,
     _pbh_unreachable,
     _require_symmetric,
+    _t,
     conform,
     definiteness,
     is_hurwitz,
@@ -238,11 +240,6 @@ def care_residual(a, b, q, r, p) -> tuple[np.ndarray, float]:
     return res[0], norms[0]
 
 
-def _t(x: np.ndarray) -> np.ndarray:
-    """The transpose of each member of a stack."""
-    return x.swapaxes(-1, -2)
-
-
 def _sq_norms(x: np.ndarray) -> list[float]:
     """``||X_i||_F^2`` of each member as one stacked row-by-column product:
     numpy forms each member's 1 x 1 product with the dot product that
@@ -259,25 +256,6 @@ def _sq_norms(x: np.ndarray) -> list[float]:
 def _norms(x: np.ndarray) -> list[float]:
     """``||X_i||_F`` of each member, exactly ``np.linalg.norm(X_i)``."""
     return [math.sqrt(s) for s in _sq_norms(x)]
-
-
-def _each(fn, x: np.ndarray) -> tuple[np.ndarray, list[np.linalg.LinAlgError | None]]:
-    """``fn`` (``np.linalg.inv`` or ``cholesky``) on a stack, with each
-    member's ``LinAlgError`` or ``None``.  The stacked call raises when any
-    member fails; then each member is factored alone, which gives the same
-    bits, and a failed member's slice of the result is NaN."""
-    try:
-        return fn(x), [None] * len(x)
-    except np.linalg.LinAlgError:
-        pass
-    out, errors = np.full(x.shape, math.nan), []
-    for i, member in enumerate(x):
-        try:
-            out[i] = fn(member)
-            errors.append(None)
-        except np.linalg.LinAlgError as exc:
-            errors.append(exc)
-    return out, errors
 
 
 def _riccati_residual(ak, b, q, r, x) -> tuple[np.ndarray, list[float], np.ndarray]:

@@ -71,9 +71,9 @@ class LinearSystem:
 @dataclass(frozen=True)
 class CostWeights:
     """Quadratic cost pair: ``Q`` symmetric PSD, ``R`` symmetric PD, each
-    stored as ``0.5 (M + M^T)`` by the weight gate ``require_definite``, so
-    exactly symmetric.  ``q_pd`` keeps the gate's verdict that ``Q`` is
-    also PD."""
+    stored as ``0.5 (M + M^T)`` by the weight gate ``require_definite``
+    (for ``lqr``'s sampled weights, its stacked form), so exactly
+    symmetric.  ``q_pd`` keeps the gate's verdict that ``Q`` is also PD."""
 
     Q: np.ndarray
     R: np.ndarray
@@ -86,6 +86,16 @@ class CostWeights:
         object.__setattr__(
             self, "R", require_definite(self.R, "input weight R", pd=True)[0]
         )
+
+
+def _trusted(cls, **fields):
+    """A ``LinearSystem`` or ``CostWeights`` holding ``fields`` as given,
+    without running its gate again: for arrays that a stacked gate has
+    already checked, such as ``lqr``'s sampled trials."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def _integer(value, path: str, error=PatternError) -> int:

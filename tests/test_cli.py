@@ -40,6 +40,13 @@ class TestRenderJson:
         text = render_json({"A": np.array([[1.0, 2.0], [3.0, 4.0]])})
         assert '"A": [\n    [1, 2],\n    [3, 4]\n  ]' in text
 
+    def test_float_arrays_render_as_their_lists(self):
+        # 2-D float arrays render row by row, without the per-entry dispatch
+        for arr in (np.array([[1.0, -0.0, math.inf]]), np.array([[0.1], [math.nan]]),
+                    np.arange(12.0).reshape(3, 4) / 7.0, np.zeros((2, 0))):
+            doc = {"outer": {"A": arr}}
+            assert render_json(doc) == render_json({"outer": {"A": arr.tolist()}})
+
     def test_deterministic(self):
         doc = {"b": [1.5, 2.5], "a": {"nested": True, "x": None}}
         assert render_json(doc) == render_json(doc)
@@ -517,6 +524,15 @@ class TestCheckCommand:
         assert main(["check", COUNTEREXAMPLE, "--checks", "exact,frobnicate"]) == 1
         assert "frobnicate" in capsys.readouterr().err
 
+    def test_unwritable_report_prints_nothing(self, tmp_path, capsys):
+        # the report goes first, so a failed write leaves one error line only
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory", encoding="utf-8")
+        assert main(["check", COUNTEREXAMPLE, "--report", str(blocker / "report.json")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("rsmlqr: error: ") and captured.err.count("\n") == 1
+
     def test_report_is_byte_deterministic(self, tmp_path, capsys):
         first = tmp_path / "r1.json"
         second = tmp_path / "r2.json"
@@ -586,24 +602,28 @@ class TestCheckCommand:
         assert main(["check", COUNTEREXAMPLE, "--x0", "1.0,2.0"]) == 1
         assert "--x0" in capsys.readouterr().err
 
-    # each kernel replaced by one that contradicts the exact test
+    # each kernel replaced by one that contradicts the exact test; the
+    # sufficient check runs per member, the necessary check on a stack
     @pytest.mark.parametrize(
-        "kernel, verdict, problem, message",
+        "kernel, replacement, problem, message",
         [
             ("_sufficient_check",
-             lqr.SufficientCheck(True, *[RankTest(True, 1, 1, 1.0)] * 2), COUNTEREXAMPLE,
+             lambda *args: lqr.SufficientCheck(True, *[RankTest(True, 1, 1, 1.0)] * 2),
+             COUNTEREXAMPLE,
              "sufficient condition predicts equivalent designs but the exact "
              "test measured deviation 1.114379e-01 (relative 7.879851e-02)"),
-            ("_necessary_check", lqr.NecessaryCheck(False, False, -1.0), SYMMETRIC,
+            ("_necessary_check",
+             lambda p_kk, tol: [lqr.NecessaryCheck(False, False, -1.0)] * len(p_kk),
+             SYMMETRIC,
              "exact test passed but the necessary condition failed "
              "(symmetric=False, psd=False, min eigenvalue -1.000000e+00)"),
         ],
         ids=["sufficient-without-exact", "exact-without-necessary"],
     )
     def test_contradicting_verdicts_exit_1(
-        self, kernel, verdict, problem, message, capsys, monkeypatch
+        self, kernel, replacement, problem, message, capsys, monkeypatch
     ):
-        monkeypatch.setattr(lqr, kernel, lambda *args: verdict)
+        monkeypatch.setattr(lqr, kernel, replacement)
         assert main(["check", problem]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -729,6 +749,15 @@ class TestSearchCommand:
         if files:
             replay = parse_problem(str(files[0]))
             assert replay.pattern.k_shared == doc["found"][0]["shared"]
+
+    def test_unwritable_out_prints_nothing(self, tmp_path, capsys):
+        # the problem files go first, so a failed write leaves one error line
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory", encoding="utf-8")
+        assert main(["search", "--trials", "3", "--out", str(blocker / "found")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("rsmlqr: error: ") and captured.err.count("\n") == 1
 
     def test_deterministic_output(self, capsys):
         args = ["search", "--trials", "40", "--seed", "11"]

@@ -11,6 +11,7 @@ from rsmlqr.errors import (
     NotPSDError,
     NotStabilizableError,
     NotSymmetricError,
+    NumericalFailureError,
     ShapeError,
 )
 from rsmlqr.lqr import (
@@ -25,7 +26,7 @@ from rsmlqr.lqr import (
     lqr_subsystem,
     sample_instance,
 )
-from rsmlqr.matkit import is_hurwitz
+from rsmlqr.matkit import RankTest, is_hurwitz
 from rsmlqr.riccati import rectangular_riccati_residual
 from rsmlqr.rsm import (
     CompositionPattern,
@@ -34,6 +35,8 @@ from rsmlqr.rsm import (
     compose_cost,
     compose_open_loop,
 )
+
+from numpy_oracles import block_diag, sample_system, sample_weights
 
 SQRT2 = math.sqrt(2.0)
 SQRT5 = math.sqrt(5.0)
@@ -748,6 +751,78 @@ class TestCounterexampleSearch:
         assert len(signs) == len(groups) and sum(signs) == 150
         assert result.trials == 50 and result.found
 
+    def test_one_stacked_eigvalsh_per_weight_order_and_per_s(self, monkeypatch):
+        # a 50-trial search gates its 200 weights with one eigvalsh per
+        # weight order, then tests its necessary conditions with one eigvalsh
+        # per stacked order s
+        config = SearchConfig(trials=50, seed=7)
+        rng = np.random.default_rng(config.seed)
+        instances = [
+            sample_instance(rng, config.n_range, config.m_range, config.k_range)
+            for _ in range(config.trials)
+        ]
+        orders = {n for sys1, sys2, *_ in instances for n in (sys1.n, sys2.n, sys1.m, sys2.m)}
+        stacked = {sys1.n + sys2.n for sys1, sys2, *_ in instances}
+        calls, eigvalsh = [], np.linalg.eigvalsh
+
+        def counting(x):
+            calls.append(x.shape)
+            return eigvalsh(x)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        result = counterexample_search(config)
+        assert result.skipped == 0
+        gates, necessary = calls[:len(orders)], calls[len(orders):]
+        assert sorted(shape[1] for shape in gates) == sorted(orders)
+        assert sum(shape[0] for shape in gates) == 4 * config.trials
+        assert sorted(shape[1] for shape in necessary) == sorted(stacked)
+        assert sum(shape[0] for shape in necessary) == config.trials
+
+    def test_member_errors_stay_with_their_trials(self, monkeypatch):
+        # the checks of a chunk run stacked, but a staircase that raises for
+        # one trial skips that trial alone, and the rest keep their reports
+        config = SearchConfig(trials=40, seed=2, deviation_threshold=-math.inf)
+        whole = counterexample_search(config)
+        assert whole.skipped == 0 and len(whole.found) == config.trials
+        target = whole.found[5]
+        b_stacked = block_diag(target.system1.B, target.system2.B)
+        staircase = lqr._staircase
+
+        def failing(a, b):
+            if b.shape == b_stacked.shape and np.array_equal(b, b_stacked):
+                raise NumericalFailureError("SVD failed: injected")
+            return staircase(a, b)
+
+        monkeypatch.setattr(lqr, "_staircase", failing)
+        result = counterexample_search(config)
+        assert result.skipped == 1
+        rest = [inst for inst in whole.found if inst.trial != 5]
+        assert [inst.trial for inst in result.found] == [inst.trial for inst in rest]
+        for got, want in zip(result.found, rest):
+            assert repr(got.report) == repr(want.report)
+
+    def test_earliest_inconsistency_is_raised(self, monkeypatch):
+        # two trials whose sufficient check contradicts their exact test:
+        # the search raises the earlier trial's error
+        config = SearchConfig(trials=40, seed=2, deviation_threshold=-math.inf)
+        differing = [
+            inst for inst in counterexample_search(config).found
+            if not inst.report.exact.equivalent
+        ]
+        early, late = differing[3], differing[-1]
+        assert f"{early.deviation:.6e}" != f"{late.deviation:.6e}"
+        targets = [block_diag(inst.system1.B, inst.system2.B) for inst in (late, early)]
+        sufficient = lqr._sufficient_check
+
+        def contradicting(a_kk, b_s, *args):
+            if any(b_s.shape == t.shape and np.array_equal(b_s, t) for t in targets):
+                return lqr.SufficientCheck(True, *[RankTest(True, 1, 1, 1.0)] * 2)
+            return sufficient(a_kk, b_s, *args)
+
+        monkeypatch.setattr(lqr, "_sufficient_check", contradicting)
+        with pytest.raises(InconsistencyError, match=f"deviation {early.deviation:.6e} "):
+            counterexample_search(config)
+
     def test_chunks_keep_the_random_stream(self, monkeypatch):
         # trials drawn chunk by chunk are the trials drawn one at a time
         config = SearchConfig(trials=7, seed=3)
@@ -761,15 +836,15 @@ class TestCounterexampleSearch:
             assert a.report.rect_residual_composite == b.report.rect_residual_composite
 
     def test_failed_trial_is_skipped(self, monkeypatch):
-        # the search checks each trial's designs through _analyse, in order
+        # the search checks its trials' designs through _analyse, in order,
+        # and reads each member's analysis or error
         evaluate = lqr._analyse
-        calls = []
 
-        def failing_every_third(*args):
-            calls.append(len(calls))
-            if calls[-1] % 3 == 0:
-                raise NotStabilizableError("no stabilizing solution")
-            return evaluate(*args)
+        def failing_every_third(designs, *args):
+            return [
+                NotStabilizableError("no stabilizing solution") if i % 3 == 0 else analysis
+                for i, analysis in enumerate(evaluate(designs, *args))
+            ]
 
         monkeypatch.setattr(lqr, "_analyse", failing_every_third)
         result = counterexample_search(SearchConfig(trials=9, seed=4))
@@ -777,12 +852,73 @@ class TestCounterexampleSearch:
         assert all(inst.trial % 3 for inst in result.found)
 
     def test_inconsistency_propagates(self, monkeypatch):
-        def inconsistent(*args):
-            raise InconsistencyError("verdicts disagree")
+        def inconsistent(designs, *args):
+            return [InconsistencyError("verdicts disagree")] * len(designs)
 
         monkeypatch.setattr(lqr, "_analyse", inconsistent)
         with pytest.raises(InconsistencyError):
             counterexample_search(SearchConfig(trials=3, seed=4))
+
+
+def reference_instance(rng, n_range, m_range, k_range):
+    """The arrays and pairs of ``sample_instance``, drawn and shifted one
+    matrix at a time, as a loop over the random stream."""
+    n1, n2 = (int(rng.integers(n_range[0], n_range[1] + 1)) for _ in range(2))
+    m1, m2 = (int(rng.integers(m_range[0], m_range[1] + 1)) for _ in range(2))
+    systems = [sample_system(rng, n, m) for n, m in ((n1, m1), (n2, m2))]
+    weights = [sample_weights(rng, n, m) for n, m in ((n1, m1), (n2, m2))]
+    hi = min(k_range[1], n1, n2)
+    k = int(rng.integers(min(k_range[0], hi), hi + 1))
+    first = rng.choice(n1, size=k, replace=False).tolist()
+    second = rng.choice(n2, size=k, replace=False).tolist()
+    return [*systems[0], *systems[1], *weights[0], *weights[1]], tuple(zip(first, second))
+
+
+class TestSearchParity:
+    """``counterexample_search`` runs each stage of a chunk on the batch
+    axis: the draws' shifts and weight gates, the CAREs and the checks.
+    Each stacked call must compute a trial as it computes that trial alone."""
+
+    RANGES = ((1, 5), (1, 3), (0, 3))
+
+    def test_every_trial_reports_as_alone(self, monkeypatch):
+        # chunks of 37 put trials on both sides of two chunk boundaries
+        monkeypatch.setattr(lqr, "_SEARCH_CHUNK", 37)
+        n_range, m_range, k_range = self.RANGES
+        config = SearchConfig(
+            n_range=n_range, m_range=m_range, k_range=k_range,
+            trials=100, seed=11, deviation_threshold=-math.inf,
+        )
+        result = counterexample_search(config)
+        assert result.skipped == 0 and len(result.found) == config.trials
+        rng = np.random.default_rng(config.seed)
+        for inst in result.found:
+            sys1, sys2, pattern, w1, w2 = sample_instance(rng, *self.RANGES)
+            for got, want in ((inst.system1.A, sys1.A), (inst.system2.B, sys2.B),
+                              (inst.weights1.Q, w1.Q), (inst.weights2.R, w2.R)):
+                np.testing.assert_array_equal(got, want)
+            alone = evaluate_composition(sys1, sys2, pattern, w1, w2).report
+            assert repr(inst.report) == repr(alone), inst.trial
+
+    def test_sample_instance_is_the_chunk_of_one(self):
+        # the chunk's stacked shifts and gates give each trial the arrays
+        # that one trial at a time gives, and use the same random stream
+        chunk_rng, alone_rng, loop_rng = (np.random.default_rng(5) for _ in range(3))
+        chunk = lqr._sample_chunk(chunk_rng, 60, *self.RANGES)
+        def arrays(sys1, sys2, pattern, w1, w2):
+            return [sys1.A, sys1.B, sys2.A, sys2.B, w1.Q, w1.R, w2.Q, w2.R]
+
+        for instance in chunk:
+            alone = sample_instance(alone_rng, *self.RANGES)
+            loop, pairs = reference_instance(loop_rng, *self.RANGES)
+            for got, want, reference in zip(arrays(*instance), arrays(*alone), loop):
+                np.testing.assert_array_equal(got, want)
+                np.testing.assert_array_equal(got, reference)
+            assert instance[2] == alone[2] and instance[2].pairs == pairs
+            assert instance[3].q_pd and instance[4].q_pd
+            assert (alone[3].q_pd, alone[4].q_pd) == (True, True)
+        assert chunk_rng.bit_generator.state == alone_rng.bit_generator.state
+        assert chunk_rng.bit_generator.state == loop_rng.bit_generator.state
 
 
 BAD_TOLERANCES = [math.inf, math.nan, 0.0, -1e-8]

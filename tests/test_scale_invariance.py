@@ -10,8 +10,10 @@ import warnings
 import numpy as np
 import pytest
 
-from rsmlqr.lqr import _sample_system, _sample_weights, evaluate_composition
-from rsmlqr.rsm import CompositionPattern, CostWeights
+from rsmlqr.lqr import evaluate_composition
+from rsmlqr.rsm import CompositionPattern, CostWeights, LinearSystem
+
+from numpy_oracles import sample_system, sample_weights
 
 SCALES = (1e-3, 1.0, 1e3, 1e6, 1e8)
 
@@ -22,8 +24,8 @@ def twins(count=60, seed=3):
     for _ in range(count):
         n = int(rng.integers(2, 5))
         m = int(rng.integers(1, 3))
-        system = _sample_system(rng, "twin", n, m)
-        weights = _sample_weights(rng, n, m)
+        system = LinearSystem("twin", *sample_system(rng, n, m))
+        weights = CostWeights(*sample_weights(rng, n, m))
         pattern = CompositionPattern(n, n, tuple((i, i) for i in range(n)))
         yield system, system, pattern, weights, weights
 
@@ -34,10 +36,10 @@ def partial_pairs(count=60, seed=4):
     for _ in range(count):
         n1, n2 = (int(n) for n in rng.integers(2, 5, size=2))
         m1, m2 = (int(m) for m in rng.integers(1, 3, size=2))
-        sys1 = _sample_system(rng, "sub1", n1, m1)
-        sys2 = _sample_system(rng, "sub2", n2, m2)
-        w1 = _sample_weights(rng, n1, m1)
-        w2 = _sample_weights(rng, n2, m2)
+        sys1 = LinearSystem("sub1", *sample_system(rng, n1, m1))
+        sys2 = LinearSystem("sub2", *sample_system(rng, n2, m2))
+        w1 = CostWeights(*sample_weights(rng, n1, m1))
+        w2 = CostWeights(*sample_weights(rng, n2, m2))
         k = int(rng.integers(1, min(n1, n2)))
         first = rng.choice(n1, size=k, replace=False).tolist()
         second = rng.choice(n2, size=k, replace=False).tolist()

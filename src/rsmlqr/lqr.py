@@ -42,6 +42,24 @@ The three verdicts must be mutually consistent (sufficient-pass implies
 exact, exact implies necessary-pass); a violation raises
 ``InconsistencyError`` rather than producing a quietly contradictory
 report.
+
+The direct design of a compositional instance is certified, not solved.
+``X = P_s K`` always solves the rectangular Riccati equation (its residual
+is ``K^T Res_s(P_s) K + K^T Q_s K - Q_c = 0``), and ``X = K P`` solves it
+if and only if ``P`` solves the composite CARE.  ``K`` has one 1 per row,
+so ``K^T K`` is diagonal, 1 at an unshared composite state and 2 at a
+shared one, and when ``P_s K = K P`` holds at all it holds for
+``P = (K^T K)^{-1} K^T P_s K``: that candidate then solves the composite
+CARE.  ``design_composition`` forms it, screens it (the rows of ``P_s K``
+at each junction agree to ``RTOL``) and certifies it with the CARE's own
+certificate: the residual after the polish, ``P`` PSD and a Hurwitz closed
+loop.  That certificate is the licence.  A stabilizing solution is unique,
+so a certified candidate is the composite's solution whether or not
+``(A_c, sqrt(Q_c))`` is detectable, and the direct design takes it with
+``method = "composed"``.  Only a candidate that fails the screen or the
+certificate leaves the composite CARE to its solver.  The screen decides
+no verdict: the exact test still compares ``P_s K`` with ``K P_c`` at
+``tol``.  At ``k = 0`` the candidate is ``blockdiag(P1, P2)`` bit for bit.
 """
 
 from __future__ import annotations
@@ -72,6 +90,7 @@ from .errors import (
 # importable from here only because perfbench's tracer wraps them under
 # these names.
 from .matkit import (
+    RTOL,
     Definiteness,
     RankTest,
     _definiteness_stack,
@@ -90,6 +109,7 @@ from .matkit import (
 )
 from .riccati import (
     RiccatiSolution,
+    _certify_candidates,
     _riccati_residual,
     _solve_care,
     _solve_care_stack,
@@ -418,13 +438,62 @@ def design_composition(
     one, and push the subsystem gains through the coupling; no check runs.
     The subsystem designs come first, so the pairing rule rejects a weight
     of the wrong size before it enters the composite cost.  The direct
-    design trusts the composite weights, and ``Q_c`` as PD when both ``Q``s are."""
+    design trusts the composite weights, and ``Q_c`` as PD when both ``Q``s are.
+
+    The direct design first tries the candidate ``P_c = (K^T K)^{-1} K^T
+    P_s K`` formed from the subsystem designs (``_composed_solutions``): a
+    screen of its junction rows, then the CARE's own certificate.  Neither
+    is a compositionality check: the screen's cut is ``RTOL`` and reads no
+    tolerance, and a candidate that fails either leaves the composite CARE
+    to its solver, as before."""
     composite = compose_open_loop(sys1, sys2, pattern)
     design1 = lqr_subsystem(sys1, weights1)
     design2 = lqr_subsystem(sys2, weights2)
     q_c, r_c, q_pd = _compose_cost(weights1, weights2, composite.coupling)
-    direct = _design(composite.A, composite.B, q_c, r_c, "composite", q_pd)
+    (solution,) = _composed_solutions([(composite, q_c, r_c, design1, design2)])
+    direct = _design(composite.A, composite.B, q_c, r_c, "composite", q_pd, solution)
     return _composition_design(composite, q_c, r_c, design1, design2, direct)
+
+
+def _composed_solutions(members: list[tuple]) -> list[RiccatiSolution | None]:
+    """For each ``(composite, Q_c, R_c, design1, design2)``, the composite
+    CARE's solution certified from the subsystem designs, or ``None`` when
+    the composite CARE must be solved.  The members are grouped by shape
+    ``(s, m, c)``, one stacked candidate, screen and certificate each
+    (``_composed_group``), so a member gets bit for bit what it gets alone."""
+    return _by_key(
+        members,
+        lambda member: member[0].B_stacked.shape + (member[0].n,),
+        lambda group: _composed_group([members[i] for i in group]),
+    )
+
+
+def _composed_group(group: list[tuple]) -> list[RiccatiSolution | None]:
+    """``_composed_solutions`` on members of one shape.
+
+    With ``X = P_s K``, the candidate is ``P = (K^T K)^{-1} K^T X``,
+    symmetrized; ``K^T K`` is diagonal with entries 1 and 2.  The screen
+    asks ``max|X - K P| <= RTOL (1 + max|X|)``: the stacked rows of ``X``
+    at each junction agree.  A member that passes is certified by
+    ``riccati._certify_candidates`` (residual, polish, PSD and Hurwitz), so
+    a member that fails the screen never reaches the polish."""
+    kmat = _stack([member[0].coupling for member in group])
+    x = _stack([block_diag(d1.P, d2.P) for *_, d1, d2 in group]) @ kmat
+    p = (_t(kmat) @ x) / kmat.sum(axis=1)[:, :, None]
+    p = 0.5 * (p + _t(p))
+    misfit = np.abs(x - kmat @ p).max(axis=(1, 2), initial=0.0).tolist()
+    peaks = np.abs(x).max(axis=(1, 2), initial=0.0).tolist()
+    screened = [i for i, (d, peak) in enumerate(zip(misfit, peaks)) if d <= RTOL * (1.0 + peak)]
+    out: list = [None] * len(group)
+    if screened:
+        composites, q_c, r_c = zip(*(group[i][:3] for i in screened))
+        sols = _certify_candidates(
+            _stack([c.A for c in composites]), _stack([c.B for c in composites]),
+            _stack(q_c), _stack(r_c), p[screened], "composed",
+        )
+        for i, sol in zip(screened, sols):
+            out[i] = sol
+    return out
 
 
 def _composition_design(composite, q_c, r_c, design1, design2, direct) -> CompositionDesign:
@@ -587,6 +656,30 @@ def _conclude(design, p_stacked, exact, necessary, sufficient, gains, rect, x0) 
     return CompositionAnalysis(**vars(design), P_stacked=p_stacked, report=report)
 
 
+# The least value at which each sampler range may start: a subsystem has a
+# state and an input, and it may share no state.
+_RANGE_FLOORS = {"n_range": 1, "m_range": 1, "k_range": 0}
+
+
+def _require_range(value, name: str) -> tuple[int, int]:
+    """``value`` as the integer pair ``(lo, hi)`` of the sampler range
+    ``name``, with ``_RANGE_FLOORS[name] <= lo <= hi``; else
+    ``InvalidArgumentError`` naming the range."""
+    try:
+        lo, hi = value
+    except (TypeError, ValueError):
+        raise InvalidArgumentError(f"{name} must be a pair (lo, hi)") from None
+    lo = _integer(lo, f"{name}[0]", InvalidArgumentError)
+    hi = _integer(hi, f"{name}[1]", InvalidArgumentError)
+    if lo > hi:
+        raise InvalidArgumentError(f"{name} has lo > hi: ({lo}, {hi})")
+    if lo < _RANGE_FLOORS[name]:
+        raise InvalidArgumentError(
+            f"{name} must start at {_RANGE_FLOORS[name]} or more, got ({lo}, {hi})"
+        )
+    return lo, hi
+
+
 @dataclass(frozen=True)
 class SearchConfig:
     """Random search over composition instances for non-compositional ones."""
@@ -599,18 +692,8 @@ class SearchConfig:
     deviation_threshold: float = 1e-2
 
     def __post_init__(self):
-        for name in ("n_range", "m_range", "k_range"):
-            try:
-                lo, hi = getattr(self, name)
-            except (TypeError, ValueError):
-                raise InvalidArgumentError(f"{name} must be a pair (lo, hi)") from None
-            lo = _integer(lo, f"{name}[0]", InvalidArgumentError)
-            hi = _integer(hi, f"{name}[1]", InvalidArgumentError)
-            if lo > hi:
-                raise InvalidArgumentError(f"{name} has lo > hi: ({lo}, {hi})")
-            object.__setattr__(self, name, (lo, hi))
-        if self.n_range[0] < 1 or self.m_range[0] < 1 or self.k_range[0] < 0:
-            raise InvalidArgumentError("dimension ranges out of bounds")
+        for name in _RANGE_FLOORS:
+            object.__setattr__(self, name, _require_range(getattr(self, name), name))
         for name in ("trials", "seed"):
             value = _integer(getattr(self, name), name, InvalidArgumentError)
             if value < 0:
@@ -658,9 +741,14 @@ def sample_instance(
     ``Re = -0.5``; weights are Gram matrices plus ``0.1 I`` so they are
     safely definite.  Input entries are drawn from ``uniform(-1, 1)``.
     Returns ``(sys1, sys2, pattern, weights1, weights2)``.  It is the chunk
-    of one of the search's sampler.
+    of one of the search's sampler.  The ranges follow ``SearchConfig``'s
+    rules, else ``InvalidArgumentError`` names the range.
     """
-    return _sample_chunk(rng, 1, n_range, m_range, k_range)[0]
+    ranges = (
+        _require_range(value, name)
+        for value, name in zip((n_range, m_range, k_range), _RANGE_FLOORS)
+    )
+    return _sample_chunk(rng, 1, *ranges)[0]
 
 
 def _sample_chunk(rng: np.random.Generator, count: int, n_range, m_range, k_range) -> list[tuple]:
@@ -671,9 +759,10 @@ def _sample_chunk(rng: np.random.Generator, count: int, n_range, m_range, k_rang
     draws nothing, takes one stacked ``eigvals`` per subsystem order, and
     the weights pass one stacked weight gate (``matkit._weight_gate``) per
     order.  A stacked call computes each member as it computes that member
-    alone, so an instance does not depend on ``count``.  The gated weights
-    and the systems, once their stacks are finite and shaped, are built
-    without their gates running again."""
+    alone, so an instance does not depend on ``count``.  The ranges have
+    passed ``_require_range``, so every system has a state and an input;
+    the gated weights, and the systems once their stacks are finite, are
+    built without their gates running again."""
     drawn, inputs, grams, patterns = [], [], [], []
     for _ in range(count):
         n1, n2, m1, m2 = (
@@ -701,9 +790,7 @@ def _sample_chunk(rng: np.random.Generator, count: int, n_range, m_range, k_rang
         drawn, _order, lambda members: _shifted(np.array([drawn[i] for i in members]))
     )
     weights = _by_key(grams, _order, gate)
-    trusted = min(n_range[0], m_range[0]) >= 1 and np.isfinite(
-        np.concatenate([x.ravel() for x in states + inputs])
-    ).all()
+    trusted = np.isfinite(np.concatenate([x.ravel() for x in states + inputs])).all()
     system = partial(_trusted, LinearSystem) if trusted else LinearSystem
     out = []
     for t, (n1, n2, pairs) in enumerate(patterns):
@@ -776,10 +863,13 @@ def counterexample_search(config: SearchConfig, tol: float = DEFAULT_TOL) -> Sea
     axis.  A chunk is drawn one trial after another (``_sample_chunk``), so
     the random stream does not depend on the chunk size; the stability
     shifts and the weight gates are stacked per order.  Each trial is
-    composed once.  Its three CAREs (the two subsystems and the composite)
-    join the chunk's other CAREs of the same shape ``(n, m)``, and each
-    shape group is one stacked solve (``riccati._solve_care_stack``).  The
-    checks of the designed trials are stacked per shape too (``_analyse``).
+    composed once.  The CAREs are solved in two rounds, each one stacked
+    solve (``riccati._solve_care_stack``) per shape ``(n, m)``: first the
+    subsystems', then the composite CAREs of the trials whose two designs
+    succeeded and whose composed candidate was not certified
+    (``_composed_solutions``, stacked per shape ``(s, m, c)``), as
+    ``design_composition`` solves them.  The checks of the designed trials
+    are stacked per shape too (``_analyse``).
     Every stacked LAPACK and BLAS call computes each member as it computes
     one matrix, and every reduction (norms, maxima, the sign step's scale)
     is taken per member, so each trial gets bit for bit the report
@@ -804,25 +894,33 @@ def counterexample_search(config: SearchConfig, tol: float = DEFAULT_TOL) -> Sea
             composite = compose_open_loop(sys1, sys2, pattern)
             q_c, r_c, q_pd = _compose_cost(w1, w2, composite.coupling)
             composed.append((composite, q_c, r_c, q_pd))
-            cares += [
-                (sys1.A, sys1.B, w1.Q, w1.R),
-                (sys2.A, sys2.B, w2.Q, w2.R),
-                (composite.A, composite.B, q_c, r_c),
-            ]
+            cares += [(sys1.A, sys1.B, w1.Q, w1.R), (sys2.A, sys2.B, w2.Q, w2.R)]
         solutions = _solve_by_shape(cares)
         outcomes: list = []
-        for offset, ((sys1, sys2, _, w1, w2), (composite, q_c, r_c, q_pd)) in enumerate(
-            zip(instances, composed)
-        ):
-            sol1, sol2, sol_c = solutions[3 * offset:3 * offset + 3]
+        for offset, (sys1, sys2, _, w1, w2) in enumerate(instances):
+            sol1, sol2 = solutions[2 * offset:2 * offset + 2]
             try:
-                design1 = _design(sys1.A, sys1.B, w1.Q, w1.R, sys1.name, w1.q_pd, sol1)
-                design2 = _design(sys2.A, sys2.B, w2.Q, w2.R, sys2.name, w2.q_pd, sol2)
-                direct = _design(composite.A, composite.B, q_c, r_c, "composite", q_pd, sol_c)
+                outcomes.append((
+                    _design(sys1.A, sys1.B, w1.Q, w1.R, sys1.name, w1.q_pd, sol1),
+                    _design(sys2.A, sys2.B, w2.Q, w2.R, sys2.name, w2.q_pd, sol2),
+                ))
             except RsmLqrError as exc:
                 outcomes.append(exc)
+        pending = [i for i, o in enumerate(outcomes) if isinstance(o, tuple)]
+        members = [composed[i][:3] + outcomes[i] for i in pending]
+        composite_sols = _composed_solutions(members)
+        unsolved = [j for j, sol in enumerate(composite_sols) if sol is None]
+        cares = [(c.A, c.B, q_c, r_c) for c, q_c, r_c, *_ in (members[j] for j in unsolved)]
+        for j, sol in zip(unsolved, _solve_by_shape(cares)):
+            composite_sols[j] = sol
+        for i, sol_c in zip(pending, composite_sols):
+            composite, q_c, r_c, q_pd = composed[i]
+            try:
+                direct = _design(composite.A, composite.B, q_c, r_c, "composite", q_pd, sol_c)
+            except RsmLqrError as exc:
+                outcomes[i] = exc
                 continue
-            outcomes.append(_composition_design(composite, q_c, r_c, design1, design2, direct))
+            outcomes[i] = _composition_design(composite, q_c, r_c, *outcomes[i], direct)
         designed = [i for i, o in enumerate(outcomes) if isinstance(o, CompositionDesign)]
         analyses = _analyse(
             [outcomes[i] for i in designed], [composed[i][3] for i in designed], tol

@@ -129,7 +129,9 @@ it gets alone, at any BLAS thread count:
 ``lstsq`` has no stacked form, so the read-out loops over members.  The
 Newton polish and the eigenvalue tests, which few members need, run on a
 member's own slice, and from ``_SDA_MIN_ORDER`` on the doubling runs
-member by member before one stacked certificate.  A stacked ``inv`` or
+member by member before one stacked certificate.  ``_certify_candidates``
+runs that certificate on candidates the caller formed, as ``lqr`` does for
+a composite CARE from its subsystems' solutions.  A stacked ``inv`` or
 ``cholesky`` fails as a whole when one member fails; it is then retried
 member by member, which names the member.  A member that fails gets its
 own error object, the one ``_solve_care`` raises for it alone, and the
@@ -194,8 +196,11 @@ _SDA_MAX_ITER = 60
 class RiccatiSolution:
     """Stabilizing Riccati solution with its accuracy certificate and the
     certified gain ``F = -R^{-1} B^T P``, whose closed loop
-    ``A_cl = A + B F`` is Hurwitz.  ``method`` names the kernel whose
-    candidate was certified: ``"doubling"`` or ``"sign"``.
+    ``A_cl = A + B F`` is Hurwitz.  ``method`` names where the certified
+    candidate came from: the kernel, ``"doubling"`` or ``"sign"``, or
+    ``"composed"`` for a composite CARE whose solution ``lqr`` formed from
+    the two subsystem solutions (``(K^T K)^{-1} K^T P_s K``) and certified
+    here, so that no kernel ran.
 
     ``stabilizing`` is the Hurwitz certificate's verdict.
     ``closed_loop_max_re``, the largest real part of an eigenvalue of
@@ -541,8 +546,7 @@ def _solve_care_stack(a, b, q, r, tol: float = RTOL) -> list[RiccatiSolution | R
     # a G or a norm past the float range reads as inf or NaN and fails the
     # test of h2 below
     with np.errstate(over="ignore", invalid="ignore"):
-        g = b @ np.linalg.solve(r, _t(b))
-        g = 0.5 * (g + _t(g))
+        g = _input_gram(b, r)
         q_norms, g_norms, a_sq = _norms(q), _norms(g), _sq_norms(a)
     # Both kernels read a scale off ||H||, which an unbalanced pair of
     # off-diagonal blocks inflates far past the spectrum.  With
@@ -602,6 +606,27 @@ def _solve_care_stack(a, b, q, r, tol: float = RTOL) -> list[RiccatiSolution | R
     for i, sol in zip(ready, _certified(a[sel], b[sel], q[sel], r[sel], g[sel], p, tol, "sign")):
         out[i] = _certificate_failure(a[i], b[i], sol) if isinstance(sol, str) else sol
     return out
+
+
+def _input_gram(b, r) -> np.ndarray:
+    """``G = B R^{-1} B^T`` of each member, exactly symmetric."""
+    g = b @ np.linalg.solve(r, _t(b))
+    return 0.5 * (g + _t(g))
+
+
+def _certify_candidates(a, b, q, r, p, method: str, tol: float = RTOL) -> list[RiccatiSolution | None]:
+    """The certificate of ``_solve_care_stack`` for candidates ``p`` that
+    the caller formed itself: each member's ``RiccatiSolution``, whose
+    ``method`` is ``method``, when its residual (after the polish), PSD and
+    Hurwitz certificates pass, else ``None``.  A certified stabilizing
+    solution is unique, so a member that passes is the one the CARE's own
+    kernels would certify, to within its residual."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = _input_gram(b, r)
+    return [
+        sol if isinstance(sol, RiccatiSolution) else None
+        for sol in _certified(a, b, q, r, g, p, tol, method)
+    ]
 
 
 def _rows(members: list[int], k: int):

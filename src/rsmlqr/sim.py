@@ -7,7 +7,8 @@ solve (``J = x0^T X x0`` with ``A_cl^T X + X A_cl + W = 0``), whose Hurwitz
 gate is the stop of the doubling that solves it: the powers of the Cayley
 transform of ``A_cl`` vanish only when ``A_cl`` is Hurwitz.  The direct
 design's cost needs no solve: its certified Riccati solution is its cost
-matrix.
+matrix.  Nor does the composed design's when its gain is the direct gain
+bit for bit, as a certified composed solution at ``k = 0`` gives it.
 Quadrature over a simulated trajectory exists as an independent
 cross-check, not as the primary route.  The cross-check is the package's
 own composite Simpson rule on the sample times; an even sample count gets
@@ -135,7 +136,11 @@ def optimality_gap(
     ``J_direct = x0^T P_c x0`` is exact up to the certified residual, and
     the direct loop is stable by ``direct.stabilizing``, the verdict of its
     Hurwitz certificate, so no eigenvalue is computed for it.  Only the
-    composed loop takes a Lyapunov solve (``closed_loop_cost``).
+    composed loop takes a Lyapunov solve (``closed_loop_cost``), and not
+    even that when ``f_composed`` equals ``direct.F`` bit for bit and the
+    direct loop is stable: the composed loop is then the direct loop, so
+    ``J_composed = J_direct`` and the gap is 0.  The shapes of ``q``,
+    ``r`` and ``f_composed`` are checked either way.
 
     When exactly one loop is stable the gap is ``+/-inf`` (composed
     unstable gives ``+inf``); when neither is, it is NaN.
@@ -144,9 +149,15 @@ def optimality_gap(
         (direct.P, "direct Riccati solution", composite.n, composite.n),
         (x0, "initial state", composite.n),
     )
-    composed = closed_loop_cost(composite.A, composite.B, f_composed, q, r, x)
     stable_direct = direct.stabilizing
     j_direct = max(float(x @ direct.P @ x), 0.0) if stable_direct else math.inf
+    if stable_direct and np.array_equal(f_composed, direct.F):
+        conform(
+            (q, "Q", composite.n, composite.n), (r, "R", composite.m, composite.m)
+        )
+        composed = CostResult(j_direct, direct.P, True)
+    else:
+        composed = closed_loop_cost(composite.A, composite.B, f_composed, q, r, x)
     if composed.stable and stable_direct:
         gap = composed.value - j_direct
     elif composed.stable:

@@ -1,9 +1,11 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from rsmlqr import lqr, riccati, sim
+from rsmlqr.cli import parse_problem
 from rsmlqr.errors import (
     DetectabilityWarning,
     InconsistencyError,
@@ -447,6 +449,137 @@ class TestEigenvalueFreePipeline:
         assert sol.stabilizing
 
 
+def partial_twin(rng, n, shared, coupling=0.0):
+    """Two n-state subsystems glued along their first ``shared`` states,
+    which form the same block in both and neither drive nor see the
+    others, so the pair is compositional.  ``coupling`` is an entry of the
+    second subsystem's shared-to-exclusive block, which breaks that."""
+    (core, core_w), (one, one_w), (two, two_w) = (
+        drawn_subsystem(rng, d) for d in (shared, n - shared, n - shared)
+    )
+    systems = []
+    for name, sub, w in (("left", one, one_w), ("right", two, two_w)):
+        a = block_diag(core.A, sub.A)
+        if name == "right":
+            a[0, shared] = coupling
+        systems += [
+            LinearSystem(name, a, block_diag(core.B, sub.B)),
+            CostWeights(block_diag(core_w.Q, w.Q), block_diag(core_w.R, w.R)),
+        ]
+    sys1, w1, sys2, w2 = systems
+    pattern = CompositionPattern(n, n, tuple((j, j) for j in range(shared)))
+    return sys1, sys2, pattern, w1, w2
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class TestComposedSolution:
+    """A compositional instance's composite CARE is settled by the candidate
+    ``(K^T K)^{-1} K^T P_s K`` and its certificate, not by a CARE kernel."""
+
+    @staticmethod
+    def _orders(monkeypatch):
+        # the order of every CARE a kernel (doubling or sign) takes on
+        orders = []
+        sda, sign = riccati._sda, riccati._sign_newton
+
+        def doubling(a, *args):
+            orders.append(a.shape[0])
+            return sda(a, *args)
+
+        def signing(z):
+            orders.extend([z.shape[-1] // 2] * len(z))
+            return sign(z)
+
+        monkeypatch.setattr(riccati, "_sda", doubling)
+        monkeypatch.setattr(riccati, "_sign_newton", signing)
+        return orders
+
+    @pytest.mark.parametrize(
+        "path, method",
+        [
+            ("problems/independent_pair.json", "composed"),
+            ("problems/symmetric_pair.json", "composed"),
+            ("tests/data/scaled_twins.json", "composed"),
+            ("problems/counterexample.json", "sign"),
+            ("problems/coupled_2x2.json", "sign"),
+            ("tests/data/chains_20.json", "doubling"),
+        ],
+    )
+    def test_bundled_problem_method(self, path, method):
+        problem = parse_problem(str(ROOT / path))
+        analysis = evaluate_composition(
+            problem.system1, problem.system2, problem.pattern,
+            problem.weights1, problem.weights2,
+        )
+        assert analysis.direct.solution.method == method
+        assert analysis.report.compositional == (method == "composed")
+
+    def test_unshared_pair_makes_no_composite_solve(self, monkeypatch):
+        # composite order 48 from two order-24 subsystems, K = I
+        rng = np.random.default_rng(48)
+        (sys1, w1), (sys2, w2) = drawn_subsystem(rng, 24), drawn_subsystem(rng, 24)
+        orders = self._orders(monkeypatch)
+        analysis = evaluate_composition(
+            sys1, sys2, CompositionPattern(24, 24), w1, w2, x0=np.ones(48)
+        )
+        assert orders == [24, 24]
+        assert analysis.direct.solution.method == "composed"
+        # at k = 0 the candidate is blockdiag(P1, P2) bit for bit
+        assert np.array_equal(
+            analysis.direct.P, block_diag(analysis.design1.P, analysis.design2.P)
+        )
+        report = analysis.report
+        assert report.compositional and report.exact.deviation == 0.0
+        assert report.gap.gap == 0.0
+
+    def test_partial_twin_makes_no_composite_solve(self, monkeypatch):
+        # composite order 35: two order-20 subsystems sharing a 5-state block
+        sys1, sys2, pattern, w1, w2 = partial_twin(np.random.default_rng(35), 20, 5)
+        orders = self._orders(monkeypatch)
+        analysis = evaluate_composition(sys1, sys2, pattern, w1, w2)
+        assert orders == [20, 20]
+        assert analysis.direct.solution.method == "composed"
+        assert analysis.report.compositional
+
+    def test_perturbed_twin_takes_the_care_path_without_polish(self, monkeypatch):
+        # a 1e-6 shared-to-exclusive coupling fails the screen, so the
+        # candidate is neither certified nor polished
+        sys1, sys2, pattern, w1, w2 = partial_twin(np.random.default_rng(35), 20, 5, 1e-6)
+        orders = self._orders(monkeypatch)
+        polished, polish = [], riccati._polish
+
+        def polishing(care, *args):
+            polished.append(care[0].shape[0])
+            return polish(care, *args)
+
+        def certifying(*args):
+            raise AssertionError("a candidate that failed the screen was certified")
+
+        monkeypatch.setattr(riccati, "_polish", polishing)
+        monkeypatch.setattr(lqr, "_certify_candidates", certifying)
+        analysis = evaluate_composition(sys1, sys2, pattern, w1, w2)
+        assert orders == [20, 20, 35]
+        assert polished == []
+        assert analysis.direct.solution.method == "doubling"
+        assert not analysis.report.compositional
+
+    def test_necessary_iff_exact_with_pd_state_weights(self):
+        # sampled weights are PD, so Q_c is PD and (A_c, Q_c^(1/2)) is
+        # detectable: the necessary test decides compositionality
+        config = SearchConfig(
+            n_range=(1, 4), m_range=(1, 3), k_range=(0, 3), trials=300, seed=30,
+            deviation_threshold=-math.inf,
+        )
+        result = counterexample_search(config)
+        assert len(result.found) + result.skipped == 300 and result.skipped <= 3
+        verdicts = [inst.report.compositional for inst in result.found]
+        assert 50 <= sum(verdicts) <= 250
+        for inst, compositional in zip(result.found, verdicts):
+            assert inst.report.necessary.passes == compositional
+
+
 class TestCompareGains:
     def test_counterexample_gains_differ(self):
         analysis = counterexample_analysis()
@@ -722,33 +855,75 @@ class TestCounterexampleSearch:
         with pytest.raises(InvalidArgumentError):
             SearchConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"n_range": (0, 0)}, r"n_range must start at 1 or more, got \(0, 0\)"),
+            ({"n_range": (2, 1)}, r"n_range has lo > hi: \(2, 1\)"),
+            ({"k_range": (-1, 1)}, r"k_range must start at 0 or more, got \(-1, 1\)"),
+            ({"n_range": (1.5, 2)}, r"n_range\[0\]: expected an integer"),
+        ],
+        ids=["empty-system", "inverted", "negative-sharing", "fractional"],
+    )
+    def test_sample_instance_checks_its_ranges(self, kwargs, message):
+        # by SearchConfig's rules, and before anything is drawn
+        rng = np.random.default_rng(0)
+        with pytest.raises(InvalidArgumentError, match=message):
+            sample_instance(rng, **kwargs)
+        with pytest.raises(InvalidArgumentError, match=message):
+            SearchConfig(**kwargs)
+        assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
     def test_one_stacked_sign_call_per_care_shape(self, monkeypatch):
-        # 50 trials make 150 CAREs of order <= 6, all on the sign path: each
+        # 50 trials make 100 subsystem CAREs of order <= 3, all on the sign
+        # path, in one round, and then the composite CAREs that no composed
+        # candidate settled (order <= 6) in a second: in each round each
         # shape (n, m) is one stacked solve and one stacked sign iteration,
         # and no CARE is solved alone
-        groups, signs = [], []
+        rounds, signs, settled = [[]], [], []
         stack_solve, sign = lqr._solve_care_stack, riccati._sign_newton
+        composed = lqr._composed_solutions
 
         def solving(a, b, q, r):
-            groups.append(b.shape)
+            rounds[-1].append(b.shape)
             return stack_solve(a, b, q, r)
 
         def signing(z):
             signs.append(len(z))
             return sign(z)
 
+        def composing(members):
+            rounds.append([])
+            sols = composed(members)
+            settled.append(sum(sol is not None for sol in sols))
+            return sols
+
         def alone(*args):
             raise AssertionError("a search CARE was solved alone")
 
         monkeypatch.setattr(lqr, "_solve_care_stack", solving)
+        monkeypatch.setattr(lqr, "_composed_solutions", composing)
         monkeypatch.setattr(riccati, "_sign_newton", signing)
         monkeypatch.setattr(lqr, "_solve_care", alone)
         monkeypatch.setattr(riccati, "_solve_care", alone)
-        result = counterexample_search(SearchConfig(trials=50, seed=7))
-        shapes = [shape[1:] for shape in groups]
-        assert len(shapes) == len(set(shapes))
-        assert sum(shape[0] for shape in groups) == 150
-        assert len(signs) == len(groups) and sum(signs) == 150
+        config = SearchConfig(trials=50, seed=7)
+        rng = np.random.default_rng(config.seed)
+        unshared = sum(
+            sample_instance(rng, config.n_range, config.m_range, config.k_range)[2].k_shared == 0
+            for _ in range(config.trials)
+        )
+        result = counterexample_search(config)
+        subsystems, composites = rounds
+        for groups in rounds:
+            shapes = [shape[1:] for shape in groups]
+            assert len(shapes) == len(set(shapes))
+        assert sum(shape[0] for shape in subsystems) == 100
+        # every unshared trial is settled by its composed candidate
+        (composed_count,) = settled
+        assert composed_count >= unshared >= 10
+        assert sum(shape[0] for shape in composites) == 50 - composed_count
+        assert len(signs) == len(subsystems) + len(composites)
+        assert sum(signs) == 150 - composed_count
         assert result.trials == 50 and result.found
 
     def test_one_stacked_eigvalsh_per_weight_order_and_per_s(self, monkeypatch):

@@ -217,6 +217,42 @@ class TestOptimalityGap:
         )
         assert abs(result.gap) <= 1e-9
 
+    def test_equal_gains_skip_the_lyapunov_solve(self, monkeypatch):
+        # the twins' composed gain is the direct gain bit for bit, so the
+        # composed loop is the direct loop; a gain one ulp off, or a direct
+        # loop not certified stable, takes the solve
+        import rsmlqr.sim
+
+        s = LinearSystem("twin", [[-1.0]], [[1.0]])
+        w = CostWeights([[1.0]], [[1.0]])
+        analysis = evaluate_composition(s, s, CompositionPattern(1, 1, ((0, 0),)), w, w)
+        direct, f = analysis.direct.solution, analysis.F_composed
+        assert np.array_equal(f, direct.F)
+        solves, solve = [], rsmlqr.sim.solve_lyapunov
+
+        def counting(*args):
+            solves.append(args)
+            return solve(*args)
+
+        monkeypatch.setattr(rsmlqr.sim, "solve_lyapunov", counting)
+
+        def gap(gain, solution):
+            return optimality_gap(
+                analysis.composite, analysis.Q, analysis.R, gain, solution, [1.0]
+            )
+
+        result = gap(f, direct)
+        assert solves == []
+        assert result.gap == 0.0 and result.J_composed == result.J_direct
+        assert result.stable_composed and result.stable_direct
+        nudged = gap(np.nextafter(f, math.inf), direct)
+        assert len(solves) == 1
+        assert abs(nudged.gap) <= 1e-12 and nudged.stable_composed
+        unstable = RiccatiSolution(direct.P, direct.F, direct.residual_norm, 0.5)
+        result = gap(f, unstable)
+        assert len(solves) == 2
+        assert result.stable_composed and result.gap == -math.inf
+
     def test_zero_initial_state_zero_gap(self):
         analysis = self._counterexample()
         result = optimality_gap(

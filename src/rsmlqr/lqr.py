@@ -38,6 +38,16 @@ of the scaled pair, so the verdicts do not depend on the units of ``Q``
 and ``R``; each ``RankTest.margin`` is the smallest singular value the
 staircase kept, at most 1.
 
+One pipeline designs every instance.  ``_design_chunk`` composes a chunk
+of trusted instances and solves their CAREs on a batch axis, and
+``_evaluate_chunk`` checks what it designed.  ``design_composition`` and
+``evaluate_composition`` run them on a chunk of one, after the boundary
+checks (the pattern, then the pairing of each weight), and
+``counterexample_search`` on its chunks of sampled trials.
+``lqr_subsystem``, ``lqr_composite``, the ``check_*_condition`` gates and
+``compare_gains`` validate their arguments and serve one instance as
+library API; the pipeline calls none of them.
+
 The three verdicts must be mutually consistent (sufficient-pass implies
 exact, exact implies necessary-pass); a violation raises
 ``InconsistencyError`` rather than producing a quietly contradictory
@@ -50,7 +60,7 @@ if and only if ``P`` solves the composite CARE.  ``K`` has one 1 per row,
 so ``K^T K`` is diagonal, 1 at an unshared composite state and 2 at a
 shared one, and when ``P_s K = K P`` holds at all it holds for
 ``P = (K^T K)^{-1} K^T P_s K``: that candidate then solves the composite
-CARE.  ``design_composition`` forms it, screens it (the rows of ``P_s K``
+CARE.  ``_design_chunk`` forms it, screens it (the rows of ``P_s K``
 at each junction agree to ``RTOL``) and certifies it with the CARE's own
 certificate: the residual after the polish, ``P`` PSD and a Hurwitz closed
 loop.  That certificate is the licence.  A stabilizing solution is unique,
@@ -93,6 +103,7 @@ from .matkit import (
     RTOL,
     Definiteness,
     RankTest,
+    _alone,
     _definiteness_stack,
     _pbh_unreachable,
     _staircase,
@@ -123,6 +134,7 @@ from .rsm import (
     LinearSystem,
     _compose_cost,
     _integer,
+    _require_fits,
     _trusted,
     compose_cost,
     compose_gains,
@@ -331,15 +343,7 @@ def check_necessary_condition(p_stacked, coupling, tol: float = DEFAULT_TOL) -> 
         (p_stacked, "stacked Riccati solution", "s", "s"),
         (coupling, "coupling matrix", "s", "c"),
     )
-    return _necessary_alone(p_s @ kmat @ kmat.T, _require_tol(tol))
-
-
-def _necessary_alone(p_kk: np.ndarray, tol: float) -> NecessaryCheck:
-    """``_necessary_check`` on the stack of one, raising its error."""
-    (check,) = _necessary_check(p_kk[None], tol)
-    if not isinstance(check, NecessaryCheck):
-        raise check
-    return check
+    return _alone(_necessary_check((p_s @ kmat @ kmat.T)[None], _require_tol(tol)))
 
 
 def _necessary_check(p_kk: np.ndarray, tol: float) -> list[NecessaryCheck | RsmLqrError]:
@@ -381,7 +385,7 @@ def check_sufficient_condition(
     )
     q_c, q_def = require_definite(q_c, "composite state weight")
     require_definite(r_s, "stacked input weight", pd=True)
-    hypothesis = _necessary_alone(p_s @ kmat @ kmat.T, _require_tol(tol))
+    hypothesis = _alone(_necessary_check((p_s @ kmat @ kmat.T)[None], _require_tol(tol)))
     return _sufficient_check(
         a_s @ kmat @ kmat.T, b_s, kmat.T @ a_s @ kmat, q_c, q_def.pd, hypothesis
     )
@@ -436,23 +440,112 @@ def design_composition(
 ) -> CompositionDesign:
     """Compose, then synthesize the two subsystem designs and the direct
     one, and push the subsystem gains through the coupling; no check runs.
-    The subsystem designs come first, so the pairing rule rejects a weight
-    of the wrong size before it enters the composite cost.  The direct
-    design trusts the composite weights, and ``Q_c`` as PD when both ``Q``s are.
+    It is ``_design_chunk`` on the chunk of one that passed the boundary
+    checks (``_boundary``)."""
+    return _alone(_design_chunk(_boundary(sys1, sys2, pattern, weights1, weights2)))
 
-    The direct design first tries the candidate ``P_c = (K^T K)^{-1} K^T
-    P_s K`` formed from the subsystem designs (``_composed_solutions``): a
-    screen of its junction rows, then the CARE's own certificate.  Neither
-    is a compositionality check: the screen's cut is ``RTOL`` and reads no
-    tolerance, and a candidate that fails either leaves the composite CARE
-    to its solver, as before."""
-    composite = compose_open_loop(sys1, sys2, pattern)
-    design1 = lqr_subsystem(sys1, weights1)
-    design2 = lqr_subsystem(sys2, weights2)
-    q_c, r_c, q_pd = _compose_cost(weights1, weights2, composite.coupling)
-    (solution,) = _composed_solutions([(composite, q_c, r_c, design1, design2)])
-    direct = _design(composite.A, composite.B, q_c, r_c, "composite", q_pd, solution)
-    return _composition_design(composite, q_c, r_c, design1, design2, direct)
+
+def evaluate_composition(
+    sys1: LinearSystem,
+    sys2: LinearSystem,
+    pattern: CompositionPattern,
+    weights1: CostWeights,
+    weights2: CostWeights,
+    tol: float = DEFAULT_TOL,
+    x0=None,
+) -> CompositionAnalysis:
+    """Run the full pipeline: ``design_composition``, then every check.
+
+    With ``x0`` given, the composed-vs-direct cost gap from that initial
+    state is attached to the report.  Raises ``InconsistencyError`` when
+    the check verdicts contradict each other, since that can only mean a
+    broken invariant.
+    """
+    tol = _require_tol(tol)
+    return _alone(_evaluate_chunk(_boundary(sys1, sys2, pattern, weights1, weights2), tol, x0))
+
+
+def _boundary(sys1, sys2, pattern, weights1, weights2) -> list[tuple]:
+    """The chunk of one of the arguments of a design entry, once they pass
+    its boundary checks: the pattern fits the subsystems, then each weight
+    pairs with its subsystem, else ``ShapeError``.  Both run before any
+    CARE is solved, so a weight of the wrong size is never reported as a
+    solver error."""
+    _require_fits(sys1, sys2, pattern)
+    for system, weights in ((sys1, weights1), (sys2, weights2)):
+        _require_paired(weights, system.n, system.m, system.name)
+    return [(sys1, sys2, pattern, weights1, weights2)]
+
+
+def _design_chunk(instances: list[tuple]) -> list[CompositionDesign | RsmLqrError]:
+    """The one design pipeline: for each trusted ``(sys1, sys2, pattern,
+    weights1, weights2)``, its ``CompositionDesign`` or the error
+    ``design_composition`` raises for it alone, in order.
+
+    Each instance is composed once.  The CAREs are solved in two rounds,
+    each one stacked solve (``riccati._solve_care_stack``) per shape
+    ``(n, m)``: first the subsystems', then the composite CAREs of the
+    instances whose two designs succeeded and whose composed candidate was
+    not certified (``_composed_solutions``, stacked per shape ``(s, m,
+    c)``).  The direct design trusts the composite weights, and ``Q_c`` as
+    PD when both ``Q``s are.  Every stacked LAPACK and BLAS call computes
+    each member as it computes one matrix, and every reduction (norms,
+    maxima, the sign step's scale) is taken per member, so an instance
+    gets bit for bit the designs it gets in a chunk of one.  A member that
+    fails gets its own error and leaves the rest of its stack as it is; an
+    instance's error is the first of design 1, design 2 and the direct
+    design, in that order."""
+    composed, cares = [], []
+    for sys1, sys2, pattern, w1, w2 in instances:
+        composite = compose_open_loop(sys1, sys2, pattern)
+        composed.append((composite, *_compose_cost(w1, w2, composite.coupling)))
+        cares += [(sys1.A, sys1.B, w1.Q, w1.R), (sys2.A, sys2.B, w2.Q, w2.R)]
+    solutions = _solve_by_shape(cares)
+    out: list = []
+    for (sys1, sys2, _, w1, w2), sol1, sol2 in zip(instances, solutions[::2], solutions[1::2]):
+        try:
+            out.append((
+                _design(sys1.A, sys1.B, w1.Q, w1.R, sys1.name, w1.q_pd, sol1),
+                _design(sys2.A, sys2.B, w2.Q, w2.R, sys2.name, w2.q_pd, sol2),
+            ))
+        except RsmLqrError as exc:
+            out.append(exc)
+    pending = [i for i, o in enumerate(out) if isinstance(o, tuple)]
+    members = [composed[i][:3] + out[i] for i in pending]
+    direct = _composed_solutions(members)
+    unsolved = [j for j, sol in enumerate(direct) if sol is None]
+    cares = [(c.A, c.B, q_c, r_c) for c, q_c, r_c, *_ in (members[j] for j in unsolved)]
+    for j, sol in zip(unsolved, _solve_by_shape(cares)):
+        direct[j] = sol
+    for i, sol in zip(pending, direct):
+        composite, q_c, r_c, q_pd = composed[i]
+        design1, design2 = out[i]
+        try:
+            out[i] = CompositionDesign(
+                composite=composite,
+                Q=q_c,
+                R=r_c,
+                design1=design1,
+                design2=design2,
+                direct=_design(composite.A, composite.B, q_c, r_c, "composite", q_pd, sol),
+                F_composed=block_diag(design1.F, design2.F) @ composite.coupling,
+            )
+        except RsmLqrError as exc:
+            out[i] = exc
+    return out
+
+
+def _evaluate_chunk(instances: list[tuple], tol: float, x0=None) -> list[CompositionAnalysis | RsmLqrError]:
+    """``_design_chunk``, then every check (``_analyse``) on the instances it
+    designed: each instance's analysis, or the error ``evaluate_composition``
+    raises for it alone, in order."""
+    out = _design_chunk(instances)
+    designed = [i for i, o in enumerate(out) if isinstance(o, CompositionDesign)]
+    # PD weights give a PD Q_c, as _compose_cost records for the direct design
+    q_pds = [instances[i][3].q_pd and instances[i][4].q_pd for i in designed]
+    for i, analysis in zip(designed, _analyse([out[i] for i in designed], q_pds, tol, x0)):
+        out[i] = analysis
+    return out
 
 
 def _composed_solutions(members: list[tuple]) -> list[RiccatiSolution | None]:
@@ -496,44 +589,6 @@ def _composed_group(group: list[tuple]) -> list[RiccatiSolution | None]:
     return out
 
 
-def _composition_design(composite, q_c, r_c, design1, design2, direct) -> CompositionDesign:
-    """The ``CompositionDesign`` of three designs, with the composed gain."""
-    return CompositionDesign(
-        composite=composite,
-        Q=q_c,
-        R=r_c,
-        design1=design1,
-        design2=design2,
-        direct=direct,
-        F_composed=block_diag(design1.F, design2.F) @ composite.coupling,
-    )
-
-
-def evaluate_composition(
-    sys1: LinearSystem,
-    sys2: LinearSystem,
-    pattern: CompositionPattern,
-    weights1: CostWeights,
-    weights2: CostWeights,
-    tol: float = DEFAULT_TOL,
-    x0=None,
-) -> CompositionAnalysis:
-    """Run the full pipeline: ``design_composition``, then every check.
-
-    With ``x0`` given, the composed-vs-direct cost gap from that initial
-    state is attached to the report.  Raises ``InconsistencyError`` when
-    the check verdicts contradict each other, since that can only mean a
-    broken invariant.
-    """
-    tol = _require_tol(tol)
-    design = design_composition(sys1, sys2, pattern, weights1, weights2)
-    # PD weights give a PD Q_c, as _compose_cost records for the direct design
-    (analysis,) = _analyse([design], [weights1.q_pd and weights2.q_pd], tol, x0)
-    if isinstance(analysis, RsmLqrError):
-        raise analysis
-    return analysis
-
-
 def _stack(arrays: list[np.ndarray]) -> np.ndarray:
     """The arrays as one stack: a view of a lone array, else a copy."""
     return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
@@ -553,9 +608,18 @@ def _analyse(
     eigenvalues are one stacked call per ``s``.  Every reduction is taken
     per member (maxima, and norms by ``_sq_norms``) and the staircases run
     per member, so each design gets bit for bit the analysis it gets alone."""
-    rows, necessary = _stacked_checks(designs, tol)
+    rows = _by_key(
+        designs,
+        lambda d: d.composite.B_stacked.shape + (d.composite.n,),
+        lambda members: _shape_group([designs[i] for i in members], tol),
+    )
+    necessary = _by_key(
+        rows,
+        lambda row: row[-1].shape[0],
+        lambda members: _necessary_check(_stack([rows[i][-1] for i in members]), tol),
+    )
     out: list = []
-    for design, q_pd, (p_stacked, exact, gains, rect, a_kk), hypothesis in zip(
+    for design, q_pd, (p_stacked, exact, gains, rect, a_kk, _), hypothesis in zip(
         designs, q_pds, rows, necessary
     ):
         if not isinstance(hypothesis, NecessaryCheck):
@@ -573,31 +637,12 @@ def _analyse(
     return out
 
 
-def _stacked_checks(designs: list[CompositionDesign], tol: float) -> tuple[list, list]:
-    """The stacked calls of ``_analyse``: for each design, ``(P_s, exact,
-    gains, (rect_stacked, rect_composite), A_s K K^T)``, and its necessary
-    check or that check's error.  ``_shape_group`` takes the designs of one
-    shape ``(s, m, c)``, and ``_necessary_check`` the ``P_s K K^T`` of one
-    stacked order ``s``."""
-    rows = _by_key(
-        designs,
-        lambda d: d.composite.B_stacked.shape + (d.composite.n,),
-        lambda members: _shape_group([designs[i] for i in members], tol),
-    )
-    necessary = _by_key(
-        rows,
-        lambda row: row[-1].shape[0],
-        lambda members: _necessary_check(_stack([rows[i][-1] for i in members]), tol),
-    )
-    return [row[:-1] for row in rows], necessary
-
-
 def _shape_group(group: list[CompositionDesign], tol: float) -> list[tuple]:
     """One stacked call each for the exact test (``P_s K`` against ``K P_c``),
     the gains and both rectangular residuals of designs of one shape, with
-    ``A_s K K^T`` and ``P_s K K^T``: each member's row for
-    ``_stacked_checks``.  Its stacks, the doubled ones of the residuals too,
-    are freed when it returns, before the staircases run."""
+    ``A_s K K^T`` and ``P_s K K^T``: each member's row for ``_analyse``.
+    Its stacks, the doubled ones of the residuals too, are freed when it
+    returns, before the staircases run."""
     k = len(group)
     kmat = _stack([d.composite.coupling for d in group])
     p_s = _stack([block_diag(d.design1.P, d.design2.P) for d in group])
@@ -862,23 +907,13 @@ def counterexample_search(config: SearchConfig, tol: float = DEFAULT_TOL) -> Sea
     long search holds, and every stage of a chunk runs on a leading batch
     axis.  A chunk is drawn one trial after another (``_sample_chunk``), so
     the random stream does not depend on the chunk size; the stability
-    shifts and the weight gates are stacked per order.  Each trial is
-    composed once.  The CAREs are solved in two rounds, each one stacked
-    solve (``riccati._solve_care_stack``) per shape ``(n, m)``: first the
-    subsystems', then the composite CAREs of the trials whose two designs
-    succeeded and whose composed candidate was not certified
-    (``_composed_solutions``, stacked per shape ``(s, m, c)``), as
-    ``design_composition`` solves them.  The checks of the designed trials
-    are stacked per shape too (``_analyse``).
-    Every stacked LAPACK and BLAS call computes each member as it computes
-    one matrix, and every reduction (norms, maxima, the sign step's scale)
-    is taken per member, so each trial gets bit for bit the report
-    ``evaluate_composition`` gives it alone.  A member that fails gets its
-    own error and leaves the rest of its stack as it is.  The trials are
-    then read in order: a trial is skipped on the first error of design 1,
-    design 2, the direct design and the checks, in that order, as
-    ``evaluate_composition`` would raise it, and any other error, such as
-    an ``InconsistencyError``, is raised for the earliest trial that has one.
+    shifts and the weight gates are stacked per order.  The chunk is then
+    designed and checked by ``_evaluate_chunk``, the pipeline that
+    ``evaluate_composition`` runs on a chunk of one, so each trial gets bit
+    for bit the report ``evaluate_composition`` gives it alone.  The trials
+    are then read in order: a trial is skipped on its error if that is a
+    solver precondition (``_SKIPPED``), and any other error, such as an
+    ``InconsistencyError``, is raised for the earliest trial that has one.
     """
     tol = _require_tol(tol)
     rng = np.random.default_rng(config.seed)
@@ -889,44 +924,7 @@ def counterexample_search(config: SearchConfig, tol: float = DEFAULT_TOL) -> Sea
             rng, min(_SEARCH_CHUNK, config.trials - start),
             config.n_range, config.m_range, config.k_range,
         )
-        composed, cares = [], []
-        for sys1, sys2, pattern, w1, w2 in instances:
-            composite = compose_open_loop(sys1, sys2, pattern)
-            q_c, r_c, q_pd = _compose_cost(w1, w2, composite.coupling)
-            composed.append((composite, q_c, r_c, q_pd))
-            cares += [(sys1.A, sys1.B, w1.Q, w1.R), (sys2.A, sys2.B, w2.Q, w2.R)]
-        solutions = _solve_by_shape(cares)
-        outcomes: list = []
-        for offset, (sys1, sys2, _, w1, w2) in enumerate(instances):
-            sol1, sol2 = solutions[2 * offset:2 * offset + 2]
-            try:
-                outcomes.append((
-                    _design(sys1.A, sys1.B, w1.Q, w1.R, sys1.name, w1.q_pd, sol1),
-                    _design(sys2.A, sys2.B, w2.Q, w2.R, sys2.name, w2.q_pd, sol2),
-                ))
-            except RsmLqrError as exc:
-                outcomes.append(exc)
-        pending = [i for i, o in enumerate(outcomes) if isinstance(o, tuple)]
-        members = [composed[i][:3] + outcomes[i] for i in pending]
-        composite_sols = _composed_solutions(members)
-        unsolved = [j for j, sol in enumerate(composite_sols) if sol is None]
-        cares = [(c.A, c.B, q_c, r_c) for c, q_c, r_c, *_ in (members[j] for j in unsolved)]
-        for j, sol in zip(unsolved, _solve_by_shape(cares)):
-            composite_sols[j] = sol
-        for i, sol_c in zip(pending, composite_sols):
-            composite, q_c, r_c, q_pd = composed[i]
-            try:
-                direct = _design(composite.A, composite.B, q_c, r_c, "composite", q_pd, sol_c)
-            except RsmLqrError as exc:
-                outcomes[i] = exc
-                continue
-            outcomes[i] = _composition_design(composite, q_c, r_c, *outcomes[i], direct)
-        designed = [i for i, o in enumerate(outcomes) if isinstance(o, CompositionDesign)]
-        analyses = _analyse(
-            [outcomes[i] for i in designed], [composed[i][3] for i in designed], tol
-        )
-        for i, analysis in zip(designed, analyses):
-            outcomes[i] = analysis
+        outcomes = _evaluate_chunk(instances, tol)
         for offset, ((sys1, sys2, pattern, w1, w2), outcome) in enumerate(zip(instances, outcomes)):
             if isinstance(outcome, _SKIPPED):
                 skipped += 1

@@ -59,6 +59,7 @@ from .errors import (
     NotPSDError,
     NotSymmetricError,
     NumericalFailureError,
+    RsmLqrError,
     ShapeError,
 )
 
@@ -196,6 +197,14 @@ def _failed(what: str, exc: np.linalg.LinAlgError, error=NumericalFailureError):
     return failure
 
 
+def _alone(results: list):
+    """The lone member of a stack of one's results; raised if it is an error."""
+    (result,) = results
+    if isinstance(result, RsmLqrError):
+        raise result
+    return result
+
+
 def _lapack(what: str, fn, *args, error=NumericalFailureError, **kwargs):
     """``fn(*args, **kwargs)``; a ``LinAlgError`` is raised as ``error`` naming ``what``."""
     try:
@@ -287,10 +296,7 @@ def definiteness(m, tol: float = RTOL) -> Definiteness:
 def _definiteness(arr: np.ndarray, tol: float = RTOL) -> Definiteness:
     """The body of ``definiteness`` on a square array already coerced: the
     stack of one of ``_definiteness_stack``."""
-    (d,) = _definiteness_stack(arr[None], tol)[2]
-    if isinstance(d, NumericalFailureError):
-        raise d
-    return d
+    return _alone(_definiteness_stack(arr[None], tol)[2])
 
 
 def _definiteness_stack(x: np.ndarray, tol: float = RTOL) -> tuple[np.ndarray, np.ndarray, list]:
@@ -350,11 +356,8 @@ def require_definite(m, name: str, pd: bool = False) -> tuple[np.ndarray, Defini
     ``pd``); otherwise ``NotSymmetricError``, ``NotPSDError`` or
     ``NotPDError`` naming ``name``.  It is ``_weight_gate`` on the stack of
     one."""
-    arr = require_square(m, name)
-    sym, (d,) = _weight_gate(arr[None], [(name, pd)])
-    if not isinstance(d, Definiteness):
-        raise d
-    return sym[0], d
+    sym, verdicts = _weight_gate(require_square(m, name)[None], [(name, pd)])
+    return sym[0], _alone(verdicts)
 
 
 def psd_sqrt_factor(m) -> np.ndarray:

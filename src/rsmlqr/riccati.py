@@ -168,6 +168,7 @@ from .errors import (
 from .matkit import (
     _EPS,
     RTOL,
+    _alone,
     _each,
     _lapack,
     _pbh_unreachable,
@@ -529,10 +530,7 @@ def _solve_care(a, b, q, r, tol: float = RTOL) -> RiccatiSolution:
     """The body of ``solve_care`` on trusted arrays: ``Q`` exactly symmetric
     PSD, ``R`` exactly symmetric PD, shapes matching, ``B`` not empty.  It
     is ``_solve_care_stack`` on the stack of one, raising its error."""
-    (sol,) = _solve_care_stack(a[None], b[None], q[None], r[None], tol)
-    if isinstance(sol, RsmLqrError):
-        raise sol
-    return sol
+    return _alone(_solve_care_stack(a[None], b[None], q[None], r[None], tol))
 
 
 def _solve_care_stack(a, b, q, r, tol: float = RTOL) -> list[RiccatiSolution | RsmLqrError]:

@@ -212,15 +212,21 @@ def build_composition_matrix(pattern: CompositionPattern) -> np.ndarray:
     return kmat
 
 
-def compose_open_loop(
-    sys1: LinearSystem, sys2: LinearSystem, pattern: CompositionPattern
-) -> CompositeSystem:
-    """Stack two subsystems and reduce along the sharing pattern."""
+def _require_fits(sys1: LinearSystem, sys2: LinearSystem, pattern: CompositionPattern):
+    """``ShapeError`` unless ``pattern`` is for the state orders of the two
+    subsystems."""
     if (pattern.n1, pattern.n2) != (sys1.n, sys2.n):
         raise ShapeError(
             f"pattern is for dimensions ({pattern.n1}, {pattern.n2}) but the "
             f"subsystems have ({sys1.n}, {sys2.n}) states"
         )
+
+
+def compose_open_loop(
+    sys1: LinearSystem, sys2: LinearSystem, pattern: CompositionPattern
+) -> CompositeSystem:
+    """Stack two subsystems and reduce along the sharing pattern."""
+    _require_fits(sys1, sys2, pattern)
     kmat = build_composition_matrix(pattern)
     a_stacked = block_diag(sys1.A, sys2.A)
     b_stacked = block_diag(sys1.B, sys2.B)

@@ -23,6 +23,7 @@ from rsmlqr.lqr import (
     check_sufficient_condition,
     compare_gains,
     counterexample_search,
+    design_composition,
     evaluate_composition,
     lqr_composite,
     lqr_subsystem,
@@ -603,6 +604,39 @@ class TestCompareGains:
             compare_gains(np.ones((1, 2)), np.ones((2, 1)))
 
 
+AXIS_MODE = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+
+
+class TestBoundaryBeforeSolver:
+    """A design entry checks its arguments once, at the boundary, before any
+    CARE is solved: the pattern first, then the pairing of each weight."""
+
+    @pytest.mark.parametrize("entry", [design_composition, evaluate_composition])
+    def test_mis_sized_weight_wins_over_a_failing_care(self, entry):
+        # the modes at +-i are out of B's reach, so design 1's CARE has no
+        # stabilizing solution; weights2 is too large for its subsystem
+        axis = LinearSystem("axis", AXIS_MODE, [[0.0], [0.0], [1.0]])
+        with pytest.raises(ShapeError, match="two: state weight Q has 2 rows"):
+            entry(
+                axis, scalar_system("two", -1.0), CompositionPattern(3, 1),
+                CostWeights(np.eye(3), [[1.0]]), CostWeights(np.eye(2), [[1.0]]),
+            )
+        with pytest.raises(NotStabilizableError):
+            entry(
+                axis, scalar_system("two", -1.0), CompositionPattern(3, 1),
+                CostWeights(np.eye(3), [[1.0]]), UNIT_WEIGHTS,
+            )
+
+    @pytest.mark.parametrize("entry", [design_composition, evaluate_composition])
+    def test_pattern_wins_over_a_mis_sized_weight(self, entry):
+        system = LinearSystem("pair", -np.eye(2), np.ones((2, 1)))
+        with pytest.raises(ShapeError, match=r"pattern is for dimensions \(1, 1\)"):
+            entry(
+                system, scalar_system("one", -1.0), FULL_SHARE,
+                CostWeights(np.eye(3), [[1.0]]), UNIT_WEIGHTS,
+            )
+
+
 class TestCheckAgreement:
     """The separate verdicts have to tell one coherent story."""
 
@@ -683,6 +717,21 @@ class TestEvaluateComposition:
                 system, scalar_system("one", -1.0), CompositionPattern(2, 1),
                 CostWeights(np.eye(3), [[1.0]]), UNIT_WEIGHTS,
             )
+
+    def test_entries_design_through_the_chunk_pipeline(self, monkeypatch):
+        # design_composition and evaluate_composition reach the CAREs only
+        # through the chunk designer, not through the public design gates
+        def gate(*args):
+            raise AssertionError("a public design gate ran")
+
+        monkeypatch.setattr(lqr, "lqr_subsystem", gate)
+        monkeypatch.setattr(lqr, "lqr_composite", gate)
+        for pattern in (FULL_SHARE, CompositionPattern(1, 1)):
+            args = (scalar_system("one", -1.0), scalar_system("two", -2.0), pattern,
+                    UNIT_WEIGHTS, UNIT_WEIGHTS)
+            design = design_composition(*args)
+            analysis = evaluate_composition(*args, x0=np.ones(2 - pattern.k_shared))
+            np.testing.assert_array_equal(design.direct.P, analysis.direct.P)
 
     def test_notes_propagate(self):
         system = LinearSystem("odd", np.diag([1.0, -1.0]), np.eye(2))
@@ -1064,7 +1113,17 @@ class TestSearchParity:
             n_range=n_range, m_range=m_range, k_range=k_range,
             trials=100, seed=11, deviation_threshold=-math.inf,
         )
+        chunked, design_chunk = [], lqr._design_chunk
+
+        def recording(instances):
+            designs = design_chunk(instances)
+            chunked.extend(designs)
+            return designs
+
+        monkeypatch.setattr(lqr, "_design_chunk", recording)
         result = counterexample_search(config)
+        monkeypatch.undo()
+        assert len(chunked) == config.trials
         assert result.skipped == 0 and len(result.found) == config.trials
         rng = np.random.default_rng(config.seed)
         for inst in result.found:
@@ -1074,6 +1133,15 @@ class TestSearchParity:
                 np.testing.assert_array_equal(got, want)
             alone = evaluate_composition(sys1, sys2, pattern, w1, w2).report
             assert repr(inst.report) == repr(alone), inst.trial
+            # and the chunk member's designs are the designs of the chunk of one
+            member = chunked[inst.trial]
+            design = design_composition(sys1, sys2, pattern, w1, w2)
+            for got, want in ((member.design1, design.design1), (member.design2, design.design2),
+                              (member.direct, design.direct)):
+                np.testing.assert_array_equal(got.P, want.P)
+                np.testing.assert_array_equal(got.F, want.F)
+                assert got.solution.method == want.solution.method, inst.trial
+            np.testing.assert_array_equal(member.F_composed, design.F_composed)
 
     def test_sample_instance_is_the_chunk_of_one(self):
         # the chunk's stacked shifts and gates give each trial the arrays

@@ -42,7 +42,7 @@ One pipeline designs every instance.  ``_design_chunk`` composes a chunk
 of trusted instances and solves their CAREs on a batch axis, and
 ``_evaluate_chunk`` checks what it designed.  ``design_composition`` and
 ``evaluate_composition`` run them on a chunk of one, after the boundary
-checks (the pattern, then the pairing of each weight), and
+checks (the pattern, then the pairing of each weight, then ``x0``), and
 ``counterexample_search`` on its chunks of sampled trials.
 ``lqr_subsystem``, ``lqr_composite``, the ``check_*_condition`` gates and
 ``compare_gains`` validate their arguments and serve one instance as
@@ -60,16 +60,19 @@ if and only if ``P`` solves the composite CARE.  ``K`` has one 1 per row,
 so ``K^T K`` is diagonal, 1 at an unshared composite state and 2 at a
 shared one, and when ``P_s K = K P`` holds at all it holds for
 ``P = (K^T K)^{-1} K^T P_s K``: that candidate then solves the composite
-CARE.  ``_design_chunk`` forms it, screens it (the rows of ``P_s K``
-at each junction agree to ``RTOL``) and certifies it with the CARE's own
-certificate: the residual after the polish, ``P`` PSD and a Hurwitz closed
-loop.  That certificate is the licence.  A stabilizing solution is unique,
-so a certified candidate is the composite's solution whether or not
-``(A_c, sqrt(Q_c))`` is detectable, and the direct design takes it with
-``method = "composed"``.  Only a candidate that fails the screen or the
-certificate leaves the composite CARE to its solver.  The screen decides
-no verdict: the exact test still compares ``P_s K`` with ``K P_c`` at
-``tol``.  At ``k = 0`` the candidate is ``blockdiag(P1, P2)`` bit for bit.
+CARE.  ``_design_chunk`` forms it and screens it (the rows of ``P_s K``
+at each junction agree to ``RTOL``), and a candidate that passes is the
+first rung of the composite CARE's candidate ladder in
+``riccati._solve_care_stack``: the CARE's own certificate, the residual
+after the polish, ``P`` PSD and a Hurwitz closed loop.  That certificate is
+the licence.  A stabilizing solution is unique, so a certified candidate is
+the composite's solution whether or not ``(A_c, sqrt(Q_c))`` is
+detectable, and the direct design takes it with ``method = "composed"``.
+A candidate that fails the screen never reaches the certificate, and one
+that fails the certificate leaves the CARE to the next rungs, the doubling
+and the sign candidates.  The screen decides no verdict: the exact test
+still compares ``P_s K`` with ``K P_c`` at ``tol``.  At ``k = 0`` the
+candidate is ``blockdiag(P1, P2)`` bit for bit.
 """
 
 from __future__ import annotations
@@ -120,7 +123,6 @@ from .matkit import (
 )
 from .riccati import (
     RiccatiSolution,
-    _certify_candidates,
     _riccati_residual,
     _solve_care,
     _solve_care_stack,
@@ -144,10 +146,20 @@ from .rsm import (
 DEFAULT_TOL = 1e-8
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number, not NaN: a number ``math``
+    accepts, such as a ``float`` or an ``np.float64``, but not a ``bool``."""
+    try:
+        return not isinstance(value, bool) and not math.isnan(value)
+    except TypeError:
+        return False
+
+
 def _require_tol(tol: float) -> float:
-    """``tol`` if it is positive and finite, else ``InvalidArgumentError``."""
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise InvalidArgumentError(f"tolerance must be positive and finite, got {tol}")
+    """``tol`` if it is a positive finite real number, else
+    ``InvalidArgumentError``."""
+    if not (_is_real(tol) and tol > 0.0 and math.isfinite(tol)):
+        raise InvalidArgumentError(f"tolerance must be positive and finite, got {tol!r}")
     return tol
 
 
@@ -462,18 +474,21 @@ def evaluate_composition(
     broken invariant.
     """
     tol = _require_tol(tol)
-    return _alone(_evaluate_chunk(_boundary(sys1, sys2, pattern, weights1, weights2), tol, x0))
+    return _alone(_evaluate_chunk(_boundary(sys1, sys2, pattern, weights1, weights2, x0), tol, x0))
 
 
-def _boundary(sys1, sys2, pattern, weights1, weights2) -> list[tuple]:
+def _boundary(sys1, sys2, pattern, weights1, weights2, x0=None) -> list[tuple]:
     """The chunk of one of the arguments of a design entry, once they pass
     its boundary checks: the pattern fits the subsystems, then each weight
-    pairs with its subsystem, else ``ShapeError``.  Both run before any
-    CARE is solved, so a weight of the wrong size is never reported as a
-    solver error."""
+    pairs with its subsystem, else ``ShapeError``, then ``x0``, when given,
+    holds one finite real per composite state (``ShapeError`` or
+    ``InvalidMatrixError``).  All run before any CARE is solved, so a bad
+    argument is never reported as a solver error."""
     _require_fits(sys1, sys2, pattern)
     for system, weights in ((sys1, weights1), (sys2, weights2)):
         _require_paired(weights, system.n, system.m, system.name)
+    if x0 is not None:
+        conform((x0, "initial state", sys1.n + sys2.n - pattern.k_shared))
     return [(sys1, sys2, pattern, weights1, weights2)]
 
 
@@ -485,9 +500,12 @@ def _design_chunk(instances: list[tuple]) -> list[CompositionDesign | RsmLqrErro
     Each instance is composed once.  The CAREs are solved in two rounds,
     each one stacked solve (``riccati._solve_care_stack``) per shape
     ``(n, m)``: first the subsystems', then the composite CAREs of the
-    instances whose two designs succeeded and whose composed candidate was
-    not certified (``_composed_solutions``, stacked per shape ``(s, m,
-    c)``).  The direct design trusts the composite weights, and ``Q_c`` as
+    instances whose two designs succeeded.  Each composite CARE takes its
+    composed candidate, or ``None`` when the candidate fails the screen
+    (``_composed_candidates``, stacked per shape ``(s, m, c)``), as the
+    first rung of its ladder, so a compositional instance is settled inside
+    the composite round's stacked solve and reaches no CARE kernel.  The
+    direct design trusts the composite weights, and ``Q_c`` as
     PD when both ``Q``s are.  Every stacked LAPACK and BLAS call computes
     each member as it computes one matrix, and every reduction (norms,
     maxima, the sign step's scale) is taken per member, so an instance
@@ -512,11 +530,12 @@ def _design_chunk(instances: list[tuple]) -> list[CompositionDesign | RsmLqrErro
             out.append(exc)
     pending = [i for i, o in enumerate(out) if isinstance(o, tuple)]
     members = [composed[i][:3] + out[i] for i in pending]
-    direct = _composed_solutions(members)
-    unsolved = [j for j, sol in enumerate(direct) if sol is None]
-    cares = [(c.A, c.B, q_c, r_c) for c, q_c, r_c, *_ in (members[j] for j in unsolved)]
-    for j, sol in zip(unsolved, _solve_by_shape(cares)):
-        direct[j] = sol
+    candidates = _by_key(
+        members,
+        lambda member: member[0].B_stacked.shape + (member[0].n,),
+        lambda group: _composed_candidates([members[j] for j in group]),
+    )
+    direct = _solve_by_shape([(c.A, c.B, q_c, r_c) for c, q_c, r_c, *_ in members], candidates)
     for i, sol in zip(pending, direct):
         composite, q_c, r_c, q_pd = composed[i]
         design1, design2 = out[i]
@@ -548,45 +567,28 @@ def _evaluate_chunk(instances: list[tuple], tol: float, x0=None) -> list[Composi
     return out
 
 
-def _composed_solutions(members: list[tuple]) -> list[RiccatiSolution | None]:
-    """For each ``(composite, Q_c, R_c, design1, design2)``, the composite
-    CARE's solution certified from the subsystem designs, or ``None`` when
-    the composite CARE must be solved.  The members are grouped by shape
-    ``(s, m, c)``, one stacked candidate, screen and certificate each
-    (``_composed_group``), so a member gets bit for bit what it gets alone."""
-    return _by_key(
-        members,
-        lambda member: member[0].B_stacked.shape + (member[0].n,),
-        lambda group: _composed_group([members[i] for i in group]),
-    )
-
-
-def _composed_group(group: list[tuple]) -> list[RiccatiSolution | None]:
-    """``_composed_solutions`` on members of one shape.
+def _composed_candidates(group: list[tuple]) -> list[np.ndarray | None]:
+    """For each ``(composite, Q_c, R_c, design1, design2)`` of one shape
+    ``(s, m, c)``, the composed candidate for its composite CARE, or
+    ``None`` when it fails the screen.
 
     With ``X = P_s K``, the candidate is ``P = (K^T K)^{-1} K^T X``,
     symmetrized; ``K^T K`` is diagonal with entries 1 and 2.  The screen
     asks ``max|X - K P| <= RTOL (1 + max|X|)``: the stacked rows of ``X``
-    at each junction agree.  A member that passes is certified by
-    ``riccati._certify_candidates`` (residual, polish, PSD and Hurwitz), so
-    a member that fails the screen never reaches the polish."""
+    at each junction agree.  Only a member that passes reaches the
+    certificate, the composed rung of ``riccati._solve_care_stack``, so a
+    member that fails the screen is never polished.  The products are
+    stacked and each member's maxima are its own, so a member gets bit for
+    bit the candidate it gets alone."""
     kmat = _stack([member[0].coupling for member in group])
     x = _stack([block_diag(d1.P, d2.P) for *_, d1, d2 in group]) @ kmat
     p = (_t(kmat) @ x) / kmat.sum(axis=1)[:, :, None]
     p = 0.5 * (p + _t(p))
     misfit = np.abs(x - kmat @ p).max(axis=(1, 2), initial=0.0).tolist()
     peaks = np.abs(x).max(axis=(1, 2), initial=0.0).tolist()
-    screened = [i for i, (d, peak) in enumerate(zip(misfit, peaks)) if d <= RTOL * (1.0 + peak)]
-    out: list = [None] * len(group)
-    if screened:
-        composites, q_c, r_c = zip(*(group[i][:3] for i in screened))
-        sols = _certify_candidates(
-            _stack([c.A for c in composites]), _stack([c.B for c in composites]),
-            _stack(q_c), _stack(r_c), p[screened], "composed",
-        )
-        for i, sol in zip(screened, sols):
-            out[i] = sol
-    return out
+    return [
+        p_i if d <= RTOL * (1.0 + peak) else None for p_i, d, peak in zip(p, misfit, peaks)
+    ]
 
 
 def _stack(arrays: list[np.ndarray]) -> np.ndarray:
@@ -745,11 +747,7 @@ class SearchConfig:
                 raise InvalidArgumentError(f"{name} must be nonnegative, got {value}")
             object.__setattr__(self, name, value)
         threshold = self.deviation_threshold
-        try:
-            real = not isinstance(threshold, bool) and not math.isnan(threshold)
-        except TypeError:
-            real = False
-        if not real:
+        if not _is_real(threshold):
             raise InvalidArgumentError(
                 f"deviation_threshold must be a real number, not NaN, got {threshold!r}"
             )
@@ -948,13 +946,16 @@ def counterexample_search(config: SearchConfig, tol: float = DEFAULT_TOL) -> Sea
     return SearchResult(tuple(found), config.trials, skipped)
 
 
-def _solve_by_shape(cares: list[tuple]) -> list[RiccatiSolution | RsmLqrError]:
+def _solve_by_shape(cares: list[tuple], candidates: list | None = None) -> list[RiccatiSolution | RsmLqrError]:
     """Each ``(A, B, Q, R)`` CARE's solution or error, in order, with one
-    stacked solve per shape ``(n, m)``."""
+    stacked solve per shape ``(n, m)``; ``candidates``, when given, holds
+    each CARE's composed candidate or ``None``, the first rung of its
+    ladder."""
     return _by_key(
         cares,
         lambda care: care[1].shape,
         lambda members: _solve_care_stack(
-            *(np.array([cares[i][j] for i in members]) for j in range(4))
+            *(np.array([cares[i][j] for i in members]) for j in range(4)),
+            candidates=None if candidates is None else [candidates[i] for i in members],
         ),
     )

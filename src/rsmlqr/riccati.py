@@ -39,8 +39,9 @@ with ``gamma`` the power of two nearest the RMS singular value
 the sign candidate is taken: on random CAREs with m = 2 and one BLAS
 thread (80 per order, the least of three medians, each CARE solved by both
 kernels in turn) the doubling is 4-23% slower at orders 2-8 and 7-25%
-faster at orders 9-16.  When the doubling breaks down or stops at its cap,
-or its candidate fails a certificate, the solver falls back to the sign
+faster at orders 9-16.  The candidates are rungs of one ladder (see
+Stacks below): when the doubling breaks down or stops at its cap, or its
+candidate fails a certificate, the member takes the next rung, the sign
 candidate, and only that one can raise, so every error type and message is
 the sign path's.  The fallback is there for two reasons:
 
@@ -109,14 +110,27 @@ Stacks.  The Riccati kernels take a leading batch axis: ``_solve_care_stack``
 solves ``k`` CAREs of one shape from ``(k, n, n)``, ``(k, n, m)``,
 ``(k, n, n)`` and ``(k, m, m)`` stacks and returns one result per member,
 and ``_solve_care`` is its stack of one, so there is a single code path.
-``_sign_newton``, ``_sign_candidate``, ``_certified``,
-``_lyapunov_certified``, ``_cholesky_rounding`` and ``_riccati_residual``
-work on stacks.  Their heavy steps are stacked ``inv``, ``solve``,
-``cholesky`` and ``matmul`` calls, which numpy computes member by member
-with the LAPACK and BLAS calls it makes for one matrix, and elementwise
-arithmetic, which is exact per entry.  Every reduction stays a member's
-own, so a member's ``P``, ``F``, residual and method are bit for bit what
-it gets alone, at any BLAS thread count:
+Each member climbs one ladder of candidates and leaves it at the first one
+that is certified:
+
+1. the caller's own candidate, when it gives one, with
+   ``method = "composed"``: ``lqr`` forms a composite CARE's from its
+   subsystems' solutions;
+2. from ``_SDA_MIN_ORDER`` on, the doubling candidate;
+3. the sign candidate, whose failure is the member's error.
+
+Each rung (``_rung``) is one stacked ``_certified`` call on the members
+still on the ladder that have a candidate there, and a member that leaves
+takes its rows out of the stacks.  The Hamiltonian range test gates the
+two kernels only, so it runs after the first rung.  ``_sign_newton``,
+``_sign_candidate``, ``_certified``, ``_lyapunov_certified``,
+``_cholesky_rounding`` and ``_riccati_residual`` work on stacks.  Their
+heavy steps are stacked ``inv``, ``solve``, ``cholesky`` and ``matmul``
+calls, which numpy computes member by member with the LAPACK and BLAS
+calls it makes for one matrix, and elementwise arithmetic, which is exact
+per entry.  Every reduction stays a member's own, so a member's ``P``,
+``F``, residual and method are bit for bit what it gets alone, at any BLAS
+thread count:
 
 - a Frobenius norm is one dot product per member, a stacked 1 x 1
   row-by-column product that numpy forms with the dot product of
@@ -124,19 +138,19 @@ it gets alone, at any BLAS thread count:
   sums in another order and moves last bits);
 - the sign step's scale ``c`` is the member's Python float
   ``(z2 / inv2) ** 0.25``, and each member keeps its own scaling and floor
-  state; a member that has converged leaves the active set.
+  state; a member that has converged or stopped leaves the stack at the
+  step's convergence test.
 
 ``lstsq`` has no stacked form, so the read-out loops over members.  The
-Newton polish and the eigenvalue tests, which few members need, run on a
-member's own slice, and from ``_SDA_MIN_ORDER`` on the doubling runs
-member by member before one stacked certificate.  ``_certify_candidates``
-runs that certificate on candidates the caller formed, as ``lqr`` does for
-a composite CARE from its subsystems' solutions.  A stacked ``inv`` or
-``cholesky`` fails as a whole when one member fails; it is then retried
-member by member, which names the member.  A member that fails gets its
-own error object, the one ``_solve_care`` raises for it alone, and the
-other members are unaffected.  ``lqr.counterexample_search`` groups its
-CAREs by shape this way; every other caller solves a stack of one.
+doubling, the Newton polish and the eigenvalue tests run on a member's own
+slice.  A stacked ``inv`` or ``cholesky`` fails as a whole when one member
+fails; it is then retried member by member, which names the member.  A
+member that fails gets its own error object, the one ``_solve_care`` raises
+for it alone, and the other members are unaffected.  ``lqr`` solves the
+CAREs of a chunk of instances this way, one stack per shape in each of two
+rounds: the subsystems' (``design_composition``'s two subsystems form one
+stack when their shapes agree), then the composites', each member with its
+composed candidate or none.  ``solve_care`` solves a stack of one.
 
 Each public function here validates its raw arrays with one
 ``matkit.conform`` call and hands them to a private kernel
@@ -287,12 +301,15 @@ def _sign_newton(z: np.ndarray) -> list[np.ndarray | np.linalg.LinAlgError]:
     ``_SIGN_SCALE_TOL``; ``c`` is 1 after that.
 
     A member has converged when ``||dZ||_F <= _SIGN_TOL ||Z||_F``, or when a
-    step below ``_SIGN_FLOOR_TOL ||Z||_F`` is not half the one before it, and
-    then leaves the stack.  It stops with ``LinAlgError`` for a singular
-    iterate (an LU that breaks down or an inverse that is not finite) or no
-    convergence within ``_SIGN_MAX_ITER`` steps.  The steps are stacked
-    ``inv`` and elementwise arithmetic, and each member's norms and ``c``
-    are its own, so a member's iterates are those it takes alone.
+    step below ``_SIGN_FLOOR_TOL ||Z||_F`` is not half the one before it.  It
+    stops with ``LinAlgError`` for a singular iterate (an LU that breaks
+    down or an inverse that is not finite) or no convergence within
+    ``_SIGN_MAX_ITER`` steps.  A member that converged or stopped leaves the
+    stack once per step, at the convergence test; a singular iterate's NaN
+    slice rides along until then, and moves no other member's bits.  The
+    steps are stacked ``inv`` and elementwise arithmetic, and each member's
+    norms and ``c`` are its own, so a member's iterates are those it takes
+    alone.
     """
     if z.shape[-1] == 0:
         return list(z)
@@ -305,25 +322,20 @@ def _sign_newton(z: np.ndarray) -> list[np.ndarray | np.linalg.LinAlgError]:
         z_sq = _sq_norms(z)
         for _ in range(_SIGN_MAX_ITER):
             z_inv, failed = _each(np.linalg.inv, z)
-            keep = []
             for j, (i, inv2, z2) in enumerate(zip(live, _sq_norms(z_inv), z_sq)):
                 if failed[j] is not None or not math.isfinite(inv2):
                     out[i] = np.linalg.LinAlgError("singular iterate")
                     out[i].__cause__ = failed[j]
-                    continue
-                if scaling[i]:
+                elif scaling[i]:
                     scale = (z2 / inv2) ** 0.25
                     if not 0.0 < scale < math.inf:  # c^4 left the float range
                         scale = math.sqrt(math.sqrt(z2) / math.sqrt(inv2))
                     c[j] = scale
-                keep.append(j)
-            if not keep:
-                return out
-            if len(keep) < len(live):
-                z, z_inv, c, live = z[keep], z_inv[keep], c[keep], [live[j] for j in keep]
             z_next = 0.5 * (z / c + c * z_inv)
             z_sq, keep = _sq_norms(z_next), []
             for j, (i, step2, size2) in enumerate(zip(live, _sq_norms(z_next - z), z_sq)):
+                if out[i] is not None:
+                    continue
                 if step2 <= _SIGN_TOL**2 * size2 or (
                     step2 <= _SIGN_FLOOR_TOL**2 * size2 and 4.0 * step2 > last2[i]
                 ):
@@ -533,104 +545,105 @@ def _solve_care(a, b, q, r, tol: float = RTOL) -> RiccatiSolution:
     return _alone(_solve_care_stack(a[None], b[None], q[None], r[None], tol))
 
 
-def _solve_care_stack(a, b, q, r, tol: float = RTOL) -> list[RiccatiSolution | RsmLqrError]:
+def _solve_care_stack(
+    a, b, q, r, tol: float = RTOL, candidates: list | None = None
+) -> list[RiccatiSolution | RsmLqrError]:
     """``_solve_care`` on stacks of CAREs of one shape: ``A`` and ``Q`` of
     shape ``(k, n, n)``, ``B`` of shape ``(k, n, m)`` and ``R`` of shape
-    ``(k, m, m)``.  Returns each member's solution, or the error that
-    ``_solve_care`` raises for it alone, in stack order; a failed member
-    leaves the others as they are."""
-    k, n = a.shape[:2]
-    out: list = [None] * k
+    ``(k, m, m)``.  Returns each member's solution, or its error, in stack
+    order: what the member's stack of one gives, which without a candidate
+    is what ``_solve_care`` returns or raises for it alone.  A failed member
+    leaves the others as they are.
+
+    Each member climbs a ladder of candidates and leaves it at the first one
+    that is certified (``_rung``): its entry of ``candidates``, a solution
+    the caller formed itself (``method = "composed"``; ``None`` skips the
+    rung), then from ``_SDA_MIN_ORDER`` on the doubling candidate, then the
+    sign candidate, whose failure is the member's error.  The Hamiltonian
+    range test gates the two kernels only, so it runs after the first
+    rung, and a member out of range leaves with its error.  A certified
+    stabilizing solution is unique, so whichever rung certifies it, a
+    member's solution is the CARE's, to within its residual."""
+    out: list = [None] * len(a)
+    live, care = list(range(len(a))), (a, b, q, r)
     # a G or a norm past the float range reads as inf or NaN and fails the
     # test of h2 below
     with np.errstate(over="ignore", invalid="ignore"):
-        g = _input_gram(b, r)
+        care += (_input_gram(b, r),)
+        if candidates is not None:
+            live, care = _rung(out, live, care, candidates, tol, "composed")
+        if not live:
+            return out
+        a, b, q, r, g = care
         q_norms, g_norms, a_sq = _norms(q), _norms(g), _sq_norms(a)
     # Both kernels read a scale off ||H||, which an unbalanced pair of
     # off-diagonal blocks inflates far past the spectrum.  With
     # P = sigma P_hat, P_hat solves the CARE of (A, sigma G, Q / sigma);
     # sigma is the power of two nearest sqrt(||Q||_F / ||G||_F), so the
     # balancing is exact.
-    sigmas, h2 = [1.0] * k, [0.0] * k
-    for i, (q_norm, g_norm) in enumerate(zip(q_norms, g_norms)):
+    n, sigmas, cands = a.shape[1], [], [None] * len(live)
+    for j, (q_norm, g_norm) in enumerate(zip(q_norms, g_norms)):
+        s = 1.0
         if 0.0 < q_norm < math.inf and 0.0 < g_norm < math.inf:
-            sigmas[i] = 2.0 ** round(0.5 * (np.log2(q_norm) - np.log2(g_norm)))
-        g_bal, q_bal = sigmas[i] * g_norm, q_norm / sigmas[i]
-        h2[i] = 2.0 * a_sq[i] + g_bal * g_bal + q_bal * q_bal
-        if not math.isfinite(h2[i]):
-            out[i] = _out_of_range("the Hamiltonian", A=a[i], G=g[i], Q=q[i])
-    sigma = np.array(sigmas)[:, None, None]
-    live = [i for i in range(k) if out[i] is None]
-    if n >= _SDA_MIN_ORDER and live:
-        # member by member: a breakdown, a stopped polish or a failed
-        # certificate falls back to the sign candidate, whose errors are the
-        # public ones
-        doubled, cands = [], []
-        for i in live:
-            s = sigmas[i]
+            s = 2.0 ** round(0.5 * (np.log2(q_norm) - np.log2(g_norm)))
+        sigmas.append(s)
+        g_bal, q_bal = s * g_norm, q_norm / s
+        h2 = 2.0 * a_sq[j] + g_bal * g_bal + q_bal * q_bal
+        if not math.isfinite(h2):
+            cands[j] = _out_of_range("the Hamiltonian", A=a[j], G=g[j], Q=q[j])
+        elif n >= _SDA_MIN_ORDER:
             # gamma: the power of two nearest the RMS singular value
-            # ||H_bal||_F / sqrt(2n) of the balanced Hamiltonian
-            gamma = _shift(h2[i], 2 * n)
+            # ||H_bal||_F / sqrt(2n) of the balanced Hamiltonian; a
+            # breakdown leaves the member on the ladder
             try:
-                cands.append(_sda(a[i], s * g[i], q[i] / s, gamma))
+                cands[j] = s * _sda(a[j], s * g[j], q[j] / s, _shift(h2, 2 * n))
             except np.linalg.LinAlgError:
-                continue
-            doubled.append(i)
-        if doubled:
-            sel = _rows(doubled, k)
-            sols = _certified(
-                a[sel], b[sel], q[sel], r[sel], g[sel],
-                sigma[sel] * np.array(cands), tol, "doubling",
-            )
-            for i, sol in zip(doubled, sols):
-                if isinstance(sol, RiccatiSolution):
-                    out[i] = sol
-        live = [i for i in live if out[i] is None]
-    if not live:
-        return out
-    sel = _rows(live, k)
-    cands = _sign_candidate(a[sel], b[sel], sigma[sel] * g[sel], q[sel] / sigma[sel])
-    ready, ps = [], []
-    for i, cand in zip(live, cands):
-        if isinstance(cand, RsmLqrError):
-            out[i] = cand
-        else:
-            ready.append(i)
-            ps.append(cand)
-    if not ready:
-        return out
-    sel = _rows(ready, k)
-    p = sigma[sel] * np.array(ps)
-    for i, sol in zip(ready, _certified(a[sel], b[sel], q[sel], r[sel], g[sel], p, tol, "sign")):
-        out[i] = _certificate_failure(a[i], b[i], sol) if isinstance(sol, str) else sol
+                pass
+    # the range test gates the doubling rung: a member out of range leaves
+    # there with its error, which below _SDA_MIN_ORDER is all the rung does;
+    # a rung with no entry is skipped
+    care += (np.array(sigmas),)
+    if any(p is not None for p in cands):
+        live, care = _rung(out, live, care, cands, tol, "doubling")
+    if live:
+        a, b, q, r, g, sigma = care
+        _rung(out, live, care, _sign_candidate(a, b, g, q, sigma), tol, "sign")
     return out
+
+
+def _rung(out: list, live: list[int], care: tuple, cands: list, tol: float, method: str):
+    """One rung of ``_solve_care_stack``'s ladder for the members ``live``
+    of ``out`` still on it, whose CAREs are the stacks ``care``, ``(A, B,
+    Q, R, G)`` and any further per-member stacks.  Each member's entry of
+    ``cands`` is its candidate on this rung, an error, or ``None`` for no
+    candidate.  The candidates are certified in one stacked ``_certified``
+    call, and a certified member leaves with its solution; a member whose
+    entry is an error leaves with it.  On the last rung, ``"sign"``, every
+    member leaves, and a certificate failure is its error.  Returns
+    ``live`` and ``care`` for the members still on the ladder: the rows of
+    the members that stay, or the stacks as they are when no member left
+    or every member did."""
+    for j, p in enumerate(cands):
+        if isinstance(p, RsmLqrError):
+            out[live[j]] = p
+    have = [j for j, p in enumerate(cands) if isinstance(p, np.ndarray)]
+    if have:
+        sub = care[:5] if len(have) == len(live) else [x[have] for x in care[:5]]
+        for j, sol in zip(have, _certified(*sub, np.array([cands[j] for j in have]), tol, method)):
+            if isinstance(sol, str) and method == "sign":
+                sol = _certificate_failure(care[0][j], care[1][j], sol)
+            if isinstance(sol, RiccatiSolution) or method == "sign":
+                out[live[j]] = sol
+    keep = [j for j, i in enumerate(live) if out[i] is None]
+    if keep and len(keep) < len(live):
+        care = tuple(x[keep] for x in care)
+    return [live[j] for j in keep], care
 
 
 def _input_gram(b, r) -> np.ndarray:
     """``G = B R^{-1} B^T`` of each member, exactly symmetric."""
     g = b @ np.linalg.solve(r, _t(b))
     return 0.5 * (g + _t(g))
-
-
-def _certify_candidates(a, b, q, r, p, method: str, tol: float = RTOL) -> list[RiccatiSolution | None]:
-    """The certificate of ``_solve_care_stack`` for candidates ``p`` that
-    the caller formed itself: each member's ``RiccatiSolution``, whose
-    ``method`` is ``method``, when its residual (after the polish), PSD and
-    Hurwitz certificates pass, else ``None``.  A certified stabilizing
-    solution is unique, so a member that passes is the one the CARE's own
-    kernels would certify, to within its residual."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = _input_gram(b, r)
-    return [
-        sol if isinstance(sol, RiccatiSolution) else None
-        for sol in _certified(a, b, q, r, g, p, tol, method)
-    ]
-
-
-def _rows(members: list[int], k: int):
-    """An index of ``members`` into a stack of ``k``: the whole stack as a
-    view when it is every member, else their rows, copied."""
-    return slice(None) if len(members) == k else np.array(members)
 
 
 def _sda(a, g, q, gamma: float) -> np.ndarray:
@@ -708,27 +721,29 @@ def _sda(a, g, q, gamma: float) -> np.ndarray:
     )
 
 
-def _sign_candidate(a, b, g, q) -> list[np.ndarray | RsmLqrError]:
+def _sign_candidate(a, b, g, q, sigma) -> list[np.ndarray | RsmLqrError]:
     """The stabilizing solution of ``0 = -P A - A^T P - Q + P G P`` for each
-    member of the stacks, read off the sign ``S`` of
-    ``H = [[A, -G], [-Q, -A^T]]``: the stable invariant subspace ``[I; P]``
-    is the null space of ``S + I``, so ``P`` is the least-squares solution
-    of ``[S12; S22 + I] X = -[S11 + I; S21]``.  The signs are one stacked
+    member of the stacks, read off the sign ``S`` of the Hamiltonian balanced
+    by the member's power of two ``sigma``,
+    ``H = [[A, -sigma G], [-Q / sigma, -A^T]]``: the stable invariant
+    subspace ``[I; P / sigma]`` is the null space of ``S + I``, so
+    ``P / sigma`` is the least-squares solution of
+    ``[S12; S22 + I] X = -[S11 + I; S21]``.  The signs are one stacked
     ``_sign_newton``; ``lstsq`` has no stacked form, so the read-out is
     member by member.  A member gets the public error of ``solve_care``
     for a stopped iteration, a stable dimension ``(2n - trace S)/2`` other
     than ``n``, or a basis of rank below ``n``; ``B`` only names an
     unreachable mode."""
-    n = a.shape[1]
+    n, s3 = a.shape[1], sigma[:, None, None]
     ham = np.empty((len(a), 2 * n, 2 * n))
     ham[:, :n, :n] = a
-    ham[:, :n, n:] = -g
-    ham[:, n:, :n] = -q
+    ham[:, :n, n:] = -(s3 * g)
+    ham[:, n:, :n] = -(q / s3)
     ham[:, n:, n:] = -_t(a)
     out: list = []
-    for a_i, b_i, s in zip(a, b, _sign_newton(ham)):
+    for a_i, b_i, s, s_i in zip(a, b, _sign_newton(ham), sigma):
         try:
-            out.append(_read_out(a_i, b_i, s))
+            out.append(s_i * _read_out(a_i, b_i, s))
         except RsmLqrError as exc:
             out.append(exc)
     return out
@@ -797,9 +812,10 @@ def _certified(a, b, q, r, g, p, tol: float, method: str) -> list[RiccatiSolutio
                 passed.append(i)
         if not passed:
             return out
-        sel = _rows(passed, len(p))
-        p, f = p[sel], -solved[sel]
-        a_cl = a[sel] + b[sel] @ f
+        if len(passed) < len(p):
+            p, a, b, solved = p[passed], a[passed], b[passed], solved[passed]
+        f = -solved
+        a_cl = a + b @ f
         proven = _lyapunov_certified(p, a_cl)
     for j, i in enumerate(passed):
         if proven[j]:

@@ -10,6 +10,7 @@ from rsmlqr.errors import (
     DetectabilityWarning,
     InconsistencyError,
     InvalidArgumentError,
+    InvalidMatrixError,
     NotPSDError,
     NotStabilizableError,
     NotSymmetricError,
@@ -550,19 +551,23 @@ class TestComposedSolution:
         sys1, sys2, pattern, w1, w2 = partial_twin(np.random.default_rng(35), 20, 5, 1e-6)
         orders = self._orders(monkeypatch)
         polished, polish = [], riccati._polish
+        methods, certified = [], riccati._certified
 
         def polishing(care, *args):
             polished.append(care[0].shape[0])
             return polish(care, *args)
 
         def certifying(*args):
-            raise AssertionError("a candidate that failed the screen was certified")
+            methods.append(args[-1])
+            return certified(*args)
 
         monkeypatch.setattr(riccati, "_polish", polishing)
-        monkeypatch.setattr(lqr, "_certify_candidates", certifying)
+        monkeypatch.setattr(riccati, "_certified", certifying)
         analysis = evaluate_composition(sys1, sys2, pattern, w1, w2)
         assert orders == [20, 20, 35]
         assert polished == []
+        # the subsystems' stack of two, then the composite: no composed rung
+        assert methods == ["doubling", "doubling"]
         assert analysis.direct.solution.method == "doubling"
         assert not analysis.report.compositional
 
@@ -635,6 +640,30 @@ class TestBoundaryBeforeSolver:
                 system, scalar_system("one", -1.0), FULL_SHARE,
                 CostWeights(np.eye(3), [[1.0]]), UNIT_WEIGHTS,
             )
+
+    def test_mis_sized_x0_is_rejected_before_any_care(self, monkeypatch):
+        # the counterexample's composite has one state
+        def solving(*args, **kwargs):
+            raise AssertionError("a CARE was solved before x0 was checked")
+
+        monkeypatch.setattr(lqr, "_solve_care_stack", solving)
+        with pytest.raises(ShapeError, match=r"initial state has 7 entries, expected 1"):
+            counterexample_analysis(x0=np.ones(7))
+        with pytest.raises(InvalidMatrixError, match="initial state contains non-finite"):
+            counterexample_analysis(x0=[math.nan])
+
+    def test_mis_sized_x0_wins_over_a_failing_care(self):
+        # the mode at +1 is out of B's reach, so design 1's CARE has no
+        # stabilizing solution; the composite has 3 states
+        unstabilizable = LinearSystem("bad", np.diag([1.0, -1.0]), [[0.0], [1.0]])
+        args = (
+            unstabilizable, scalar_system("one", -1.0), CompositionPattern(2, 1),
+            CostWeights(np.eye(2), [[1.0]]), UNIT_WEIGHTS,
+        )
+        with pytest.raises(ShapeError, match=r"initial state has 9 entries, expected 3"):
+            evaluate_composition(*args, x0=np.ones(9))
+        with pytest.raises(NotStabilizableError):
+            evaluate_composition(*args, x0=np.ones(3))
 
 
 class TestCheckAgreement:
@@ -925,33 +954,32 @@ class TestCounterexampleSearch:
 
     def test_one_stacked_sign_call_per_care_shape(self, monkeypatch):
         # 50 trials make 100 subsystem CAREs of order <= 3, all on the sign
-        # path, in one round, and then the composite CAREs that no composed
-        # candidate settled (order <= 6) in a second: in each round each
-        # shape (n, m) is one stacked solve and one stacked sign iteration,
-        # and no CARE is solved alone
-        rounds, signs, settled = [[]], [], []
+        # path, in one round, and then the 50 composite CAREs (order <= 6)
+        # in a second, whose composed candidates are the first rung of
+        # their ladder: in each round each shape (n, m) is one stacked
+        # solve, with one stacked sign iteration unless the composed rung
+        # settled every member, and no CARE is solved alone
+        solves, signs = [], []
         stack_solve, sign = lqr._solve_care_stack, riccati._sign_newton
-        composed = lqr._composed_solutions
 
-        def solving(a, b, q, r):
-            rounds[-1].append(b.shape)
-            return stack_solve(a, b, q, r)
+        def solving(a, b, q, r, candidates=None):
+            before = len(signs)
+            sols = stack_solve(a, b, q, r, candidates=candidates)
+            settled = sum(
+                isinstance(sol, riccati.RiccatiSolution) and sol.method == "composed"
+                for sol in sols
+            )
+            solves.append((candidates is not None, b.shape, settled, len(signs) - before))
+            return sols
 
         def signing(z):
             signs.append(len(z))
             return sign(z)
 
-        def composing(members):
-            rounds.append([])
-            sols = composed(members)
-            settled.append(sum(sol is not None for sol in sols))
-            return sols
-
         def alone(*args):
             raise AssertionError("a search CARE was solved alone")
 
         monkeypatch.setattr(lqr, "_solve_care_stack", solving)
-        monkeypatch.setattr(lqr, "_composed_solutions", composing)
         monkeypatch.setattr(riccati, "_sign_newton", signing)
         monkeypatch.setattr(lqr, "_solve_care", alone)
         monkeypatch.setattr(riccati, "_solve_care", alone)
@@ -962,16 +990,23 @@ class TestCounterexampleSearch:
             for _ in range(config.trials)
         )
         result = counterexample_search(config)
-        subsystems, composites = rounds
-        for groups in rounds:
-            shapes = [shape[1:] for shape in groups]
+        rounds = [call[0] for call in solves]
+        assert rounds == sorted(rounds)
+        subsystems = [call for call in solves if not call[0]]
+        composites = [call for call in solves if call[0]]
+        for calls in (subsystems, composites):
+            shapes = [shape[1:] for _, shape, _, _ in calls]
             assert len(shapes) == len(set(shapes))
-        assert sum(shape[0] for shape in subsystems) == 100
-        # every unshared trial is settled by its composed candidate
-        (composed_count,) = settled
+        assert sum(shape[0] for _, shape, _, _ in subsystems) == 100
+        assert sum(shape[0] for _, shape, _, _ in composites) == 50
+        assert all(settled == 0 and calls == 1 for _, _, settled, calls in subsystems)
+        # every unshared trial is settled by its composed candidate, inside
+        # the composite round's stacked solve
+        composed_count = sum(settled for _, _, settled, _ in composites)
         assert composed_count >= unshared >= 10
-        assert sum(shape[0] for shape in composites) == 50 - composed_count
-        assert len(signs) == len(subsystems) + len(composites)
+        for _, shape, settled, calls in composites:
+            assert calls == (1 if settled < shape[0] else 0)
+        assert sum(calls for *_, calls in solves) == len(signs)
         assert sum(signs) == 150 - composed_count
         assert result.trials == 50 and result.found
 
@@ -1104,14 +1139,28 @@ class TestSearchParity:
     Each stacked call must compute a trial as it computes that trial alone."""
 
     RANGES = ((1, 5), (1, 3), (0, 3))
+    # subsystems of order 8-11: their CAREs take the sign and the doubling
+    # rungs, and the composites (order 12-22) the doubling and the composed
+    LADDER_RANGES = ((8, 11), (1, 2), (0, 4))
 
     def test_every_trial_reports_as_alone(self, monkeypatch):
         # chunks of 37 put trials on both sides of two chunk boundaries
+        self._check_parity(monkeypatch, self.RANGES, 100)
+
+    def test_every_ladder_rung_reports_as_alone(self, monkeypatch):
+        chunked = self._check_parity(monkeypatch, self.LADDER_RANGES, 30)
+        methods = {m.direct.solution.method for m in chunked}
+        assert methods == {"doubling", "composed"}
+        assert "sign" in {m.design1.solution.method for m in chunked}
+
+    def _check_parity(self, monkeypatch, ranges, trials):
+        """Each trial of a search over ``ranges`` in chunks of 37 reports,
+        and designs, as it does alone; returns the chunk members' designs."""
         monkeypatch.setattr(lqr, "_SEARCH_CHUNK", 37)
-        n_range, m_range, k_range = self.RANGES
+        n_range, m_range, k_range = ranges
         config = SearchConfig(
             n_range=n_range, m_range=m_range, k_range=k_range,
-            trials=100, seed=11, deviation_threshold=-math.inf,
+            trials=trials, seed=11, deviation_threshold=-math.inf,
         )
         chunked, design_chunk = [], lqr._design_chunk
 
@@ -1127,7 +1176,7 @@ class TestSearchParity:
         assert result.skipped == 0 and len(result.found) == config.trials
         rng = np.random.default_rng(config.seed)
         for inst in result.found:
-            sys1, sys2, pattern, w1, w2 = sample_instance(rng, *self.RANGES)
+            sys1, sys2, pattern, w1, w2 = sample_instance(rng, *ranges)
             for got, want in ((inst.system1.A, sys1.A), (inst.system2.B, sys2.B),
                               (inst.weights1.Q, w1.Q), (inst.weights2.R, w2.R)):
                 np.testing.assert_array_equal(got, want)
@@ -1142,6 +1191,7 @@ class TestSearchParity:
                 np.testing.assert_array_equal(got.F, want.F)
                 assert got.solution.method == want.solution.method, inst.trial
             np.testing.assert_array_equal(member.F_composed, design.F_composed)
+        return chunked
 
     def test_sample_instance_is_the_chunk_of_one(self):
         # the chunk's stacked shifts and gates give each trial the arrays
@@ -1164,7 +1214,8 @@ class TestSearchParity:
         assert chunk_rng.bit_generator.state == loop_rng.bit_generator.state
 
 
-BAD_TOLERANCES = [math.inf, math.nan, 0.0, -1e-8]
+# not positive and finite, then not a real number: a bool is not a tolerance
+BAD_TOLERANCES = [math.inf, math.nan, 0.0, -1e-8, "1e-8", None, 1j, True]
 
 
 class TestCheckTolerance:
@@ -1195,6 +1246,10 @@ class TestCheckTolerance:
         for gate in gates:
             with pytest.raises(InvalidArgumentError, match="positive and finite"):
                 gate()
+
+    def test_numpy_float_is_a_tolerance(self):
+        analysis = counterexample_analysis(tol=np.float64(1e-8))
+        assert not analysis.report.compositional
 
     def test_is_a_value_error(self):
         with pytest.raises(ValueError):

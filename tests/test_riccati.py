@@ -899,36 +899,82 @@ class TestStackedSolve:
         for i, sol in enumerate(sols):
             assert same_result(sol, solve_alone(a[i], b[i], q[i], r[i]))
 
+    def test_axis_mode_member_beside_certified_doubling_members(self):
+        # the order-10 subsystem of CI's axis_mode problem: the rotation at
+        # +-i is out of B's reach, so its doubling runs to the step cap and
+        # its sign rung names the mode; the members beside it certify
+        rng = np.random.default_rng(2613)
+        a, b, q, r = mixed_stack(rng, 10, 1, 5)
+        a[2] = -np.eye(10)
+        a[2, :2, :2] = [[0.0, 1.0], [-1.0, 0.0]]
+        b[2], b[2, :2] = 1.0, 0.0
+        q[2], r[2] = np.eye(10), 1.0
+        sols = riccati._solve_care_stack(a, b, q, r)
+        assert isinstance(sols[2], NotStabilizableError) and "0+1j" in str(sols[2])
+        others = [sol for i, sol in enumerate(sols) if i != 2]
+        assert all(isinstance(sol, riccati.RiccatiSolution) for sol in others)
+        assert "doubling" in {sol.method for sol in others}
+        for i, sol in enumerate(sols):
+            assert same_result(sol, solve_alone(a[i], b[i], q[i], r[i]))
+
+    def test_candidates_climb_the_ladder_as_alone(self):
+        # one stack holds candidates that certify (each CARE's solution),
+        # candidates that fail their certificate (the anti-stabilizing
+        # solution, which solves the equation but is not PSD) and no
+        # candidate: each member gets what its stack of one gets
+        rng = np.random.default_rng(2614)
+        problems = [random_care_problem(rng, 3, 2) for _ in range(5)]
+        a, b, q, r = (np.stack(x) for x in zip(*problems))
+        solved = [riccati._solve_care(*problem).P for problem in problems]
+        anti = [-riccati._solve_care(-pa, pb, pq, pr).P for pa, pb, pq, pr in problems]
+        candidates = [solved[0], anti[1], None, solved[3], anti[4]]
+        sols = riccati._solve_care_stack(a, b, q, r, candidates=candidates)
+        assert [sol.method for sol in sols] == ["composed", "sign", "sign", "composed", "sign"]
+        for i, sol in enumerate(sols):
+            one = (a[i:i + 1], b[i:i + 1], q[i:i + 1], r[i:i + 1])
+            (alone,) = riccati._solve_care_stack(*one, candidates=[candidates[i]])
+            assert same_result(sol, alone)
+            if sol.method == "composed":
+                assert sol.P.tobytes() == candidates[i].tobytes()
+            else:
+                # a member whose candidate did not certify is the kernels'
+                assert same_result(sol, solve_alone(*problems[i]))
+
     @pytest.mark.parametrize(
-        "a, b, q, message",
+        "a, b, q, error, message",
         [
             # the rotation block is out of B's reach: the candidate fails its
             # residual and the PBH test names the mode
             (
                 [[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, -1.0]],
-                [[0.0], [0.0], [1.0]], np.eye(3), "0\\+1j is unreachable",
+                [[0.0], [0.0], [1.0]], np.eye(3), NotStabilizableError,
+                "0\\+1j is unreachable",
             ),
             # a singular Hamiltonian: the stacked inverse fails, and the
             # member's own inverse names it
             (np.diag([0.0, -1.0, -2.0]), [[0.0], [1.0], [1.0]], np.diag([0.0, 1.0, 1.0]),
-             "singular iterate"),
+             NotStabilizableError, "singular iterate"),
+            # ||A||_F^2 overflows: the range test takes the member off the
+            # ladder before the sign rung
+            (-1e160 * np.eye(3), np.ones((3, 1)), np.eye(3), NumericalFailureError,
+             "the Hamiltonian is out of range"),
         ],
-        ids=["axis-mode", "singular-iterate"],
+        ids=["axis-mode", "singular-iterate", "out-of-range"],
     )
-    def test_failed_member_leaves_the_others_certified(self, a, b, q, message):
+    def test_failed_member_leaves_the_others_certified(self, a, b, q, error, message):
         rng = np.random.default_rng(2603)
         stacks = mixed_stack(rng, 3, 1, 5)
         for x, member in zip(stacks, (a, b, q, [[1.0]])):
             x[2] = member
         sols = riccati._solve_care_stack(*stacks)
         alone = solve_alone(*(x[2] for x in stacks))
-        assert isinstance(alone, NotStabilizableError)
+        assert isinstance(alone, error)
         assert re.search(message, str(alone))
         assert same_result(sols[2], alone)
         for i in (0, 1, 3, 4):
             assert isinstance(sols[i], riccati.RiccatiSolution)
             assert same_result(sols[i], solve_alone(*(x[i] for x in stacks)))
-        with pytest.raises(NotStabilizableError, match=message):
+        with pytest.raises(error, match=message):
             riccati._solve_care(*(x[2] for x in stacks))
 
     def test_polished_members_match_their_solves_alone(self, lyap_calls):
